@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 import pathlib
 import re
@@ -42,16 +43,14 @@ from .sweep_optimize import (
     Objective,
     SweepAxis,
     SweepScale,
-    SweepRow,
     SweepTable,
     SweepVariable,
     figure_dataset,
     find_peak,
+    observable_row,
     sweep,
 )
 
-CSV_HEADER = "axis,p_a,p_b,abs_c,abs_x,s_ab,s_ba,asymmetry,concurrence"
-DIFF_CSV_HEADER = "axis,delta_s_ab,delta_s_ba"
 VERIFY_TOLERANCE = 1e-3
 
 # (omega_a, omega_b, separation, boundary_distance); each entry is run in
@@ -111,36 +110,13 @@ def _comment_lines(params: dict) -> list[str]:
     return [f"# {key} = {value}" for key, value in params.items()]
 
 
-def _sweep_csv(table: SweepTable, params: dict) -> str:
+def _table_csv(table: SweepTable | DifferenceTable, params: dict) -> str:
+    """CSV with one column per row field; the first field is written as ``axis``."""
+    names = [field.name for field in dataclasses.fields(table.rows[0])]
+    values = operator.attrgetter(*names)
     lines = _comment_lines(params)
-    lines.append(CSV_HEADER)
-    for row in table.rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    row.axis_value,
-                    row.p_a,
-                    row.p_b,
-                    row.abs_c,
-                    row.abs_x,
-                    row.s_ab,
-                    row.s_ba,
-                    row.asymmetry,
-                    row.concurrence,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _difference_csv(table: DifferenceTable, params: dict) -> str:
-    lines = _comment_lines(params)
-    lines.append(DIFF_CSV_HEADER)
-    for row in table.rows:
-        lines.append(
-            ",".join(_fmt(v) for v in (row.axis_value, row.delta_s_ab, row.delta_s_ba))
-        )
+    lines.append(",".join(["axis", *names[1:]]))
+    lines.extend(",".join(map(_fmt, values(row))) for row in table.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -165,35 +141,16 @@ def _pair_geom(args) -> tuple[DetectorPair, BoundaryGeometry, dict]:
 def _cmd_compute(args) -> int:
     pair, geom, config = _pair_geom(args)
     block = correlations(pair, geom)
-    res = steering_from_block(block)
-    record = dict(config)
-    record.update(
-        p_a=block.p_a,
-        p_b=block.p_b,
-        abs_c=abs(block.c),
-        abs_x=abs(block.x),
-        s_ab=res.s_ab,
-        s_ba=res.s_ba,
-        asymmetry=res.asymmetry,
-        concurrence=res.concurrence,
-    )
-    record["provenance"] = _provenance(config)
+    row = observable_row(geom.separation, block, steering_from_block(block))
     if args.format == "csv":
-        row = SweepRow(
-            axis_value=geom.separation,
-            p_a=block.p_a,
-            p_b=block.p_b,
-            abs_c=abs(block.c),
-            abs_x=abs(block.x),
-            s_ab=res.s_ab,
-            s_ba=res.s_ba,
-            asymmetry=res.asymmetry,
-            concurrence=res.concurrence,
-        )
         table = SweepTable(variable=SweepVariable.SEPARATION, rows=(row,))
         params = dict(config, axis="separation")
-        _write_text(args.out, _sweep_csv(table, params))
+        _write_text(args.out, _table_csv(table, params))
     else:
+        record = dict(config)
+        record.update(dataclasses.asdict(row))
+        del record["axis_value"]
+        record["provenance"] = _provenance(config)
         _write_text(args.out, json.dumps(record, indent=2) + "\n")
     return 0
 
@@ -217,7 +174,7 @@ def _cmd_sweep(args) -> int:
         payload["provenance"] = _provenance(params)
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     else:
-        _write_text(args.out, _sweep_csv(table, params))
+        _write_text(args.out, _table_csv(table, params))
     return 0
 
 
@@ -336,11 +293,7 @@ def _cmd_figure(args) -> int:
         }
         params.update(_FIGURE_FIXED[figure_id])
         name = re.sub(r"[^A-Za-z0-9.+-]+", "_", label) + ".csv"
-        if isinstance(table, DifferenceTable):
-            text = _difference_csv(table, params)
-        else:
-            text = _sweep_csv(table, params)
-        _write_text(str(out_dir / name), text)
+        _write_text(str(out_dir / name), _table_csv(table, params))
     print(f"wrote {len(data)} curve files to {out_dir}")
     return 0
 

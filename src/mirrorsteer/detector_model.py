@@ -11,10 +11,8 @@ probabilities carry the square of the dimensionless coupling.
 
 The pair can be stacked parallel to the mirror (both detectors at the
 same distance) or orthogonal to it (detector B farther by the detector
-separation). The steering of the harvested X-state is available both
-through the generic X-state formulas and through the specialized
-closed forms for states with an empty doubly-excited level; the two
-routes are kept independent so they can be checked against each other.
+separation). The steering of the harvested X-state is evaluated by the
+generic X-state formulas of :mod:`mirrorsteer.xstate_steering`.
 """
 
 from __future__ import annotations
@@ -27,13 +25,10 @@ from scipy.special import erfcx
 
 from .errors import PerturbativeValidityError, ValidationError
 from .special_functions import faddeeva_w
-from .xstate_steering import SteeringResult, XState, concurrence
+from .xstate_steering import SteeringResult, XState, steering_asymmetry
 
 _SQRT_PI = math.sqrt(math.pi)
 _INV_SQRT_PI = 1.0 / _SQRT_PI
-# weights of the P_A P_B cross term in the empty-top-level thresholds
-_T_PLUS = (1.0 + math.sqrt(3.0)) / 2.0
-_T_MINUS = (1.0 - math.sqrt(3.0)) / 2.0
 
 # below this argument the 1/l prefactors are evaluated by Taylor branches
 SERIES_CROSSOVER = 1e-3
@@ -318,39 +313,9 @@ def joint_state(pair: DetectorPair, geom: BoundaryGeometry) -> XState:
     return state_from_block(correlations(pair, geom))
 
 
-def _sqrt_clamped(v: float) -> float:
-    return math.sqrt(v) if v > 0.0 else 0.0
-
-
 def steering_from_block(block: CorrelationBlock) -> SteeringResult:
-    """Directional steering of a leading-order harvested block.
-
-    Specialization of the X-state steering to an empty doubly-excited
-    level: the threshold radicands collapse to
-    ((1 +- sqrt(3))/2) P_A P_B + P/2 - P^2/2 with P = P_A for B->A and
-    P = P_B for A->B. Kept separate from the generic X-state route so
-    the two can be compared.
-    """
-    pa, pb = block.p_a, block.p_b
-    mod_x = abs(block.x)
-    mod_c = abs(block.c)
-    cross = pa * pb
-    s_ba = max(
-        0.0,
-        mod_x - _sqrt_clamped(_T_PLUS * cross + 0.5 * pa - 0.5 * pa * pa),
-        mod_c - _sqrt_clamped(_T_MINUS * cross + 0.5 * pa - 0.5 * pa * pa),
-    )
-    s_ab = max(
-        0.0,
-        mod_x - _sqrt_clamped(_T_PLUS * cross + 0.5 * pb - 0.5 * pb * pb),
-        mod_c - _sqrt_clamped(_T_MINUS * cross + 0.5 * pb - 0.5 * pb * pb),
-    )
-    return SteeringResult(
-        s_ab=s_ab,
-        s_ba=s_ba,
-        asymmetry=s_ab - s_ba,
-        concurrence=concurrence(state_from_block(block)),
-    )
+    """Directional steering of a leading-order harvested block."""
+    return steering_asymmetry(state_from_block(block))
 
 
 def harvested_steering(pair: DetectorPair, geom: BoundaryGeometry) -> SteeringResult:

@@ -253,6 +253,8 @@ def _extrapolated(
     rtol: float,
     reduced: bool,
 ) -> complex:
+    if not (math.isfinite(rtol) and rtol > 0.0):
+        raise ValidationError(f"rtol must be a positive finite number, got {rtol!r}")
     lam2 = coupling * coupling
     schedule = [
         (e, _single_epsilon(kind, omega_a, omega_b, spatial, image, e, spec, reduced))

@@ -1,4 +1,4 @@
-"""Error functions on the real line and the complex plane.
+"""Error functions on the complex plane.
 
 Thin, validated wrappers around scipy's erf family. The complex error
 function is canonicalized to the first quadrant before evaluation so that
@@ -20,9 +20,6 @@ from .errors import ValidationError
 # Accuracy is certified for |z| <= 50; beyond that the wrapper refuses
 # rather than silently degrade.
 ERF_COMPLEX_WINDOW = 50.0
-# erfi grows like exp(x^2); exp(144) is still comfortably inside double
-# range while exp(169) is not.
-ERFI_WINDOW = 12.0
 
 # exp overflow threshold for doubles, with margin
 _EXP_OVERFLOW = 700.0
@@ -64,35 +61,6 @@ def erf_complex(z: complex) -> complex:
     if re >= 0.0:
         return wc if im >= 0.0 else wc.conjugate()
     return -wc.conjugate() if im >= 0.0 else -wc
-
-
-def erfc_real(x: float) -> float:
-    """Complementary error function on the real line.
-
-    Uses a dedicated continued-fraction style implementation rather than
-    1 - erf(x), so it keeps full relative accuracy for large x where erf
-    saturates at 1.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValidationError("erfc_real requires a finite argument")
-    return float(_sp.erfc(x))
-
-
-def erfi_real(x: float) -> float:
-    """Imaginary error function erfi(x) = -i erf(ix) for real x.
-
-    Restricted to |x| <= 12 because erfi grows like exp(x^2). The sign is
-    peeled off first so erfi(-x) == -erfi(x) exactly.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValidationError("erfi_real requires a finite argument")
-    if abs(x) > ERFI_WINDOW:
-        raise ValidationError(
-            f"erfi_real certified only for |x| <= {ERFI_WINDOW}, got {x:.3g}"
-        )
-    return math.copysign(float(_sp.erfi(abs(x))), x) if x != 0.0 else 0.0
 
 
 def faddeeva_w(z: complex) -> complex:

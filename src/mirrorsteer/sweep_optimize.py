@@ -22,8 +22,9 @@ import numpy as np
 from .detector_model import (
     Alignment,
     BoundaryGeometry,
+    CorrelationBlock,
     DetectorPair,
-    boundary_free_steering,
+    boundary_free_correlations,
     config_difference,
     correlations,
     steering_from_block,
@@ -135,6 +136,23 @@ class SweepRow:
     concurrence: float
 
 
+def observable_row(
+    axis_value: float, block: CorrelationBlock, res: SteeringResult
+) -> SweepRow:
+    """The observables of one grid point, from its block and steering."""
+    return SweepRow(
+        axis_value=float(axis_value),
+        p_a=block.p_a,
+        p_b=block.p_b,
+        abs_c=abs(block.c),
+        abs_x=abs(block.x),
+        s_ab=res.s_ab,
+        s_ba=res.s_ba,
+        asymmetry=res.asymmetry,
+        concurrence=res.concurrence,
+    )
+
+
 @dataclass(frozen=True)
 class SweepTable:
     variable: SweepVariable
@@ -193,25 +211,14 @@ def _evaluate(
     geom: BoundaryGeometry,
     variable: SweepVariable,
     value: float,
-) -> tuple[SweepRow, SteeringResult]:
+) -> SweepRow:
     try:
         pair_v, geom_v = _apply(pair, geom, variable, value)
         block = correlations(pair_v, geom_v)
         res = steering_from_block(block)
     except Exception as exc:
         raise type(exc)(f"at {variable.value} = {value:g}: {exc}") from exc
-    row = SweepRow(
-        axis_value=float(value),
-        p_a=block.p_a,
-        p_b=block.p_b,
-        abs_c=abs(block.c),
-        abs_x=abs(block.x),
-        s_ab=res.s_ab,
-        s_ba=res.s_ba,
-        asymmetry=res.asymmetry,
-        concurrence=res.concurrence,
-    )
-    return row, res
+    return observable_row(value, block, res)
 
 
 def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepTable:
@@ -221,25 +228,16 @@ def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepT
     at each grid point; all other fields are held fixed.  Model errors are
     re-raised with the offending grid point named.
     """
-    rows = tuple(
-        _evaluate(pair, geom, axis.variable, value)[0] for value in axis.grid()
-    )
+    rows = tuple(_evaluate(pair, geom, axis.variable, value) for value in axis.grid())
     return SweepTable(variable=axis.variable, rows=rows)
 
 
-def _objective_value(
-    pair: DetectorPair,
-    geom: BoundaryGeometry,
-    variable: SweepVariable,
-    value: float,
-    objective: Objective,
-) -> float:
-    _, res = _evaluate(pair, geom, variable, value)
-    if objective is Objective.S_AB:
-        return res.s_ab
-    if objective is Objective.S_BA:
-        return res.s_ba
-    return res.asymmetry
+# SweepRow field read by each objective
+_OBJECTIVE_FIELD = {
+    Objective.S_AB: "s_ab",
+    Objective.S_BA: "s_ba",
+    Objective.ASYMMETRY: "asymmetry",
+}
 
 
 def find_peak(
@@ -262,7 +260,8 @@ def find_peak(
     if not lo < hi:
         raise ValidationError("peak bracket must satisfy lo < hi")
     if objective_fn is None:
-        objective_fn = lambda v: _objective_value(pair, geom, variable, v, objective)
+        field = _OBJECTIVE_FIELD[objective]
+        objective_fn = lambda v: getattr(_evaluate(pair, geom, variable, v), field)
 
     f_lo = objective_fn(lo)
     f_hi = objective_fn(hi)
@@ -322,8 +321,8 @@ def find_transition(
     if indicator_fn is None:
 
         def indicator_fn(v: float) -> bool:
-            _, res = _evaluate(pair, geom, variable, v)
-            s = res.s_ab if direction is Direction.A_TO_B else res.s_ba
+            row = _evaluate(pair, geom, variable, v)
+            s = row.s_ab if direction is Direction.A_TO_B else row.s_ba
             return s > 0.0
 
     live_lo = indicator_fn(lo)
@@ -399,21 +398,9 @@ def figure_dataset(
         for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL):
             geom = BoundaryGeometry(alignment, separation=0.05, boundary_distance=1.0)
             out[alignment.value] = _figure_sweep(pair, geom, axis, alignment.value)
-        free = boundary_free_steering(pair, 0.05)
-        free_rows = tuple(
-            SweepRow(
-                axis_value=float(v),
-                p_a=float("nan"),
-                p_b=float("nan"),
-                abs_c=float("nan"),
-                abs_x=float("nan"),
-                s_ab=free.s_ab,
-                s_ba=free.s_ba,
-                asymmetry=free.asymmetry,
-                concurrence=free.concurrence,
-            )
-            for v in axis.grid()
-        )
+        free = boundary_free_correlations(pair, 0.05)
+        free_res = steering_from_block(free)
+        free_rows = tuple(observable_row(v, free, free_res) for v in axis.grid())
         out["boundary_free"] = SweepTable(
             variable=axis.variable, rows=free_rows, label="boundary_free"
         )

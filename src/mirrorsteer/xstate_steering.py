@@ -4,9 +4,21 @@ An X-operator is fixed by its diagonal ``(d11, d22, d33, d44)`` in the
 product basis together with the two antidiagonal coherences ``c14`` and
 ``c23``. For such operators the violation of the steering inequalities
 reduces to closed form, giving a directional measure S(A->B), S(B->A)
-analogous to the concurrence. The B->A direction can be certified
+analogous to the concurrence. Each direction can be certified
 independently: an auxiliary X-operator built from the same data has
 concurrence equal to 2/sqrt(3) times the steering.
+
+The thresholds are written so that every radicand is a sum of
+nonnegative products of the diagonal. The textbook form combines
+g_a = W- d11 d44 + W+ d22 d33 + (d11 + d44)(d22 + d33)/4 and
+g_b = (d11 - d44)(d22 - d33)/4 as g_a +- g_b, which cancels when one
+population is tiny; expanding the sum and difference removes the
+cancellation exactly:
+
+    g_a + g_b = W- d11 d44 + W+ d22 d33 + (d11 d22 + d33 d44)/2
+    g_a - g_b = W- d11 d44 + W+ d22 d33 + (d11 d33 + d22 d44)/2
+
+and g_c +- g_b likewise with W+ and W- exchanged.
 """
 
 from __future__ import annotations
@@ -25,11 +37,6 @@ _TAU_MIX = (3.0 - _SQRT3) / 6.0
 
 # tolerance for trace and diagonal-range checks
 _ATOL = 1e-12
-
-
-def _sqrt_clamped(x: float) -> float:
-    # radicands can land a few ulp below zero right at a transition
-    return math.sqrt(x) if x > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -74,15 +81,6 @@ class XState:
 
 
 @dataclass(frozen=True)
-class SteeringThresholds:
-    """The three quadratic combinations entering the steering bounds."""
-
-    g_a: float
-    g_b: float
-    g_c: float
-
-
-@dataclass(frozen=True)
 class SteeringResult:
     """Both steering directions, their difference, and the concurrence."""
 
@@ -104,40 +102,34 @@ def concurrence(state: XState) -> float:
     return 2.0 * max(0.0, a, b)
 
 
-def steering_thresholds(state: XState) -> SteeringThresholds:
-    """Quadratic threshold combinations g_a, g_b, g_c of the diagonal."""
-    p14 = state.d11 * state.d44
-    p23 = state.d22 * state.d33
-    cross = 0.25 * (state.d11 + state.d44) * (state.d22 + state.d33)
-    return SteeringThresholds(
-        g_a=_W_MINUS * p14 + _W_PLUS * p23 + cross,
-        g_b=0.25 * (state.d11 - state.d44) * (state.d22 - state.d33),
-        g_c=_W_PLUS * p14 + _W_MINUS * p23 + cross,
-    )
+def _both_directions(state: XState) -> tuple[float, float]:
+    """S(A->B) and S(B->A) from the factored thresholds, in one pass."""
+    d11, d22, d33, d44 = state.d11, state.d22, state.d33, state.d44
+    p14 = d11 * d44
+    p23 = d22 * d33
+    w_a = _W_MINUS * p14 + _W_PLUS * p23
+    w_c = _W_PLUS * p14 + _W_MINUS * p23
+    # cross term of g_a and g_c, plus g_b for A->B and minus g_b for B->A
+    h_ab = 0.5 * (d11 * d22 + d33 * d44)
+    h_ba = 0.5 * (d11 * d33 + d22 * d44)
+    m14 = abs(state.c14)
+    m23 = abs(state.c23)
+    s_ab = max(0.0, m14 - math.sqrt(w_a + h_ab), m23 - math.sqrt(w_c + h_ab))
+    s_ba = max(0.0, m14 - math.sqrt(w_a + h_ba), m23 - math.sqrt(w_c + h_ba))
+    return s_ab, s_ba
 
 
 def steering_b_to_a(state: XState) -> float:
     """Steering of A by measurements on B.
 
-    S(B->A) = max{0, |c14| - sqrt(g_a - g_b), |c23| - sqrt(g_c - g_b)},
-    with negative radicands clamped to zero.
+    S(B->A) = max{0, |c14| - sqrt(g_a - g_b), |c23| - sqrt(g_c - g_b)}.
     """
-    t = steering_thresholds(state)
-    return max(
-        0.0,
-        abs(state.c14) - _sqrt_clamped(t.g_a - t.g_b),
-        abs(state.c23) - _sqrt_clamped(t.g_c - t.g_b),
-    )
+    return _both_directions(state)[1]
 
 
 def steering_a_to_b(state: XState) -> float:
     """Steering of B by measurements on A; g_b enters with opposite sign."""
-    t = steering_thresholds(state)
-    return max(
-        0.0,
-        abs(state.c14) - _sqrt_clamped(t.g_a + t.g_b),
-        abs(state.c23) - _sqrt_clamped(t.g_c + t.g_b),
-    )
+    return _both_directions(state)[0]
 
 
 def steering_asymmetry(state: XState) -> SteeringResult:
@@ -145,8 +137,7 @@ def steering_asymmetry(state: XState) -> SteeringResult:
 
     The asymmetry is s_ab - s_ba: positive when A steers B more strongly.
     """
-    s_ab = steering_a_to_b(state)
-    s_ba = steering_b_to_a(state)
+    s_ab, s_ba = _both_directions(state)
     return SteeringResult(
         s_ab=s_ab,
         s_ba=s_ba,

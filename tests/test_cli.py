@@ -223,6 +223,13 @@ class TestVerifyCommand:
         assert code == 3
         assert err
 
+    @pytest.mark.parametrize("rtol", ["-1", "0", "nan", "inf"])
+    def test_invalid_tolerance_exits_2(self, rtol, capsys):
+        code, out, err = run(["verify", "--grid", "smoke", "--rtol", rtol], capsys)
+        assert code == 2
+        assert "rtol" in err
+        assert out == ""
+
 
 class TestFigureCommand:
     def test_alignment_difference_files(self, tmp_path, capsys):

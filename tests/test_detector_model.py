@@ -7,6 +7,7 @@ math so they do not share code with the implementation.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -28,7 +29,12 @@ from mirrorsteer.detector_model import (
     transition_probability,
 )
 from mirrorsteer.errors import PerturbativeValidityError, ValidationError
-from mirrorsteer.xstate_steering import steering_asymmetry
+from mirrorsteer.xstate_steering import (
+    build_tau_ab,
+    build_tau_ba,
+    concurrence,
+    steering_asymmetry,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT3 = math.sqrt(3.0)
@@ -52,6 +58,42 @@ def steering_by_hand(p_a, p_b, c, x):
     s_ba = max(0.0, abs(x) - sqp(t1_ba), abs(c) - sqp(t2_ba))
     s_ab = max(0.0, abs(x) - sqp(t1_ab), abs(c) - sqp(t2_ab))
     return s_ab, s_ba
+
+
+def steering_50_digits(state):
+    """Generic X-state steering and concurrence in 50-digit arithmetic.
+
+    Evaluated from the float entries of ``state`` with the thresholds in
+    their textbook form g_a +- g_b, g_c +- g_b; the cancellation between
+    g_a and g_b at tiny populations costs nothing at this precision.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d11, d22, d33, d44 = map(Decimal, (state.d11, state.d22, state.d33, state.d44))
+        x, c = (
+            (Decimal(z.real) ** 2 + Decimal(z.imag) ** 2).sqrt()
+            for z in (state.c14, state.c23)
+        )
+        r3 = Decimal(3).sqrt()
+        w_minus, w_plus = (2 - r3) / 2, (2 + r3) / 2
+        cross = (d11 + d44) * (d22 + d33) / 4
+        g_a = w_minus * d11 * d44 + w_plus * d22 * d33 + cross
+        g_b = (d11 - d44) * (d22 - d33) / 4
+        g_c = w_plus * d11 * d44 + w_minus * d22 * d33 + cross
+        zero = Decimal(0)
+
+        def root(v):
+            return v.sqrt() if v > 0 else zero
+
+        s_ab = max(zero, x - root(g_a + g_b), c - root(g_c + g_b))
+        s_ba = max(zero, x - root(g_a - g_b), c - root(g_c - g_b))
+        conc = 2 * max(zero, x - root(d22 * d33), c - root(d11 * d44))
+        return {
+            "s_ab": float(s_ab),
+            "s_ba": float(s_ba),
+            "asymmetry": float(s_ab - s_ba),
+            "concurrence": float(conc),
+        }
 
 
 class TestTypes:
@@ -383,6 +425,8 @@ class TestJointState:
 
 class TestHarvestedSteering:
     def test_matches_generic_xstate_path(self):
+        # the library's generic X-state route against the empty-top-level
+        # specialization written out longhand
         rng = np.random.default_rng(314)
         for _ in range(1000):
             wa = rng.uniform(0.0, 1.2)
@@ -395,12 +439,35 @@ class TestHarvestedSteering:
                 separation=float(rng.uniform(0.05, 3.0)),
                 boundary_distance=float(rng.uniform(0.1, 3.0)),
             )
-            special = harvested_steering(pair, geom)
-            generic = steering_asymmetry(joint_state(pair, geom))
-            assert special.s_ab == pytest.approx(generic.s_ab, abs=1e-12)
-            assert special.s_ba == pytest.approx(generic.s_ba, abs=1e-12)
-            assert special.asymmetry == pytest.approx(generic.asymmetry, abs=1e-12)
-            assert special.concurrence == pytest.approx(generic.concurrence, abs=1e-12)
+            block = correlations(pair, geom)
+            want_ab, want_ba = steering_by_hand(block.p_a, block.p_b, block.c, block.x)
+            got = harvested_steering(pair, geom)
+            assert got.s_ab == pytest.approx(want_ab, abs=1e-12)
+            assert got.s_ba == pytest.approx(want_ba, abs=1e-12)
+            assert got.asymmetry == pytest.approx(want_ab - want_ba, abs=1e-12)
+
+    def test_matches_50_digit_reference(self):
+        # gaps up to 6 drive P_B below 1e-18, where the textbook
+        # thresholds g_a +- g_b cancel in double precision
+        rng = np.random.default_rng(2506)
+        for _ in range(2000):
+            wa = float(rng.uniform(0.0, 0.1))
+            pair = DetectorPair(wa, float(rng.uniform(wa, 6.0)))
+            geom = BoundaryGeometry(
+                Alignment.PARALLEL if rng.integers(2) else Alignment.ORTHOGONAL,
+                separation=float(rng.uniform(0.05, 3.0)),
+                boundary_distance=float(rng.uniform(1e-4, 8.0)),
+            )
+            state = joint_state(pair, geom)
+            want = steering_50_digits(state)
+            got = steering_asymmetry(state)
+            for res in (got, harvested_steering(pair, geom)):
+                for name, value in want.items():
+                    assert getattr(res, name) == pytest.approx(value, abs=1e-12)
+            certified_ba = SQRT3 / 2.0 * concurrence(build_tau_ab(state))
+            certified_ab = SQRT3 / 2.0 * concurrence(build_tau_ba(state))
+            assert certified_ba == pytest.approx(got.s_ba, abs=1e-12)
+            assert certified_ab == pytest.approx(got.s_ab, abs=1e-12)
 
     def test_matches_longhand_formula(self):
         block = correlations(PAIR, GEOM_ORT)

@@ -21,6 +21,7 @@ from mirrorsteer.detector_model import (
     transition_probability,
 )
 from mirrorsteer.errors import ConvergenceError, ValidationError
+from mirrorsteer import integral_oracle
 from mirrorsteer.integral_oracle import (
     QuadratureSpec,
     WightmanArgs,
@@ -179,6 +180,20 @@ class TestNumericProbability:
             numeric_probability(-0.1, 1.0)
         with pytest.raises(ValidationError):
             numeric_probability(0.1, 0.0)
+
+    @pytest.mark.parametrize("rtol", [-1.0, 0.0, math.nan, math.inf])
+    def test_invalid_rtol_refused_before_quadrature(self, rtol, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(integral_oracle, "_single_epsilon", no_quadrature)
+        for call in (
+            lambda: numeric_probability(0.1, 1.0, rtol=rtol),
+            lambda: numeric_c(PAIR, GEOM_PAR, rtol=rtol),
+            lambda: numeric_x(PAIR, GEOM_PAR, rtol=rtol),
+        ):
+            with pytest.raises(ValidationError, match="rtol"):
+                call()
 
 
 class TestNumericC:

@@ -9,6 +9,7 @@ from mirrorsteer.detector_model import (
     Alignment,
     BoundaryGeometry,
     DetectorPair,
+    boundary_free_correlations,
     boundary_free_steering,
     config_difference,
     harvested_steering,
@@ -267,6 +268,13 @@ class TestFigureDataset:
         # tail, a bit under 1e-3 at dz = 8
         end_gap = data["parallel"].rows[-1].s_ba - ref[-1].s_ba
         assert 1e-4 < end_gap < 2e-3
+
+    def test_reference_table_carries_free_space_block(self):
+        ref = figure_dataset(FigureId.FIG5, resolution=5)["boundary_free"].rows
+        free = boundary_free_correlations(PAIR, 0.05)
+        for row in ref:
+            assert (row.p_a, row.p_b) == (free.p_a, free.p_b)
+            assert (row.abs_c, row.abs_x) == (abs(free.c), abs(free.x))
 
     def test_gap_sweep_large_separation_is_one_way(self):
         data = figure_dataset(FigureId.FIG6, resolution=80)

@@ -20,7 +20,6 @@ from mirrorsteer.xstate_steering import (
     steering_a_to_b,
     steering_asymmetry,
     steering_b_to_a,
-    steering_thresholds,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -96,39 +95,6 @@ class TestConcurrence:
             d11=0.45, d22=0.05, d33=0.05, d44=0.45, c14=0.4 * np.exp(0.7j)
         )
         assert concurrence(rot) == pytest.approx(concurrence(WERNER), rel=1e-12)
-
-
-class TestThresholds:
-    def test_bell_values(self):
-        t = steering_thresholds(BELL)
-        assert t.g_a == pytest.approx((2.0 - SQRT3) / 8.0, rel=1e-15)
-        assert t.g_b == 0.0
-        assert t.g_c == pytest.approx((2.0 + SQRT3) / 8.0, rel=1e-15)
-
-    def test_maximally_mixed_values(self):
-        t = steering_thresholds(MIXED)
-        assert t.g_a == pytest.approx(0.1875, rel=1e-15)
-        assert t.g_b == 0.0
-        assert t.g_c == pytest.approx(0.1875, rel=1e-15)
-
-    def test_difference_identity(self):
-        # g_c - g_a = sqrt(3) (d11 d44 - d22 d33)
-        rng = np.random.default_rng(42)
-        for _ in range(300):
-            s = random_x_state(rng)
-            t = steering_thresholds(s)
-            expected = SQRT3 * (s.d11 * s.d44 - s.d22 * s.d33)
-            assert t.g_c - t.g_a == pytest.approx(expected, abs=1e-14)
-
-    def test_matches_hand_formula(self):
-        rng = np.random.default_rng(9)
-        for _ in range(300):
-            s = random_x_state(rng)
-            t = steering_thresholds(s)
-            g_a, g_b, g_c = thresholds_by_hand(s)
-            assert t.g_a == pytest.approx(g_a, abs=1e-15)
-            assert t.g_b == pytest.approx(g_b, abs=1e-15)
-            assert t.g_c == pytest.approx(g_c, abs=1e-15)
 
 
 class TestSteering:
