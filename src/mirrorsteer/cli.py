@@ -38,7 +38,6 @@ from .integral_oracle import (
     numeric_x,
 )
 from .sweep_optimize import (
-    DifferenceTable,
     FigureId,
     Objective,
     SweepAxis,
@@ -110,7 +109,7 @@ def _comment_lines(params: dict) -> list[str]:
     return [f"# {key} = {value}" for key, value in params.items()]
 
 
-def _table_csv(table: SweepTable | DifferenceTable, params: dict) -> str:
+def _table_csv(table: SweepTable, params: dict) -> str:
     """CSV with one column per row field; the first field is written as ``axis``."""
     names = [field.name for field in dataclasses.fields(table.rows[0])]
     values = operator.attrgetter(*names)
@@ -259,15 +258,6 @@ def _cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
-_FIGURE_FIXED = {
-    FigureId.FIG2: {"alignment": "parallel", "dz": 1.0, "axis": "separation"},
-    FigureId.FIG4: {"alignment": "orthogonal", "dz": 1.0, "axis": "separation"},
-    FigureId.FIG5: {"l": 0.05, "axis": "boundary-distance"},
-    FigureId.FIG6: {"dz": 1.0, "axis": "omega-b"},
-    FigureId.FIG7: {"dz": 1.0, "axis": "separation"},
-}
-
-
 def _cmd_figure(args) -> int:
     try:
         figure_id = FigureId(args.figure)
@@ -286,12 +276,9 @@ def _cmd_figure(args) -> int:
         params = {
             "figure": figure_id.value,
             "curve": label,
-            "omega_a": pair.omega_a,
-            "omega_b": pair.omega_b,
-            "lambda": pair.coupling,
-            "resolution": args.resolution,
+            **dict(table.params),
+            "axis": table.variable.value,
         }
-        params.update(_FIGURE_FIXED[figure_id])
         name = re.sub(r"[^A-Za-z0-9.+-]+", "_", label) + ".csv"
         _write_text(str(out_dir / name), _table_csv(table, params))
     print(f"wrote {len(data)} curve files to {out_dir}")

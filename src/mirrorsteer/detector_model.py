@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 from scipy.special import erfcx
 
@@ -46,16 +46,14 @@ class DetectorPair:
     """Energy gaps and coupling of the two detectors.
 
     Labels follow the convention that B carries the larger gap, so
-    ``omega_b >= omega_a`` is enforced at construction. Pass
-    ``swap_labels=True`` to relabel automatically instead of raising.
+    ``omega_b >= omega_a`` is enforced at construction.
     """
 
     omega_a: float
     omega_b: float
     coupling: float = 1.0
-    swap_labels: InitVar[bool] = False
 
-    def __post_init__(self, swap_labels: bool):
+    def __post_init__(self):
         wa = float(self.omega_a)
         wb = float(self.omega_b)
         lam = float(self.coupling)
@@ -64,12 +62,10 @@ class DetectorPair:
         if wa < 0.0 or wb < 0.0:
             raise ValidationError("energy gaps must be nonnegative")
         if wb < wa:
-            if not swap_labels:
-                raise ValidationError(
-                    "omega_b must not be smaller than omega_a; pass "
-                    "swap_labels=True to exchange the labels"
-                )
-            wa, wb = wb, wa
+            raise ValidationError(
+                "omega_b must not be smaller than omega_a; name the detector "
+                "with the larger gap B"
+            )
         if lam <= 0.0:
             raise ValidationError("coupling must be positive")
         object.__setattr__(self, "omega_a", wa)

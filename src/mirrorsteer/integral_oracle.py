@@ -45,8 +45,6 @@ _SQRT_PI = math.sqrt(math.pi)
 # result is quadrature noise by construction)
 _ABS_FLOOR = 1e-8
 
-_DEFAULT_SPEC = None  # set after QuadratureSpec is defined
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -105,19 +103,18 @@ class WightmanArgs:
             raise ValidationError("epsilon must be positive")
 
 
-def wightman(args: WightmanArgs) -> complex:
-    """Regulated two-point function with the mirror image subtracted."""
-    d = (args.dt - 1j * args.epsilon) ** 2
-    direct = 1.0 / (d - args.spatial * args.spatial)
-    image = 1.0 / (d - args.image * args.image)
-    return -(direct - image) / (4.0 * math.pi**2)
-
-
-def _wightman_array(dt: np.ndarray, spatial: float, image: float, eps: float):
+def _two_point(dt, spatial: float, image: float, eps: float):
+    """Regulated two-point function with the mirror image subtracted, at a
+    time difference ``dt`` given as a float or an array."""
     d = (dt - 1j * eps) ** 2
     return -(1.0 / (d - spatial * spatial) - 1.0 / (d - image * image)) / (
         4.0 * math.pi**2
     )
+
+
+def wightman(args: WightmanArgs) -> complex:
+    """Regulated two-point function with the mirror image subtracted."""
+    return complex(_two_point(args.dt, args.spatial, args.image, args.epsilon))
 
 
 @lru_cache(maxsize=32)
@@ -150,7 +147,7 @@ def _panel_edges(singular, eps: float, half_width: float, coarse: float = 1.0):
     return np.array(sorted(pts))
 
 
-def _u_mesh(kind: str, spatial: float, image: float, eps: float, spec: QuadratureSpec):
+def _u_mesh(spatial: float, image: float, eps: float, spec: QuadratureSpec):
     order = max(8, (16 * spec.nodes) // 400)
     half_width = 2.0 * spec.truncation
     edges = _panel_edges((0.0, spatial, image), eps, half_width)
@@ -183,13 +180,13 @@ def _single_epsilon(
     else:
         raise ValidationError(f"unknown integral kind {kind!r}")
 
-    u, uw = _u_mesh(kind, spatial, image, eps, spec)
+    u, uw = _u_mesh(spatial, image, eps, spec)
     # the time-ordered term sees the correlator at -|u| on both triangles
     warg = -np.abs(u) if kind == "x" else u
     ku = (
         np.exp(-(u**2) / 4.0)
         * np.exp(-1j * alpha * u)
-        * _wightman_array(warg, spatial, image, eps)
+        * _two_point(warg, spatial, image, eps)
         * uw
     )
     if reduced:

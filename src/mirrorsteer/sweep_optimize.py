@@ -25,7 +25,6 @@ from .detector_model import (
     CorrelationBlock,
     DetectorPair,
     boundary_free_correlations,
-    config_difference,
     correlations,
     steering_from_block,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "SweepRow",
     "SweepTable",
     "DifferenceRow",
-    "DifferenceTable",
     "Objective",
     "PeakResult",
     "Direction",
@@ -53,6 +51,8 @@ __all__ = [
 ]
 
 REFINE_TOL = 1e-6
+# largest grid a SweepAxis accepts; refused before anything is allocated
+MAX_POINTS = 1_000_000
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -112,8 +112,10 @@ class SweepAxis:
             raise ValidationError(
                 f"sweep range is empty: start {self.start} must be below stop {self.stop}"
             )
-        if self.points < 2:
-            raise ValidationError("a sweep needs at least 2 grid points")
+        if not 2 <= self.points <= MAX_POINTS:
+            raise ValidationError(
+                f"a sweep takes 2 to {MAX_POINTS} grid points, got {self.points}"
+            )
         if self.scale is SweepScale.LOG and self.start <= 0.0:
             raise ValidationError("log-scaled sweeps need a positive start")
 
@@ -154,16 +156,6 @@ def observable_row(
 
 
 @dataclass(frozen=True)
-class SweepTable:
-    variable: SweepVariable
-    rows: tuple[SweepRow, ...]
-    label: str = ""
-
-    def column(self, name: str) -> list[float]:
-        return [getattr(row, name) for row in self.rows]
-
-
-@dataclass(frozen=True)
 class DifferenceRow:
     axis_value: float
     delta_s_ab: float
@@ -171,10 +163,17 @@ class DifferenceRow:
 
 
 @dataclass(frozen=True)
-class DifferenceTable:
+class SweepTable:
+    """Rows along one axis, with the (name, value) of each parameter they
+    were computed with but the swept one, in CSV metadata order."""
+
     variable: SweepVariable
-    rows: tuple[DifferenceRow, ...]
+    rows: tuple[SweepRow, ...] | tuple[DifferenceRow, ...]
     label: str = ""
+    params: tuple[tuple[str, float | str], ...] = ()
+
+    def column(self, name: str) -> list[float]:
+        return [getattr(row, name) for row in self.rows]
 
 
 @dataclass(frozen=True)
@@ -221,15 +220,33 @@ def _evaluate(
     return observable_row(value, block, res)
 
 
+_SEP = SweepVariable.SEPARATION
+_DZ = SweepVariable.BOUNDARY_DISTANCE
+_WB = SweepVariable.OMEGA_B
+# metadata name of the parameter each variable overrides
+_PARAM_NAME = {_SEP: "l", _DZ: "dz", _WB: "omega_b"}
+
+
 def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepTable:
     """Tabulate the harvested observables along one parameter axis.
 
     The swept variable overrides the matching field of ``pair`` or ``geom``
-    at each grid point; all other fields are held fixed.  Model errors are
-    re-raised with the offending grid point named.
+    at each grid point; all other fields are held fixed and recorded in
+    the table's ``params``.  Model errors are re-raised with the offending
+    grid point named.
     """
     rows = tuple(_evaluate(pair, geom, axis.variable, value) for value in axis.grid())
-    return SweepTable(variable=axis.variable, rows=rows)
+    params = {
+        "omega_a": pair.omega_a,
+        "omega_b": pair.omega_b,
+        "lambda": pair.coupling,
+        "resolution": axis.points,
+        "alignment": geom.alignment.value,
+        "l": geom.separation,
+        "dz": geom.boundary_distance,
+    }
+    del params[_PARAM_NAME[axis.variable]]
+    return SweepTable(axis.variable, rows, params=tuple(params.items()))
 
 
 # SweepRow field read by each objective
@@ -344,14 +361,31 @@ def find_transition(
     return TransitionResult(location=0.5 * (a + b), kind=kind, direction=direction)
 
 
-def _figure_sweep(
-    pair: DetectorPair,
-    geom: BoundaryGeometry,
-    axis: SweepAxis,
-    label: str,
-) -> SweepTable:
-    table = sweep(pair, geom, axis)
-    return dataclasses.replace(table, label=label)
+@dataclass(frozen=True)
+class _FigureSpec:
+    """One canonical figure: a sweep per alignment and family member.  The
+    lengths the axis or the family override are placeholders."""
+
+    variable: SweepVariable
+    start: float | None  # None: the pair's omega_a, the smallest gap B may take
+    stop: float
+    alignments: tuple[Alignment, ...]
+    separation: float
+    boundary_distance: float
+    family: SweepVariable | None = None  # labels the curves, one per value
+    extra: str = ""  # label of the derived table: "boundary_free" or "difference"
+
+
+_BOTH = (Alignment.PARALLEL, Alignment.ORTHOGONAL)
+_FIGURES = {
+    FigureId.FIG2: _FigureSpec(_SEP, 0.05, 3.0, (Alignment.PARALLEL,), 1.0, 1.0, _WB),
+    FigureId.FIG4: _FigureSpec(_SEP, 0.05, 3.0, (Alignment.ORTHOGONAL,), 1.0, 1.0, _WB),
+    FigureId.FIG5: _FigureSpec(_DZ, 1e-4, 8.0, _BOTH, 0.05, 1.0, extra="boundary_free"),
+    FigureId.FIG6: _FigureSpec(_WB, None, 6.0, _BOTH, 1.0, 1.0, _SEP),
+    FigureId.FIG7: _FigureSpec(_SEP, 0.05, 3.0, _BOTH, 1.0, 1.0, extra="difference"),
+}
+# curve-label name of each family variable
+_FAMILY_NAME = {_WB: "omega_b", _SEP: "L"}
 
 
 def figure_dataset(
@@ -360,75 +394,51 @@ def figure_dataset(
     resolution: int = 200,
     separations: Sequence[float] = (0.05, 2.0),
     omega_b_values: Sequence[float] = (0.1, 0.2, 0.3),
-) -> dict[str, SweepTable | DifferenceTable]:
+) -> dict[str, SweepTable]:
     """Build the labelled table set behind one of the standard figures.
 
-    ``fig2``/``fig4``: steering versus separation at mirror distance 1 for a
-    family of detector-B gaps, parallel and orthogonal respectively.
-    ``fig5``: steering versus mirror distance at separation 0.05, both
-    alignments, plus a constant boundary-free reference table.
-    ``fig6``: steering versus the detector-B gap at mirror distance 1, for
-    each alignment at each entry of ``separations``.
-    ``fig7``: the orthogonal-minus-parallel steering difference versus
-    separation at mirror distance 1, alongside the two alignment sweeps
-    it is derived from.
+    ``fig2``/``fig4``: steering versus separation for each detector-B gap
+    of ``omega_b_values``, parallel and orthogonal respectively.
+    ``fig5``: steering versus mirror distance, both alignments, plus a
+    constant boundary-free reference table.
+    ``fig6``: steering versus the detector-B gap, both alignments, at each
+    separation of ``separations``.
+    ``fig7``: both alignments versus separation and their
+    orthogonal-minus-parallel steering difference.
+    Every table carries the parameters it was computed with.
     """
-    figure_id = FigureId(figure_id)
+    spec = _FIGURES[FigureId(figure_id)]
     if pair is None:
         pair = DetectorPair(omega_a=0.1, omega_b=0.1)
-    if resolution < 2:
-        raise ValidationError("figure datasets need at least 2 grid points")
+    start = pair.omega_a if spec.start is None else spec.start
+    axis = SweepAxis(spec.variable, start, spec.stop, resolution)
+    family = {_WB: omega_b_values, _SEP: separations}.get(spec.family, (None,))
 
-    if figure_id in (FigureId.FIG2, FigureId.FIG4):
-        alignment = (
-            Alignment.PARALLEL if figure_id is FigureId.FIG2 else Alignment.ORTHOGONAL
-        )
-        axis = SweepAxis(SweepVariable.SEPARATION, 0.05, 3.0, resolution)
-        out: dict[str, SweepTable | DifferenceTable] = {}
-        for omega_b in omega_b_values:
-            curve_pair = DetectorPair(pair.omega_a, omega_b, coupling=pair.coupling)
-            geom = BoundaryGeometry(alignment, separation=1.0, boundary_distance=1.0)
-            label = f"{alignment.value} omega_b={omega_b:.2f}"
-            out[label] = _figure_sweep(curve_pair, geom, axis, label)
+    out: dict[str, SweepTable] = {}
+    for alignment in spec.alignments:
+        geom = BoundaryGeometry(alignment, spec.separation, spec.boundary_distance)
+        for value in family:
+            label = alignment.value
+            curve_pair, curve_geom = pair, geom
+            if spec.family is not None:
+                label += f" {_FAMILY_NAME[spec.family]}={value:.2f}"
+                curve_pair, curve_geom = _apply(pair, geom, spec.family, value)
+            table = sweep(curve_pair, curve_geom, axis)
+            out[label] = dataclasses.replace(table, label=label)
+    if not spec.extra:
         return out
 
-    if figure_id is FigureId.FIG5:
-        axis = SweepAxis(SweepVariable.BOUNDARY_DISTANCE, 1e-4, 8.0, resolution)
-        out = {}
-        for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL):
-            geom = BoundaryGeometry(alignment, separation=0.05, boundary_distance=1.0)
-            out[alignment.value] = _figure_sweep(pair, geom, axis, alignment.value)
-        free = boundary_free_correlations(pair, 0.05)
+    # the derived table holds what the parallel curve holds, bar its alignment
+    par = out[Alignment.PARALLEL.value]
+    params = tuple(p for p in par.params if p[0] != "alignment")
+    if spec.extra == "boundary_free":
+        free = boundary_free_correlations(pair, spec.separation)
         free_res = steering_from_block(free)
-        free_rows = tuple(observable_row(v, free, free_res) for v in axis.grid())
-        out["boundary_free"] = SweepTable(
-            variable=axis.variable, rows=free_rows, label="boundary_free"
+        rows = tuple(observable_row(v, free, free_res) for v in axis.grid())
+    else:
+        rows = tuple(
+            DifferenceRow(p.axis_value, o.s_ab - p.s_ab, o.s_ba - p.s_ba)
+            for p, o in zip(par.rows, out[Alignment.ORTHOGONAL.value].rows)
         )
-        return out
-
-    if figure_id is FigureId.FIG6:
-        axis = SweepAxis(SweepVariable.OMEGA_B, pair.omega_a, 6.0, resolution)
-        out = {}
-        for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL):
-            for separation in separations:
-                geom = BoundaryGeometry(
-                    alignment, separation=separation, boundary_distance=1.0
-                )
-                label = f"{alignment.value} L={separation:.2f}"
-                out[label] = _figure_sweep(pair, geom, axis, label)
-        return out
-
-    axis = SweepAxis(SweepVariable.SEPARATION, 0.05, 3.0, resolution)
-    out = {}
-    for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL):
-        geom = BoundaryGeometry(alignment, separation=1.0, boundary_distance=1.0)
-        out[alignment.value] = _figure_sweep(pair, geom, axis, alignment.value)
-    diff_rows = tuple(
-        DifferenceRow(axis_value=float(v), delta_s_ab=d_ab, delta_s_ba=d_ba)
-        for v in axis.grid()
-        for d_ab, d_ba in (config_difference(pair, float(v), 1.0),)
-    )
-    out["difference"] = DifferenceTable(
-        variable=axis.variable, rows=diff_rows, label="difference"
-    )
+    out[spec.extra] = SweepTable(axis.variable, rows, spec.extra, params)
     return out

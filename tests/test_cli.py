@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import dataclasses
 import json
 import math
 
@@ -10,9 +11,19 @@ from mirrorsteer.detector_model import (
     Alignment,
     BoundaryGeometry,
     DetectorPair,
+    boundary_free_correlations,
+    config_difference,
     harvested_steering,
+    steering_from_block,
 )
-from mirrorsteer.sweep_optimize import FigureId, SweepAxis, SweepVariable, figure_dataset, sweep
+from mirrorsteer.sweep_optimize import (
+    MAX_POINTS,
+    FigureId,
+    SweepAxis,
+    SweepVariable,
+    figure_dataset,
+    sweep,
+)
 
 CSV_HEADER = "axis,p_a,p_b,abs_c,abs_x,s_ab,s_ba,asymmetry,concurrence"
 
@@ -172,6 +183,14 @@ class TestSweepCommand:
         assert code == 2
         assert "start" in err
 
+    def test_too_many_points_exits_2(self, capsys):
+        argv = list(self.ARGS)
+        argv[argv.index("--points") + 1] = str(MAX_POINTS + 1)
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert str(MAX_POINTS) in err
+        assert out == ""
+
 
 class TestOptimizeCommand:
     def test_peak_search(self, capsys):
@@ -269,6 +288,89 @@ class TestFigureCommand:
             assert fields[0] == row.axis_value
             assert fields[4] == row.abs_x
             assert fields[6] == row.s_ba
+
+    # every metadata key a figure CSV may carry, in the order it is written
+    META_KEYS = [
+        "figure", "curve", "omega_a", "omega_b", "lambda", "resolution",
+        "alignment", "l", "dz", "axis",
+    ]
+    SWEPT_KEY = {"separation": "l", "boundary-distance": "dz", "omega-b": "omega_b"}
+
+    @staticmethod
+    def _line(values):
+        return ",".join(f"{v:.17g}" for v in values)
+
+    def _rebuild(self, meta, first, last):
+        """Body lines of one curve, recomputed from its metadata; the axis
+        range is the first and last axis value the file lists."""
+        variable = SweepVariable(meta["axis"])
+        omega_a = float(meta["omega_a"])
+        # the swept entry gets a placeholder that the sweep overrides
+        pair = DetectorPair(
+            omega_a, float(meta.get("omega_b", omega_a)), float(meta["lambda"])
+        )
+        l = float(meta.get("l", 1.0))
+        dz = float(meta.get("dz", 1.0))
+        axis = SweepAxis(variable, first, last, int(meta["resolution"]))
+        if meta["curve"] == "boundary_free":
+            block = boundary_free_correlations(pair, l)
+            res = steering_from_block(block)
+            row = [
+                block.p_a, block.p_b, abs(block.c), abs(block.x),
+                res.s_ab, res.s_ba, res.asymmetry, res.concurrence,
+            ]
+            return [self._line([v, *row]) for v in axis.grid()]
+        if meta["curve"] == "difference":
+            return [
+                self._line([v, *config_difference(pair, float(v), dz)])
+                for v in axis.grid()
+            ]
+        geom = BoundaryGeometry(meta["alignment"], l, dz)
+        table = sweep(pair, geom, axis)
+        return [self._line(dataclasses.astuple(row)) for row in table.rows]
+
+    @pytest.mark.parametrize("figure", [f.value for f in FigureId])
+    def test_metadata_rebuilds_every_curve(self, figure, tmp_path, capsys):
+        code, _, _ = run(
+            [
+                "figure", figure, "--out", str(tmp_path), "--resolution", "7",
+                "--omega-a", "0.05", "--omega-b", "0.7",
+                "--small-l", "0.3", "--large-l", "1.5",
+            ],
+            capsys,
+        )
+        assert code == 0
+        files = sorted(tmp_path.glob("*.csv"))
+        assert len(files) == len(figure_dataset(figure, resolution=2))
+        for path in files:
+            lines = path.read_text().splitlines()
+            meta = dict(
+                line[2:].split(" = ", 1) for line in lines if line.startswith("#")
+            )
+            body = [line for line in lines if not line.startswith("#")][1:]
+            derived = meta["curve"] in ("boundary_free", "difference")
+            expected = [
+                key for key in self.META_KEYS
+                if key != self.SWEPT_KEY[meta["axis"]]
+                and not (derived and key == "alignment")
+            ]
+            assert list(meta) == expected, path.name
+            first = float(body[0].split(",")[0])
+            last = float(body[-1].split(",")[0])
+            assert self._rebuild(meta, first, last) == body, path.name
+
+    def test_too_large_resolution_exits_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "fig"
+        code, out, err = run(
+            [
+                "figure", "fig2", "--out", str(out_dir),
+                "--resolution", str(MAX_POINTS + 1),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert str(MAX_POINTS) in err
+        assert not out_dir.exists()
 
     def test_bad_figure_id_exits_2(self, capsys):
         code, _, _ = run(["figure", "fig9", "--out", "."], capsys)

@@ -101,11 +101,6 @@ class TestTypes:
         with pytest.raises(ValidationError):
             DetectorPair(omega_a=0.5, omega_b=0.1)
 
-    def test_swap_labels_flag(self):
-        p = DetectorPair(omega_a=0.5, omega_b=0.1, swap_labels=True)
-        assert p.omega_a == 0.1
-        assert p.omega_b == 0.5
-
     def test_negative_gap_rejected(self):
         with pytest.raises(ValidationError):
             DetectorPair(omega_a=-0.1, omega_b=0.5)

@@ -16,6 +16,7 @@ from mirrorsteer.detector_model import (
 )
 from mirrorsteer.errors import ValidationError
 from mirrorsteer.sweep_optimize import (
+    MAX_POINTS,
     FigureId,
     Objective,
     SweepAxis,
@@ -35,6 +36,13 @@ GEOM_ORT = BoundaryGeometry(Alignment.ORTHOGONAL, separation=1.0, boundary_dista
 
 
 class TestSweepAxis:
+    def test_rejects_more_than_max_points(self):
+        SweepAxis(SweepVariable.SEPARATION, start=1.0, stop=2.0, points=MAX_POINTS)
+        with pytest.raises(ValidationError, match=str(MAX_POINTS)):
+            SweepAxis(
+                SweepVariable.SEPARATION, start=1.0, stop=2.0, points=MAX_POINTS + 1
+            )
+
     def test_rejects_reversed_range(self):
         with pytest.raises(ValidationError):
             SweepAxis(SweepVariable.SEPARATION, start=2.0, stop=1.0, points=10)
