@@ -26,12 +26,11 @@ from .detector_model import (
 from .errors import ConvergenceError, PerturbativeValidityError, ValidationError
 from .integral_oracle import (
     QuadratureSpec,
-    WightmanArgs,
     extrapolate_epsilon,
     numeric_c,
+    numeric_correlations,
     numeric_probability,
     numeric_x,
-    wightman,
 )
 from .special_functions import erf_complex, faddeeva_w
 from .sweep_optimize import (
@@ -87,7 +86,6 @@ __all__ = [
     "TransitionKind",
     "TransitionResult",
     "ValidationError",
-    "WightmanArgs",
     "XState",
     "__version__",
     "aux_f",
@@ -109,6 +107,7 @@ __all__ = [
     "harvested_steering",
     "joint_state",
     "numeric_c",
+    "numeric_correlations",
     "numeric_probability",
     "numeric_x",
     "steering_a_to_b",
@@ -117,5 +116,4 @@ __all__ = [
     "steering_from_block",
     "sweep",
     "transition_probability",
-    "wightman",
 ]

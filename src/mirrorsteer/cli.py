@@ -31,12 +31,7 @@ from .detector_model import (
     steering_from_block,
 )
 from .errors import ConvergenceError, ValidationError
-from .integral_oracle import (
-    QuadratureSpec,
-    numeric_c,
-    numeric_probability,
-    numeric_x,
-)
+from .integral_oracle import QuadratureSpec, numeric_correlations
 from .sweep_optimize import (
     FigureId,
     Objective,
@@ -220,19 +215,10 @@ def _cmd_verify(args) -> int:
         for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL):
             geom = BoundaryGeometry(alignment, separation, boundary_distance)
             block = correlations(pair, geom)
-            oracle = {
-                "p_a": numeric_probability(
-                    pair.omega_a, geom.boundary_distance, spec=spec, rtol=args.rtol
-                ),
-                "p_b": numeric_probability(
-                    pair.omega_b, geom.distance_b(), spec=spec, rtol=args.rtol
-                ),
-                "c": numeric_c(pair, geom, spec=spec, rtol=args.rtol),
-                "x": numeric_x(pair, geom, spec=spec, rtol=args.rtol),
-            }
-            closed = {"p_a": block.p_a, "p_b": block.p_b, "c": block.c, "x": block.x}
-            for key, reference in oracle.items():
-                dev = abs(closed[key] - reference) / abs(reference)
+            oracle = numeric_correlations(pair, geom, spec=spec, rtol=args.rtol)
+            for key in worst:
+                reference = getattr(oracle, key)
+                dev = abs(getattr(block, key) - reference) / abs(reference)
                 worst[key] = max(worst[key], dev)
 
     lines = [f"{'observable':<12}{'max rel deviation':<20}{'tolerance':<12}"]
@@ -244,7 +230,9 @@ def _cmd_verify(args) -> int:
         f"verify: {verdict} (grid={args.grid}, "
         f"{len(grid)} configurations x 2 alignments)"
     )
-    print("\n".join(lines))
+    # a JSON record written to stdout must be all that stdout carries
+    json_to_stdout = args.format == "json" and args.out is None
+    print("\n".join(lines), file=sys.stderr if json_to_stdout else sys.stdout)
     if args.format == "json" or args.out:
         config = {"grid": args.grid, "rtol": args.rtol}
         payload = {
@@ -263,7 +251,10 @@ def _cmd_figure(args) -> int:
         figure_id = FigureId(args.figure)
     except ValueError as exc:
         raise ValidationError(f"unknown figure id {args.figure!r}") from exc
-    pair = DetectorPair(args.omega_a, args.omega_b, coupling=args.coupling)
+    # fig2, fig4 and fig6 set the B gap themselves, so the default must not
+    # refuse an --omega-a above 0.1 before their curves are built
+    omega_b = max(0.1, args.omega_a) if args.omega_b is None else args.omega_b
+    pair = DetectorPair(args.omega_a, omega_b, coupling=args.coupling)
     data = figure_dataset(
         figure_id,
         pair=pair,
@@ -363,7 +354,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--out", default=".")
     p_fig.add_argument("--resolution", type=int, default=200)
     p_fig.add_argument("--omega-a", type=float, default=0.1, dest="omega_a")
-    p_fig.add_argument("--omega-b", type=float, default=0.1, dest="omega_b")
+    p_fig.add_argument(
+        "--omega-b", type=float, dest="omega_b",
+        help="gap of detector B (default: the larger of 0.1 and --omega-a)",
+    )
     p_fig.add_argument(
         "--lambda", type=float, default=1.0, dest="coupling",
         help="coupling strength (default 1, echoed in output)",

@@ -1,10 +1,18 @@
 """Brute-force evaluation of the detector response integrals.
 
-This module recomputes the excitation probability and the two
+This module recomputes the excitation probabilities and the two
 correlation terms directly from their defining double integrals over
 the switching window, using the image-method two-point function with an
 explicit regulator. It shares no formulas with ``detector_model`` (only
-the input types), so agreement between the two is a genuine check.
+the input and result types), and derives every distance it needs from
+the geometry's raw lengths, so agreement between the two is a genuine
+check.
+
+All four entries are one response integral of two gaps: the probability
+of a detector is the cross-excitation integral of the detector with
+itself at zero separation and image distance twice its mirror distance,
+and the double-excitation coherence is the time-ordered integral with
+detector B's gap negated, times -1.
 
 Method: the (tau, tau') box maps to a diamond in rotated coordinates
 u = tau - tau', sbar = (tau + tau')/2. The u axis is covered by
@@ -15,11 +23,9 @@ correlator keeps a regulated double pole and where the time-ordered
 integrand has a kink. u = 0 is always a panel edge, so the kink is
 never sampled across a panel; splitting the diamond at u = 0 is the
 same as integrating the two time-ordered triangles of the original box.
-For each u node the sbar integral runs over the exact diamond section
-(for static trajectories the sbar dependence is a pure Gaussian times a
-phase, so a reduced path that integrates sbar analytically provides an
-internal cross-check). The quadrature is repeated for a decreasing
-schedule of regulator values and Richardson-extrapolated to zero.
+For each u node the sbar integral runs over the exact diamond section.
+The quadrature is repeated for a decreasing schedule of regulator
+values and Richardson-extrapolated to zero.
 
 All summation is done with numpy's pairwise reductions on fixed-shape
 arrays, so results are bit-stable across runs and machines with the
@@ -35,15 +41,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detector_model import Alignment, BoundaryGeometry, DetectorPair
+from .detector_model import Alignment, BoundaryGeometry, CorrelationBlock, DetectorPair
 from .errors import ConvergenceError, ValidationError
-
-_SQRT_PI = math.sqrt(math.pi)
 
 # quantities smaller than this are certified in absolute rather than
 # relative terms (the integrands are O(1/4pi); far below this scale the
 # result is quadrature noise by construction)
 _ABS_FLOOR = 1e-8
+
+# width of the background panels the u axis is covered with away from
+# the graded regions
+_COARSE_WIDTH = 1.0
 
 
 @dataclass(frozen=True)
@@ -80,29 +88,6 @@ class QuadratureSpec:
         object.__setattr__(self, "epsilons", eps)
 
 
-@dataclass(frozen=True)
-class WightmanArgs:
-    """Arguments of the image-method two-point function."""
-
-    dt: float
-    spatial: float
-    image: float
-    epsilon: float
-
-    def __post_init__(self):
-        for name in ("dt", "spatial", "image", "epsilon"):
-            if not math.isfinite(float(getattr(self, name))):
-                raise ValidationError(f"{name} must be finite")
-        if self.spatial < 0.0:
-            raise ValidationError("spatial distance must be nonnegative")
-        if self.image < self.spatial:
-            raise ValidationError(
-                "image distance cannot be shorter than the direct one"
-            )
-        if self.epsilon <= 0.0:
-            raise ValidationError("epsilon must be positive")
-
-
 def _two_point(dt, spatial: float, image: float, eps: float):
     """Regulated two-point function with the mirror image subtracted, at a
     time difference ``dt`` given as a float or an array."""
@@ -110,11 +95,6 @@ def _two_point(dt, spatial: float, image: float, eps: float):
     return -(1.0 / (d - spatial * spatial) - 1.0 / (d - image * image)) / (
         4.0 * math.pi**2
     )
-
-
-def wightman(args: WightmanArgs) -> complex:
-    """Regulated two-point function with the mirror image subtracted."""
-    return complex(_two_point(args.dt, args.spatial, args.image, args.epsilon))
 
 
 @lru_cache(maxsize=32)
@@ -125,7 +105,7 @@ def _gauss_nodes(order: int):
     return x, w
 
 
-def _panel_edges(singular, eps: float, half_width: float, coarse: float = 1.0):
+def _panel_edges(singular, eps: float, half_width: float):
     """Panel boundaries on [-half_width, half_width], graded dyadically
     (innermost half-width eps, doubling outward) around each singular
     abscissa and its mirror, over a coarse background grid."""
@@ -141,7 +121,7 @@ def _panel_edges(singular, eps: float, half_width: float, coarse: float = 1.0):
                     if -half_width < q < half_width:
                         pts.add(q)
                 h *= 2.0
-    k = max(2, int(math.ceil(2.0 * half_width / coarse)))
+    k = max(2, int(math.ceil(2.0 * half_width / _COARSE_WIDTH)))
     for i in range(k + 1):
         pts.add(-half_width + 2.0 * half_width * i / k)
     return np.array(sorted(pts))
@@ -161,43 +141,33 @@ def _u_mesh(spatial: float, image: float, eps: float, spec: QuadratureSpec):
 
 
 def _single_epsilon(
-    kind: str,
     omega_a: float,
     omega_b: float,
     spatial: float,
     image: float,
     eps: float,
     spec: QuadratureSpec,
-    reduced: bool,
+    time_ordered: bool,
 ) -> complex:
-    """One regulated quadrature of the requested integral kind."""
-    if kind == "p":
-        beta, alpha, sign = 0.0, omega_a, 1.0
-    elif kind == "c":
-        beta, alpha, sign = omega_a - omega_b, (omega_a + omega_b) / 2.0, 1.0
-    elif kind == "x":
-        beta, alpha, sign = omega_a + omega_b, (omega_a - omega_b) / 2.0, -1.0
-    else:
-        raise ValidationError(f"unknown integral kind {kind!r}")
-
+    """One regulated quadrature of the response integral of the gaps
+    ``omega_a`` (at tau) and ``omega_b`` (at tau'): the phase
+    omega_a tau - omega_b tau' is alpha u + beta sbar."""
+    beta = omega_a - omega_b
+    alpha = (omega_a + omega_b) / 2.0
     u, uw = _u_mesh(spatial, image, eps, spec)
     # the time-ordered term sees the correlator at -|u| on both triangles
-    warg = -np.abs(u) if kind == "x" else u
+    warg = -np.abs(u) if time_ordered else u
     ku = (
         np.exp(-(u**2) / 4.0)
         * np.exp(-1j * alpha * u)
         * _two_point(warg, spatial, image, eps)
         * uw
     )
-    if reduced:
-        # sbar integral done analytically over the whole real line; valid
-        # because the window at |sbar| > T - |u|/2 is below 1e-14
-        return sign * _SQRT_PI * math.exp(-beta * beta / 4.0) * complex(np.sum(ku))
     xs, ws = _gauss_nodes(spec.nodes)
     h = np.maximum(spec.truncation - np.abs(u) / 2.0, 0.0)
     sb = h[:, None] * xs[None, :]
     srow = np.exp(-(sb**2)) * np.exp(-1j * beta * sb) @ ws * h
-    return sign * complex(np.sum(ku * srow))
+    return complex(np.sum(ku * srow))
 
 
 def extrapolate_epsilon(values) -> tuple[complex, float]:
@@ -240,7 +210,6 @@ def extrapolate_epsilon(values) -> tuple[complex, float]:
 
 
 def _extrapolated(
-    kind: str,
     omega_a: float,
     omega_b: float,
     spatial: float,
@@ -248,13 +217,15 @@ def _extrapolated(
     coupling: float,
     spec: QuadratureSpec,
     rtol: float,
-    reduced: bool,
-) -> complex:
+    time_ordered: bool,
+) -> tuple[complex, float]:
+    """The response integral extrapolated to zero regulator, times the
+    squared coupling, with its extrapolation error estimate."""
     if not (math.isfinite(rtol) and rtol > 0.0):
         raise ValidationError(f"rtol must be a positive finite number, got {rtol!r}")
     lam2 = coupling * coupling
     schedule = [
-        (e, _single_epsilon(kind, omega_a, omega_b, spatial, image, e, spec, reduced))
+        (e, _single_epsilon(omega_a, omega_b, spatial, image, e, spec, time_ordered))
         for e in spec.epsilons
     ]
     with warnings.catch_warnings(record=True) as caught:
@@ -275,7 +246,7 @@ def _extrapolated(
             f"epsilon extrapolation error {estimate:.3e} exceeds 10 x rtol x "
             f"scale = {10.0 * rtol * scale:.3e}; refine the quadrature spec"
         )
-    return limit
+    return limit, estimate
 
 
 def numeric_probability(
@@ -284,13 +255,14 @@ def numeric_probability(
     coupling: float = 1.0,
     spec: QuadratureSpec | None = None,
     rtol: float = 1e-3,
-    reduced: bool = False,
 ) -> float:
     """Excitation probability from the defining double integral.
 
-    The image distance is twice the mirror distance; the result must be
-    real, and a residual imaginary part above 1e-8 of the magnitude
-    raises a convergence error.
+    This is the cross-excitation integral of the detector with itself:
+    gap ``omega`` at both times, no direct separation, and an image
+    distance of twice the mirror distance. The result must be real; a
+    residual imaginary part above both 1e-8 of the magnitude and the
+    extrapolation error estimate raises a convergence error.
     """
     omega = float(omega)
     dz = float(dz)
@@ -299,24 +271,25 @@ def numeric_probability(
     if not math.isfinite(dz) or dz <= 0.0:
         raise ValidationError("dz must be positive")
     spec = spec or QuadratureSpec()
-    value = _extrapolated(
-        "p", omega, omega, 0.0, 2.0 * dz, float(coupling), spec, rtol, reduced
+    value, estimate = _extrapolated(
+        omega, omega, 0.0, 2.0 * dz, float(coupling), spec, rtol, time_ordered=False
     )
-    if abs(value.imag) > 1e-8 * max(abs(value), _ABS_FLOOR):
+    if abs(value.imag) > max(1e-8 * max(abs(value), _ABS_FLOOR), estimate):
         raise ConvergenceError(
             f"probability integral kept an imaginary residue {value.imag:.3e}"
         )
     return value.real
 
 
-def _distances(geom: BoundaryGeometry) -> tuple[float, float]:
-    # image-path length through the mirror, derived here rather than
-    # taken from the closed-form module
+def _distances(geom: BoundaryGeometry) -> tuple[float, float, float]:
+    """Detector separation, image-path length through the mirror, and the
+    mirror distance of detector B, derived here rather than taken from the
+    closed-form module."""
     l = geom.separation
     dz = geom.boundary_distance
     if geom.alignment is Alignment.PARALLEL:
-        return l, math.hypot(l, 2.0 * dz)
-    return l, l + 2.0 * dz
+        return l, math.hypot(l, 2.0 * dz), dz
+    return l, l + 2.0 * dz, dz + l
 
 
 def numeric_c(
@@ -324,14 +297,15 @@ def numeric_c(
     geom: BoundaryGeometry,
     spec: QuadratureSpec | None = None,
     rtol: float = 1e-3,
-    reduced: bool = False,
 ) -> complex:
     """Cross-excitation correlation from the defining double integral."""
     spec = spec or QuadratureSpec()
-    spatial, image = _distances(geom)
-    return _extrapolated(
-        "c", pair.omega_a, pair.omega_b, spatial, image, pair.coupling, spec, rtol, reduced
+    spatial, image, _ = _distances(geom)
+    value, _ = _extrapolated(
+        pair.omega_a, pair.omega_b, spatial, image, pair.coupling, spec, rtol,
+        time_ordered=False,
     )
+    return value
 
 
 def numeric_x(
@@ -339,16 +313,37 @@ def numeric_x(
     geom: BoundaryGeometry,
     spec: QuadratureSpec | None = None,
     rtol: float = 1e-3,
-    reduced: bool = False,
 ) -> complex:
     """Double-excitation coherence from the defining double integral.
 
-    The time-ordering split is handled by keeping u = 0 a panel edge and
-    evaluating the correlator at -|u|, which is exactly the two-triangle
-    decomposition of the original box.
+    This is minus the time-ordered response integral with detector B's
+    gap negated. The time-ordering split is handled by keeping u = 0 a
+    panel edge and evaluating the correlator at -|u|, which is exactly
+    the two-triangle decomposition of the original box.
     """
     spec = spec or QuadratureSpec()
-    spatial, image = _distances(geom)
-    return _extrapolated(
-        "x", pair.omega_a, pair.omega_b, spatial, image, pair.coupling, spec, rtol, reduced
+    spatial, image, _ = _distances(geom)
+    value, _ = _extrapolated(
+        pair.omega_a, -pair.omega_b, spatial, image, pair.coupling, spec, rtol,
+        time_ordered=True,
+    )
+    return -value
+
+
+def numeric_correlations(
+    pair: DetectorPair,
+    geom: BoundaryGeometry,
+    spec: QuadratureSpec | None = None,
+    rtol: float = 1e-3,
+) -> CorrelationBlock:
+    """``p_a``, ``p_b``, ``c`` and ``x`` of the pair from their defining
+    double integrals: the oracle counterpart of ``correlations``."""
+    spec = spec or QuadratureSpec()
+    _, _, distance_b = _distances(geom)
+    lam = pair.coupling
+    return CorrelationBlock(
+        p_a=numeric_probability(pair.omega_a, geom.boundary_distance, lam, spec, rtol),
+        p_b=numeric_probability(pair.omega_b, distance_b, lam, spec, rtol),
+        c=numeric_c(pair, geom, spec, rtol),
+        x=numeric_x(pair, geom, spec, rtol),
     )

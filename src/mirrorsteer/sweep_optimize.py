@@ -422,7 +422,13 @@ def figure_dataset(
             curve_pair, curve_geom = pair, geom
             if spec.family is not None:
                 label += f" {_FAMILY_NAME[spec.family]}={value:.2f}"
-                curve_pair, curve_geom = _apply(pair, geom, spec.family, value)
+                try:
+                    curve_pair, curve_geom = _apply(pair, geom, spec.family, value)
+                except ValidationError as exc:
+                    raise ValidationError(
+                        f"curve {label!r} cannot be built with omega_a = "
+                        f"{pair.omega_a:g}: {exc}"
+                    ) from exc
             table = sweep(curve_pair, curve_geom, axis)
             out[label] = dataclasses.replace(table, label=label)
     if not spec.extra:

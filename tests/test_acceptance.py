@@ -29,11 +29,7 @@ from mirrorsteer.detector_model import (
     steering_from_block,
     transition_probability,
 )
-from mirrorsteer.integral_oracle import (
-    numeric_c,
-    numeric_probability,
-    numeric_x,
-)
+from mirrorsteer.integral_oracle import numeric_correlations
 from mirrorsteer.special_functions import erf_complex
 from mirrorsteer.sweep_optimize import (
     Direction,
@@ -79,14 +75,9 @@ def test_criterion_01_oracle_equivalence_grid():
         for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL):
             geom = BoundaryGeometry(alignment, separation, distance)
             block = correlations(pair, geom)
-            checks = {
-                "p_a": (block.p_a, numeric_probability(omega_a, distance)),
-                "p_b": (block.p_b, numeric_probability(omega_b, geom.distance_b())),
-                "c": (block.c, numeric_c(pair, geom)),
-                "x": (block.x, numeric_x(pair, geom)),
-            }
-            for name, (closed, oracle) in checks.items():
-                dev = _rel(closed, oracle)
+            oracle = numeric_correlations(pair, geom)
+            for name in ("p_a", "p_b", "c", "x"):
+                dev = _rel(getattr(block, name), getattr(oracle, name))
                 worst = max(worst, dev)
                 if dev > 1e-3:
                     failures.append(

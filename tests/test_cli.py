@@ -230,12 +230,24 @@ class TestOptimizeCommand:
 
 
 class TestVerifyCommand:
+    # the deviations the smoke grid prints; a faster oracle must keep them
+    SMOKE_DEVIATIONS = {"p_a": "3.804e-07", "p_b": "3.804e-07", "c": "3.647e-07",
+                        "x": "1.790e-06"}
+
     def test_smoke_grid_passes(self, capsys):
         code, out, _ = run(["verify", "--grid", "smoke"], capsys)
         assert code == 0
         assert "PASS" in out
-        for name in ("p_a", "p_b", "c", "x"):
-            assert name in out
+        printed = dict(line.split()[:2] for line in out.splitlines()[1:5])
+        assert printed == self.SMOKE_DEVIATIONS
+
+    def test_json_on_stdout_parses(self, capsys):
+        code, out, err = run(["verify", "--grid", "smoke", "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        assert set(payload["max_rel_deviation"]) == set(self.SMOKE_DEVIATIONS)
+        assert "verify: PASS" in err
 
     def test_unreachable_tolerance_exits_3(self, capsys):
         code, _, err = run(["verify", "--grid", "smoke", "--rtol", "1e-12"], capsys)
@@ -371,6 +383,26 @@ class TestFigureCommand:
         assert code == 2
         assert str(MAX_POINTS) in err
         assert not out_dir.exists()
+
+    def test_omega_a_above_a_curve_gap_names_the_curve(self, tmp_path, capsys):
+        # fig2 fixes the B gaps at 0.1/0.2/0.3; --omega-b is not involved
+        code, _, err = run(
+            ["figure", "fig2", "--omega-a", "0.2", "--out", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert "parallel omega_b=0.10" in err
+        assert "omega_a = 0.2" in err
+
+    @pytest.mark.parametrize("figure", ["fig5", "fig6"])
+    def test_omega_b_default_admits_larger_omega_a(self, figure, tmp_path, capsys):
+        code, _, _ = run(
+            ["figure", figure, "--omega-a", "0.2", "--resolution", "3",
+             "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        if figure == "fig5":
+            assert "# omega_b = 0.2\n" in (tmp_path / "parallel.csv").read_text()
 
     def test_bad_figure_id_exits_2(self, capsys):
         code, _, _ = run(["figure", "fig9", "--out", "."], capsys)

@@ -24,17 +24,44 @@ from mirrorsteer.errors import ConvergenceError, ValidationError
 from mirrorsteer import integral_oracle
 from mirrorsteer.integral_oracle import (
     QuadratureSpec,
-    WightmanArgs,
     extrapolate_epsilon,
     numeric_c,
+    numeric_correlations,
     numeric_probability,
     numeric_x,
-    wightman,
+    _distances,
     _single_epsilon,
+    _two_point,
+    _u_mesh,
 )
 
 PAIR = DetectorPair(omega_a=0.1, omega_b=0.1)
 GEOM_PAR = BoundaryGeometry(Alignment.PARALLEL, separation=1.0, boundary_distance=1.0)
+
+
+def reduced_integral(omega_a, omega_b, spatial, image, time_ordered):
+    """The oracle's response integral with the sbar integral done
+    analytically over the whole real line instead of by quadrature over
+    the diamond section. For static detectors the sbar dependence is a
+    pure Gaussian times a phase, and the window beyond |sbar| = T - |u|/2
+    is below 1e-14, so the two must agree."""
+    beta = omega_a - omega_b
+    alpha = (omega_a + omega_b) / 2.0
+    spec = QuadratureSpec()
+    values = []
+    for eps in spec.epsilons:
+        u, uw = _u_mesh(spatial, image, eps, spec)
+        warg = -np.abs(u) if time_ordered else u
+        ku = (
+            np.exp(-(u**2) / 4.0)
+            * np.exp(-1j * alpha * u)
+            * _two_point(warg, spatial, image, eps)
+            * uw
+        )
+        sbar = math.sqrt(math.pi) * math.exp(-beta * beta / 4.0)
+        values.append((eps, sbar * complex(np.sum(ku))))
+    limit, _ = extrapolate_epsilon(values)
+    return limit
 
 
 class TestQuadratureSpec:
@@ -65,33 +92,25 @@ class TestWightman:
     def test_rational_point(self):
         # dt=1, spatial=2, image=3: limit -(1/4pi^2)(1/(1-4) - 1/(1-9))
         # = 5/(96 pi^2)
-        got = wightman(WightmanArgs(dt=1.0, spatial=2.0, image=3.0, epsilon=1e-8))
+        got = _two_point(1.0, 2.0, 3.0, 1e-8)
         assert got.real == pytest.approx(5.0 / (96.0 * math.pi**2), rel=1e-6)
         assert got.real == pytest.approx(0.005277144981371759, rel=1e-6)
         assert abs(got.imag) < 1e-8
 
     def test_time_reversal_conjugates(self):
-        a = wightman(WightmanArgs(dt=0.7, spatial=1.0, image=2.0, epsilon=0.01))
-        b = wightman(WightmanArgs(dt=-0.7, spatial=1.0, image=2.0, epsilon=0.01))
+        a = _two_point(0.7, 1.0, 2.0, 0.01)
+        b = _two_point(-0.7, 1.0, 2.0, 0.01)
         assert b == a.conjugate()
 
     def test_lightcone_enhancement(self):
-        on = wightman(WightmanArgs(dt=2.0, spatial=2.0, image=5.0, epsilon=1e-4))
-        off = wightman(WightmanArgs(dt=3.5, spatial=2.0, image=5.0, epsilon=1e-4))
+        on = _two_point(2.0, 2.0, 5.0, 1e-4)
+        off = _two_point(3.5, 2.0, 5.0, 1e-4)
         assert abs(on) > 100.0 * abs(off)
 
     def test_image_subtraction_kills_zero_separation(self):
         # identical direct and image distances cancel exactly
-        w = wightman(WightmanArgs(dt=0.5, spatial=1.0, image=1.0, epsilon=0.01))
+        w = _two_point(0.5, 1.0, 1.0, 0.01)
         assert w == 0j
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            WightmanArgs(dt=0.0, spatial=-1.0, image=2.0, epsilon=0.01)
-        with pytest.raises(ValidationError):
-            WightmanArgs(dt=0.0, spatial=2.0, image=1.0, epsilon=0.01)
-        with pytest.raises(ValidationError):
-            WightmanArgs(dt=0.0, spatial=1.0, image=2.0, epsilon=0.0)
 
 
 class TestExtrapolateEpsilon:
@@ -153,8 +172,8 @@ class TestNumericProbability:
 
     def test_reduction_identity(self):
         full = numeric_probability(0.1, 1.0)
-        red = numeric_probability(0.1, 1.0, reduced=True)
-        assert red == pytest.approx(full, rel=1e-6)
+        red = reduced_integral(0.1, 0.1, 0.0, 2.0, time_ordered=False)
+        assert red.real == pytest.approx(full, rel=1e-6)
 
     def test_node_doubling_stable(self):
         base = numeric_probability(0.1, 1.0)
@@ -174,6 +193,22 @@ class TestNumericProbability:
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(ConvergenceError):
             numeric_probability(0.1, 1.0, rtol=1e-9)
+
+    def test_small_probability_at_large_gap(self):
+        # P ~ 1e-7 here: the imaginary residue of the sum, ~1e-15, is
+        # rounding noise below the extrapolation error estimate
+        got = numeric_probability(2.5, 0.3)
+        assert got == pytest.approx(transition_probability(2.5, 0.3), rel=1e-6)
+
+    def test_imaginary_residue_raises(self, monkeypatch):
+        real_quadrature = integral_oracle._single_epsilon
+
+        def with_residue(*args):
+            return real_quadrature(*args) * (1.0 + 1e-3j)
+
+        monkeypatch.setattr(integral_oracle, "_single_epsilon", with_residue)
+        with pytest.raises(ConvergenceError, match="imaginary residue"):
+            numeric_probability(0.1, 1.0)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -242,13 +277,14 @@ class TestNumericX:
         # only; the time-ordered integrand is even in u, so the value is
         # unchanged
         spec = QuadratureSpec()
-        a = _single_epsilon("x", 0.3, 0.7, 1.0, 3.0, 0.01, spec, False)
-        b = _single_epsilon("x", 0.7, 0.3, 1.0, 3.0, 0.01, spec, False)
+        a = _single_epsilon(0.3, -0.7, 1.0, 3.0, 0.01, spec, True)
+        b = _single_epsilon(0.7, -0.3, 1.0, 3.0, 0.01, spec, True)
         assert abs(a - b) <= 1e-8 * abs(a)
 
     def test_reduction_identity(self):
         full = numeric_x(PAIR, GEOM_PAR)
-        red = numeric_x(PAIR, GEOM_PAR, reduced=True)
+        spatial, image, _ = _distances(GEOM_PAR)
+        red = -reduced_integral(0.1, -0.1, spatial, image, time_ordered=True)
         assert abs(red - full) <= 1e-6 * abs(full)
 
     def test_node_doubling_stable(self):
@@ -259,3 +295,23 @@ class TestNumericX:
     def test_deterministic(self):
         geom = BoundaryGeometry(Alignment.ORTHOGONAL, 0.5, 0.8)
         assert numeric_x(PAIR, geom) == numeric_x(PAIR, geom)
+
+
+class TestNumericCorrelations:
+    @pytest.mark.parametrize("alignment", list(Alignment))
+    def test_independent_of_closed_form_geometry(self, alignment, monkeypatch):
+        # the oracle derives every distance itself: with the closed-form
+        # geometry helpers disabled it still reproduces the closed forms
+        pair = DetectorPair(0.1, 1.0)
+        geom = BoundaryGeometry(alignment, 1.0, 2.0)
+        want = correlations(pair, geom)
+
+        def disabled(self):
+            raise AssertionError("closed-form geometry used")
+
+        monkeypatch.setattr(BoundaryGeometry, "distance_b", disabled)
+        monkeypatch.setattr(BoundaryGeometry, "image_separation", disabled)
+        got = numeric_correlations(pair, geom)
+        for name in ("p_a", "p_b", "c", "x"):
+            closed, oracle = getattr(want, name), getattr(got, name)
+            assert abs(closed - oracle) <= 1e-3 * abs(oracle), name
