@@ -34,13 +34,11 @@ from .integral_oracle import (
 )
 from .special_functions import erf_complex, faddeeva_w
 from .sweep_optimize import (
-    DifferenceRow,
     Direction,
     FigureId,
     Objective,
     PeakResult,
     SweepAxis,
-    SweepRow,
     SweepScale,
     SweepTable,
     SweepVariable,
@@ -70,7 +68,6 @@ __all__ = [
     "ConvergenceError",
     "CorrelationBlock",
     "DetectorPair",
-    "DifferenceRow",
     "Direction",
     "FigureId",
     "Objective",
@@ -79,7 +76,6 @@ __all__ = [
     "QuadratureSpec",
     "SteeringResult",
     "SweepAxis",
-    "SweepRow",
     "SweepScale",
     "SweepTable",
     "SweepVariable",

@@ -13,10 +13,8 @@ the coupling, which defaults to 1 and is echoed in all output metadata.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
-import operator
 import os
 import pathlib
 import re
@@ -33,6 +31,7 @@ from .detector_model import (
 from .errors import ConvergenceError, ValidationError
 from .integral_oracle import QuadratureSpec, numeric_correlations
 from .sweep_optimize import (
+    OBSERVABLES,
     FigureId,
     Objective,
     SweepAxis,
@@ -41,7 +40,8 @@ from .sweep_optimize import (
     SweepVariable,
     figure_dataset,
     find_peak,
-    observable_row,
+    observable_columns,
+    observable_values,
     sweep,
 )
 
@@ -105,12 +105,10 @@ def _comment_lines(params: dict) -> list[str]:
 
 
 def _table_csv(table: SweepTable, params: dict) -> str:
-    """CSV with one column per row field; the first field is written as ``axis``."""
-    names = [field.name for field in dataclasses.fields(table.rows[0])]
-    values = operator.attrgetter(*names)
+    """CSV with one column per table column, headed by its name."""
     lines = _comment_lines(params)
-    lines.append(",".join(["axis", *names[1:]]))
-    lines.extend(",".join(map(_fmt, values(row))) for row in table.rows)
+    lines.append(",".join(table.columns))
+    lines.extend(",".join(map(_fmt, row)) for row in zip(*table.columns.values()))
     return "\n".join(lines) + "\n"
 
 
@@ -135,15 +133,15 @@ def _pair_geom(args) -> tuple[DetectorPair, BoundaryGeometry, dict]:
 def _cmd_compute(args) -> int:
     pair, geom, config = _pair_geom(args)
     block = correlations(pair, geom)
-    row = observable_row(geom.separation, block, steering_from_block(block))
+    values = observable_values(block, steering_from_block(block))
     if args.format == "csv":
-        table = SweepTable(variable=SweepVariable.SEPARATION, rows=(row,))
+        columns = observable_columns([geom.separation], [values])
+        table = SweepTable(SweepVariable.SEPARATION, columns)
         params = dict(config, axis="separation")
         _write_text(args.out, _table_csv(table, params))
     else:
         record = dict(config)
-        record.update(dataclasses.asdict(row))
-        del record["axis_value"]
+        record.update(zip(OBSERVABLES, values))
         record["provenance"] = _provenance(config)
         _write_text(args.out, json.dumps(record, indent=2) + "\n")
     return 0
@@ -164,7 +162,8 @@ def _cmd_sweep(args) -> int:
         payload = dict(config)
         payload["axis"] = axis.variable.value
         payload["scale"] = axis.scale.value
-        payload["rows"] = [dataclasses.asdict(row) for row in table.rows]
+        names = ("axis_value", *OBSERVABLES)
+        payload["rows"] = [dict(zip(names, row)) for row in zip(*table.columns.values())]
         payload["provenance"] = _provenance(params)
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     else:

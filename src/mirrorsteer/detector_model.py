@@ -108,6 +108,13 @@ class BoundaryGeometry:
             raise ValidationError("boundary_distance must be positive")
         object.__setattr__(self, "separation", sep)
         object.__setattr__(self, "boundary_distance", dz)
+        # distances to the mirror images; B's own, 2 dz_B, bounds A's 2 dz
+        images = (self.image_separation(), 2.0 * self.distance_b())
+        if not all(map(math.isfinite, images)):
+            raise ValidationError(
+                f"separation {sep:g} and boundary_distance {dz:g} overflow the "
+                "mirror-image distances"
+            )
 
     def image_separation(self) -> float:
         """Distance from one detector to the mirror image of the other."""
@@ -254,6 +261,8 @@ def transition_probability(
     dz = float(boundary_distance)
     if not math.isfinite(dz) or dz <= 0.0:
         raise ValidationError("boundary_distance must be positive")
+    if not math.isfinite(2.0 * dz):
+        raise ValidationError(f"boundary_distance {dz:g} overflows its image distance 2 dz")
     coupling = float(coupling)
     p = free_space_probability(omega, coupling) - coupling * coupling / (
         4.0 * _SQRT_PI

@@ -2,7 +2,7 @@
 
 Everything here drives the closed-form model in :mod:`mirrorsteer.detector_model`
 along a single axis: detector separation, distance to the mirror, or the gap
-of detector B.  Sweeps tabulate the full set of observables per grid point;
+of detector B.  Sweeps tabulate the observables as named columns;
 peak and transition finders refine features of those curves to 1e-6 in the
 swept variable.  The figure builders reproduce the standard curve families
 (steering versus separation, versus mirror distance, versus detector gap,
@@ -32,12 +32,11 @@ from .errors import ValidationError
 from .xstate_steering import SteeringResult
 
 __all__ = [
+    "OBSERVABLES",
     "SweepVariable",
     "SweepScale",
     "SweepAxis",
-    "SweepRow",
     "SweepTable",
-    "DifferenceRow",
     "Objective",
     "PeakResult",
     "Direction",
@@ -125,55 +124,39 @@ class SweepAxis:
         return np.linspace(self.start, self.stop, self.points)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    axis_value: float
-    p_a: float
-    p_b: float
-    abs_c: float
-    abs_x: float
-    s_ab: float
-    s_ba: float
-    asymmetry: float
-    concurrence: float
+# the observables of a sweep, in the column order after ``axis``
+OBSERVABLES = ("p_a", "p_b", "abs_c", "abs_x", "s_ab", "s_ba", "asymmetry", "concurrence")
 
 
-def observable_row(
-    axis_value: float, block: CorrelationBlock, res: SteeringResult
-) -> SweepRow:
-    """The observables of one grid point, from its block and steering."""
-    return SweepRow(
-        axis_value=float(axis_value),
-        p_a=block.p_a,
-        p_b=block.p_b,
-        abs_c=abs(block.c),
-        abs_x=abs(block.x),
-        s_ab=res.s_ab,
-        s_ba=res.s_ba,
-        asymmetry=res.asymmetry,
-        concurrence=res.concurrence,
+def observable_values(block: CorrelationBlock, res: SteeringResult) -> tuple[float, ...]:
+    """The :data:`OBSERVABLES` of one point, from its block and steering."""
+    return (
+        block.p_a, block.p_b, abs(block.c), abs(block.x),
+        res.s_ab, res.s_ba, res.asymmetry, res.concurrence,
     )
 
 
-@dataclass(frozen=True)
-class DifferenceRow:
-    axis_value: float
-    delta_s_ab: float
-    delta_s_ba: float
+def observable_columns(
+    grid: Sequence[float], values: Sequence[tuple[float, ...]]
+) -> dict[str, tuple[float, ...]]:
+    """The ``axis`` column and one column per observable, from the
+    :func:`observable_values` of each grid point."""
+    return {"axis": tuple(grid), **dict(zip(OBSERVABLES, zip(*values)))}
 
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Rows along one axis, with the (name, value) of each parameter they
-    were computed with but the swept one, in CSV metadata order."""
+    """Named columns along one axis, ``axis`` first, with the (name, value)
+    of each parameter they were computed with but the swept one, in CSV
+    metadata order."""
 
     variable: SweepVariable
-    rows: tuple[SweepRow, ...] | tuple[DifferenceRow, ...]
+    columns: dict[str, tuple[float, ...]]
     label: str = ""
     params: tuple[tuple[str, float | str], ...] = ()
 
-    def column(self, name: str) -> list[float]:
-        return [getattr(row, name) for row in self.rows]
+    def column(self, name: str) -> tuple[float, ...]:
+        return self.columns[name]
 
 
 @dataclass(frozen=True)
@@ -210,14 +193,15 @@ def _evaluate(
     geom: BoundaryGeometry,
     variable: SweepVariable,
     value: float,
-) -> SweepRow:
+) -> tuple[float, ...]:
+    """The :func:`observable_values` at one grid point."""
     try:
         pair_v, geom_v = _apply(pair, geom, variable, value)
         block = correlations(pair_v, geom_v)
         res = steering_from_block(block)
     except Exception as exc:
         raise type(exc)(f"at {variable.value} = {value:g}: {exc}") from exc
-    return observable_row(value, block, res)
+    return observable_values(block, res)
 
 
 _SEP = SweepVariable.SEPARATION
@@ -235,7 +219,8 @@ def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepT
     the table's ``params``.  Model errors are re-raised with the offending
     grid point named.
     """
-    rows = tuple(_evaluate(pair, geom, axis.variable, value) for value in axis.grid())
+    grid = axis.grid().tolist()
+    values = [_evaluate(pair, geom, axis.variable, value) for value in grid]
     params = {
         "omega_a": pair.omega_a,
         "omega_b": pair.omega_b,
@@ -246,14 +231,18 @@ def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepT
         "dz": geom.boundary_distance,
     }
     del params[_PARAM_NAME[axis.variable]]
-    return SweepTable(axis.variable, rows, params=tuple(params.items()))
+    return SweepTable(
+        axis.variable, observable_columns(grid, values), params=tuple(params.items())
+    )
 
 
-# SweepRow field read by each objective
-_OBJECTIVE_FIELD = {
+# the observable each objective and each direction reads
+_OBSERVABLE_OF = {
     Objective.S_AB: "s_ab",
     Objective.S_BA: "s_ba",
     Objective.ASYMMETRY: "asymmetry",
+    Direction.A_TO_B: "s_ab",
+    Direction.B_TO_A: "s_ba",
 }
 
 
@@ -277,8 +266,8 @@ def find_peak(
     if not lo < hi:
         raise ValidationError("peak bracket must satisfy lo < hi")
     if objective_fn is None:
-        field = _OBJECTIVE_FIELD[objective]
-        objective_fn = lambda v: getattr(_evaluate(pair, geom, variable, v), field)
+        index = OBSERVABLES.index(_OBSERVABLE_OF[objective])
+        objective_fn = lambda v: _evaluate(pair, geom, variable, v)[index]
 
     f_lo = objective_fn(lo)
     f_hi = objective_fn(hi)
@@ -336,11 +325,8 @@ def find_transition(
     if not lo < hi:
         raise ValidationError("transition bracket must satisfy lo < hi")
     if indicator_fn is None:
-
-        def indicator_fn(v: float) -> bool:
-            row = _evaluate(pair, geom, variable, v)
-            s = row.s_ab if direction is Direction.A_TO_B else row.s_ba
-            return s > 0.0
+        index = OBSERVABLES.index(_OBSERVABLE_OF[direction])
+        indicator_fn = lambda v: _evaluate(pair, geom, variable, v)[index] > 0.0
 
     live_lo = indicator_fn(lo)
     live_hi = indicator_fn(hi)
@@ -373,13 +359,15 @@ class _FigureSpec:
     separation: float
     boundary_distance: float
     family: SweepVariable | None = None  # labels the curves, one per value
+    members: tuple[float, ...] = ()  # family values; fig6 takes ``separations``
     extra: str = ""  # label of the derived table: "boundary_free" or "difference"
 
 
-_BOTH = (Alignment.PARALLEL, Alignment.ORTHOGONAL)
+_PAR, _ORT = (Alignment.PARALLEL,), (Alignment.ORTHOGONAL,)
+_BOTH = _PAR + _ORT
 _FIGURES = {
-    FigureId.FIG2: _FigureSpec(_SEP, 0.05, 3.0, (Alignment.PARALLEL,), 1.0, 1.0, _WB),
-    FigureId.FIG4: _FigureSpec(_SEP, 0.05, 3.0, (Alignment.ORTHOGONAL,), 1.0, 1.0, _WB),
+    FigureId.FIG2: _FigureSpec(_SEP, 0.05, 3.0, _PAR, 1.0, 1.0, _WB, (0.1, 0.2, 0.3)),
+    FigureId.FIG4: _FigureSpec(_SEP, 0.05, 3.0, _ORT, 1.0, 1.0, _WB, (0.1, 0.2, 0.3)),
     FigureId.FIG5: _FigureSpec(_DZ, 1e-4, 8.0, _BOTH, 0.05, 1.0, extra="boundary_free"),
     FigureId.FIG6: _FigureSpec(_WB, None, 6.0, _BOTH, 1.0, 1.0, _SEP),
     FigureId.FIG7: _FigureSpec(_SEP, 0.05, 3.0, _BOTH, 1.0, 1.0, extra="difference"),
@@ -393,12 +381,11 @@ def figure_dataset(
     pair: DetectorPair | None = None,
     resolution: int = 200,
     separations: Sequence[float] = (0.05, 2.0),
-    omega_b_values: Sequence[float] = (0.1, 0.2, 0.3),
 ) -> dict[str, SweepTable]:
     """Build the labelled table set behind one of the standard figures.
 
-    ``fig2``/``fig4``: steering versus separation for each detector-B gap
-    of ``omega_b_values``, parallel and orthogonal respectively.
+    ``fig2``/``fig4``: steering versus separation for the detector-B gaps
+    0.1, 0.2 and 0.3, parallel and orthogonal respectively.
     ``fig5``: steering versus mirror distance, both alignments, plus a
     constant boundary-free reference table.
     ``fig6``: steering versus the detector-B gap, both alignments, at each
@@ -407,12 +394,18 @@ def figure_dataset(
     orthogonal-minus-parallel steering difference.
     Every table carries the parameters it was computed with.
     """
-    spec = _FIGURES[FigureId(figure_id)]
+    figure_id = FigureId(figure_id)
+    spec = _FIGURES[figure_id]
     if pair is None:
         pair = DetectorPair(omega_a=0.1, omega_b=0.1)
+    if spec.start is None and not pair.omega_a < spec.stop:
+        raise ValidationError(
+            f"{figure_id.value} sweeps omega_b from omega_a up to {spec.stop:g}, "
+            f"an empty range with omega_a = {pair.omega_a:g}"
+        )
     start = pair.omega_a if spec.start is None else spec.start
     axis = SweepAxis(spec.variable, start, spec.stop, resolution)
-    family = {_WB: omega_b_values, _SEP: separations}.get(spec.family, (None,))
+    family = separations if spec.family is _SEP else spec.members or (None,)
 
     out: dict[str, SweepTable] = {}
     for alignment in spec.alignments:
@@ -437,14 +430,16 @@ def figure_dataset(
     # the derived table holds what the parallel curve holds, bar its alignment
     par = out[Alignment.PARALLEL.value]
     params = tuple(p for p in par.params if p[0] != "alignment")
+    grid = par.column("axis")
     if spec.extra == "boundary_free":
         free = boundary_free_correlations(pair, spec.separation)
-        free_res = steering_from_block(free)
-        rows = tuple(observable_row(v, free, free_res) for v in axis.grid())
+        values = observable_values(free, steering_from_block(free))
+        columns = observable_columns(grid, [values] * len(grid))
     else:
-        rows = tuple(
-            DifferenceRow(p.axis_value, o.s_ab - p.s_ab, o.s_ba - p.s_ba)
-            for p, o in zip(par.rows, out[Alignment.ORTHOGONAL.value].rows)
-        )
-    out[spec.extra] = SweepTable(axis.variable, rows, spec.extra, params)
+        ort = out[Alignment.ORTHOGONAL.value]
+        columns = {"axis": grid} | {
+            f"delta_{n}": tuple(o - p for p, o in zip(par.column(n), ort.column(n)))
+            for n in ("s_ab", "s_ba")
+        }
+    out[spec.extra] = SweepTable(axis.variable, columns, spec.extra, params)
     return out

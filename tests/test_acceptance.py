@@ -185,7 +185,7 @@ def test_criterion_05_separation_sweep_trends():
     pair = DetectorPair(0.1, 0.1)
     geom = BoundaryGeometry(Alignment.PARALLEL, 1.0, 1.0)
     table = sweep(pair, geom, SweepAxis(SweepVariable.SEPARATION, 0.05, 3.0, 150))
-    vals = [row.s_ba for row in table.rows]
+    vals = table.column("s_ba")
     if not all(b <= a + 1e-15 for a, b in zip(vals, vals[1:])):
         failures.append("identical-detector steering not monotone in L")
     death = find_transition(
@@ -218,9 +218,9 @@ def test_criterion_06_orthogonal_direction_ordering():
     geom = BoundaryGeometry(Alignment.ORTHOGONAL, 1.0, 1.0)
     table = sweep(pair, geom, SweepAxis(SweepVariable.SEPARATION, 0.05, 6.0, 200))
     failures = [
-        f"s_ab > s_ba at L = {row.axis_value:.4f}"
-        for row in table.rows
-        if row.s_ab > row.s_ba
+        f"s_ab > s_ba at L = {l:.4f}"
+        for l, s_ab, s_ba in zip(*map(table.column, ("axis", "s_ab", "s_ba")))
+        if s_ab > s_ba
     ]
     _finish(6, "orthogonal-direction-ordering", failures)
 
@@ -231,7 +231,7 @@ def test_criterion_07_mirror_distance_trends():
     geom = BoundaryGeometry(Alignment.PARALLEL, 0.05, 1.0)
     axis = SweepAxis(SweepVariable.BOUNDARY_DISTANCE, 1e-4, 8.0, 300)
     table = sweep(pair, geom, axis)
-    vals = [row.s_ba for row in table.rows]
+    vals = table.column("s_ba")
     free = boundary_free_steering(pair, 0.05).s_ba
 
     peak = max(vals)
@@ -251,9 +251,9 @@ def test_criterion_07_mirror_distance_trends():
     # between the peaks s_ba is already falling while s_ab still rises
     wide = DetectorPair(0.1, 0.5)
     coarse = sweep(wide, geom, SweepAxis(SweepVariable.BOUNDARY_DISTANCE, 0.2, 3.0, 120))
-    grid = [row.axis_value for row in coarse.rows]
-    i_ba = max(range(len(grid)), key=lambda i: coarse.rows[i].s_ba)
-    i_ab = max(range(len(grid)), key=lambda i: coarse.rows[i].s_ab)
+    grid = coarse.column("axis")
+    i_ba = max(range(len(grid)), key=coarse.column("s_ba").__getitem__)
+    i_ab = max(range(len(grid)), key=coarse.column("s_ab").__getitem__)
     peak_ba = find_peak(
         wide, geom, SweepVariable.BOUNDARY_DISTANCE,
         (grid[i_ba - 1], grid[i_ba + 1]), Objective.S_BA,
@@ -290,7 +290,7 @@ def test_criterion_08_gap_sweep_trends():
     # small separation: the asymmetry rises to an interior peak, then decays
     near = BoundaryGeometry(Alignment.PARALLEL, 0.05, 1.0)
     table = sweep(pair, near, SweepAxis(SweepVariable.OMEGA_B, 0.1, 6.0, 250))
-    asym = [row.asymmetry for row in table.rows]
+    asym = table.column("asymmetry")
     peak = max(asym)
     i_peak = asym.index(peak)
     if not (0 < i_peak < len(asym) - 1 and peak > 0.0):
@@ -301,15 +301,15 @@ def test_criterion_08_gap_sweep_trends():
     # large separation: only A-to-B steering ever appears
     far = BoundaryGeometry(Alignment.PARALLEL, 2.0, 1.0)
     table = sweep(pair, far, SweepAxis(SweepVariable.OMEGA_B, 0.1, 6.0, 250))
-    if any(row.s_ba != 0.0 for row in table.rows):
+    if any(s != 0.0 for s in table.column("s_ba")):
         failures.append("s_ba not identically zero at large L")
-    alive = [row.s_ab > 0.0 for row in table.rows]
+    alive = [s > 0.0 for s in table.column("s_ab")]
     if not (not alive[0] and any(alive)):
         failures.append("s_ab shows no sudden birth at large L")
     else:
         birth = alive.index(True)
         if all(alive[birth:]):
-            tail = table.rows[-1].s_ab
+            tail = table.column("s_ab")[-1]
             failures.append(
                 f"s_ab never dies after its birth: still {tail:.3e} at the "
                 f"gap sweep end (the exchange coherence outlives the "
@@ -320,24 +320,24 @@ def test_criterion_08_gap_sweep_trends():
 
 def test_criterion_09_alignment_difference_trends():
     failures = []
-    diff = figure_dataset("fig7", resolution=200)["difference"].rows
+    diff = figure_dataset("fig7", resolution=200)["difference"]
+    d_ab = diff.column("delta_s_ab")
+    d_ba = diff.column("delta_s_ba")
 
     # the table is the difference of the two sweeps; the second route
     # evaluates each alignment afresh at every axis value
     pair = DetectorPair(omega_a=0.1, omega_b=0.1)
     worst = 0.0
-    for d in diff:
-        direct_ab, direct_ba = config_difference(pair, d.axis_value, 1.0)
+    for l, delta_ab, delta_ba in zip(diff.column("axis"), d_ab, d_ba):
+        direct_ab, direct_ba = config_difference(pair, l, 1.0)
         worst = max(
             worst,
-            abs(d.delta_s_ab - direct_ab),
-            abs(d.delta_s_ba - direct_ba),
+            abs(delta_ab - direct_ab),
+            abs(delta_ba - direct_ba),
         )
     if worst > 1e-12:
         failures.append(f"two evaluation routes disagree by {worst:.2e}")
 
-    d_ba = [row.delta_s_ba for row in diff]
-    d_ab = [row.delta_s_ab for row in diff]
     if not (d_ba[0] > 0.0 and min(d_ba) >= -1e-15 and d_ba[-1] == 0.0):
         failures.append("delta s_ba is not a nonnegative bump decaying to zero")
     if not (d_ab[0] < 0.0 and max(d_ab) <= 1e-15 and d_ab[-1] == 0.0):

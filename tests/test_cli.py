@@ -1,6 +1,5 @@
 """End-to-end tests for the command-line front end."""
 
-import dataclasses
 import json
 import math
 
@@ -71,6 +70,23 @@ class TestCompute:
         assert code == 0
         record = json.loads(out)
         assert record["lambda"] == 1.0
+
+    def test_record_key_order(self, capsys):
+        code, out, _ = run(self.ARGS, capsys)
+        assert code == 0
+        assert list(json.loads(out)) == [
+            "alignment", "omega_a", "omega_b", "l", "dz", "lambda",
+            *CSV_HEADER.split(",")[1:], "provenance",
+        ]
+
+    def test_geometry_overflow_exits_2(self, capsys):
+        argv = list(self.ARGS)
+        argv[argv.index("--dz") + 1] = "1e308"
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert "mirror-image distances" in err
+        assert "1e+308" in err
+        assert out == ""
 
     def test_provenance_block(self, capsys):
         code, out, _ = run(self.ARGS, capsys)
@@ -162,11 +178,12 @@ class TestSweepCommand:
             BoundaryGeometry(Alignment.ORTHOGONAL, 1.0, 1.0),
             SweepAxis(SweepVariable.SEPARATION, 0.1, 2.0, 12),
         )
-        for line, row in zip(body[1:], table.rows):
+        columns = zip(*map(table.column, ("axis", "s_ab", "s_ba")))
+        for line, (l, s_ab, s_ba) in zip(body[1:], columns):
             fields = [float(x) for x in line.split(",")]
-            assert fields[0] == row.axis_value
-            assert fields[5] == row.s_ab
-            assert fields[6] == row.s_ba
+            assert fields[0] == l
+            assert fields[5] == s_ab
+            assert fields[6] == s_ba
 
     def test_json_format(self, capsys):
         code, out, _ = run(self.ARGS + ["--format", "json"], capsys)
@@ -175,6 +192,7 @@ class TestSweepCommand:
         assert len(payload["rows"]) == 12
         assert payload["axis"] == "separation"
         assert payload["rows"][0]["s_ba"] >= 0.0
+        assert list(payload["rows"][0]) == ["axis_value", *CSV_HEADER.split(",")[1:]]
 
     def test_bad_axis_range_exits_2(self, capsys):
         argv = list(self.ARGS)
@@ -295,11 +313,12 @@ class TestFigureCommand:
             l for l in path.read_text().strip().splitlines() if not l.startswith("#")
         ]
         assert body[0] == CSV_HEADER
-        for line, row in zip(body[1:], data[label].rows):
+        columns = zip(*map(data[label].column, ("axis", "abs_x", "s_ba")))
+        for line, (l, abs_x, s_ba) in zip(body[1:], columns):
             fields = [float(x) for x in line.split(",")]
-            assert fields[0] == row.axis_value
-            assert fields[4] == row.abs_x
-            assert fields[6] == row.s_ba
+            assert fields[0] == l
+            assert fields[4] == abs_x
+            assert fields[6] == s_ba
 
     # every metadata key a figure CSV may carry, in the order it is written
     META_KEYS = [
@@ -339,7 +358,7 @@ class TestFigureCommand:
             ]
         geom = BoundaryGeometry(meta["alignment"], l, dz)
         table = sweep(pair, geom, axis)
-        return [self._line(dataclasses.astuple(row)) for row in table.rows]
+        return [self._line(row) for row in zip(*table.columns.values())]
 
     @pytest.mark.parametrize("figure", [f.value for f in FigureId])
     def test_metadata_rebuilds_every_curve(self, figure, tmp_path, capsys):
@@ -403,6 +422,14 @@ class TestFigureCommand:
         assert code == 0
         if figure == "fig5":
             assert "# omega_b = 0.2\n" in (tmp_path / "parallel.csv").read_text()
+
+    def test_fig6_empty_gap_axis_names_the_figure(self, tmp_path, capsys):
+        code, _, err = run(
+            ["figure", "fig6", "--omega-a", "7", "--out", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert "fig6" in err
+        assert "omega_a = 7" in err
 
     def test_bad_figure_id_exits_2(self, capsys):
         code, _, _ = run(["figure", "fig9", "--out", "."], capsys)

@@ -115,6 +115,17 @@ class TestTypes:
         with pytest.raises(ValidationError):
             BoundaryGeometry(Alignment.PARALLEL, separation=1.0, boundary_distance=-2.0)
 
+    @pytest.mark.parametrize("alignment", list(Alignment))
+    @pytest.mark.parametrize("sep, dz", [(1.0, 1e308), (1e308, 1e308)])
+    def test_geometry_refuses_overflowing_image_distances(self, alignment, sep, dz):
+        with pytest.raises(ValidationError, match="mirror-image distances"):
+            BoundaryGeometry(alignment, separation=sep, boundary_distance=dz)
+
+    def test_geometry_refuses_overflowing_image_of_far_detector(self):
+        # l + 2 dz is finite, but B's image sits 2 (dz + l) from the mirror
+        with pytest.raises(ValidationError, match="mirror-image distances"):
+            BoundaryGeometry(Alignment.ORTHOGONAL, separation=1e308, boundary_distance=1.0)
+
     def test_geometry_accepts_alignment_string(self):
         g = BoundaryGeometry("orthogonal", separation=1.0, boundary_distance=1.0)
         assert g.alignment is Alignment.ORTHOGONAL
@@ -216,6 +227,10 @@ class TestTransitionProbability:
             transition_probability(0.1, 0.0)
         with pytest.raises(ValidationError):
             transition_probability(0.1, -1.0)
+
+    def test_rejects_distance_whose_image_overflows(self):
+        with pytest.raises(ValidationError, match="2 dz"):
+            transition_probability(0.1, 1e308)
 
 
 class TestAuxF:

@@ -91,38 +91,39 @@ class TestSweep:
     def test_row_count_and_axis(self):
         axis = SweepAxis(SweepVariable.SEPARATION, start=0.1, stop=2.0, points=25)
         table = sweep(PAIR, GEOM_PAR, axis)
-        assert len(table.rows) == 25
-        assert table.rows[0].axis_value == 0.1
+        assert len(table.column("axis")) == 25
+        assert table.column("axis")[0] == 0.1
         assert table.variable is SweepVariable.SEPARATION
 
     def test_identical_parallel_has_zero_asymmetry_column(self):
         axis = SweepAxis(SweepVariable.SEPARATION, start=0.1, stop=3.0, points=40)
         table = sweep(PAIR, GEOM_PAR, axis)
-        assert all(row.asymmetry == 0.0 for row in table.rows)
+        assert all(a == 0.0 for a in table.column("asymmetry"))
 
     def test_steering_columns_nonnegative(self):
         axis = SweepAxis(SweepVariable.BOUNDARY_DISTANCE, start=0.05, stop=4.0, points=40)
         table = sweep(PAIR, GEOM_ORT, axis)
-        for row in table.rows:
-            assert row.s_ab >= 0.0
-            assert row.s_ba >= 0.0
+        for s_ab, s_ba in zip(table.column("s_ab"), table.column("s_ba")):
+            assert s_ab >= 0.0
+            assert s_ba >= 0.0
 
     def test_rows_match_direct_evaluation(self):
         axis = SweepAxis(SweepVariable.SEPARATION, start=0.2, stop=1.4, points=7)
         table = sweep(PAIR, GEOM_ORT, axis)
-        for row in table.rows:
+        columns = zip(*map(table.column, ("axis", "s_ab", "s_ba")))
+        for l, s_ab, s_ba in columns:
             direct = harvested_steering(
                 PAIR,
-                BoundaryGeometry(Alignment.ORTHOGONAL, row.axis_value, 1.0),
+                BoundaryGeometry(Alignment.ORTHOGONAL, l, 1.0),
             )
-            assert row.s_ab == direct.s_ab
-            assert row.s_ba == direct.s_ba
+            assert s_ab == direct.s_ab
+            assert s_ba == direct.s_ba
 
     def test_orthogonal_identical_never_favours_a_to_b(self):
         axis = SweepAxis(SweepVariable.SEPARATION, start=0.1, stop=6.0, points=60)
         table = sweep(PAIR, GEOM_ORT, axis)
-        for row in table.rows:
-            assert row.s_ab <= row.s_ba
+        for s_ab, s_ba in zip(table.column("s_ab"), table.column("s_ba")):
+            assert s_ab <= s_ba
 
     def test_gap_sweep_below_omega_a_names_grid_point(self):
         axis = SweepAxis(SweepVariable.OMEGA_B, start=0.05, stop=1.0, points=10)
@@ -258,7 +259,7 @@ class TestFigureDataset:
     def test_separation_sweep_curves_monotone_for_identical(self):
         data = figure_dataset(FigureId.FIG2, resolution=80)
         key = next(k for k in data if "0.10" in k)
-        vals = [row.s_ba for row in data[key].rows]
+        vals = data[key].column("s_ba")
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
         assert vals[-1] == 0.0
 
@@ -270,19 +271,21 @@ class TestFigureDataset:
     def test_mirror_distance_sweep_has_reference_table(self):
         data = figure_dataset(FigureId.FIG5, resolution=60)
         assert set(data) == {"parallel", "orthogonal", "boundary_free"}
-        ref = data["boundary_free"].rows
-        assert all(row.s_ba == ref[0].s_ba for row in ref)
+        ref = data["boundary_free"].column("s_ba")
+        assert all(s_ba == ref[0] for s_ba in ref)
         # the late-curve offset from the reference is the 1/dz^2 image
         # tail, a bit under 1e-3 at dz = 8
-        end_gap = data["parallel"].rows[-1].s_ba - ref[-1].s_ba
+        end_gap = data["parallel"].column("s_ba")[-1] - ref[-1]
         assert 1e-4 < end_gap < 2e-3
 
     def test_reference_table_carries_free_space_block(self):
-        ref = figure_dataset(FigureId.FIG5, resolution=5)["boundary_free"].rows
+        ref = figure_dataset(FigureId.FIG5, resolution=5)["boundary_free"]
         free = boundary_free_correlations(PAIR, 0.05)
-        for row in ref:
-            assert (row.p_a, row.p_b) == (free.p_a, free.p_b)
-            assert (row.abs_c, row.abs_x) == (abs(free.c), abs(free.x))
+        for p_a, p_b, abs_c, abs_x in zip(
+            *map(ref.column, ("p_a", "p_b", "abs_c", "abs_x"))
+        ):
+            assert (p_a, p_b) == (free.p_a, free.p_b)
+            assert (abs_c, abs_x) == (abs(free.c), abs(free.x))
 
     def test_gap_sweep_large_separation_is_one_way(self):
         data = figure_dataset(FigureId.FIG6, resolution=80)
@@ -290,22 +293,26 @@ class TestFigureDataset:
         large = [k for k in data if "2.00" in k]
         assert len(large) == 2
         for key in large:
-            rows = data[key].rows
-            assert all(row.s_ba == 0.0 for row in rows)
-            assert any(row.s_ab > 0.0 for row in rows)
+            table = data[key]
+            assert all(s_ba == 0.0 for s_ba in table.column("s_ba"))
+            assert any(s_ab > 0.0 for s_ab in table.column("s_ab"))
 
     def test_alignment_difference_consistent_with_sweeps(self):
         data = figure_dataset(FigureId.FIG7, resolution=40)
-        par = data["parallel"].rows
-        ort = data["orthogonal"].rows
-        diff = data["difference"].rows
-        for p, o, d in zip(par, ort, diff):
-            assert d.axis_value == p.axis_value == o.axis_value
-            assert d.delta_s_ab == pytest.approx(o.s_ab - p.s_ab, abs=1e-12)
-            assert d.delta_s_ba == pytest.approx(o.s_ba - p.s_ba, abs=1e-12)
-            direct = config_difference(PAIR, d.axis_value, 1.0)
-            assert d.delta_s_ab == pytest.approx(direct[0], abs=1e-12)
-            assert d.delta_s_ba == pytest.approx(direct[1], abs=1e-12)
+        par = data["parallel"]
+        ort = data["orthogonal"]
+        diff = data["difference"]
+        assert diff.column("axis") == par.column("axis") == ort.column("axis")
+        for i, l in enumerate(diff.column("axis")):
+            d_ab = diff.column("delta_s_ab")[i]
+            d_ba = diff.column("delta_s_ba")[i]
+            o_ab, p_ab = ort.column("s_ab")[i], par.column("s_ab")[i]
+            o_ba, p_ba = ort.column("s_ba")[i], par.column("s_ba")[i]
+            assert d_ab == pytest.approx(o_ab - p_ab, abs=1e-12)
+            assert d_ba == pytest.approx(o_ba - p_ba, abs=1e-12)
+            direct = config_difference(PAIR, l, 1.0)
+            assert d_ab == pytest.approx(direct[0], abs=1e-12)
+            assert d_ba == pytest.approx(direct[1], abs=1e-12)
 
     def test_deterministic(self):
         a = figure_dataset(FigureId.FIG2, resolution=25)
