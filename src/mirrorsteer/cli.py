@@ -46,6 +46,8 @@ from .sweep_optimize import (
 )
 
 VERIFY_TOLERANCE = 1e-3
+# the correlation-block fields checked against the oracle
+VERIFIED = ("p_a", "p_b", "c", "x")
 
 # (omega_a, omega_b, separation, boundary_distance); each entry is run in
 # both alignments
@@ -205,20 +207,37 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
+def _json_number(value):
+    """A float as is; a complex value as its [real, imag] pair."""
+    return [value.real, value.imag] if isinstance(value, complex) else value
+
+
 def _cmd_verify(args) -> int:
     grid = VERIFY_GRID_SMOKE if args.grid == "smoke" else VERIFY_GRID_DEFAULT
     spec = QuadratureSpec()
-    worst = {"p_a": 0.0, "p_b": 0.0, "c": 0.0, "x": 0.0}
+    rows = []
     for omega_a, omega_b, separation, boundary_distance in grid:
         pair = DetectorPair(omega_a, omega_b)
         for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL):
             geom = BoundaryGeometry(alignment, separation, boundary_distance)
             block = correlations(pair, geom)
             oracle = numeric_correlations(pair, geom, spec=spec, rtol=args.rtol)
-            for key in worst:
-                reference = getattr(oracle, key)
-                dev = abs(getattr(block, key) - reference) / abs(reference)
-                worst[key] = max(worst[key], dev)
+            row = {
+                "alignment": alignment.value,
+                "omega_a": omega_a,
+                "omega_b": omega_b,
+                "l": separation,
+                "dz": boundary_distance,
+            }
+            for key in VERIFIED:
+                closed, reference = getattr(block, key), getattr(oracle, key)
+                row[key] = {
+                    "closed_form": _json_number(closed),
+                    "oracle": _json_number(reference),
+                    "rel_deviation": abs(closed - reference) / abs(reference),
+                }
+            rows.append(row)
+    worst = {key: max(row[key]["rel_deviation"] for row in rows) for key in VERIFIED}
 
     lines = [f"{'observable':<12}{'max rel deviation':<20}{'tolerance':<12}"]
     for key, dev in worst.items():
@@ -239,6 +258,7 @@ def _cmd_verify(args) -> int:
             "tolerance": VERIFY_TOLERANCE,
             "max_rel_deviation": worst,
             "passed": passed,
+            "rows": rows,
             "provenance": _provenance(config, quadrature=spec),
         }
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")

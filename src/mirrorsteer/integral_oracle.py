@@ -23,9 +23,17 @@ correlator keeps a regulated double pole and where the time-ordered
 integrand has a kink. u = 0 is always a panel edge, so the kink is
 never sampled across a panel; splitting the diamond at u = 0 is the
 same as integrating the two time-ordered triangles of the original box.
-For each u node the sbar integral runs over the exact diamond section.
-The quadrature is repeated for a decreasing schedule of regulator
-values and Richardson-extrapolated to zero.
+For each u node the sbar integral runs over the exact diamond section
+|sbar| <= h = T - |u|/2. Its integrand is a Gaussian times the phase
+exp(-i beta sbar), so the symmetric Gauss-Legendre rule is folded onto
+its nonnegative half and the odd sine part, which cancels, is dropped:
+each sbar row is a real sum over exp(-sbar^2) cos(beta sbar). A row
+depends on its u node only through h. The quadrature is repeated for a
+decreasing schedule of regulator values and Richardson-extrapolated to
+zero; the meshes of the schedule are nested, so each distinct h is
+evaluated once for every regulator and for every integral that shares
+the mesh (C with X, and P_A with P_B when both detectors are equally far
+from the mirror).
 
 All summation is done with numpy's pairwise reductions on fixed-shape
 arrays, so results are bit-stable across runs and machines with the
@@ -140,34 +148,64 @@ def _u_mesh(spatial: float, image: float, eps: float, spec: QuadratureSpec):
     return u, w
 
 
-def _single_epsilon(
-    omega_a: float,
-    omega_b: float,
-    spatial: float,
-    image: float,
-    eps: float,
-    spec: QuadratureSpec,
-    time_ordered: bool,
-) -> complex:
-    """One regulated quadrature of the response integral of the gaps
-    ``omega_a`` (at tau) and ``omega_b`` (at tau'): the phase
-    omega_a tau - omega_b tau' is alpha u + beta sbar."""
-    beta = omega_a - omega_b
-    alpha = (omega_a + omega_b) / 2.0
-    u, uw = _u_mesh(spatial, image, eps, spec)
-    # the time-ordered term sees the correlator at -|u| on both triangles
-    warg = -np.abs(u) if time_ordered else u
-    ku = (
-        np.exp(-(u**2) / 4.0)
-        * np.exp(-1j * alpha * u)
-        * _two_point(warg, spatial, image, eps)
-        * uw
+@lru_cache(maxsize=32)
+def _folded_nodes(order: int):
+    """The Gauss-Legendre rule folded onto its nonnegative half.
+
+    Node i is paired with node order - 1 - i by index, and the pair's
+    weights are summed; an odd order keeps its middle node once. On an
+    even integrand this is the full rule.
+    """
+    x, w = _gauss_nodes(order)
+    half = order // 2
+    upper = np.arange(order - half, order)
+    xs = x[upper]
+    ws = w[upper] + w[order - 1 - upper]
+    if order % 2:
+        xs = np.concatenate(([x[half]], xs))
+        ws = np.concatenate(([w[half]], ws))
+    xs.setflags(write=False)
+    ws.setflags(write=False)
+    return xs, ws
+
+
+def _regulated_values(terms, spatial: float, image: float, spec: QuadratureSpec):
+    """Regulated quadratures of response integrals that share one
+    ``(spatial, image)`` mesh, at every regulator of ``spec``.
+
+    Each term is ``(omega_a, omega_b, time_ordered)``: the gaps at tau and
+    tau', so that the phase omega_a tau - omega_b tau' is alpha u + beta
+    sbar, and whether the time-ordered correlator is used. Returns a
+    complex array of shape (terms, regulators). The folded sbar rows are
+    evaluated once per distinct section half-width h over the whole
+    schedule, and the exp(-sbar^2) factor once for all terms.
+    """
+    meshes = [_u_mesh(spatial, image, eps, spec) for eps in spec.epsilons]
+    h_nodes = np.maximum(
+        spec.truncation - np.abs(np.concatenate([u for u, _ in meshes])) / 2.0, 0.0
     )
-    xs, ws = _gauss_nodes(spec.nodes)
-    h = np.maximum(spec.truncation - np.abs(u) / 2.0, 0.0)
+    h, inverse = np.unique(h_nodes, return_inverse=True)
+    splits = np.cumsum([len(u) for u, _ in meshes])[:-1]
+    xs, ws = _folded_nodes(spec.nodes)
     sb = h[:, None] * xs[None, :]
-    srow = np.exp(-(sb**2)) * np.exp(-1j * beta * sb) @ ws * h
-    return complex(np.sum(ku * srow))
+    gauss = np.exp(-(sb**2))
+    values = np.empty((len(terms), len(meshes)), dtype=complex)
+    for k, (omega_a, omega_b, time_ordered) in enumerate(terms):
+        beta = omega_a - omega_b
+        alpha = (omega_a + omega_b) / 2.0
+        kernel = gauss if beta == 0.0 else gauss * np.cos(beta * sb)
+        rows = np.split((kernel @ ws * h)[inverse], splits)
+        for i, (eps, (u, uw), srow) in enumerate(zip(spec.epsilons, meshes, rows)):
+            # the time-ordered term sees the correlator at -|u| on both triangles
+            warg = -np.abs(u) if time_ordered else u
+            ku = (
+                np.exp(-(u**2) / 4.0)
+                * np.exp(-1j * alpha * u)
+                * _two_point(warg, spatial, image, eps)
+                * uw
+            )
+            values[k, i] = np.sum(ku * srow)
+    return values
 
 
 def extrapolate_epsilon(values) -> tuple[complex, float]:
@@ -210,43 +248,52 @@ def extrapolate_epsilon(values) -> tuple[complex, float]:
 
 
 def _extrapolated(
-    omega_a: float,
-    omega_b: float,
+    terms,
     spatial: float,
     image: float,
     coupling: float,
     spec: QuadratureSpec,
     rtol: float,
-    time_ordered: bool,
-) -> tuple[complex, float]:
-    """The response integral extrapolated to zero regulator, times the
-    squared coupling, with its extrapolation error estimate."""
+) -> list[tuple[complex, float]]:
+    """Each response integral of ``terms`` (see :func:`_regulated_values`)
+    extrapolated to zero regulator, times the squared coupling, with its
+    extrapolation error estimate."""
     if not (math.isfinite(rtol) and rtol > 0.0):
         raise ValidationError(f"rtol must be a positive finite number, got {rtol!r}")
     lam2 = coupling * coupling
-    schedule = [
-        (e, _single_epsilon(omega_a, omega_b, spatial, image, e, spec, time_ordered))
-        for e in spec.epsilons
-    ]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        limit, estimate = extrapolate_epsilon(schedule)
-    limit *= lam2
-    estimate *= lam2
-    # the monotonicity diagnostic is meaningful only above the noise
-    # floor; below it the schedule is pure quadrature noise by design
-    if abs(limit) >= _ABS_FLOOR:
-        for w in caught:
-            warnings.warn_explicit(
-                w.message, w.category, w.filename, w.lineno
+    results = []
+    for schedule in _regulated_values(terms, spatial, image, spec):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            limit, estimate = extrapolate_epsilon(zip(spec.epsilons, schedule))
+        limit *= lam2
+        estimate *= lam2
+        # the monotonicity diagnostic is meaningful only above the noise
+        # floor; below it the schedule is pure quadrature noise by design
+        if abs(limit) >= _ABS_FLOOR:
+            for w in caught:
+                warnings.warn_explicit(
+                    w.message, w.category, w.filename, w.lineno
+                )
+        scale = max(abs(limit), _ABS_FLOOR)
+        if estimate > 10.0 * rtol * scale:
+            raise ConvergenceError(
+                f"epsilon extrapolation error {estimate:.3e} exceeds 10 x rtol x "
+                f"scale = {10.0 * rtol * scale:.3e}; refine the quadrature spec"
             )
-    scale = max(abs(limit), _ABS_FLOOR)
-    if estimate > 10.0 * rtol * scale:
+        results.append((limit, estimate))
+    return results
+
+
+def _real_probability(value: complex, estimate: float) -> float:
+    """The probability integral's value, which must be real: a residual
+    imaginary part above both 1e-8 of the magnitude and the extrapolation
+    error estimate raises a convergence error."""
+    if abs(value.imag) > max(1e-8 * max(abs(value), _ABS_FLOOR), estimate):
         raise ConvergenceError(
-            f"epsilon extrapolation error {estimate:.3e} exceeds 10 x rtol x "
-            f"scale = {10.0 * rtol * scale:.3e}; refine the quadrature spec"
+            f"probability integral kept an imaginary residue {value.imag:.3e}"
         )
-    return limit, estimate
+    return value.real
 
 
 def numeric_probability(
@@ -271,14 +318,10 @@ def numeric_probability(
     if not math.isfinite(dz) or dz <= 0.0:
         raise ValidationError("dz must be positive")
     spec = spec or QuadratureSpec()
-    value, estimate = _extrapolated(
-        omega, omega, 0.0, 2.0 * dz, float(coupling), spec, rtol, time_ordered=False
+    ((value, estimate),) = _extrapolated(
+        [(omega, omega, False)], 0.0, 2.0 * dz, float(coupling), spec, rtol
     )
-    if abs(value.imag) > max(1e-8 * max(abs(value), _ABS_FLOOR), estimate):
-        raise ConvergenceError(
-            f"probability integral kept an imaginary residue {value.imag:.3e}"
-        )
-    return value.real
+    return _real_probability(value, estimate)
 
 
 def _distances(geom: BoundaryGeometry) -> tuple[float, float, float]:
@@ -292,6 +335,13 @@ def _distances(geom: BoundaryGeometry) -> tuple[float, float, float]:
     return l, l + 2.0 * dz, dz + l
 
 
+def _correlation_terms(pair: DetectorPair):
+    """The response integrals of ``c`` and ``x``: the cross-excitation
+    integral, and the time-ordered one with detector B's gap negated
+    (``x`` is minus its value)."""
+    return [(pair.omega_a, pair.omega_b, False), (pair.omega_a, -pair.omega_b, True)]
+
+
 def numeric_c(
     pair: DetectorPair,
     geom: BoundaryGeometry,
@@ -301,9 +351,8 @@ def numeric_c(
     """Cross-excitation correlation from the defining double integral."""
     spec = spec or QuadratureSpec()
     spatial, image, _ = _distances(geom)
-    value, _ = _extrapolated(
-        pair.omega_a, pair.omega_b, spatial, image, pair.coupling, spec, rtol,
-        time_ordered=False,
+    ((value, _),) = _extrapolated(
+        _correlation_terms(pair)[:1], spatial, image, pair.coupling, spec, rtol
     )
     return value
 
@@ -323,9 +372,8 @@ def numeric_x(
     """
     spec = spec or QuadratureSpec()
     spatial, image, _ = _distances(geom)
-    value, _ = _extrapolated(
-        pair.omega_a, -pair.omega_b, spatial, image, pair.coupling, spec, rtol,
-        time_ordered=True,
+    ((value, _),) = _extrapolated(
+        _correlation_terms(pair)[1:], spatial, image, pair.coupling, spec, rtol
     )
     return -value
 
@@ -337,13 +385,28 @@ def numeric_correlations(
     rtol: float = 1e-3,
 ) -> CorrelationBlock:
     """``p_a``, ``p_b``, ``c`` and ``x`` of the pair from their defining
-    double integrals: the oracle counterpart of ``correlations``."""
+    double integrals: the oracle counterpart of ``correlations``.
+
+    Each field equals the matching ``numeric_probability``, ``numeric_c``
+    or ``numeric_x`` result; integrals on one mesh share their sbar rows:
+    ``c`` with ``x``, and ``p_a`` with ``p_b`` when both detectors are
+    equally far from the mirror.
+    """
     spec = spec or QuadratureSpec()
-    _, _, distance_b = _distances(geom)
+    spatial, image, distance_b = _distances(geom)
     lam = pair.coupling
+    dz = geom.boundary_distance
+    terms_a = [(pair.omega_a, pair.omega_a, False)]
+    terms_b = [(pair.omega_b, pair.omega_b, False)]
+    if distance_b == dz:
+        p_a, p_b = _extrapolated(terms_a + terms_b, 0.0, 2.0 * dz, lam, spec, rtol)
+    else:
+        (p_a,) = _extrapolated(terms_a, 0.0, 2.0 * dz, lam, spec, rtol)
+        (p_b,) = _extrapolated(terms_b, 0.0, 2.0 * distance_b, lam, spec, rtol)
+    c, x = _extrapolated(_correlation_terms(pair), spatial, image, lam, spec, rtol)
     return CorrelationBlock(
-        p_a=numeric_probability(pair.omega_a, geom.boundary_distance, lam, spec, rtol),
-        p_b=numeric_probability(pair.omega_b, distance_b, lam, spec, rtol),
-        c=numeric_c(pair, geom, spec, rtol),
-        x=numeric_x(pair, geom, spec, rtol),
+        p_a=_real_probability(*p_a),
+        p_b=_real_probability(*p_b),
+        c=c[0],
+        x=-x[0],
     )

@@ -28,7 +28,7 @@ from .detector_model import (
     correlations,
     steering_from_block,
 )
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .xstate_steering import SteeringResult
 
 __all__ = [
@@ -199,7 +199,7 @@ def _evaluate(
         pair_v, geom_v = _apply(pair, geom, variable, value)
         block = correlations(pair_v, geom_v)
         res = steering_from_block(block)
-    except Exception as exc:
+    except (ValidationError, ConvergenceError) as exc:
         raise type(exc)(f"at {variable.value} = {value:g}: {exc}") from exc
     return observable_values(block, res)
 
@@ -216,8 +216,9 @@ def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepT
 
     The swept variable overrides the matching field of ``pair`` or ``geom``
     at each grid point; all other fields are held fixed and recorded in
-    the table's ``params``.  Model errors are re-raised with the offending
-    grid point named.
+    the table's ``params``.  Validation and convergence errors are re-raised
+    as the same type with the offending grid point named; any other
+    exception propagates unchanged.
     """
     grid = axis.grid().tolist()
     values = [_evaluate(pair, geom, axis.variable, value) for value in grid]

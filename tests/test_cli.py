@@ -267,6 +267,24 @@ class TestVerifyCommand:
         assert set(payload["max_rel_deviation"]) == set(self.SMOKE_DEVIATIONS)
         assert "verify: PASS" in err
 
+    @pytest.mark.parametrize("grid, count", [("smoke", 4), ("default", 20)])
+    def test_json_rows_per_configuration(self, grid, count, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--grid", grid, "--format", "json", "--out", str(out)]
+        code, _, _ = run(argv, capsys)
+        assert code == 0
+        text = out.read_text()
+        payload = json.loads(text)
+        rows = payload["rows"]
+        assert len(rows) == count
+        assert [row["alignment"] for row in rows[:2]] == ["parallel", "orthogonal"]
+        for key, worst in payload["max_rel_deviation"].items():
+            assert worst == max(row[key]["rel_deviation"] for row in rows)
+            assert all(len(row[key]) == 3 for row in rows)
+        # no timings in the rows: a rerun writes the same bytes
+        assert run(argv, capsys)[0] == 0
+        assert out.read_text() == text
+
     def test_unreachable_tolerance_exits_3(self, capsys):
         code, _, err = run(["verify", "--grid", "smoke", "--rtol", "1e-12"], capsys)
         assert code == 3

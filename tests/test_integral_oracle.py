@@ -30,13 +30,35 @@ from mirrorsteer.integral_oracle import (
     numeric_probability,
     numeric_x,
     _distances,
-    _single_epsilon,
+    _gauss_nodes,
+    _regulated_values,
     _two_point,
     _u_mesh,
 )
 
 PAIR = DetectorPair(omega_a=0.1, omega_b=0.1)
 GEOM_PAR = BoundaryGeometry(Alignment.PARALLEL, separation=1.0, boundary_distance=1.0)
+
+
+def full_rule(omega_a, omega_b, spatial, image, eps, spec, time_ordered):
+    """One regulated quadrature of the response integral with the complex
+    phase over every Gauss-Legendre node, one sbar row per u node: the
+    unfolded rule the oracle's folded, shared rows must reproduce."""
+    beta = omega_a - omega_b
+    alpha = (omega_a + omega_b) / 2.0
+    u, uw = _u_mesh(spatial, image, eps, spec)
+    warg = -np.abs(u) if time_ordered else u
+    ku = (
+        np.exp(-(u**2) / 4.0)
+        * np.exp(-1j * alpha * u)
+        * _two_point(warg, spatial, image, eps)
+        * uw
+    )
+    xs, ws = _gauss_nodes(spec.nodes)
+    h = np.maximum(spec.truncation - np.abs(u) / 2.0, 0.0)
+    sb = h[:, None] * xs[None, :]
+    srow = np.exp(-(sb**2)) * np.exp(-1j * beta * sb) @ ws * h
+    return complex(np.sum(ku * srow))
 
 
 def reduced_integral(omega_a, omega_b, spatial, image, time_ordered):
@@ -201,12 +223,12 @@ class TestNumericProbability:
         assert got == pytest.approx(transition_probability(2.5, 0.3), rel=1e-6)
 
     def test_imaginary_residue_raises(self, monkeypatch):
-        real_quadrature = integral_oracle._single_epsilon
+        real_quadrature = integral_oracle._regulated_values
 
         def with_residue(*args):
             return real_quadrature(*args) * (1.0 + 1e-3j)
 
-        monkeypatch.setattr(integral_oracle, "_single_epsilon", with_residue)
+        monkeypatch.setattr(integral_oracle, "_regulated_values", with_residue)
         with pytest.raises(ConvergenceError, match="imaginary residue"):
             numeric_probability(0.1, 1.0)
 
@@ -221,7 +243,7 @@ class TestNumericProbability:
         def no_quadrature(*args, **kwargs):
             raise AssertionError("quadrature ran")
 
-        monkeypatch.setattr(integral_oracle, "_single_epsilon", no_quadrature)
+        monkeypatch.setattr(integral_oracle, "_regulated_values", no_quadrature)
         for call in (
             lambda: numeric_probability(0.1, 1.0, rtol=rtol),
             lambda: numeric_c(PAIR, GEOM_PAR, rtol=rtol),
@@ -277,8 +299,10 @@ class TestNumericX:
         # only; the time-ordered integrand is even in u, so the value is
         # unchanged
         spec = QuadratureSpec()
-        a = _single_epsilon(0.3, -0.7, 1.0, 3.0, 0.01, spec, True)
-        b = _single_epsilon(0.7, -0.3, 1.0, 3.0, 0.01, spec, True)
+        at = spec.epsilons.index(0.01)
+        a, b = _regulated_values([(0.3, -0.7, True), (0.7, -0.3, True)], 1.0, 3.0, spec)[
+            :, at
+        ]
         assert abs(a - b) <= 1e-8 * abs(a)
 
     def test_reduction_identity(self):
@@ -315,3 +339,55 @@ class TestNumericCorrelations:
         for name in ("p_a", "p_b", "c", "x"):
             closed, oracle = getattr(want, name), getattr(got, name)
             assert abs(closed - oracle) <= 1e-3 * abs(oracle), name
+
+    @pytest.mark.parametrize("alignment", list(Alignment))
+    @pytest.mark.parametrize("omega_a, omega_b", [(0.1, 1.0), (0.3, 0.3)])
+    def test_fields_equal_standalone_integrals(self, alignment, omega_a, omega_b):
+        # batching shares sbar rows between integrals on one mesh; it
+        # must not change a single bit of any of them
+        pair = DetectorPair(omega_a, omega_b)
+        geom = BoundaryGeometry(alignment, 0.5, 1.5)
+        _, _, distance_b = _distances(geom)
+        got = numeric_correlations(pair, geom)
+        assert got.p_a == numeric_probability(omega_a, 1.5)
+        assert got.p_b == numeric_probability(omega_b, distance_b)
+        assert got.c == numeric_c(pair, geom)
+        assert got.x == numeric_x(pair, geom)
+
+
+class TestFoldedSharedRows:
+    """The oracle folds the symmetric Gauss-Legendre rule onto a real
+    cosine and evaluates each sbar row once per distinct section width
+    across the regulator schedule; at every regulator it must agree with
+    the unfolded complex rule to rounding."""
+
+    # (nodes, alignment, omega_a, omega_b, separation, boundary_distance);
+    # l = 0.05, dz = 0.01 sits near the mirror, and omega_b = 2.5 makes
+    # P_B tiny there
+    CASES = [
+        (400, Alignment.PARALLEL, 0.1, 1.0, 1.0, 2.0),
+        (400, Alignment.ORTHOGONAL, 0.1, 1.0, 1.0, 2.0),
+        (400, Alignment.PARALLEL, 0.1, 2.5, 0.05, 0.01),
+        (400, Alignment.ORTHOGONAL, 0.1, 2.5, 0.05, 0.01),
+        (401, Alignment.ORTHOGONAL, 0.1, 2.5, 0.05, 0.01),
+        (800, Alignment.PARALLEL, 0.1, 1.0, 1.0, 2.0),
+    ]
+
+    @pytest.mark.parametrize("nodes, alignment, omega_a, omega_b, l, dz", CASES)
+    def test_matches_full_complex_rule(self, nodes, alignment, omega_a, omega_b, l, dz):
+        spec = QuadratureSpec(nodes=nodes)
+        spatial, image, distance_b = _distances(BoundaryGeometry(alignment, l, dz))
+        p_a, p_b = (omega_a, omega_a, False), (omega_b, omega_b, False)
+        # grouped as numeric_correlations groups them: one call per mesh
+        if distance_b == dz:
+            integrals = [([p_a, p_b], 0.0, 2.0 * dz)]
+        else:
+            integrals = [([p_a], 0.0, 2.0 * dz), ([p_b], 0.0, 2.0 * distance_b)]
+        correlation_terms = [(omega_a, omega_b, False), (omega_a, -omega_b, True)]
+        integrals.append((correlation_terms, spatial, image))
+        for terms, spatial_t, image_t in integrals:
+            values = _regulated_values(terms, spatial_t, image_t, spec)
+            for term, schedule in zip(terms, values):
+                for eps, got in zip(spec.epsilons, schedule):
+                    full = full_rule(*term[:2], spatial_t, image_t, eps, spec, term[2])
+                    assert abs(got - full) <= 1e-12 * abs(full) + 1e-14, (term, eps)

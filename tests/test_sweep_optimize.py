@@ -14,7 +14,8 @@ from mirrorsteer.detector_model import (
     config_difference,
     harvested_steering,
 )
-from mirrorsteer.errors import ValidationError
+from mirrorsteer import sweep_optimize
+from mirrorsteer.errors import ConvergenceError, ValidationError
 from mirrorsteer.sweep_optimize import (
     MAX_POINTS,
     FigureId,
@@ -130,6 +131,35 @@ class TestSweep:
         pair = DetectorPair(omega_a=0.2, omega_b=0.5)
         with pytest.raises(ValidationError, match="omega-b = 0.05"):
             sweep(pair, GEOM_PAR, axis)
+
+    def test_foreign_exception_propagates_unchanged(self, monkeypatch):
+        # an exception whose constructor takes other arguments must reach
+        # the caller as raised, not as a TypeError from re-wrapping it
+        class TwoArgError(Exception):
+            def __init__(self, code, detail):
+                super().__init__(code, detail)
+
+        raised = TwoArgError(7, "model failed")
+
+        def failing(pair, geom):
+            raise raised
+
+        monkeypatch.setattr(sweep_optimize, "correlations", failing)
+        axis = SweepAxis(SweepVariable.SEPARATION, start=0.1, stop=2.0, points=3)
+        with pytest.raises(TwoArgError) as info:
+            sweep(PAIR, GEOM_PAR, axis)
+        assert info.value is raised
+
+    def test_convergence_error_names_grid_point(self, monkeypatch):
+        def failing(pair, geom):
+            raise ConvergenceError("no convergence")
+
+        monkeypatch.setattr(sweep_optimize, "correlations", failing)
+        axis = SweepAxis(SweepVariable.SEPARATION, start=0.5, stop=2.0, points=3)
+        match = "separation = 0.5: no convergence"
+        with pytest.raises(ConvergenceError, match=match) as info:
+            sweep(PAIR, GEOM_PAR, axis)
+        assert isinstance(info.value.__cause__, ConvergenceError)
 
     def test_deterministic(self):
         axis = SweepAxis(SweepVariable.SEPARATION, start=0.1, stop=2.0, points=30)
