@@ -25,7 +25,6 @@ from .detector_model import (
 )
 from .errors import ConvergenceError, PerturbativeValidityError, ValidationError
 from .integral_oracle import (
-    QuadratureSpec,
     extrapolate_epsilon,
     numeric_c,
     numeric_correlations,
@@ -73,7 +72,6 @@ __all__ = [
     "Objective",
     "PeakResult",
     "PerturbativeValidityError",
-    "QuadratureSpec",
     "SteeringResult",
     "SweepAxis",
     "SweepScale",

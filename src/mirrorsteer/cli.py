@@ -29,7 +29,7 @@ from .detector_model import (
     steering_from_block,
 )
 from .errors import ConvergenceError, ValidationError
-from .integral_oracle import QuadratureSpec, numeric_correlations
+from .integral_oracle import EPSILONS, NODES, TRUNCATION, numeric_correlations
 from .sweep_optimize import (
     OBSERVABLES,
     FigureId,
@@ -91,15 +91,8 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _provenance(config: dict, quadrature: QuadratureSpec | None = None) -> dict:
-    block = {"version": __version__, "config_hash": _config_hash(config)}
-    if quadrature is not None:
-        block["quadrature"] = {
-            "truncation": quadrature.truncation,
-            "nodes": quadrature.nodes,
-            "epsilons": list(quadrature.epsilons),
-        }
-    return block
+def _provenance(config: dict) -> dict:
+    return {"version": __version__, "config_hash": _config_hash(config)}
 
 
 def _comment_lines(params: dict) -> list[str]:
@@ -214,14 +207,13 @@ def _json_number(value):
 
 def _cmd_verify(args) -> int:
     grid = VERIFY_GRID_SMOKE if args.grid == "smoke" else VERIFY_GRID_DEFAULT
-    spec = QuadratureSpec()
     rows = []
     for omega_a, omega_b, separation, boundary_distance in grid:
         pair = DetectorPair(omega_a, omega_b)
         for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL):
             geom = BoundaryGeometry(alignment, separation, boundary_distance)
             block = correlations(pair, geom)
-            oracle = numeric_correlations(pair, geom, spec=spec, rtol=args.rtol)
+            oracle = numeric_correlations(pair, geom, rtol=args.rtol)
             row = {
                 "alignment": alignment.value,
                 "omega_a": omega_a,
@@ -259,7 +251,14 @@ def _cmd_verify(args) -> int:
             "max_rel_deviation": worst,
             "passed": passed,
             "rows": rows,
-            "provenance": _provenance(config, quadrature=spec),
+            "provenance": {
+                **_provenance(config),
+                "quadrature": {
+                    "truncation": TRUNCATION,
+                    "nodes": NODES,
+                    "epsilons": list(EPSILONS),
+                },
+            },
         }
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return 0 if passed else 1

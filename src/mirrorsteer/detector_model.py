@@ -202,7 +202,11 @@ def _aux_f(l: float, s: float) -> float:
 def _aux_g(l: float, d: float) -> complex:
     # the 1/l divergence of the imaginary part is the physical
     # coincidence-limit singularity of the time-ordered correlator
-    im = math.exp(-l * l / 4.0) * math.cos(d * l / 2.0) / l
+    damping = math.exp(-l * l / 4.0)
+    # once the damping underflows (l above ~55) the phase is irrelevant, and
+    # at huge l it overflows to inf, where cos and sin are undefined
+    phase = d * l / 2.0 if damping else 0.0
+    im = damping * math.cos(phase) / l
     if l < SERIES_CROSSOVER:
         i1, i3, i5 = _w_moments(d)
         e = math.exp(-d * d / 4.0)
@@ -213,7 +217,7 @@ def _aux_g(l: float, d: float) -> complex:
         )
     else:
         re = (
-            math.exp(-l * l / 4.0) * math.sin(d * l / 2.0)
+            damping * math.sin(phase)
             - math.exp(-d * d / 4.0) * faddeeva_w(complex(-l / 2.0, d / 2.0)).imag
         ) / l
     return complex(re, im)

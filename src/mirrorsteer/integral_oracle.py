@@ -35,6 +35,13 @@ evaluated once for every regulator and for every integral that shares
 the mesh (C with X, and P_A with P_B when both detectors are equally far
 from the mirror).
 
+The discretisation is fixed: the box is truncated at |tau|, |tau'| <=
+:data:`TRUNCATION` switching widths, each sbar row uses the
+:data:`NODES`-point rule, and the regulator schedule is
+:data:`EPSILONS`. Only the requested tolerance of
+:func:`numeric_correlations` is a parameter; ``verify`` echoes the three
+constants in its provenance block.
+
 All summation is done with numpy's pairwise reductions on fixed-shape
 arrays, so results are bit-stable across runs and machines with the
 same floating-point contract.
@@ -44,7 +51,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -61,39 +67,13 @@ _ABS_FLOOR = 1e-8
 # the graded regions
 _COARSE_WIDTH = 1.0
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Discretization of the response integrals.
-
-    ``truncation`` is the half-width of the switching window kept in the
-    integration box (the Gaussian window is ~1e-14 at 8), ``nodes`` the
-    Gauss-Legendre order of the long axis, and ``epsilons`` the
-    regulator schedule used for the extrapolation to zero.
-    """
-
-    truncation: float = 8.0
-    nodes: int = 400
-    epsilons: tuple[float, ...] = (0.02, 0.01, 0.005)
-
-    def __post_init__(self):
-        t = float(self.truncation)
-        if not math.isfinite(t) or t < 6.0:
-            raise ValidationError("truncation must be >= 6 switching widths")
-        n = int(self.nodes)
-        if n < 200:
-            raise ValidationError("nodes must be >= 200")
-        eps = tuple(float(e) for e in self.epsilons)
-        if not eps:
-            raise ValidationError("epsilons must be nonempty")
-        for e in eps:
-            if not math.isfinite(e) or e <= 0.0 or e > 0.05:
-                raise ValidationError("each epsilon must lie in (0, 0.05]")
-        if any(a <= b for a, b in zip(eps, eps[1:])):
-            raise ValidationError("epsilons must be strictly decreasing")
-        object.__setattr__(self, "truncation", t)
-        object.__setattr__(self, "nodes", n)
-        object.__setattr__(self, "epsilons", eps)
+# half-width of the switching window kept in the integration box (the
+# Gaussian window is ~1e-14 at 8)
+TRUNCATION = 8.0
+# Gauss-Legendre order of the sbar rule; the u panels use 16 nodes per 400
+NODES = 400
+# decreasing regulator schedule, extrapolated to zero
+EPSILONS = (0.02, 0.01, 0.005)
 
 
 def _two_point(dt, spatial: float, image: float, eps: float):
@@ -135,9 +115,9 @@ def _panel_edges(singular, eps: float, half_width: float):
     return np.array(sorted(pts))
 
 
-def _u_mesh(spatial: float, image: float, eps: float, spec: QuadratureSpec):
-    order = max(8, (16 * spec.nodes) // 400)
-    half_width = 2.0 * spec.truncation
+def _u_mesh(spatial: float, image: float, eps: float):
+    order = max(8, (16 * NODES) // 400)
+    half_width = 2.0 * TRUNCATION
     edges = _panel_edges((0.0, spatial, image), eps, half_width)
     xg, wg = _gauss_nodes(order)
     a, b = edges[:-1], edges[1:]
@@ -169,9 +149,9 @@ def _folded_nodes(order: int):
     return xs, ws
 
 
-def _regulated_values(terms, spatial: float, image: float, spec: QuadratureSpec):
+def _regulated_values(terms, spatial: float, image: float):
     """Regulated quadratures of response integrals that share one
-    ``(spatial, image)`` mesh, at every regulator of ``spec``.
+    ``(spatial, image)`` mesh, at every regulator of :data:`EPSILONS`.
 
     Each term is ``(omega_a, omega_b, time_ordered)``: the gaps at tau and
     tau', so that the phase omega_a tau - omega_b tau' is alpha u + beta
@@ -180,13 +160,13 @@ def _regulated_values(terms, spatial: float, image: float, spec: QuadratureSpec)
     evaluated once per distinct section half-width h over the whole
     schedule, and the exp(-sbar^2) factor once for all terms.
     """
-    meshes = [_u_mesh(spatial, image, eps, spec) for eps in spec.epsilons]
+    meshes = [_u_mesh(spatial, image, eps) for eps in EPSILONS]
     h_nodes = np.maximum(
-        spec.truncation - np.abs(np.concatenate([u for u, _ in meshes])) / 2.0, 0.0
+        TRUNCATION - np.abs(np.concatenate([u for u, _ in meshes])) / 2.0, 0.0
     )
     h, inverse = np.unique(h_nodes, return_inverse=True)
     splits = np.cumsum([len(u) for u, _ in meshes])[:-1]
-    xs, ws = _folded_nodes(spec.nodes)
+    xs, ws = _folded_nodes(NODES)
     sb = h[:, None] * xs[None, :]
     gauss = np.exp(-(sb**2))
     values = np.empty((len(terms), len(meshes)), dtype=complex)
@@ -195,7 +175,7 @@ def _regulated_values(terms, spatial: float, image: float, spec: QuadratureSpec)
         alpha = (omega_a + omega_b) / 2.0
         kernel = gauss if beta == 0.0 else gauss * np.cos(beta * sb)
         rows = np.split((kernel @ ws * h)[inverse], splits)
-        for i, (eps, (u, uw), srow) in enumerate(zip(spec.epsilons, meshes, rows)):
+        for i, (eps, (u, uw), srow) in enumerate(zip(EPSILONS, meshes, rows)):
             # the time-ordered term sees the correlator at -|u| on both triangles
             warg = -np.abs(u) if time_ordered else u
             ku = (
@@ -248,12 +228,7 @@ def extrapolate_epsilon(values) -> tuple[complex, float]:
 
 
 def _extrapolated(
-    terms,
-    spatial: float,
-    image: float,
-    coupling: float,
-    spec: QuadratureSpec,
-    rtol: float,
+    terms, spatial: float, image: float, coupling: float, rtol: float = 1e-3
 ) -> list[tuple[complex, float]]:
     """Each response integral of ``terms`` (see :func:`_regulated_values`)
     extrapolated to zero regulator, times the squared coupling, with its
@@ -262,10 +237,10 @@ def _extrapolated(
         raise ValidationError(f"rtol must be a positive finite number, got {rtol!r}")
     lam2 = coupling * coupling
     results = []
-    for schedule in _regulated_values(terms, spatial, image, spec):
+    for schedule in _regulated_values(terms, spatial, image):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            limit, estimate = extrapolate_epsilon(zip(spec.epsilons, schedule))
+            limit, estimate = extrapolate_epsilon(zip(EPSILONS, schedule))
         limit *= lam2
         estimate *= lam2
         # the monotonicity diagnostic is meaningful only above the noise
@@ -279,7 +254,8 @@ def _extrapolated(
         if estimate > 10.0 * rtol * scale:
             raise ConvergenceError(
                 f"epsilon extrapolation error {estimate:.3e} exceeds 10 x rtol x "
-                f"scale = {10.0 * rtol * scale:.3e}; refine the quadrature spec"
+                f"scale = {10.0 * rtol * scale:.3e}; request a larger rtol from "
+                "numeric_correlations (verify --rtol)"
             )
         results.append((limit, estimate))
     return results
@@ -296,14 +272,9 @@ def _real_probability(value: complex, estimate: float) -> float:
     return value.real
 
 
-def numeric_probability(
-    omega: float,
-    dz: float,
-    coupling: float = 1.0,
-    spec: QuadratureSpec | None = None,
-    rtol: float = 1e-3,
-) -> float:
-    """Excitation probability from the defining double integral.
+def numeric_probability(omega: float, dz: float) -> float:
+    """Excitation probability at unit coupling from the defining double
+    integral, its extrapolation held to rtol 1e-3.
 
     This is the cross-excitation integral of the detector with itself:
     gap ``omega`` at both times, no direct separation, and an image
@@ -317,10 +288,7 @@ def numeric_probability(
         raise ValidationError("omega must be a nonnegative real")
     if not math.isfinite(dz) or dz <= 0.0:
         raise ValidationError("dz must be positive")
-    spec = spec or QuadratureSpec()
-    ((value, estimate),) = _extrapolated(
-        [(omega, omega, False)], 0.0, 2.0 * dz, float(coupling), spec, rtol
-    )
+    ((value, estimate),) = _extrapolated([(omega, omega, False)], 0.0, 2.0 * dz, 1.0)
     return _real_probability(value, estimate)
 
 
@@ -342,27 +310,16 @@ def _correlation_terms(pair: DetectorPair):
     return [(pair.omega_a, pair.omega_b, False), (pair.omega_a, -pair.omega_b, True)]
 
 
-def numeric_c(
-    pair: DetectorPair,
-    geom: BoundaryGeometry,
-    spec: QuadratureSpec | None = None,
-    rtol: float = 1e-3,
-) -> complex:
+def numeric_c(pair: DetectorPair, geom: BoundaryGeometry) -> complex:
     """Cross-excitation correlation from the defining double integral."""
-    spec = spec or QuadratureSpec()
     spatial, image, _ = _distances(geom)
     ((value, _),) = _extrapolated(
-        _correlation_terms(pair)[:1], spatial, image, pair.coupling, spec, rtol
+        _correlation_terms(pair)[:1], spatial, image, pair.coupling
     )
     return value
 
 
-def numeric_x(
-    pair: DetectorPair,
-    geom: BoundaryGeometry,
-    spec: QuadratureSpec | None = None,
-    rtol: float = 1e-3,
-) -> complex:
+def numeric_x(pair: DetectorPair, geom: BoundaryGeometry) -> complex:
     """Double-excitation coherence from the defining double integral.
 
     This is minus the time-ordered response integral with detector B's
@@ -370,40 +327,36 @@ def numeric_x(
     panel edge and evaluating the correlator at -|u|, which is exactly
     the two-triangle decomposition of the original box.
     """
-    spec = spec or QuadratureSpec()
     spatial, image, _ = _distances(geom)
     ((value, _),) = _extrapolated(
-        _correlation_terms(pair)[1:], spatial, image, pair.coupling, spec, rtol
+        _correlation_terms(pair)[1:], spatial, image, pair.coupling
     )
     return -value
 
 
 def numeric_correlations(
-    pair: DetectorPair,
-    geom: BoundaryGeometry,
-    spec: QuadratureSpec | None = None,
-    rtol: float = 1e-3,
+    pair: DetectorPair, geom: BoundaryGeometry, rtol: float = 1e-3
 ) -> CorrelationBlock:
     """``p_a``, ``p_b``, ``c`` and ``x`` of the pair from their defining
     double integrals: the oracle counterpart of ``correlations``.
 
-    Each field equals the matching ``numeric_probability``, ``numeric_c``
-    or ``numeric_x`` result; integrals on one mesh share their sbar rows:
-    ``c`` with ``x``, and ``p_a`` with ``p_b`` when both detectors are
-    equally far from the mirror.
+    Each field equals the matching ``numeric_c`` or ``numeric_x`` result,
+    and at unit coupling the matching ``numeric_probability`` result;
+    integrals on one mesh share their sbar rows: ``c`` with ``x``, and
+    ``p_a`` with ``p_b`` when both detectors are equally far from the
+    mirror.
     """
-    spec = spec or QuadratureSpec()
     spatial, image, distance_b = _distances(geom)
     lam = pair.coupling
     dz = geom.boundary_distance
     terms_a = [(pair.omega_a, pair.omega_a, False)]
     terms_b = [(pair.omega_b, pair.omega_b, False)]
     if distance_b == dz:
-        p_a, p_b = _extrapolated(terms_a + terms_b, 0.0, 2.0 * dz, lam, spec, rtol)
+        p_a, p_b = _extrapolated(terms_a + terms_b, 0.0, 2.0 * dz, lam, rtol)
     else:
-        (p_a,) = _extrapolated(terms_a, 0.0, 2.0 * dz, lam, spec, rtol)
-        (p_b,) = _extrapolated(terms_b, 0.0, 2.0 * distance_b, lam, spec, rtol)
-    c, x = _extrapolated(_correlation_terms(pair), spatial, image, lam, spec, rtol)
+        (p_a,) = _extrapolated(terms_a, 0.0, 2.0 * dz, lam, rtol)
+        (p_b,) = _extrapolated(terms_b, 0.0, 2.0 * distance_b, lam, rtol)
+    c, x = _extrapolated(_correlation_terms(pair), spatial, image, lam, rtol)
     return CorrelationBlock(
         p_a=_real_probability(*p_a),
         p_b=_real_probability(*p_b),

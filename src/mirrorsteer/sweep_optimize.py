@@ -15,7 +15,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,7 +54,6 @@ REFINE_TOL = 1e-6
 MAX_POINTS = 1_000_000
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 class SweepVariable(enum.Enum):
@@ -253,7 +252,6 @@ def find_peak(
     variable: SweepVariable,
     bracket: tuple[float, float],
     objective: Objective,
-    objective_fn: Callable[[float], float] | None = None,
 ) -> PeakResult:
     """Locate an interior maximum of a steering objective by golden section.
 
@@ -266,9 +264,8 @@ def find_peak(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValidationError("peak bracket must satisfy lo < hi")
-    if objective_fn is None:
-        index = OBSERVABLES.index(_OBSERVABLE_OF[objective])
-        objective_fn = lambda v: _evaluate(pair, geom, variable, v)[index]
+    index = OBSERVABLES.index(_OBSERVABLE_OF[objective])
+    objective_fn = lambda v: _evaluate(pair, geom, variable, v)[index]
 
     f_lo = objective_fn(lo)
     f_hi = objective_fn(hi)
@@ -311,7 +308,6 @@ def find_transition(
     variable: SweepVariable,
     bracket: tuple[float, float],
     direction: Direction,
-    indicator_fn: Callable[[float], bool] | None = None,
 ) -> TransitionResult:
     """Bisect for the boundary between steerable and unsteerable parameters.
 
@@ -325,9 +321,8 @@ def find_transition(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValidationError("transition bracket must satisfy lo < hi")
-    if indicator_fn is None:
-        index = OBSERVABLES.index(_OBSERVABLE_OF[direction])
-        indicator_fn = lambda v: _evaluate(pair, geom, variable, v)[index] > 0.0
+    index = OBSERVABLES.index(_OBSERVABLE_OF[direction])
+    indicator_fn = lambda v: _evaluate(pair, geom, variable, v)[index] > 0.0
 
     live_lo = indicator_fn(lo)
     live_hi = indicator_fn(hi)
@@ -415,13 +410,25 @@ def figure_dataset(
             label = alignment.value
             curve_pair, curve_geom = pair, geom
             if spec.family is not None:
-                label += f" {_FAMILY_NAME[spec.family]}={value:.2f}"
+                name = _FAMILY_NAME[spec.family]
+                label += f" {name}={value:.2f}"
+                if label in out:
+                    values = " and ".join(f"{v:g}" for v in family)
+                    raise ValidationError(
+                        f"{figure_id.value} curves at {name} = {values} share the "
+                        f"label {label!r}; labels keep two decimals"
+                    )
                 try:
                     curve_pair, curve_geom = _apply(pair, geom, spec.family, value)
                 except ValidationError as exc:
+                    # a gap member fails against omega_a, a separation on its own
+                    culprit = (
+                        f"omega_a = {pair.omega_a:g}"
+                        if spec.family is _WB
+                        else f"separation = {value:g}"
+                    )
                     raise ValidationError(
-                        f"curve {label!r} cannot be built with omega_a = "
-                        f"{pair.omega_a:g}: {exc}"
+                        f"curve {label!r} cannot be built with {culprit}: {exc}"
                     ) from exc
             table = sweep(curve_pair, curve_geom, axis)
             out[label] = dataclasses.replace(table, label=label)

@@ -88,6 +88,22 @@ class TestCompute:
         assert "1e+308" in err
         assert out == ""
 
+    def test_huge_separation_gives_zero_correlations(self, capsys):
+        # past l ~ 55 the damped oscillating terms underflow to zero; at
+        # 1e308 their phase overflows too, which must not matter
+        records = []
+        for l in ("1e200", "1e308"):
+            argv = list(self.ARGS)
+            argv[argv.index("--l") + 1] = l
+            argv[argv.index("--omega-b") + 1] = "3"
+            code, out, err = run(argv, capsys)
+            assert (code, err) == (0, "")
+            records.append(json.loads(out))
+        observables = CSV_HEADER.split(",")[1:]
+        at_1e200, at_1e308 = ([r[k] for k in observables] for r in records)
+        assert at_1e308 == at_1e200
+        assert records[1]["abs_c"] == records[1]["abs_x"] == 0.0
+
     def test_provenance_block(self, capsys):
         code, out, _ = run(self.ARGS, capsys)
         record = json.loads(out)
@@ -285,6 +301,17 @@ class TestVerifyCommand:
         assert run(argv, capsys)[0] == 0
         assert out.read_text() == text
 
+    def test_provenance_echoes_fixed_discretisation(self, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--grid", "smoke", "--format", "json", "--out", str(out)]
+        assert run(argv, capsys)[0] == 0
+        quadrature = json.loads(out.read_text())["provenance"]["quadrature"]
+        assert list(quadrature.items()) == [
+            ("truncation", 8.0), ("nodes", 400), ("epsilons", [0.02, 0.01, 0.005])
+        ]
+        assert type(quadrature["truncation"]) is float
+        assert type(quadrature["nodes"]) is int
+
     def test_unreachable_tolerance_exits_3(self, capsys):
         code, _, err = run(["verify", "--grid", "smoke", "--rtol", "1e-12"], capsys)
         assert code == 3
@@ -448,6 +475,45 @@ class TestFigureCommand:
         assert code == 2
         assert "fig6" in err
         assert "omega_a = 7" in err
+
+    @pytest.mark.parametrize(
+        "small_l, large_l, label",
+        [("0.051", "0.052", "parallel L=0.05"), ("1e-3", "2e-3", "parallel L=0.00")],
+    )
+    def test_fig6_separations_sharing_a_label_refused(
+        self, small_l, large_l, label, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "fig"
+        code, _, err = run(
+            ["figure", "fig6", "--small-l", small_l, "--large-l", large_l,
+             "--resolution", "3", "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 2
+        assert f"{float(small_l):g} and {float(large_l):g}" in err
+        assert repr(label) in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "small_l, cause",
+        [("-1", "must be positive"), ("1e308", "overflow the mirror-image distances")],
+    )
+    def test_fig6_bad_separation_names_the_separation(
+        self, small_l, cause, tmp_path, capsys
+    ):
+        # 1e308 is fine for the parallel curve; the orthogonal one puts
+        # detector B's image at 2e308
+        out_dir = tmp_path / "fig"
+        code, _, err = run(
+            ["figure", "fig6", "--small-l", small_l, "--resolution", "3",
+             "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 2
+        assert f"separation = {float(small_l):g}" in err
+        assert cause in err
+        assert "omega_a" not in err
+        assert not out_dir.exists()
 
     def test_bad_figure_id_exits_2(self, capsys):
         code, _, _ = run(["figure", "fig9", "--out", "."], capsys)

@@ -23,7 +23,6 @@ from mirrorsteer.detector_model import (
 from mirrorsteer.errors import ConvergenceError, ValidationError
 from mirrorsteer import integral_oracle
 from mirrorsteer.integral_oracle import (
-    QuadratureSpec,
     extrapolate_epsilon,
     numeric_c,
     numeric_correlations,
@@ -40,13 +39,14 @@ PAIR = DetectorPair(omega_a=0.1, omega_b=0.1)
 GEOM_PAR = BoundaryGeometry(Alignment.PARALLEL, separation=1.0, boundary_distance=1.0)
 
 
-def full_rule(omega_a, omega_b, spatial, image, eps, spec, time_ordered):
+def full_rule(omega_a, omega_b, spatial, image, eps, time_ordered):
     """One regulated quadrature of the response integral with the complex
     phase over every Gauss-Legendre node, one sbar row per u node: the
-    unfolded rule the oracle's folded, shared rows must reproduce."""
+    unfolded rule the oracle's folded, shared rows must reproduce. Reads
+    the oracle's discretisation constants at call time."""
     beta = omega_a - omega_b
     alpha = (omega_a + omega_b) / 2.0
-    u, uw = _u_mesh(spatial, image, eps, spec)
+    u, uw = _u_mesh(spatial, image, eps)
     warg = -np.abs(u) if time_ordered else u
     ku = (
         np.exp(-(u**2) / 4.0)
@@ -54,8 +54,8 @@ def full_rule(omega_a, omega_b, spatial, image, eps, spec, time_ordered):
         * _two_point(warg, spatial, image, eps)
         * uw
     )
-    xs, ws = _gauss_nodes(spec.nodes)
-    h = np.maximum(spec.truncation - np.abs(u) / 2.0, 0.0)
+    xs, ws = _gauss_nodes(integral_oracle.NODES)
+    h = np.maximum(integral_oracle.TRUNCATION - np.abs(u) / 2.0, 0.0)
     sb = h[:, None] * xs[None, :]
     srow = np.exp(-(sb**2)) * np.exp(-1j * beta * sb) @ ws * h
     return complex(np.sum(ku * srow))
@@ -69,10 +69,9 @@ def reduced_integral(omega_a, omega_b, spatial, image, time_ordered):
     is below 1e-14, so the two must agree."""
     beta = omega_a - omega_b
     alpha = (omega_a + omega_b) / 2.0
-    spec = QuadratureSpec()
     values = []
-    for eps in spec.epsilons:
-        u, uw = _u_mesh(spatial, image, eps, spec)
+    for eps in integral_oracle.EPSILONS:
+        u, uw = _u_mesh(spatial, image, eps)
         warg = -np.abs(u) if time_ordered else u
         ku = (
             np.exp(-(u**2) / 4.0)
@@ -84,30 +83,6 @@ def reduced_integral(omega_a, omega_b, spatial, image, time_ordered):
         values.append((eps, sbar * complex(np.sum(ku))))
     limit, _ = extrapolate_epsilon(values)
     return limit
-
-
-class TestQuadratureSpec:
-    def test_defaults_valid(self):
-        spec = QuadratureSpec()
-        assert spec.truncation == 8.0
-        assert spec.nodes == 400
-        assert spec.epsilons == (0.02, 0.01, 0.005)
-
-    def test_rejects_short_truncation(self):
-        with pytest.raises(ValidationError):
-            QuadratureSpec(truncation=4.0)
-
-    def test_rejects_few_nodes(self):
-        with pytest.raises(ValidationError):
-            QuadratureSpec(nodes=100)
-
-    def test_rejects_nonmonotone_epsilons(self):
-        with pytest.raises(ValidationError):
-            QuadratureSpec(epsilons=(0.01, 0.02, 0.005))
-
-    def test_rejects_large_epsilon(self):
-        with pytest.raises(ValidationError):
-            QuadratureSpec(epsilons=(0.2, 0.1, 0.05))
 
 
 class TestWightman:
@@ -197,9 +172,10 @@ class TestNumericProbability:
         red = reduced_integral(0.1, 0.1, 0.0, 2.0, time_ordered=False)
         assert red.real == pytest.approx(full, rel=1e-6)
 
-    def test_node_doubling_stable(self):
+    def test_node_doubling_stable(self, monkeypatch):
         base = numeric_probability(0.1, 1.0)
-        fine = numeric_probability(0.1, 1.0, spec=QuadratureSpec(nodes=800))
+        monkeypatch.setattr(integral_oracle, "NODES", 800)
+        fine = numeric_probability(0.1, 1.0)
         assert fine == pytest.approx(base, rel=1e-6)
 
     def test_deterministic(self):
@@ -208,13 +184,16 @@ class TestNumericProbability:
         assert a == b
 
     def test_coupling_scaling(self):
-        base = numeric_probability(0.1, 1.0)
-        strong = numeric_probability(0.1, 1.0, coupling=2.0)
-        assert strong / base == pytest.approx(4.0, abs=1e-12)
+        # every entry of the leading-order block carries lambda^2
+        base = numeric_correlations(PAIR, GEOM_PAR)
+        strong = numeric_correlations(DetectorPair(0.1, 0.1, coupling=2.0), GEOM_PAR)
+        for name in ("p_a", "p_b", "c", "x"):
+            ratio = getattr(strong, name) / getattr(base, name)
+            assert abs(ratio - 4.0) <= 1e-12, name
 
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(ConvergenceError):
-            numeric_probability(0.1, 1.0, rtol=1e-9)
+            numeric_correlations(PAIR, GEOM_PAR, rtol=1e-9)
 
     def test_small_probability_at_large_gap(self):
         # P ~ 1e-7 here: the imaginary residue of the sum, ~1e-15, is
@@ -244,13 +223,9 @@ class TestNumericProbability:
             raise AssertionError("quadrature ran")
 
         monkeypatch.setattr(integral_oracle, "_regulated_values", no_quadrature)
-        for call in (
-            lambda: numeric_probability(0.1, 1.0, rtol=rtol),
-            lambda: numeric_c(PAIR, GEOM_PAR, rtol=rtol),
-            lambda: numeric_x(PAIR, GEOM_PAR, rtol=rtol),
-        ):
+        for geom in (GEOM_PAR, BoundaryGeometry(Alignment.ORTHOGONAL, 1.0, 1.0)):
             with pytest.raises(ValidationError, match="rtol"):
-                call()
+                numeric_correlations(PAIR, geom, rtol=rtol)
 
 
 class TestNumericC:
@@ -278,8 +253,9 @@ class TestNumericC:
         assert abs(at30 - free_c) / abs(free_c) < 1e-3
 
     def test_unreachable_tolerance_raises(self):
-        with pytest.raises(ConvergenceError):
-            numeric_c(PAIR, GEOM_PAR, rtol=1e-12)
+        # the advice names the one setting a caller has
+        with pytest.raises(ConvergenceError, match="larger rtol"):
+            numeric_correlations(PAIR, GEOM_PAR, rtol=1e-12)
 
 
 class TestNumericX:
@@ -298,11 +274,8 @@ class TestNumericX:
         # exchanging the detector labels flips the sign of the u phase
         # only; the time-ordered integrand is even in u, so the value is
         # unchanged
-        spec = QuadratureSpec()
-        at = spec.epsilons.index(0.01)
-        a, b = _regulated_values([(0.3, -0.7, True), (0.7, -0.3, True)], 1.0, 3.0, spec)[
-            :, at
-        ]
+        at = integral_oracle.EPSILONS.index(0.01)
+        a, b = _regulated_values([(0.3, -0.7, True), (0.7, -0.3, True)], 1.0, 3.0)[:, at]
         assert abs(a - b) <= 1e-8 * abs(a)
 
     def test_reduction_identity(self):
@@ -311,9 +284,10 @@ class TestNumericX:
         red = -reduced_integral(0.1, -0.1, spatial, image, time_ordered=True)
         assert abs(red - full) <= 1e-6 * abs(full)
 
-    def test_node_doubling_stable(self):
+    def test_node_doubling_stable(self, monkeypatch):
         base = numeric_x(PAIR, GEOM_PAR)
-        fine = numeric_x(PAIR, GEOM_PAR, spec=QuadratureSpec(nodes=800))
+        monkeypatch.setattr(integral_oracle, "NODES", 800)
+        fine = numeric_x(PAIR, GEOM_PAR)
         assert abs(fine - base) <= 1e-6 * abs(base)
 
     def test_deterministic(self):
@@ -374,8 +348,10 @@ class TestFoldedSharedRows:
     ]
 
     @pytest.mark.parametrize("nodes, alignment, omega_a, omega_b, l, dz", CASES)
-    def test_matches_full_complex_rule(self, nodes, alignment, omega_a, omega_b, l, dz):
-        spec = QuadratureSpec(nodes=nodes)
+    def test_matches_full_complex_rule(
+        self, nodes, alignment, omega_a, omega_b, l, dz, monkeypatch
+    ):
+        monkeypatch.setattr(integral_oracle, "NODES", nodes)
         spatial, image, distance_b = _distances(BoundaryGeometry(alignment, l, dz))
         p_a, p_b = (omega_a, omega_a, False), (omega_b, omega_b, False)
         # grouped as numeric_correlations groups them: one call per mesh
@@ -386,8 +362,8 @@ class TestFoldedSharedRows:
         correlation_terms = [(omega_a, omega_b, False), (omega_a, -omega_b, True)]
         integrals.append((correlation_terms, spatial, image))
         for terms, spatial_t, image_t in integrals:
-            values = _regulated_values(terms, spatial_t, image_t, spec)
+            values = _regulated_values(terms, spatial_t, image_t)
             for term, schedule in zip(terms, values):
-                for eps, got in zip(spec.epsilons, schedule):
-                    full = full_rule(*term[:2], spatial_t, image_t, eps, spec, term[2])
+                for eps, got in zip(integral_oracle.EPSILONS, schedule):
+                    full = full_rule(*term[:2], spatial_t, image_t, eps, term[2])
                     assert abs(got - full) <= 1e-12 * abs(full) + 1e-14, (term, eps)

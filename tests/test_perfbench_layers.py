@@ -1,22 +1,26 @@
-"""The benchmark's tracer still fits the package.
+"""The benchmark still fits the package.
 
 ``perfbench/layers.py`` wraps package functions by name from outside
-``src/``, and the workloads reach into a few more names.  A rename or
-deletion in the package would otherwise only surface when the benchmark
-runs with tracing on.
+``src/``, the workloads reach into a few more names, and
+``perfbench/probe.py`` calls the oracle integrals in a fresh interpreter.
+A rename, deletion or signature change in the package would otherwise
+only surface when the benchmark runs.
 """
 
 import importlib
 import importlib.util
 import pathlib
+import re
 import sys
 
 import pytest
 
+import mirrorsteer
 from mirrorsteer import cli, detector_model, sweep_optimize
 from mirrorsteer.xstate_steering import XState
 
-LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
 
 # names the benchmark workloads use besides the traced layers
 WORKLOAD_NAMES = (
@@ -27,12 +31,16 @@ WORKLOAD_NAMES = (
 )
 
 
-@pytest.fixture(scope="module")
-def layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+def _load(path: pathlib.Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def layers():
+    return _load(LAYERS, "perfbench_layers")
 
 
 def _package_namespaces():
@@ -52,6 +60,29 @@ def test_traced_and_used_names_exist(layers):
         if not hasattr(importlib.import_module(f"mirrorsteer.{mod}"), name)
     ]
     assert not missing
+
+
+def test_package_names_the_benchmark_uses_exist():
+    # every ``ms.<name>`` the benchmark files reference, ``ms`` being the
+    # package imported as a whole
+    names = {
+        name
+        for path in PERFBENCH.glob("*.py")
+        for name in re.findall(r"\bms\.([A-Za-z_]\w*)", path.read_text())
+    }
+    assert "numeric_probability" in names
+    assert not sorted(n for n in names if not hasattr(mirrorsteer, n))
+
+
+@pytest.mark.parametrize("kind", ["p", "c", "x"])
+def test_probe_cold_oracle_call_runs(kind, monkeypatch):
+    probe = _load(PERFBENCH / "probe.py", "perfbench_probe")
+    # the probe puts its source directory on sys.path; undo that afterwards
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    src = pathlib.Path(mirrorsteer.__file__).resolve().parents[1]
+    result = probe.main(["cold", kind, str(src)])
+    assert list(result) == ["cold_s"]
+    assert result["cold_s"] > 0.0
 
 
 def test_install_uninstall_round_trips(layers):

@@ -18,6 +18,7 @@ from mirrorsteer import sweep_optimize
 from mirrorsteer.errors import ConvergenceError, ValidationError
 from mirrorsteer.sweep_optimize import (
     MAX_POINTS,
+    REFINE_TOL,
     FigureId,
     Objective,
     SweepAxis,
@@ -34,6 +35,8 @@ from mirrorsteer.sweep_optimize import (
 PAIR = DetectorPair(omega_a=0.1, omega_b=0.1)
 GEOM_PAR = BoundaryGeometry(Alignment.PARALLEL, separation=1.0, boundary_distance=1.0)
 GEOM_ORT = BoundaryGeometry(Alignment.ORTHOGONAL, separation=1.0, boundary_distance=1.0)
+# l = 0.05: s_ba peaks at an interior mirror distance near 0.93
+GEOM_NEAR = BoundaryGeometry(Alignment.PARALLEL, separation=0.05, boundary_distance=1.0)
 
 
 class TestSweepAxis:
@@ -167,38 +170,40 @@ class TestSweep:
 
 
 class TestFindPeak:
-    def test_synthetic_quadratic(self):
+    def test_peak_resolved_to_refine_tol(self):
         res = find_peak(
             PAIR,
-            GEOM_PAR,
+            GEOM_NEAR,
             SweepVariable.BOUNDARY_DISTANCE,
-            bracket=(0.0, 5.0),
+            bracket=(0.2, 6.0),
             objective=Objective.S_BA,
-            objective_fn=lambda v: -((v - 2.0) ** 2),
         )
-        assert res.location == pytest.approx(2.0, abs=1e-6)
-        assert res.value == pytest.approx(0.0, abs=1e-10)
-        assert res.bracket == (0.0, 5.0)
+        assert res.bracket == (0.2, 6.0)
         assert res.iterations > 10
+        assert res.value == harvested_steering(
+            PAIR, BoundaryGeometry(Alignment.PARALLEL, 0.05, res.location)
+        ).s_ba
+        for step in (-2.0 * REFINE_TOL, 2.0 * REFINE_TOL):
+            nearby = BoundaryGeometry(Alignment.PARALLEL, 0.05, res.location + step)
+            assert harvested_steering(PAIR, nearby).s_ba < res.value
 
     def test_unimodality_screen_rejects_monotone(self):
+        # past its peak s_ba only decays with the mirror distance
         with pytest.raises(ValidationError, match="sweep"):
             find_peak(
                 PAIR,
-                GEOM_PAR,
+                GEOM_NEAR,
                 SweepVariable.BOUNDARY_DISTANCE,
-                bracket=(0.0, 5.0),
+                bracket=(2.0, 6.0),
                 objective=Objective.S_BA,
-                objective_fn=lambda v: v,
             )
 
     def test_interior_steering_peak_beats_free_space(self):
         # moving the pair away from the mirror first boosts the harvested
         # steering above the free-space level, then the boost decays
-        geom = BoundaryGeometry(Alignment.PARALLEL, separation=0.05, boundary_distance=1.0)
         res = find_peak(
             PAIR,
-            geom,
+            GEOM_NEAR,
             SweepVariable.BOUNDARY_DISTANCE,
             bracket=(0.2, 6.0),
             objective=Objective.S_BA,
@@ -210,7 +215,7 @@ class TestFindPeak:
     def test_bracket_contains_location(self):
         res = find_peak(
             PAIR,
-            BoundaryGeometry(Alignment.PARALLEL, 0.05, 1.0),
+            GEOM_NEAR,
             SweepVariable.BOUNDARY_DISTANCE,
             bracket=(0.2, 6.0),
             objective=Objective.S_BA,
@@ -219,32 +224,42 @@ class TestFindPeak:
 
 
 class TestFindTransition:
-    def test_synthetic_death(self):
+    def test_death_resolved_to_refine_tol(self):
         res = find_transition(
             PAIR,
-            GEOM_PAR,
+            GEOM_ORT,
             SweepVariable.SEPARATION,
-            bracket=(1.0, 2.0),
-            direction=Direction.B_TO_A,
-            indicator_fn=lambda v: v < 1.5,
-        )
-        assert res.location == pytest.approx(1.5, abs=1e-6)
-        assert res.kind is TransitionKind.SUDDEN_DEATH
-        assert res.direction is Direction.B_TO_A
-
-    def test_synthetic_birth(self):
-        res = find_transition(
-            PAIR,
-            GEOM_PAR,
-            SweepVariable.OMEGA_B,
-            bracket=(1.0, 2.0),
+            bracket=(0.1, 3.0),
             direction=Direction.A_TO_B,
-            indicator_fn=lambda v: v > 1.5,
         )
-        assert res.location == pytest.approx(1.5, abs=1e-6)
+        assert res.kind is TransitionKind.SUDDEN_DEATH
+        assert res.direction is Direction.A_TO_B
+        live, dead = (
+            harvested_steering(
+                PAIR, BoundaryGeometry(Alignment.ORTHOGONAL, res.location + step, 1.0)
+            ).s_ab
+            for step in (-REFINE_TOL, REFINE_TOL)
+        )
+        assert live > 0.0
+        assert dead == 0.0
+
+    def test_gap_birth_resolved_to_refine_tol(self):
+        # at separation 2 only A-to-B steering appears, once the B gap is
+        # large enough (criterion 08)
+        far = BoundaryGeometry(Alignment.PARALLEL, separation=2.0, boundary_distance=1.0)
+        res = find_transition(
+            PAIR, far, SweepVariable.OMEGA_B, bracket=(0.1, 6.0), direction=Direction.A_TO_B
+        )
         assert res.kind is TransitionKind.SUDDEN_BIRTH
+        dead, live = (
+            harvested_steering(DetectorPair(0.1, res.location + step), far).s_ab
+            for step in (-REFINE_TOL, REFINE_TOL)
+        )
+        assert dead == 0.0
+        assert live > 0.0
 
     def test_same_sign_bracket_rejected(self):
+        # B-to-A steering has died before separation 1 and is dead at both ends
         with pytest.raises(ValidationError, match="bracket"):
             find_transition(
                 PAIR,
@@ -252,7 +267,6 @@ class TestFindTransition:
                 SweepVariable.SEPARATION,
                 bracket=(1.0, 2.0),
                 direction=Direction.B_TO_A,
-                indicator_fn=lambda v: True,
             )
 
     def test_real_steering_death(self):
