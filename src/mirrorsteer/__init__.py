@@ -11,8 +11,6 @@ from .detector_model import (
     BoundaryGeometry,
     CorrelationBlock,
     DetectorPair,
-    aux_f,
-    aux_g,
     boundary_free_correlations,
     boundary_free_steering,
     config_difference,
@@ -82,8 +80,6 @@ __all__ = [
     "ValidationError",
     "XState",
     "__version__",
-    "aux_f",
-    "aux_g",
     "boundary_free_correlations",
     "boundary_free_steering",
     "build_tau_ab",

@@ -46,6 +46,8 @@ from .sweep_optimize import (
 )
 
 VERIFY_TOLERANCE = 1e-3
+# longest file name, in bytes, that common file systems accept
+NAME_MAX = 255
 # the correlation-block fields checked against the oracle
 VERIFIED = ("p_a", "p_b", "c", "x")
 
@@ -73,6 +75,10 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _tmp_name(name: str) -> str:
+    return name + f".tmp-{os.getpid()}"
+
+
 def _write_text(path: str | None, text: str) -> None:
     """Write to stdout, or atomically to a file via a temp-and-rename."""
     if path is None:
@@ -81,7 +87,7 @@ def _write_text(path: str | None, text: str) -> None:
     target = pathlib.Path(path)
     if target.parent != pathlib.Path(""):
         target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_name(target.name + f".tmp-{os.getpid()}")
+    tmp = target.with_name(_tmp_name(target.name))
     tmp.write_text(text)
     os.replace(tmp, target)
 
@@ -279,8 +285,19 @@ def _cmd_figure(args) -> int:
         resolution=args.resolution,
         separations=(args.small_l, args.large_l),
     )
+    names = {}
+    for label, table in data.items():
+        name = re.sub(r"[^A-Za-z0-9.+-]+", "_", label) + ".csv"
+        size = len(_tmp_name(name).encode())
+        if size > NAME_MAX:
+            # only fig6 labels carry a number the user sets: the separation
+            raise ValidationError(
+                f"separation = {dict(table.params)['l']:g} gives a curve file "
+                f"name of {size} bytes with its temporary suffix, over the "
+                f"{NAME_MAX}-byte limit"
+            )
+        names[label] = name
     out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for label, table in data.items():
         params = {
             "figure": figure_id.value,
@@ -288,8 +305,7 @@ def _cmd_figure(args) -> int:
             **dict(table.params),
             "axis": table.variable.value,
         }
-        name = re.sub(r"[^A-Za-z0-9.+-]+", "_", label) + ".csv"
-        _write_text(str(out_dir / name), _table_csv(table, params))
+        _write_text(str(out_dir / names[label]), _table_csv(table, params))
     print(f"wrote {len(data)} curve files to {out_dir}")
     return 0
 

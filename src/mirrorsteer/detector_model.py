@@ -68,6 +68,9 @@ class DetectorPair:
             )
         if lam <= 0.0:
             raise ValidationError("coupling must be positive")
+        # the probability kernel reads each gap doubled
+        if not math.isfinite(2.0 * wb):
+            raise ValidationError(f"omega_b = {wb:g} is too large: 2 omega_b overflows")
         object.__setattr__(self, "omega_a", wa)
         object.__setattr__(self, "omega_b", wb)
         object.__setattr__(self, "coupling", lam)
@@ -168,13 +171,6 @@ class CorrelationBlock:
         return self.p_a + self.p_b < 0.5
 
 
-def _require_length(l: float) -> float:
-    l = float(l)
-    if not math.isfinite(l) or l <= 0.0:
-        raise ValidationError("separation argument must be a positive real")
-    return l
-
-
 def _w_moments(s: float):
     """Odd-order Taylor data of Im w(-l/2 + i s/2) around l = 0.
 
@@ -192,6 +188,12 @@ def _w_moments(s: float):
 
 
 def _aux_f(l: float, s: float) -> float:
+    """Spacelike correlation kernel at separation ``l > 0`` and gap ``s``.
+
+    Continuous at l -> 0 with limit e^{-s^2/4}/sqrt(pi) - (s/2) erfc(s/2);
+    decays algebraically like 2 e^{-s^2/4} / (sqrt(pi) (l^2 + s^2)) for
+    large l.
+    """
     if l < SERIES_CROSSOVER:
         i1, i3, i5 = _w_moments(s)
         bracket = i1 / 2.0 + l * l * i3 / 48.0 + l**4 * i5 / 3840.0
@@ -200,46 +202,21 @@ def _aux_f(l: float, s: float) -> float:
 
 
 def _aux_g(l: float, d: float) -> complex:
-    # the 1/l divergence of the imaginary part is the physical
-    # coincidence-limit singularity of the time-ordered correlator
+    """Timelike correlation kernel at separation ``l > 0`` and gap ``d``.
+
+    Exactly the spacelike kernel at the same gap plus elementary terms:
+    G = F(l, d) + e^{-l^2/4} (sin(d l/2) + i cos(d l/2)) / l. The real
+    part is continuous at l -> 0; the imaginary part diverges like 1/l
+    there, the coincidence-limit singularity of the time-ordered
+    correlator.
+    """
     damping = math.exp(-l * l / 4.0)
     # once the damping underflows (l above ~55) the phase is irrelevant, and
     # at huge l it overflows to inf, where cos and sin are undefined
     phase = d * l / 2.0 if damping else 0.0
-    im = damping * math.cos(phase) / l
-    if l < SERIES_CROSSOVER:
-        i1, i3, i5 = _w_moments(d)
-        e = math.exp(-d * d / 4.0)
-        re = (
-            (d / 2.0 + e * i1 / 2.0)
-            + l * l * (e * i3 / 48.0 - d**3 / 48.0 - d / 8.0)
-            + l**4 * (e * i5 / 3840.0 + d**5 / 3840.0 + d**3 / 192.0 + d / 64.0)
-        )
-    else:
-        re = (
-            damping * math.sin(phase)
-            - math.exp(-d * d / 4.0) * faddeeva_w(complex(-l / 2.0, d / 2.0)).imag
-        ) / l
-    return complex(re, im)
-
-
-def aux_f(l: float, pair: DetectorPair) -> float:
-    """Spacelike correlation kernel at separation ``l`` for the gap sum.
-
-    Continuous at l -> 0 with limit e^{-s^2/4}/sqrt(pi) - (s/2) erfc(s/2)
-    where s is the gap sum; decays algebraically like
-    2 e^{-s^2/4} / (sqrt(pi) (l^2 + s^2)) for large l.
-    """
-    return _aux_f(_require_length(l), pair.gap_sum)
-
-
-def aux_g(l: float, pair: DetectorPair) -> complex:
-    """Timelike correlation kernel at separation ``l`` for the gap difference.
-
-    The real part is continuous at l -> 0; the imaginary part diverges
-    like 1/l there.
-    """
-    return _aux_g(_require_length(l), pair.gap_difference)
+    return complex(
+        _aux_f(l, d) + damping * math.sin(phase) / l, damping * math.cos(phase) / l
+    )
 
 
 def free_space_probability(omega: float, coupling: float = 1.0) -> float:
@@ -267,10 +244,12 @@ def transition_probability(
         raise ValidationError("boundary_distance must be positive")
     if not math.isfinite(2.0 * dz):
         raise ValidationError(f"boundary_distance {dz:g} overflows its image distance 2 dz")
+    free = free_space_probability(omega, coupling)
+    omega = float(omega)
+    if not math.isfinite(2.0 * omega):
+        raise ValidationError(f"omega = {omega:g} is too large: 2 omega overflows")
     coupling = float(coupling)
-    p = free_space_probability(omega, coupling) - coupling * coupling / (
-        4.0 * _SQRT_PI
-    ) * _aux_f(2.0 * dz, 2.0 * float(omega))
+    p = free - coupling * coupling / (4.0 * _SQRT_PI) * _aux_f(2.0 * dz, 2.0 * omega)
     # the subtraction can undershoot zero by a few ulp right at the mirror
     return max(p, 0.0)
 
@@ -292,7 +271,9 @@ def correlations(pair: DetectorPair, geom: BoundaryGeometry) -> CorrelationBlock
 
 def boundary_free_correlations(pair: DetectorPair, separation: float) -> CorrelationBlock:
     """Joint-state entries for the same pair in empty space (no image terms)."""
-    l = _require_length(separation)
+    l = float(separation)
+    if not math.isfinite(l) or l <= 0.0:
+        raise ValidationError("separation must be a positive real")
     lam = pair.coupling
     pref = lam * lam / (4.0 * _SQRT_PI)
     s = pair.gap_sum

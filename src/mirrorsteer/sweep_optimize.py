@@ -151,7 +151,6 @@ class SweepTable:
 
     variable: SweepVariable
     columns: dict[str, tuple[float, ...]]
-    label: str = ""
     params: tuple[tuple[str, float | str], ...] = ()
 
     def column(self, name: str) -> tuple[float, ...]:
@@ -430,8 +429,7 @@ def figure_dataset(
                     raise ValidationError(
                         f"curve {label!r} cannot be built with {culprit}: {exc}"
                     ) from exc
-            table = sweep(curve_pair, curve_geom, axis)
-            out[label] = dataclasses.replace(table, label=label)
+            out[label] = sweep(curve_pair, curve_geom, axis)
     if not spec.extra:
         return out
 
@@ -449,5 +447,5 @@ def figure_dataset(
             f"delta_{n}": tuple(o - p for p, o in zip(par.column(n), ort.column(n)))
             for n in ("s_ab", "s_ba")
         }
-    out[spec.extra] = SweepTable(axis.variable, columns, spec.extra, params)
+    out[spec.extra] = SweepTable(axis.variable, columns, params)
     return out

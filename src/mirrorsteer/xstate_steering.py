@@ -146,6 +146,20 @@ def steering_asymmetry(state: XState) -> SteeringResult:
     )
 
 
+def _certification_map(
+    state: XState, m11: float, m22: float, m33: float, m44: float
+) -> XState:
+    """Scale the state by 1/sqrt(3) and add one mixing term per diagonal entry."""
+    return XState(
+        d11=state.d11 / _SQRT3 + m11,
+        d22=state.d22 / _SQRT3 + m22,
+        d33=state.d33 / _SQRT3 + m33,
+        d44=state.d44 / _SQRT3 + m44,
+        c14=state.c14 / _SQRT3,
+        c23=state.c23 / _SQRT3,
+    )
+
+
 def build_tau_ab(state: XState) -> XState:
     """Certification operator for the B->A direction.
 
@@ -155,14 +169,7 @@ def build_tau_ab(state: XState) -> XState:
     """
     m = _TAU_MIX * (state.d11 + state.d22)
     n = _TAU_MIX * (state.d33 + state.d44)
-    return XState(
-        d11=state.d11 / _SQRT3 + m,
-        d22=state.d22 / _SQRT3 + m,
-        d33=state.d33 / _SQRT3 + n,
-        d44=state.d44 / _SQRT3 + n,
-        c14=state.c14 / _SQRT3,
-        c23=state.c23 / _SQRT3,
-    )
+    return _certification_map(state, m, m, n, n)
 
 
 def build_tau_ba(state: XState) -> XState:
@@ -173,11 +180,4 @@ def build_tau_ba(state: XState) -> XState:
     """
     m = _TAU_MIX * (state.d11 + state.d33)
     n = _TAU_MIX * (state.d22 + state.d44)
-    return XState(
-        d11=state.d11 / _SQRT3 + m,
-        d22=state.d22 / _SQRT3 + n,
-        d33=state.d33 / _SQRT3 + m,
-        d44=state.d44 / _SQRT3 + n,
-        c14=state.c14 / _SQRT3,
-        c23=state.c23 / _SQRT3,
-    )
+    return _certification_map(state, m, n, m, n)

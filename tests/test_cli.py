@@ -88,6 +88,16 @@ class TestCompute:
         assert "1e+308" in err
         assert out == ""
 
+    def test_gap_overflow_exits_2(self, capsys):
+        # 2 omega_b, the probability kernel's gap, overflows to inf
+        argv = list(self.ARGS)
+        argv[argv.index("--omega-b") + 1] = "1e308"
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert "omega_b = 1e+308" in err
+        assert "faddeeva_w" not in err
+        assert out == ""
+
     def test_huge_separation_gives_zero_correlations(self, capsys):
         # past l ~ 55 the damped oscillating terms underflow to zero; at
         # 1e308 their phase overflows too, which must not matter
@@ -492,6 +502,20 @@ class TestFigureCommand:
         assert code == 2
         assert f"{float(small_l):g} and {float(large_l):g}" in err
         assert repr(label) in err
+        assert not out_dir.exists()
+
+    def test_fig6_file_name_over_limit_refused_before_writing(self, tmp_path, capsys):
+        # the .2f label of L = 1e226 spells out 227 digits; with the
+        # temporary suffix the file name passes 255 bytes
+        out_dir = tmp_path / "fig"
+        code, _, err = run(
+            ["figure", "fig6", "--small-l", "1e226", "--resolution", "3",
+             "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 2
+        assert "separation = 1e+226" in err
+        assert "255-byte limit" in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(

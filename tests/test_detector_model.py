@@ -7,8 +7,10 @@ math so they do not share code with the implementation.
 """
 
 import math
+import sys
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,9 +18,10 @@ from mirrorsteer.detector_model import (
     Alignment,
     BoundaryGeometry,
     CorrelationBlock,
+    SERIES_CROSSOVER,
     DetectorPair,
-    aux_f,
-    aux_g,
+    _aux_f,
+    _aux_g,
     boundary_free_correlations,
     boundary_free_steering,
     config_difference,
@@ -108,6 +111,11 @@ class TestTypes:
     def test_nonpositive_coupling_rejected(self):
         with pytest.raises(ValidationError):
             DetectorPair(omega_a=0.1, omega_b=0.1, coupling=0.0)
+
+    def test_gap_whose_double_overflows_rejected(self):
+        with pytest.raises(ValidationError, match="omega_b = 1e"):
+            DetectorPair(omega_a=0.1, omega_b=1e308)
+        DetectorPair(omega_a=0.1, omega_b=8e307)
 
     def test_geometry_requires_positive_lengths(self):
         with pytest.raises(ValidationError):
@@ -228,108 +236,142 @@ class TestTransitionProbability:
         with pytest.raises(ValidationError):
             transition_probability(0.1, -1.0)
 
+    def test_rejects_gap_whose_double_overflows(self):
+        with pytest.raises(ValidationError, match="omega = 1e"):
+            transition_probability(1e308, 1.0)
+
     def test_rejects_distance_whose_image_overflows(self):
         with pytest.raises(ValidationError, match="2 dz"):
             transition_probability(0.1, 1e308)
+
+
+def kernel_f_50_digits(l, s):
+    """F(l, s) = -(e^{-s^2/4}/l) Im w(-l/2 + i s/2), w(z) = e^{-z^2} erfc(-iz),
+    in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        z = mpmath.mpc(-mpmath.mpf(l) / 2, mpmath.mpf(s) / 2)
+        w = mpmath.exp(-z * z) * mpmath.erfc(-1j * z)
+        return -mpmath.exp(-mpmath.mpf(s) ** 2 / 4) / l * w.imag
+
+
+def damped_phase_50_digits(l, d):
+    """e^{-l^2/4} sin(dl/2)/l, e^{-l^2/4} cos(dl/2)/l and e^{-l^2/4}/l in
+    50-digit arithmetic."""
+    with mpmath.workdps(50):
+        l = mpmath.mpf(l)
+        damping = mpmath.exp(-l * l / 4) / l
+        phase = d * l / 2
+        return damping * mpmath.sin(phase), damping * mpmath.cos(phase), damping
+
+
+# l across both kernel branches and the crossover; gap sums and differences
+CROSSOVER_OFFSETS = (-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3)
+KERNEL_LENGTHS = sorted(
+    np.geomspace(1e-6, 60.0, 120).tolist()
+    + [SERIES_CROSSOVER * (1.0 + k) for k in CROSSOVER_OFFSETS]
+)
+KERNEL_GAPS = (0.0, 0.05, 0.2, 0.6, 1.0, 2.0, 3.0, 6.0, 12.0)
+
+
+def relative_error(got, want, scale):
+    # scales below the smallest normal double are floored there: a kernel
+    # value that underflows carries no relative digits
+    return float(abs(got - want) / max(scale, sys.float_info.min))
 
 
 class TestAuxF:
     def test_value_at_l2_s0(self):
         # (e^{-1}/2) erfi(1); the erfi series oracle lives in
         # test_special_functions and pins the same constant
-        pair = DetectorPair(omega_a=0.0, omega_b=0.0)
-        assert aux_f(2.0, pair) == pytest.approx(0.30357885292069686, rel=1e-13)
+        assert _aux_f(2.0, 0.0) == pytest.approx(0.30357885292069686, rel=1e-13)
 
     def test_small_l_limit(self):
         # f(0+) = e^{-s^2/4}/sqrt(pi) - (s/2) erfc(s/2)
-        pair0 = DetectorPair(omega_a=0.0, omega_b=0.0)
-        assert aux_f(1e-9, pair0) == pytest.approx(1.0 / SQRT_PI, rel=1e-12)
-        pair = DetectorPair(omega_a=0.1, omega_b=0.1)
+        assert _aux_f(1e-9, 0.0) == pytest.approx(1.0 / SQRT_PI, rel=1e-12)
         ref = math.exp(-0.01) / SQRT_PI - 0.1 * math.erfc(0.1)
-        assert aux_f(1e-9, pair) == pytest.approx(ref, rel=1e-12)
-        assert aux_f(1e-9, pair) == pytest.approx(0.4698220949962969, rel=1e-12)
+        assert _aux_f(1e-9, 0.2) == pytest.approx(ref, rel=1e-12)
+        assert _aux_f(1e-9, 0.2) == pytest.approx(0.4698220949962969, rel=1e-12)
 
     def test_series_crossover_continuity(self):
-        for pair in (
-            DetectorPair(omega_a=0.0, omega_b=0.0),
-            DetectorPair(omega_a=0.1, omega_b=0.1),
-            DetectorPair(omega_a=1.0, omega_b=3.0),
-        ):
-            below = aux_f(1e-3 * (1.0 - 1e-6), pair)
-            above = aux_f(1e-3 * (1.0 + 1e-6), pair)
+        for s in (0.0, 0.2, 4.0):
+            below = _aux_f(1e-3 * (1.0 - 1e-6), s)
+            above = _aux_f(1e-3 * (1.0 + 1e-6), s)
             assert abs(below - above) <= 1e-10 * max(1.0, abs(above))
 
     def test_large_l_algebraic_tail(self):
         # f decays like 2 e^{-s^2/4} / (sqrt(pi) (l^2 + s^2)), not like a
         # Gaussian: the e^{-l^2/4} prefactor is cancelled by the growth of
         # the error function across the complex plane
-        pair = DetectorPair(omega_a=0.1, omega_b=0.1)
-        got = aux_f(20.0, pair)
+        got = _aux_f(20.0, 0.2)
         assert got == pytest.approx(0.0028067703405424294, rel=1e-12)
         tail = 2.0 * math.exp(-0.01) / (SQRT_PI * (400.0 + 0.04))
         assert got == pytest.approx(tail, rel=6e-3)
 
-    def test_rejects_nonpositive_length(self):
-        with pytest.raises(ValidationError):
-            aux_f(0.0, PAIR)
-        with pytest.raises(ValidationError):
-            aux_f(-1.0, PAIR)
+    @pytest.mark.parametrize("s", KERNEL_GAPS)
+    def test_matches_50_digit_reference(self, s):
+        worst = 0.0
+        for l in KERNEL_LENGTHS:
+            want = kernel_f_50_digits(l, s)
+            worst = max(worst, relative_error(_aux_f(l, s), want, abs(want)))
+        assert worst <= 1e-12
 
 
 class TestAuxG:
     def test_value_at_l2_identical(self):
         # (e^{-1}/2)(erfi(1) + i)
-        got = aux_g(2.0, PAIR)
+        got = _aux_g(2.0, 0.0)
         assert got.real == pytest.approx(0.30357885292069686, rel=1e-13)
         assert got.imag == pytest.approx(math.exp(-1.0) / 2.0, rel=1e-14)
 
     def test_real_part_equals_f_at_zero_gaps(self):
-        pair0 = DetectorPair(omega_a=0.0, omega_b=0.0)
         for l in (0.3, 1.0, 2.5, 7.0):
-            assert aux_g(l, pair0).real == pytest.approx(
-                aux_f(l, pair0), rel=1e-13
-            )
+            assert _aux_g(l, 0.0).real == pytest.approx(_aux_f(l, 0.0), rel=1e-13)
 
     def test_imaginary_part_closed_form(self):
         # Im g = e^{-l^2/4} cos(d l / 2) / l for every branch
-        pair = DetectorPair(omega_a=0.1, omega_b=0.7)
         d = 0.6
         for l in (1e-6, 1e-4, 0.5, 2.0, 10.0):
             ref = math.exp(-l * l / 4.0) * math.cos(d * l / 2.0) / l
-            assert aux_g(l, pair).imag == pytest.approx(ref, rel=1e-13)
+            assert _aux_g(l, d).imag == pytest.approx(ref, rel=1e-13)
 
     def test_imaginary_part_diverges_at_coincidence(self):
-        assert aux_g(1e-6, PAIR).imag * 1e-6 == pytest.approx(1.0, rel=1e-9)
+        assert _aux_g(1e-6, 0.0).imag * 1e-6 == pytest.approx(1.0, rel=1e-9)
 
     def test_real_part_small_l_limit(self):
-        pair0 = DetectorPair(omega_a=0.0, omega_b=0.0)
-        assert aux_g(1e-9, pair0).real == pytest.approx(1.0 / SQRT_PI, rel=1e-12)
+        assert _aux_g(1e-9, 0.0).real == pytest.approx(1.0 / SQRT_PI, rel=1e-12)
         # d > 0 limit: d erf(d/2)/2 + e^{-d^2/4}/sqrt(pi)
-        pair = DetectorPair(omega_a=0.1, omega_b=0.6)
         ref = 0.25 * math.erf(0.25) + math.exp(-0.0625) / SQRT_PI
-        assert aux_g(1e-9, pair).real == pytest.approx(ref, rel=1e-12)
-        assert aux_g(1e-9, pair).real == pytest.approx(0.5990886622301166, rel=1e-12)
+        assert _aux_g(1e-9, 0.5).real == pytest.approx(ref, rel=1e-12)
+        assert _aux_g(1e-9, 0.5).real == pytest.approx(0.5990886622301166, rel=1e-12)
 
     def test_series_crossover_continuity(self):
-        for pair in (
-            DetectorPair(omega_a=0.0, omega_b=0.0),
-            DetectorPair(omega_a=0.1, omega_b=0.6),
-            DetectorPair(omega_a=0.5, omega_b=3.0),
-        ):
-            below = aux_g(1e-3 * (1.0 - 1e-6), pair).real
-            above = aux_g(1e-3 * (1.0 + 1e-6), pair).real
+        for d in (0.0, 0.5, 2.5):
+            below = _aux_g(1e-3 * (1.0 - 1e-6), d).real
+            above = _aux_g(1e-3 * (1.0 + 1e-6), d).real
             assert abs(below - above) <= 1e-10 * max(1.0, abs(above))
 
     def test_real_part_algebraic_tail(self):
-        pair = DetectorPair(omega_a=0.1, omega_b=0.3)
         d = 0.2
-        got = aux_g(20.0, pair).real
+        got = _aux_g(20.0, d).real
         tail = 2.0 * math.exp(-d * d / 4.0) / (SQRT_PI * (400.0 + d * d))
         assert got == pytest.approx(tail, rel=6e-3)
 
-    def test_rejects_nonpositive_length(self):
-        with pytest.raises(ValidationError):
-            aux_g(0.0, PAIR)
+    @pytest.mark.parametrize("d", KERNEL_GAPS)
+    def test_matches_50_digit_reference(self, d):
+        # Re G = F(l, d) + e^{-l^2/4} sin(dl/2)/l, gated against the size of
+        # both terms; Im G = e^{-l^2/4} cos(dl/2)/l, against e^{-l^2/4}/l
+        worst_re = worst_im = 0.0
+        for l in KERNEL_LENGTHS:
+            f = kernel_f_50_digits(l, d)
+            sin_term, cos_term, damping = damped_phase_50_digits(l, d)
+            got = _aux_g(l, d)
+            worst_re = max(
+                worst_re,
+                relative_error(got.real, f + sin_term, abs(f) + abs(sin_term)),
+            )
+            worst_im = max(worst_im, relative_error(got.imag, cos_term, damping))
+        assert worst_re <= 1e-12
+        assert worst_im <= 1e-12
 
 
 class TestCorrelations:
@@ -499,6 +541,11 @@ class TestHarvestedSteering:
 
 
 class TestBoundaryFree:
+    @pytest.mark.parametrize("separation", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_invalid_separation(self, separation):
+        with pytest.raises(ValidationError, match="separation"):
+            boundary_free_correlations(PAIR, separation)
+
     def test_probabilities_are_free_space(self):
         block = boundary_free_correlations(PAIR, 0.05)
         assert block.p_a == free_space_probability(0.1)
