@@ -71,12 +71,10 @@ VERIFY_GRID_SMOKE = (
 )
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _tmp_name(name: str) -> str:
-    return name + f".tmp-{os.getpid()}"
+    # zero-padded to the widest Linux pid, so a name's length never depends
+    # on the process that writes it
+    return name + f".tmp-{os.getpid():07d}"
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -106,10 +104,12 @@ def _comment_lines(params: dict) -> list[str]:
 
 
 def _table_csv(table: SweepTable, params: dict) -> str:
-    """CSV with one column per table column, headed by its name."""
+    """CSV with one column per table column, headed by its name; each value
+    is written with 17 significant digits, enough to read it back exactly."""
     lines = _comment_lines(params)
     lines.append(",".join(table.columns))
-    lines.extend(",".join(map(_fmt, row)) for row in zip(*table.columns.values()))
+    row = ",".join(["%.17g"] * len(table.columns))
+    lines.extend(row % values for values in zip(*table.columns.values()))
     return "\n".join(lines) + "\n"
 
 
@@ -136,7 +136,7 @@ def _cmd_compute(args) -> int:
     block = correlations(pair, geom)
     values = observable_values(block, steering_from_block(block))
     if args.format == "csv":
-        columns = observable_columns([geom.separation], [values])
+        columns = observable_columns([geom.separation], zip(values))
         table = SweepTable(SweepVariable.SEPARATION, columns)
         params = dict(config, axis="separation")
         _write_text(args.out, _table_csv(table, params))

@@ -21,7 +21,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from scipy.special import erfcx
+import numpy as np
+from scipy.special import erfcx, wofz
 
 from .errors import PerturbativeValidityError, ValidationError
 from .special_functions import faddeeva_w
@@ -68,6 +69,9 @@ class DetectorPair:
             )
         if lam <= 0.0:
             raise ValidationError("coupling must be positive")
+        # every entry of the joint state carries the coupling squared
+        if not math.isfinite(lam * lam):
+            raise ValidationError(f"coupling = {lam:g} is too large: lambda² overflows")
         # the probability kernel reads each gap doubled
         if not math.isfinite(2.0 * wb):
             raise ValidationError(f"omega_b = {wb:g} is too large: 2 omega_b overflows")
@@ -219,6 +223,40 @@ def _aux_g(l: float, d: float) -> complex:
     )
 
 
+def _each(fn, *arrays: np.ndarray) -> np.ndarray:
+    """``fn`` at each point of the arrays, one libm call per point.
+
+    numpy's own exp, erfc and hypot can differ from libm in the last ulp,
+    and the array kernels must agree with the scalar ones bit for bit.
+    """
+    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, arrays[0].size)
+
+
+def _aux_f_array(l: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """:func:`_aux_f` at each point, bit for bit.
+
+    The Faddeeva branch runs through ``wofz`` on the whole array; the
+    Taylor branch is :func:`_aux_f` itself, called on just the points
+    below ``SERIES_CROSSOVER``.
+    """
+    out = np.empty(l.size)
+    small = l < SERIES_CROSSOVER
+    out[small] = list(map(_aux_f, l[small].tolist(), s[small].tolist()))
+    l, s = l[~small], s[~small]
+    z = (-l / 2.0).astype(complex)
+    z.imag = s / 2.0
+    out[~small] = -(_each(math.exp, -s * s / 4.0) / l) * wofz(z).imag
+    return out
+
+
+def _aux_g_array(l: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of :func:`_aux_g` at each point, bit for bit."""
+    damping = _each(math.exp, -l * l / 4.0)
+    phase = np.where(damping != 0.0, d * l / 2.0, 0.0)
+    real = _aux_f_array(l, d) + damping * _each(math.sin, phase) / l
+    return real, damping * _each(math.cos, phase) / l
+
+
 def free_space_probability(omega: float, coupling: float = 1.0) -> float:
     """Excitation probability of a single detector without any boundary."""
     omega = float(omega)
@@ -267,6 +305,58 @@ def correlations(pair: DetectorPair, geom: BoundaryGeometry) -> CorrelationBlock
     c = pref * math.exp(-d * d / 4.0) * (_aux_f(l, s) - _aux_f(img, s))
     x = -pref * math.exp(-s * s / 4.0) * (_aux_g(l, d) - _aux_g(img, d))
     return CorrelationBlock(p_a=p_a, p_b=p_b, c=complex(c), x=x)
+
+
+def _probability_array(omega: np.ndarray, dz: np.ndarray, coupling: float) -> np.ndarray:
+    """:func:`transition_probability` at each point, bit for bit, unchecked."""
+    bracket = _each(math.exp, -omega * omega) - _SQRT_PI * omega * _each(math.erfc, omega)
+    free = coupling * coupling / (4.0 * math.pi) * bracket
+    p = free - coupling * coupling / (4.0 * _SQRT_PI) * _aux_f_array(2.0 * dz, 2.0 * omega)
+    return np.where(p < 0.0, 0.0, p)
+
+
+def correlation_arrays(
+    omega_a: float,
+    omega_b: np.ndarray,
+    coupling: float,
+    alignment: Alignment,
+    separation: np.ndarray,
+    boundary_distance: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`correlations` at each point of equal-length arrays, bit for bit.
+
+    ``omega_a`` and ``coupling`` are those of a valid :class:`DetectorPair`.
+    Every point is checked as :class:`DetectorPair`,
+    :class:`BoundaryGeometry` and :class:`CorrelationBlock` check it, once
+    over the arrays; a :class:`ValidationError` that names no point is
+    raised when any fails. Returns the columns p_a, p_b, c (real) and x
+    (complex).
+    """
+    sep, dz = separation, boundary_distance
+    # overflow and nan give inf and nan, as in Python float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        if Alignment(alignment) is Alignment.PARALLEL:
+            img, dz_b = _each(math.hypot, sep, 2.0 * dz), dz
+        else:
+            img, dz_b = sep + 2.0 * dz, dz + sep
+        valid = (omega_b >= omega_a) & np.isfinite(2.0 * omega_b)
+        valid &= (sep > 0.0) & (dz > 0.0) & np.isfinite(img) & np.isfinite(2.0 * dz_b)
+        if not valid.all():
+            raise ValidationError("a point of the batch fails the pair or geometry checks")
+        p_a = _probability_array(np.full(dz.size, omega_a), dz, coupling)
+        p_b = _probability_array(omega_b, dz_b, coupling)
+        valid = np.isfinite(p_a) & np.isfinite(p_b) & (p_a >= 0.0) & (p_b >= 0.0)
+        if not (valid & (p_a + p_b < 1.0)).all():
+            raise ValidationError("a point of the batch fails the probability checks")
+        s = omega_a + omega_b
+        d = omega_b - omega_a
+        pref = coupling * coupling / (4.0 * _SQRT_PI)
+        c = pref * _each(math.exp, -d * d / 4.0) * (_aux_f_array(sep, s) - _aux_f_array(img, s))
+        (g_re, g_im), (h_re, h_im) = _aux_g_array(sep, d), _aux_g_array(img, d)
+        weight = -pref * _each(math.exp, -s * s / 4.0)
+        x = (weight * (g_re - h_re)).astype(complex)
+        x.imag = weight * (g_im - h_im)
+    return p_a, p_b, c, x
 
 
 def boundary_free_correlations(pair: DetectorPair, separation: float) -> CorrelationBlock:

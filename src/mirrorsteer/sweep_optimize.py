@@ -2,11 +2,14 @@
 
 Everything here drives the closed-form model in :mod:`mirrorsteer.detector_model`
 along a single axis: detector separation, distance to the mirror, or the gap
-of detector B.  Sweeps tabulate the observables as named columns;
-peak and transition finders refine features of those curves to 1e-6 in the
-swept variable.  The figure builders reproduce the standard curve families
-(steering versus separation, versus mirror distance, versus detector gap,
-and the alignment difference) as labelled tables.
+of detector B.  Sweeps tabulate the observables as named columns, evaluating
+the whole grid in one array pass through the model's array kernels, equal bit
+for bit to evaluating each point alone; peak and transition finders, whose
+evaluations each depend on the last, take the one-point route and refine
+features of those curves to 1e-6 in the swept variable.  The figure builders
+reproduce the standard curve families (steering versus separation, versus
+mirror distance, versus detector gap, and the alignment difference) as
+labelled tables.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,11 +28,12 @@ from .detector_model import (
     CorrelationBlock,
     DetectorPair,
     boundary_free_correlations,
+    correlation_arrays,
     correlations,
     steering_from_block,
 )
 from .errors import ConvergenceError, ValidationError
-from .xstate_steering import SteeringResult
+from .xstate_steering import SteeringResult, _moduli, steering_arrays
 
 __all__ = [
     "OBSERVABLES",
@@ -136,11 +140,10 @@ def observable_values(block: CorrelationBlock, res: SteeringResult) -> tuple[flo
 
 
 def observable_columns(
-    grid: Sequence[float], values: Sequence[tuple[float, ...]]
+    grid: Sequence[float], columns: Iterable[Sequence[float]]
 ) -> dict[str, tuple[float, ...]]:
-    """The ``axis`` column and one column per observable, from the
-    :func:`observable_values` of each grid point."""
-    return {"axis": tuple(grid), **dict(zip(OBSERVABLES, zip(*values)))}
+    """The ``axis`` column and the :data:`OBSERVABLES` columns, in order."""
+    return {"axis": tuple(grid), **{n: tuple(c) for n, c in zip(OBSERVABLES, columns)}}
 
 
 @dataclass(frozen=True)
@@ -209,17 +212,44 @@ _WB = SweepVariable.OMEGA_B
 _PARAM_NAME = {_SEP: "l", _DZ: "dz", _WB: "omega_b"}
 
 
+def _grid_columns(
+    pair: DetectorPair, geom: BoundaryGeometry, variable: SweepVariable, grid: np.ndarray
+) -> dict[str, tuple[float, ...]]:
+    """The columns of :func:`sweep` in one array pass, bit for bit those of
+    :func:`_evaluate` at each point."""
+    n = grid.size
+    values = {
+        _SEP: np.full(n, geom.separation),
+        _DZ: np.full(n, geom.boundary_distance),
+        _WB: np.full(n, pair.omega_b),
+    }
+    values[variable] = grid
+    p_a, p_b, c, x = correlation_arrays(
+        pair.omega_a, values[_WB], pair.coupling, geom.alignment, values[_SEP], values[_DZ]
+    )
+    steering = steering_arrays(1.0 - p_a - p_b, p_b, p_a, np.zeros(n), x, c)
+    columns = (p_a, p_b, np.abs(c), _moduli(x), *steering)
+    return observable_columns(grid.tolist(), (col.tolist() for col in columns))
+
+
 def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepTable:
     """Tabulate the harvested observables along one parameter axis.
 
     The swept variable overrides the matching field of ``pair`` or ``geom``
     at each grid point; all other fields are held fixed and recorded in
-    the table's ``params``.  Validation and convergence errors are re-raised
-    as the same type with the offending grid point named; any other
-    exception propagates unchanged.
+    the table's ``params``.  The grid is evaluated in one array pass, equal
+    bit for bit to the one-point route.  Validation and convergence errors
+    are re-raised as the same type with the first offending grid point
+    named; any other exception propagates unchanged.
     """
-    grid = axis.grid().tolist()
-    values = [_evaluate(pair, geom, axis.variable, value) for value in grid]
+    grid = axis.grid()
+    try:
+        columns = _grid_columns(pair, geom, axis.variable, grid)
+    except (ValidationError, ConvergenceError):
+        # the array pass does not say which point failed: the one-point
+        # route raises the first failing point's own error
+        values = [_evaluate(pair, geom, axis.variable, v) for v in grid.tolist()]
+        columns = observable_columns(grid.tolist(), zip(*values))
     params = {
         "omega_a": pair.omega_a,
         "omega_b": pair.omega_b,
@@ -230,9 +260,7 @@ def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepT
         "dz": geom.boundary_distance,
     }
     del params[_PARAM_NAME[axis.variable]]
-    return SweepTable(
-        axis.variable, observable_columns(grid, values), params=tuple(params.items())
-    )
+    return SweepTable(axis.variable, columns, params=tuple(params.items()))
 
 
 # the observable each objective and each direction reads
@@ -440,7 +468,7 @@ def figure_dataset(
     if spec.extra == "boundary_free":
         free = boundary_free_correlations(pair, spec.separation)
         values = observable_values(free, steering_from_block(free))
-        columns = observable_columns(grid, [values] * len(grid))
+        columns = observable_columns(grid, ([v] * len(grid) for v in values))
     else:
         ort = out[Alignment.ORTHOGONAL.value]
         columns = {"axis": grid} | {

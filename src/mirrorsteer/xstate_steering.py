@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 
 _SQRT3 = math.sqrt(3.0)
@@ -102,9 +104,14 @@ def concurrence(state: XState) -> float:
     return 2.0 * max(0.0, a, b)
 
 
-def _both_directions(state: XState) -> tuple[float, float]:
-    """S(A->B) and S(B->A) from the factored thresholds, in one pass."""
-    d11, d22, d33, d44 = state.d11, state.d22, state.d33, state.d44
+def _margins(d11, d22, d33, d44, m14, m23, sqrt):
+    """Signed margins of S(A->B) and S(B->A) from the factored thresholds.
+
+    Returns ((A->B via c14, A->B via c23), (B->A via c14, B->A via c23)),
+    each a coherence modulus less its threshold. Generic over floats with
+    ``math.sqrt`` and numpy arrays with ``np.sqrt``; both round correctly,
+    so the two agree bit for bit.
+    """
     p14 = d11 * d44
     p23 = d22 * d33
     w_a = _W_MINUS * p14 + _W_PLUS * p23
@@ -112,11 +119,19 @@ def _both_directions(state: XState) -> tuple[float, float]:
     # cross term of g_a and g_c, plus g_b for A->B and minus g_b for B->A
     h_ab = 0.5 * (d11 * d22 + d33 * d44)
     h_ba = 0.5 * (d11 * d33 + d22 * d44)
-    m14 = abs(state.c14)
-    m23 = abs(state.c23)
-    s_ab = max(0.0, m14 - math.sqrt(w_a + h_ab), m23 - math.sqrt(w_c + h_ab))
-    s_ba = max(0.0, m14 - math.sqrt(w_a + h_ba), m23 - math.sqrt(w_c + h_ba))
-    return s_ab, s_ba
+    return (
+        (m14 - sqrt(w_a + h_ab), m23 - sqrt(w_c + h_ab)),
+        (m14 - sqrt(w_a + h_ba), m23 - sqrt(w_c + h_ba)),
+    )
+
+
+def _both_directions(state: XState) -> tuple[float, float]:
+    """S(A->B) and S(B->A) from the factored thresholds, in one pass."""
+    (a14, a23), (b14, b23) = _margins(
+        state.d11, state.d22, state.d33, state.d44,
+        abs(state.c14), abs(state.c23), math.sqrt,
+    )
+    return max(0.0, a14, a23), max(0.0, b14, b23)
 
 
 def steering_b_to_a(state: XState) -> float:
@@ -144,6 +159,44 @@ def steering_asymmetry(state: XState) -> SteeringResult:
         asymmetry=s_ab - s_ba,
         concurrence=concurrence(state),
     )
+
+
+def _max0(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``max(0.0, a, b)`` at each point, with Python's choice among ties and nan."""
+    first = np.where(a > 0.0, a, 0.0)
+    return np.where(b > first, b, first)
+
+
+def _moduli(c: np.ndarray) -> np.ndarray:
+    # builtin abs is libm's hypot, which numpy's complex abs can miss by an ulp
+    return np.fromiter(map(abs, c.tolist()), float, c.size)
+
+
+def steering_arrays(d11, d22, d33, d44, c14, c23):
+    """:func:`steering_asymmetry` of the X-state at each point, bit for bit.
+
+    Takes equal-length arrays of the entries and returns the columns
+    s_ab, s_ba, asymmetry and concurrence. Every point is checked as
+    :class:`XState` checks it, once over the arrays; a
+    :class:`ValidationError` that names no point is raised when any fails.
+    """
+    valid = np.ones(d11.size, bool)
+    diagonal = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for value in (d11, d22, d33, d44):
+            valid &= np.isfinite(value) & (value >= -_ATOL) & (value <= 1.0 + _ATOL)
+            diagonal.append(np.where(value < 0.0, 0.0, value))
+        d11, d22, d33, d44 = diagonal
+        valid &= np.abs(d11 + d22 + d33 + d44 - 1.0) <= _ATOL
+        for value in (c14, c23):
+            valid &= np.isfinite(value.real) & np.isfinite(value.imag)
+    if not valid.all():
+        raise ValidationError("an X-state of the batch fails its checks")
+    m14, m23 = _moduli(c14), _moduli(c23)
+    (a14, a23), (b14, b23) = _margins(d11, d22, d33, d44, m14, m23, np.sqrt)
+    s_ab, s_ba = _max0(a14, a23), _max0(b14, b23)
+    conc = 2.0 * _max0(m14 - np.sqrt(d22 * d33), m23 - np.sqrt(d11 * d44))
+    return s_ab, s_ba, s_ab - s_ba, conc
 
 
 def _certification_map(

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from mirrorsteer.cli import main
+from mirrorsteer.cli import _table_csv, main
 from mirrorsteer.detector_model import (
     Alignment,
     BoundaryGeometry,
@@ -19,6 +19,7 @@ from mirrorsteer.sweep_optimize import (
     MAX_POINTS,
     FigureId,
     SweepAxis,
+    SweepTable,
     SweepVariable,
     figure_dataset,
     sweep,
@@ -96,6 +97,16 @@ class TestCompute:
         assert code == 2
         assert "omega_b = 1e+308" in err
         assert "faddeeva_w" not in err
+        assert out == ""
+
+    def test_coupling_overflow_exits_2(self, capsys):
+        # lambda^2, which every probability carries, overflows to inf
+        argv = list(self.ARGS)
+        argv[argv.index("--lambda") + 1] = "1e200"
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert "coupling = 1e+200" in err
+        assert "probabilities must be finite" not in err
         assert out == ""
 
     def test_huge_separation_gives_zero_correlations(self, capsys):
@@ -210,6 +221,12 @@ class TestSweepCommand:
             assert fields[0] == l
             assert fields[5] == s_ab
             assert fields[6] == s_ba
+
+    def test_csv_rows_equal_per_value_formatting(self):
+        values = (0.0, -0.0, 5e-324, 1e22, 1.0 / 3.0, math.inf, -math.inf, math.nan)
+        table = SweepTable(SweepVariable.SEPARATION, {"axis": values, "x": values[::-1]})
+        rows = "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(values, values[::-1]))
+        assert _table_csv(table, {"k": 1}) == "# k = 1\naxis,x\n" + rows
 
     def test_json_format(self, capsys):
         code, out, _ = run(self.ARGS + ["--format", "json"], capsys)

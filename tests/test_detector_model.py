@@ -117,6 +117,11 @@ class TestTypes:
             DetectorPair(omega_a=0.1, omega_b=1e308)
         DetectorPair(omega_a=0.1, omega_b=8e307)
 
+    def test_coupling_whose_square_overflows_rejected(self):
+        with pytest.raises(ValidationError, match="coupling = 1e\\+200 is too large"):
+            DetectorPair(omega_a=0.1, omega_b=0.2, coupling=1e200)
+        DetectorPair(omega_a=0.1, omega_b=0.2, coupling=1e154)
+
     def test_geometry_requires_positive_lengths(self):
         with pytest.raises(ValidationError):
             BoundaryGeometry(Alignment.PARALLEL, separation=0.0, boundary_distance=1.0)

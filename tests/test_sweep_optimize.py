@@ -15,9 +15,10 @@ from mirrorsteer.detector_model import (
     harvested_steering,
 )
 from mirrorsteer import sweep_optimize
-from mirrorsteer.errors import ConvergenceError, ValidationError
+from mirrorsteer.errors import ConvergenceError, PerturbativeValidityError, ValidationError
 from mirrorsteer.sweep_optimize import (
     MAX_POINTS,
+    OBSERVABLES,
     REFINE_TOL,
     FigureId,
     Objective,
@@ -144,19 +145,21 @@ class TestSweep:
 
         raised = TwoArgError(7, "model failed")
 
-        def failing(pair, geom):
+        def failing(*args):
             raise raised
 
-        monkeypatch.setattr(sweep_optimize, "correlations", failing)
+        monkeypatch.setattr(sweep_optimize, "correlation_arrays", failing)
         axis = SweepAxis(SweepVariable.SEPARATION, start=0.1, stop=2.0, points=3)
         with pytest.raises(TwoArgError) as info:
             sweep(PAIR, GEOM_PAR, axis)
         assert info.value is raised
 
     def test_convergence_error_names_grid_point(self, monkeypatch):
-        def failing(pair, geom):
+        def failing(*args):
             raise ConvergenceError("no convergence")
 
+        # a model failure fails the array pass and the one-point route alike
+        monkeypatch.setattr(sweep_optimize, "correlation_arrays", failing)
         monkeypatch.setattr(sweep_optimize, "correlations", failing)
         axis = SweepAxis(SweepVariable.SEPARATION, start=0.5, stop=2.0, points=3)
         match = "separation = 0.5: no convergence"
@@ -167,6 +170,81 @@ class TestSweep:
     def test_deterministic(self):
         axis = SweepAxis(SweepVariable.SEPARATION, start=0.1, stop=2.0, points=30)
         assert sweep(PAIR, GEOM_PAR, axis) == sweep(PAIR, GEOM_PAR, axis)
+
+    def test_strong_coupling_names_first_failing_grid_point(self):
+        # near the mirror the probabilities vanish, so the first point at
+        # which p_a + p_b reaches 1 is not the first grid point
+        pair = DetectorPair(omega_a=0.1, omega_b=0.1, coupling=5.0)
+        axis = SweepAxis(SweepVariable.BOUNDARY_DISTANCE, start=0.2, stop=2.0, points=5)
+        match = r"at boundary-distance = 1.1: p_a \+ p_b = 1.62 >= 1"
+        with pytest.raises(PerturbativeValidityError, match=match):
+            sweep(pair, GEOM_PAR, axis)
+
+    @pytest.mark.parametrize(
+        "geom, axis, match",
+        [
+            # Im G overflows as 1/l below l ~ 1e-308
+            (GEOM_PAR, ("separation", 1e-320, 1e-300, 5, "log"),
+             "separation = 9.99989e-321: c14 must be finite"),
+            (GEOM_PAR, ("separation", -1.0, 1.0, 5), "separation = -1: separation must be positive"),
+            (GEOM_ORT, ("boundary-distance", 1.0, 1e308, 5),
+             "boundary-distance = 1e\\+308: separation 1 and boundary_distance 1e\\+308 overflow"),
+            (GEOM_PAR, ("omega-b", 0.0, 1.0, 5), "omega-b = 0: omega_b must not be smaller"),
+        ],
+    )
+    def test_array_checks_refuse_what_the_dataclasses_refuse(self, geom, axis, match):
+        with pytest.raises(ValidationError, match=match):
+            sweep(PAIR, geom, SweepAxis(*axis))
+
+
+def _scalar_columns(pair, geom, axis):
+    """The columns of a sweep evaluated one point at a time."""
+    grid = axis.grid().tolist()
+    values = [sweep_optimize._evaluate(pair, geom, axis.variable, v) for v in grid]
+    return dict(zip(("axis", *OBSERVABLES), (grid, *zip(*values))))
+
+
+def _bits(columns):
+    return {name: [float(v).hex() for v in column] for name, column in columns.items()}
+
+
+class TestArrayPassMatchesOnePointRoute:
+    """Every column of the array sweep equals the one-point route bit for
+    bit, so the two routes cannot drift apart."""
+
+    @pytest.mark.parametrize("omega_a, omega_b", [(0.05, 0.5), (0.1, 0.1), (0.0, 0.3), (0.08, 1.0)])
+    def test_all_figures(self, omega_a, omega_b, monkeypatch):
+        checked = []
+
+        def checked_sweep(pair, geom, axis):
+            table = sweep(pair, geom, axis)
+            assert _bits(table.columns) == _bits(_scalar_columns(pair, geom, axis))
+            checked.append(axis.points)
+            return table
+
+        monkeypatch.setattr(sweep_optimize, "sweep", checked_sweep)
+        for figure in FigureId:
+            figure_dataset(figure, DetectorPair(omega_a, omega_b), resolution=200)
+        # fig2 and fig4: three curves each; fig5 and fig7: two; fig6: four
+        assert checked == [200] * 14
+
+    @pytest.mark.parametrize("alignment", list(Alignment))
+    @pytest.mark.parametrize(
+        "dz, axis",
+        [
+            # l, and the images at 2 dz, cross SERIES_CROSSOVER
+            (4e-4, ("separation", 1e-5, 1e-2, 120, "log")),
+            (1.0, ("omega-b", 0.1, 6.0, 120)),
+            # past l ~ 55 the damping underflows and the phase guard applies
+            (1.0, ("separation", 0.05, 400.0, 160)),
+        ],
+        ids=["series-crossover", "omega-b", "far-separation"],
+    )
+    def test_axes(self, alignment, dz, axis):
+        pair = DetectorPair(0.1, 0.2)
+        geom = BoundaryGeometry(alignment, 1.0, dz)
+        axis = SweepAxis(*axis)
+        assert _bits(sweep(pair, geom, axis).columns) == _bits(_scalar_columns(pair, geom, axis))
 
 
 class TestFindPeak:

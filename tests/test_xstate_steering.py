@@ -18,6 +18,7 @@ from mirrorsteer.xstate_steering import (
     build_tau_ba,
     concurrence,
     steering_a_to_b,
+    steering_arrays,
     steering_asymmetry,
     steering_b_to_a,
 )
@@ -179,6 +180,44 @@ class TestSteering:
             s = random_x_state(rng)
             assert steering_b_to_a(s) >= 0.0
             assert steering_a_to_b(s) >= 0.0
+
+
+def _entry_columns(entries):
+    """One array per X-state entry, d11 to c23, over a list of entry tuples."""
+    return [np.array(column) for column in zip(*entries)]
+
+
+class TestSteeringArrays:
+    def test_matches_one_state_route_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        entries = [
+            tuple(getattr(s, k) for k in ("d11", "d22", "d33", "d44", "c14", "c23"))
+            for s in (random_x_state(rng) for _ in range(400))
+        ]
+        # XState clamps an entry just below zero; the arrays must too
+        entries.append((0.5 + 1e-13, 0.5, -1e-13, 0.0, 0.3 + 0.1j, 0.2j))
+        got = steering_arrays(*_entry_columns(entries))
+        for i, e in enumerate(entries):
+            res = steering_asymmetry(XState(*e))
+            want = (res.s_ab, res.s_ba, res.asymmetry, res.concurrence)
+            assert tuple(float(col[i]).hex() for col in got) == tuple(v.hex() for v in want)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (1.5, -0.5, 0.0, 0.0, 0j, 0j),  # outside [0, 1]
+            (0.5, 0.5, 0.5, 0.0, 0j, 0j),  # trace 1.5
+            (math.nan, 0.5, 0.5, 0.0, 0j, 0j),
+            (0.5, 0.5, 0.0, 0.0, complex(math.inf, 0.0), 0j),
+            (0.5, 0.5, 0.0, 0.0, 0j, complex(0.0, math.nan)),
+        ],
+    )
+    def test_refuses_what_xstate_refuses(self, bad):
+        with pytest.raises(ValidationError):
+            XState(*bad)
+        good = (0.25, 0.25, 0.25, 0.25, 0.1 + 0j, 0.1j)
+        with pytest.raises(ValidationError):
+            steering_arrays(*_entry_columns([good, bad, good]))
 
 
 class TestCertificationMap:
