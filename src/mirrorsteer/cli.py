@@ -29,8 +29,9 @@ from .detector_model import (
     steering_from_block,
 )
 from .errors import ConvergenceError, ValidationError
-from .integral_oracle import EPSILONS, NODES, TRUNCATION, numeric_correlations
+from .integral_oracle import EPSILONS, NODES, RTOL, TRUNCATION, numeric_correlations
 from .sweep_optimize import (
+    _PARAM_NAME,
     OBSERVABLES,
     FigureId,
     Objective,
@@ -149,7 +150,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    pair, geom, config = _pair_geom(args)
+    pair, geom, _ = _pair_geom(args)
     axis = SweepAxis(
         variable=args.axis,
         start=args.start,
@@ -158,14 +159,12 @@ def _cmd_sweep(args) -> int:
         scale=SweepScale.LOG if args.log else SweepScale.LINEAR,
     )
     table = sweep(pair, geom, axis)
-    params = dict(config, axis=axis.variable.value, scale=axis.scale.value)
+    params = dict(table.params, axis=axis.variable.value, scale=axis.scale.value)
+    params.update(start=axis.start, stop=axis.stop)
     if args.format == "json":
-        payload = dict(config)
-        payload["axis"] = axis.variable.value
-        payload["scale"] = axis.scale.value
         names = ("axis_value", *OBSERVABLES)
-        payload["rows"] = [dict(zip(names, row)) for row in zip(*table.columns.values())]
-        payload["provenance"] = _provenance(params)
+        rows = [dict(zip(names, row)) for row in zip(*table.columns.values())]
+        payload = dict(params, rows=rows, provenance=_provenance(params))
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     else:
         _write_text(args.out, _table_csv(table, params))
@@ -184,23 +183,13 @@ def _parse_bracket(text: str) -> tuple[float, float]:
 
 def _cmd_optimize(args) -> int:
     pair, geom, config = _pair_geom(args)
+    variable = SweepVariable(args.axis)
     bracket = _parse_bracket(args.bracket)
-    res = find_peak(
-        pair,
-        geom,
-        variable=SweepVariable(args.axis),
-        bracket=bracket,
-        objective=Objective(args.objective),
-    )
-    record = dict(config)
-    record.update(
-        axis=args.axis,
-        objective=args.objective,
-        location=res.location,
-        value=res.value,
-        bracket=list(res.bracket),
-        iterations=res.iterations,
-    )
+    res = find_peak(pair, geom, variable, bracket, Objective(args.objective))
+    # the swept value overrides its flag at every evaluation
+    del config[_PARAM_NAME[variable]]
+    config.update(axis=args.axis, objective=args.objective, bracket=list(res.bracket))
+    record = dict(config, location=res.location, value=res.value, iterations=res.iterations)
     record["provenance"] = _provenance(config)
     _write_text(args.out, json.dumps(record, indent=2) + "\n")
     return 0
@@ -219,7 +208,7 @@ def _cmd_verify(args) -> int:
         for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL):
             geom = BoundaryGeometry(alignment, separation, boundary_distance)
             block = correlations(pair, geom)
-            oracle = numeric_correlations(pair, geom, rtol=args.rtol)
+            oracle = numeric_correlations(pair, geom)
             row = {
                 "alignment": alignment.value,
                 "omega_a": omega_a,
@@ -250,7 +239,6 @@ def _cmd_verify(args) -> int:
     json_to_stdout = args.format == "json" and args.out is None
     print("\n".join(lines), file=sys.stderr if json_to_stdout else sys.stdout)
     if args.format == "json" or args.out:
-        config = {"grid": args.grid, "rtol": args.rtol}
         payload = {
             "grid": args.grid,
             "tolerance": VERIFY_TOLERANCE,
@@ -258,11 +246,12 @@ def _cmd_verify(args) -> int:
             "passed": passed,
             "rows": rows,
             "provenance": {
-                **_provenance(config),
+                **_provenance({"grid": args.grid}),
                 "quadrature": {
                     "truncation": TRUNCATION,
                     "nodes": NODES,
                     "epsilons": list(EPSILONS),
+                    "rtol": RTOL,
                 },
             },
         }
@@ -373,12 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="check closed forms against the quadrature oracle"
     )
     p_verify.add_argument("--grid", choices=["smoke", "default"], default="default")
-    p_verify.add_argument(
-        "--rtol",
-        type=float,
-        default=1e-3,
-        help="relative tolerance requested from the oracle extrapolation",
-    )
     p_verify.add_argument("--format", choices=["table", "json"], default="table")
     p_verify.add_argument("--out")
     p_verify.set_defaults(handler=_cmd_verify)

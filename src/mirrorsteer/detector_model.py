@@ -215,9 +215,14 @@ def _aux_g(l: float, d: float) -> complex:
     correlator.
     """
     damping = math.exp(-l * l / 4.0)
-    # once the damping underflows (l above ~55) the phase is irrelevant, and
-    # at huge l it overflows to inf, where cos and sin are undefined
+    # once the damping underflows (l above ~55) the phase is irrelevant; below
+    # that a phase overflowing to inf, where cos and sin are undefined, is refused
     phase = d * l / 2.0 if damping else 0.0
+    if not math.isfinite(phase):
+        raise ValidationError(
+            f"omega_b - omega_a = {d:g} at separation {l:g} overflows the "
+            "kernel phase (omega_b - omega_a)·l/2"
+        )
     return complex(
         _aux_f(l, d) + damping * math.sin(phase) / l, damping * math.cos(phase) / l
     )
@@ -253,6 +258,8 @@ def _aux_g_array(l: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of :func:`_aux_g` at each point, bit for bit."""
     damping = _each(math.exp, -l * l / 4.0)
     phase = np.where(damping != 0.0, d * l / 2.0, 0.0)
+    if not np.isfinite(phase).all():
+        raise ValidationError("a point of the batch overflows the kernel phase")
     real = _aux_f_array(l, d) + damping * _each(math.sin, phase) / l
     return real, damping * _each(math.cos, phase) / l
 
@@ -327,8 +334,9 @@ def correlation_arrays(
 
     ``omega_a`` and ``coupling`` are those of a valid :class:`DetectorPair`.
     Every point is checked as :class:`DetectorPair`,
-    :class:`BoundaryGeometry` and :class:`CorrelationBlock` check it, once
-    over the arrays; a :class:`ValidationError` that names no point is
+    :class:`BoundaryGeometry` and :class:`CorrelationBlock` check it, and
+    as :func:`_aux_g` checks its phase, once over the arrays; a
+    :class:`ValidationError` that names no point is
     raised when any fails. Returns the columns p_a, p_b, c (real) and x
     (complex).
     """

@@ -37,10 +37,10 @@ from the mirror).
 
 The discretisation is fixed: the box is truncated at |tau|, |tau'| <=
 :data:`TRUNCATION` switching widths, each sbar row uses the
-:data:`NODES`-point rule, and the regulator schedule is
-:data:`EPSILONS`. Only the requested tolerance of
-:func:`numeric_correlations` is a parameter; ``verify`` echoes the three
-constants in its provenance block.
+:data:`NODES`-point rule, the regulator schedule is :data:`EPSILONS`,
+and the extrapolation must hold the relative tolerance :data:`RTOL`.
+None of the four is a parameter; ``verify`` echoes them in its
+provenance block.
 
 All summation is done with numpy's pairwise reductions on fixed-shape
 arrays, so results are bit-stable across runs and machines with the
@@ -74,6 +74,9 @@ TRUNCATION = 8.0
 NODES = 400
 # decreasing regulator schedule, extrapolated to zero
 EPSILONS = (0.02, 0.01, 0.005)
+# requested relative tolerance: an extrapolation error estimate above 10 x
+# RTOL of the value (of _ABS_FLOOR, for smaller values) is a convergence error
+RTOL = 1e-3
 
 
 def _two_point(dt, spatial: float, image: float, eps: float):
@@ -228,13 +231,11 @@ def extrapolate_epsilon(values) -> tuple[complex, float]:
 
 
 def _extrapolated(
-    terms, spatial: float, image: float, coupling: float, rtol: float = 1e-3
+    terms, spatial: float, image: float, coupling: float
 ) -> list[tuple[complex, float]]:
     """Each response integral of ``terms`` (see :func:`_regulated_values`)
     extrapolated to zero regulator, times the squared coupling, with its
     extrapolation error estimate."""
-    if not (math.isfinite(rtol) and rtol > 0.0):
-        raise ValidationError(f"rtol must be a positive finite number, got {rtol!r}")
     lam2 = coupling * coupling
     results = []
     for schedule in _regulated_values(terms, spatial, image):
@@ -251,11 +252,11 @@ def _extrapolated(
                     w.message, w.category, w.filename, w.lineno
                 )
         scale = max(abs(limit), _ABS_FLOOR)
-        if estimate > 10.0 * rtol * scale:
+        if estimate > 10.0 * RTOL * scale:
             raise ConvergenceError(
-                f"epsilon extrapolation error {estimate:.3e} exceeds 10 x rtol x "
-                f"scale = {10.0 * rtol * scale:.3e}; request a larger rtol from "
-                "numeric_correlations (verify --rtol)"
+                f"epsilon extrapolation error {estimate:.3e} exceeds 10 x RTOL x "
+                f"scale = {10.0 * RTOL * scale:.3e}: the fixed regulator schedule "
+                f"does not reach RTOL = {RTOL:g} here"
             )
         results.append((limit, estimate))
     return results
@@ -274,7 +275,7 @@ def _real_probability(value: complex, estimate: float) -> float:
 
 def numeric_probability(omega: float, dz: float) -> float:
     """Excitation probability at unit coupling from the defining double
-    integral, its extrapolation held to rtol 1e-3.
+    integral, its extrapolation held to :data:`RTOL`.
 
     This is the cross-excitation integral of the detector with itself:
     gap ``omega`` at both times, no direct separation, and an image
@@ -334,9 +335,7 @@ def numeric_x(pair: DetectorPair, geom: BoundaryGeometry) -> complex:
     return -value
 
 
-def numeric_correlations(
-    pair: DetectorPair, geom: BoundaryGeometry, rtol: float = 1e-3
-) -> CorrelationBlock:
+def numeric_correlations(pair: DetectorPair, geom: BoundaryGeometry) -> CorrelationBlock:
     """``p_a``, ``p_b``, ``c`` and ``x`` of the pair from their defining
     double integrals: the oracle counterpart of ``correlations``.
 
@@ -352,11 +351,11 @@ def numeric_correlations(
     terms_a = [(pair.omega_a, pair.omega_a, False)]
     terms_b = [(pair.omega_b, pair.omega_b, False)]
     if distance_b == dz:
-        p_a, p_b = _extrapolated(terms_a + terms_b, 0.0, 2.0 * dz, lam, rtol)
+        p_a, p_b = _extrapolated(terms_a + terms_b, 0.0, 2.0 * dz, lam)
     else:
-        (p_a,) = _extrapolated(terms_a, 0.0, 2.0 * dz, lam, rtol)
-        (p_b,) = _extrapolated(terms_b, 0.0, 2.0 * distance_b, lam, rtol)
-    c, x = _extrapolated(_correlation_terms(pair), spatial, image, lam, rtol)
+        (p_a,) = _extrapolated(terms_a, 0.0, 2.0 * dz, lam)
+        (p_b,) = _extrapolated(terms_b, 0.0, 2.0 * distance_b, lam)
+    c, x = _extrapolated(_correlation_terms(pair), spatial, image, lam)
     return CorrelationBlock(
         p_a=_real_probability(*p_a),
         p_b=_real_probability(*p_b),

@@ -273,6 +273,15 @@ _OBSERVABLE_OF = {
 }
 
 
+def _bracket(bracket: tuple[float, float], kind: str) -> tuple[float, float]:
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"{kind} bracket ({lo:g}, {hi:g}) must be finite")
+    if not lo < hi:
+        raise ValidationError(f"{kind} bracket must satisfy lo < hi")
+    return lo, hi
+
+
 def find_peak(
     pair: DetectorPair,
     geom: BoundaryGeometry,
@@ -288,9 +297,7 @@ def find_peak(
     """
     variable = SweepVariable(variable)
     objective = Objective(objective)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValidationError("peak bracket must satisfy lo < hi")
+    lo, hi = _bracket(bracket, "peak")
     index = OBSERVABLES.index(_OBSERVABLE_OF[objective])
     objective_fn = lambda v: _evaluate(pair, geom, variable, v)[index]
 
@@ -345,9 +352,7 @@ def find_transition(
     """
     variable = SweepVariable(variable)
     direction = Direction(direction)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValidationError("transition bracket must satisfy lo < hi")
+    lo, hi = _bracket(bracket, "transition")
     index = OBSERVABLES.index(_OBSERVABLE_OF[direction])
     indicator_fn = lambda v: _evaluate(pair, geom, variable, v)[index] > 0.0
 

@@ -2,10 +2,13 @@
 
 import json
 import math
+import pathlib
+import shlex
 
 import pytest
 
-from mirrorsteer.cli import _table_csv, main
+from mirrorsteer import cli, integral_oracle
+from mirrorsteer.cli import _config_hash, _table_csv, main
 from mirrorsteer.detector_model import (
     Alignment,
     BoundaryGeometry,
@@ -18,6 +21,7 @@ from mirrorsteer.detector_model import (
 from mirrorsteer.sweep_optimize import (
     MAX_POINTS,
     FigureId,
+    PeakResult,
     SweepAxis,
     SweepTable,
     SweepVariable,
@@ -107,6 +111,17 @@ class TestCompute:
         assert code == 2
         assert "coupling = 1e+200" in err
         assert "probabilities must be finite" not in err
+        assert out == ""
+
+    def test_phase_overflow_exits_2(self, capsys):
+        # (omega_b - omega_a)·l/2 overflows while e^{-l²/4} is still nonzero
+        argv = list(self.ARGS)
+        argv[argv.index("--omega-a") + 1] = "0"
+        argv[argv.index("--omega-b") + 1] = "8e307"
+        argv[argv.index("--l") + 1] = "10"
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert "omega_b - omega_a = 8e+307 at separation 10 overflows" in err
         assert out == ""
 
     def test_huge_separation_gives_zero_correlations(self, capsys):
@@ -237,6 +252,59 @@ class TestSweepCommand:
         assert payload["rows"][0]["s_ba"] >= 0.0
         assert list(payload["rows"][0]) == ["axis_value", *CSV_HEADER.split(",")[1:]]
 
+    def test_json_metadata_is_the_hashed_config(self, capsys):
+        code, out, _ = run(self.ARGS + ["--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        config_hash = payload.pop("provenance")["config_hash"]
+        del payload["rows"]
+        assert config_hash == _config_hash(payload)
+        assert list(payload) == [
+            "omega_a", "omega_b", "lambda", "resolution", "alignment", "dz",
+            "axis", "scale", "start", "stop",
+        ]
+
+    def test_json_hash_covers_the_grid(self, capsys):
+        def config_hash(flag, value):
+            argv = self.ARGS + ["--format", "json"]
+            if value is None:
+                argv.append(flag)
+            else:
+                argv[argv.index(flag) + 1] = value
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            return json.loads(out)["provenance"]["config_hash"]
+
+        variants = [("--start", "0.1"), ("--start", "0.2"), ("--stop", "3"),
+                    ("--points", "13"), ("--log", None)]
+        hashes = [config_hash(flag, value) for flag, value in variants]
+        assert len(set(hashes)) == len(variants)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_swept_flag_not_recorded(self, fmt, capsys):
+        # the axis overrides --l at every grid point, so its value is no input
+        outputs = []
+        for l in ("1", "7"):
+            argv = self.ARGS + ["--format", fmt]
+            argv[argv.index("--l") + 1] = l
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert "# l =" not in outputs[0]
+        assert '"l"' not in outputs[0]
+
+    def test_phase_overflow_names_first_failing_grid_point(self, capsys):
+        argv = [
+            "sweep", "--alignment", "parallel", "--omega-a", "0", "--omega-b", "1",
+            "--l", "10", "--dz", "1", "--axis", "omega-b",
+            "--start", "0.1", "--stop", "8e307", "--points", "5",
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert "at omega-b = 2e+307: omega_b - omega_a = 2e+307 at separation 10" in err
+        assert out == ""
+
     def test_bad_axis_range_exits_2(self, capsys):
         argv = list(self.ARGS)
         argv[argv.index("--start") + 1] = "3.0"
@@ -254,37 +322,80 @@ class TestSweepCommand:
 
 
 class TestOptimizeCommand:
+    ARGS = [
+        "optimize",
+        "--alignment", "parallel",
+        "--omega-a", "0.1",
+        "--omega-b", "0.1",
+        "--l", "0.05",
+        "--dz", "1",
+        "--axis", "boundary-distance",
+        "--bracket", "0.2,6.0",
+        "--objective", "sba",
+    ]
+
     def test_peak_search(self, capsys):
-        argv = [
-            "optimize",
-            "--alignment", "parallel",
-            "--omega-a", "0.1",
-            "--omega-b", "0.1",
-            "--l", "0.05",
-            "--dz", "1",
-            "--axis", "boundary-distance",
-            "--bracket", "0.2,6.0",
-            "--objective", "sba",
-        ]
-        code, out, _ = run(argv, capsys)
+        code, out, _ = run(self.ARGS, capsys)
         assert code == 0
         record = json.loads(out)
         assert 0.5 < record["location"] < 1.5
         assert record["value"] > 0.0
         assert record["iterations"] > 10
 
-    def test_unbracketed_peak_exits_2(self, capsys):
-        argv = [
-            "optimize",
-            "--alignment", "parallel",
-            "--omega-a", "0.1",
-            "--omega-b", "0.1",
-            "--l", "0.05",
-            "--dz", "1",
-            "--axis", "boundary-distance",
-            "--bracket", "2.0,6.0",
-            "--objective", "sba",
+    def test_record_is_the_hashed_config_plus_the_result(self, capsys):
+        code, out, _ = run(self.ARGS, capsys)
+        assert code == 0
+        record = json.loads(out)
+        config_hash = record.pop("provenance")["config_hash"]
+        for key in ("location", "value", "iterations"):
+            del record[key]
+        assert config_hash == _config_hash(record)
+        assert list(record) == [
+            "alignment", "omega_a", "omega_b", "l", "lambda", "axis", "objective", "bracket",
         ]
+
+    def test_hash_covers_bracket_objective_and_axis(self, monkeypatch, capsys):
+        # the search is replaced so that every variant has a peak
+        def found(pair, geom, variable, bracket, objective):
+            return PeakResult(location=1.0, value=0.5, bracket=bracket, iterations=3)
+
+        monkeypatch.setattr(cli, "find_peak", found)
+        variants = [("--bracket", "0.2,6.0"), ("--bracket", "0.3,5.0"),
+                    ("--objective", "sab"), ("--axis", "separation")]
+        hashes = []
+        for flag, value in variants:
+            argv = list(self.ARGS)
+            argv[argv.index(flag) + 1] = value
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            hashes.append(json.loads(out)["provenance"]["config_hash"])
+        assert len(set(hashes)) == len(variants)
+
+    def test_swept_flag_not_recorded(self, capsys):
+        # the axis overrides --dz at every evaluation, so its value is no input
+        outputs = []
+        for dz in ("1", "3"):
+            argv = list(self.ARGS)
+            argv[argv.index("--dz") + 1] = dz
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert '"dz"' not in outputs[0]
+
+    @pytest.mark.parametrize("bracket", ["0.2,nan", "nan,6", "0.2,inf"])
+    def test_non_finite_bracket_exits_2(self, bracket, capsys):
+        argv = list(self.ARGS)
+        argv[argv.index("--bracket") + 1] = bracket
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        lo, hi = (float(v) for v in bracket.split(","))
+        assert f"peak bracket ({lo:g}, {hi:g}) must be finite" in err
+        assert out == ""
+
+    def test_unbracketed_peak_exits_2(self, capsys):
+        argv = list(self.ARGS)
+        argv[argv.index("--bracket") + 1] = "2.0,6.0"
         code, _, err = run(argv, capsys)
         assert code == 2
         assert "sweep" in err
@@ -332,24 +443,21 @@ class TestVerifyCommand:
         out = tmp_path / "verify.json"
         argv = ["verify", "--grid", "smoke", "--format", "json", "--out", str(out)]
         assert run(argv, capsys)[0] == 0
-        quadrature = json.loads(out.read_text())["provenance"]["quadrature"]
+        provenance = json.loads(out.read_text())["provenance"]
+        assert provenance["config_hash"] == _config_hash({"grid": "smoke"})
+        quadrature = provenance["quadrature"]
         assert list(quadrature.items()) == [
-            ("truncation", 8.0), ("nodes", 400), ("epsilons", [0.02, 0.01, 0.005])
+            ("truncation", 8.0), ("nodes", 400), ("epsilons", [0.02, 0.01, 0.005]),
+            ("rtol", 0.001),
         ]
         assert type(quadrature["truncation"]) is float
         assert type(quadrature["nodes"]) is int
 
-    def test_unreachable_tolerance_exits_3(self, capsys):
-        code, _, err = run(["verify", "--grid", "smoke", "--rtol", "1e-12"], capsys)
+    def test_unreachable_tolerance_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(integral_oracle, "RTOL", 1e-12)
+        code, _, err = run(["verify", "--grid", "smoke"], capsys)
         assert code == 3
         assert err
-
-    @pytest.mark.parametrize("rtol", ["-1", "0", "nan", "inf"])
-    def test_invalid_tolerance_exits_2(self, rtol, capsys):
-        code, out, err = run(["verify", "--grid", "smoke", "--rtol", rtol], capsys)
-        assert code == 2
-        assert "rtol" in err
-        assert out == ""
 
 
 class TestFigureCommand:
@@ -559,3 +667,30 @@ class TestFigureCommand:
     def test_bad_figure_id_exits_2(self, capsys):
         code, _, _ = run(["figure", "fig9", "--out", "."], capsys)
         assert code == 2
+
+
+def _readme_commands():
+    """The ``mirrorsteer`` command lines of README's "Command line" block,
+    as argument lists: continuation lines joined, redirections dropped."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["mirrorsteer"]:
+            if ">" in words:
+                words = words[: words.index(">")]
+            commands.append(words[1:])
+    return commands
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "compute", "sweep", "optimize", "verify", "figure"
+    }
+    for argv in commands:
+        code, _, err = run(argv, capsys)
+        assert code == 0, f"mirrorsteer {shlex.join(argv)}: exit {code}: {err}"

@@ -191,9 +191,10 @@ class TestNumericProbability:
             ratio = getattr(strong, name) / getattr(base, name)
             assert abs(ratio - 4.0) <= 1e-12, name
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(integral_oracle, "RTOL", 1e-9)
         with pytest.raises(ConvergenceError):
-            numeric_correlations(PAIR, GEOM_PAR, rtol=1e-9)
+            numeric_correlations(PAIR, GEOM_PAR)
 
     def test_small_probability_at_large_gap(self):
         # P ~ 1e-7 here: the imaginary residue of the sum, ~1e-15, is
@@ -216,16 +217,6 @@ class TestNumericProbability:
             numeric_probability(-0.1, 1.0)
         with pytest.raises(ValidationError):
             numeric_probability(0.1, 0.0)
-
-    @pytest.mark.parametrize("rtol", [-1.0, 0.0, math.nan, math.inf])
-    def test_invalid_rtol_refused_before_quadrature(self, rtol, monkeypatch):
-        def no_quadrature(*args, **kwargs):
-            raise AssertionError("quadrature ran")
-
-        monkeypatch.setattr(integral_oracle, "_regulated_values", no_quadrature)
-        for geom in (GEOM_PAR, BoundaryGeometry(Alignment.ORTHOGONAL, 1.0, 1.0)):
-            with pytest.raises(ValidationError, match="rtol"):
-                numeric_correlations(PAIR, geom, rtol=rtol)
 
 
 class TestNumericC:
@@ -252,10 +243,11 @@ class TestNumericC:
         at30 = numeric_c(PAIR, BoundaryGeometry(Alignment.PARALLEL, 1.0, 30.0))
         assert abs(at30 - free_c) / abs(free_c) < 1e-3
 
-    def test_unreachable_tolerance_raises(self):
-        # the advice names the one setting a caller has
-        with pytest.raises(ConvergenceError, match="larger rtol"):
-            numeric_correlations(PAIR, GEOM_PAR, rtol=1e-12)
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        # the message names the fixed tolerance the schedule missed
+        monkeypatch.setattr(integral_oracle, "RTOL", 1e-12)
+        with pytest.raises(ConvergenceError, match="does not reach RTOL = 1e-12"):
+            numeric_correlations(PAIR, GEOM_PAR)
 
 
 class TestNumericX:

@@ -2,6 +2,7 @@
 the figure dataset builders."""
 
 import math
+import re
 
 import pytest
 
@@ -290,6 +291,14 @@ class TestFindPeak:
         assert res.value > free
         assert 0.5 < res.location < 1.5
 
+    @pytest.mark.parametrize(
+        "bracket", [(0.2, math.nan), (math.nan, 6.0), (0.2, math.inf), (-math.inf, 6.0)]
+    )
+    def test_non_finite_bracket_refused(self, bracket):
+        match = re.escape(f"peak bracket ({bracket[0]:g}, {bracket[1]:g}) must be finite")
+        with pytest.raises(ValidationError, match=match):
+            find_peak(PAIR, GEOM_NEAR, SweepVariable.BOUNDARY_DISTANCE, bracket, Objective.S_BA)
+
     def test_bracket_contains_location(self):
         res = find_peak(
             PAIR,
@@ -346,6 +355,14 @@ class TestFindTransition:
                 bracket=(1.0, 2.0),
                 direction=Direction.B_TO_A,
             )
+
+    @pytest.mark.parametrize(
+        "bracket", [(0.1, math.nan), (math.nan, 3.0), (0.1, math.inf), (-math.inf, 3.0)]
+    )
+    def test_non_finite_bracket_refused(self, bracket):
+        match = re.escape(f"transition bracket ({bracket[0]:g}, {bracket[1]:g}) must be finite")
+        with pytest.raises(ValidationError, match=match):
+            find_transition(PAIR, GEOM_ORT, SweepVariable.SEPARATION, bracket, Direction.A_TO_B)
 
     def test_real_steering_death(self):
         res = find_transition(
