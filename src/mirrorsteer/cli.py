@@ -114,12 +114,21 @@ def _table_csv(table: SweepTable, params: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pair_geom(args) -> tuple[DetectorPair, BoundaryGeometry, dict]:
-    pair = DetectorPair(args.omega_a, args.omega_b, coupling=args.coupling)
+def _pair_geom(
+    args, swept: SweepVariable | None = None
+) -> tuple[DetectorPair, BoundaryGeometry, dict]:
+    """The pair, geometry and config the physics flags give.  Every point
+    of a ``swept`` variable overrides its flag, so a valid stand-in takes
+    the flag's place and the config leaves it out."""
+    values = {"omega_b": args.omega_b, "l": args.l, "dz": args.dz}
+    if swept is not None:
+        # omega_b may equal omega_a; a length may be any positive value
+        values[_PARAM_NAME[swept]] = args.omega_a if swept is SweepVariable.OMEGA_B else 1.0
+    pair = DetectorPair(args.omega_a, values["omega_b"], coupling=args.coupling)
     geom = BoundaryGeometry(
         alignment=args.alignment,
-        separation=args.l,
-        boundary_distance=args.dz,
+        separation=values["l"],
+        boundary_distance=values["dz"],
     )
     config = {
         "alignment": geom.alignment.value,
@@ -129,6 +138,8 @@ def _pair_geom(args) -> tuple[DetectorPair, BoundaryGeometry, dict]:
         "dz": geom.boundary_distance,
         "lambda": pair.coupling,
     }
+    if swept is not None:
+        del config[_PARAM_NAME[swept]]
     return pair, geom, config
 
 
@@ -150,7 +161,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    pair, geom, _ = _pair_geom(args)
+    pair, geom, _ = _pair_geom(args, SweepVariable(args.axis))
     axis = SweepAxis(
         variable=args.axis,
         start=args.start,
@@ -182,14 +193,12 @@ def _parse_bracket(text: str) -> tuple[float, float]:
 
 
 def _cmd_optimize(args) -> int:
-    pair, geom, config = _pair_geom(args)
     variable = SweepVariable(args.axis)
+    pair, geom, config = _pair_geom(args, variable)
     bracket = _parse_bracket(args.bracket)
     res = find_peak(pair, geom, variable, bracket, Objective(args.objective))
-    # the swept value overrides its flag at every evaluation
-    del config[_PARAM_NAME[variable]]
     config.update(axis=args.axis, objective=args.objective, bracket=list(res.bracket))
-    record = dict(config, location=res.location, value=res.value, iterations=res.iterations)
+    record = dict(config, location=res.location, value=res.value, evaluations=res.evaluations)
     record["provenance"] = _provenance(config)
     _write_text(args.out, json.dumps(record, indent=2) + "\n")
     return 0

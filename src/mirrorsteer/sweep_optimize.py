@@ -6,10 +6,12 @@ of detector B.  Sweeps tabulate the observables as named columns, evaluating
 the whole grid in one array pass through the model's array kernels, equal bit
 for bit to evaluating each point alone; peak and transition finders, whose
 evaluations each depend on the last, take the one-point route and refine
-features of those curves to 1e-6 in the swept variable.  The figure builders
-reproduce the standard curve families (steering versus separation, versus
-mirror distance, versus detector gap, and the alignment difference) as
-labelled tables.
+features of those curves to 1e-6 in the swept variable: a peak by Brent's
+minimiser, a transition by Dekker-Brent zeroin on the signed steering margin
+(R. Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4-5).
+The figure builders reproduce the standard curve families (steering versus
+separation, versus mirror distance, versus detector gap, and the alignment
+difference) as labelled tables.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -30,10 +32,11 @@ from .detector_model import (
     boundary_free_correlations,
     correlation_arrays,
     correlations,
+    state_from_block,
     steering_from_block,
 )
 from .errors import ConvergenceError, ValidationError
-from .xstate_steering import SteeringResult, _moduli, steering_arrays
+from .xstate_steering import SteeringResult, _moduli, _signed_margins, steering_arrays
 
 __all__ = [
     "OBSERVABLES",
@@ -53,11 +56,14 @@ __all__ = [
     "figure_dataset",
 ]
 
+_T = TypeVar("_T")
+
 REFINE_TOL = 1e-6
 # largest grid a SweepAxis accepts; refused before anything is allocated
 MAX_POINTS = 1_000_000
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# fraction of the larger side a golden-section step of Brent's minimiser takes
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 class SweepVariable(enum.Enum):
@@ -165,7 +171,7 @@ class PeakResult:
     location: float
     value: float
     bracket: tuple[float, float]
-    iterations: int
+    evaluations: int  # model evaluations, the three bracket checks included
 
 
 @dataclass(frozen=True)
@@ -173,6 +179,7 @@ class TransitionResult:
     location: float
     kind: TransitionKind
     direction: Direction
+    evaluations: int  # model evaluations, the two bracket ends included
 
 
 def _apply(
@@ -189,6 +196,22 @@ def _apply(
     return DetectorPair(pair.omega_a, value, coupling=pair.coupling), geom
 
 
+def _at(
+    pair: DetectorPair,
+    geom: BoundaryGeometry,
+    variable: SweepVariable,
+    value: float,
+    read: Callable[[CorrelationBlock], _T],
+) -> _T:
+    """``read`` of the correlation block at one grid point.  Validation and
+    convergence errors are re-raised as the same type with the point named."""
+    try:
+        pair_v, geom_v = _apply(pair, geom, variable, value)
+        return read(correlations(pair_v, geom_v))
+    except (ValidationError, ConvergenceError) as exc:
+        raise type(exc)(f"at {variable.value} = {value:g}: {exc}") from exc
+
+
 def _evaluate(
     pair: DetectorPair,
     geom: BoundaryGeometry,
@@ -196,13 +219,8 @@ def _evaluate(
     value: float,
 ) -> tuple[float, ...]:
     """The :func:`observable_values` at one grid point."""
-    try:
-        pair_v, geom_v = _apply(pair, geom, variable, value)
-        block = correlations(pair_v, geom_v)
-        res = steering_from_block(block)
-    except (ValidationError, ConvergenceError) as exc:
-        raise type(exc)(f"at {variable.value} = {value:g}: {exc}") from exc
-    return observable_values(block, res)
+    read = lambda block: observable_values(block, steering_from_block(block))
+    return _at(pair, geom, variable, value, read)
 
 
 _SEP = SweepVariable.SEPARATION
@@ -263,13 +281,11 @@ def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepT
     return SweepTable(axis.variable, columns, params=tuple(params.items()))
 
 
-# the observable each objective and each direction reads
+# the observable each objective reads
 _OBSERVABLE_OF = {
     Objective.S_AB: "s_ab",
     Objective.S_BA: "s_ba",
     Objective.ASYMMETRY: "asymmetry",
-    Direction.A_TO_B: "s_ab",
-    Direction.B_TO_A: "s_ba",
 }
 
 
@@ -289,51 +305,83 @@ def find_peak(
     bracket: tuple[float, float],
     objective: Objective,
 ) -> PeakResult:
-    """Locate an interior maximum of a steering objective by golden section.
+    """Locate an interior maximum of a steering objective by Brent's method.
 
     The bracket must already isolate a peak: the midpoint value has to
-    exceed both endpoint values, otherwise the search is refused.  The
-    returned location is resolved to within ``REFINE_TOL``.
+    exceed both endpoint values, otherwise the search is refused.  Brent's
+    minimiser then runs on the negated objective from the midpoint, taking
+    a parabolic step through the three best points where it lands well
+    inside the bracket and a golden-section step where it does not.  It
+    stops once every point still admissible lies within ``REFINE_TOL`` of
+    the returned location, whose objective value is returned with it.
     """
     variable = SweepVariable(variable)
     objective = Objective(objective)
     lo, hi = _bracket(bracket, "peak")
     index = OBSERVABLES.index(_OBSERVABLE_OF[objective])
-    objective_fn = lambda v: _evaluate(pair, geom, variable, v)[index]
+    loss = lambda v: -_evaluate(pair, geom, variable, v)[index]
 
-    f_lo = objective_fn(lo)
-    f_hi = objective_fn(hi)
-    mid = 0.5 * (lo + hi)
-    f_mid = objective_fn(mid)
-    if not (f_mid > f_lo and f_mid > f_hi):
+    f_lo, f_hi = loss(lo), loss(hi)
+    x = 0.5 * (lo + hi)
+    fx = loss(x)
+    if not (fx < f_lo and fx < f_hi):
         raise ValidationError(
             "bracket midpoint does not dominate the endpoints; run a coarse "
             "sweep first to isolate the peak"
         )
+    evaluations = 3
 
+    # the minimum lies in [a, b]; x is the best point seen, w the second
+    # best and v the previous w; e is the step before last
+    tol = 0.5 * REFINE_TOL
     a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = objective_fn(c)
-    fd = objective_fn(d)
-    iterations = 0
-    while (b - a) > REFINE_TOL:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = objective_fn(c)
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        if abs(x - m) <= REFINE_TOL - 0.5 * (b - a):
+            break
+        p = q = r = 0.0
+        if abs(e) > tol:
+            # parabola through x, w and v: its vertex is x + p/q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+        # accept the vertex only inside the bracket and at under half the
+        # step before last, so that the steps shrink
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if x + d - a < REFINE_TOL or b - (x + d) < REFINE_TOL:
+                d = math.copysign(tol, m - x)
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = objective_fn(d)
-        iterations += 1
-
-    location, value = (c, fc) if fc > fd else (d, fd)
-    if f_mid > value:
-        location, value = mid, f_mid
-    return PeakResult(
-        location=location, value=value, bracket=(lo, hi), iterations=iterations
-    )
+            e = (a if x >= m else b) - x
+            d = _GOLDEN * e
+        # never evaluate closer than tol to x
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = loss(u)
+        evaluations += 1
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return PeakResult(location=x, value=-fx, bracket=(lo, hi), evaluations=evaluations)
 
 
 def find_transition(
@@ -343,36 +391,78 @@ def find_transition(
     bracket: tuple[float, float],
     direction: Direction,
 ) -> TransitionResult:
-    """Bisect for the boundary between steerable and unsteerable parameters.
+    """Locate the boundary between steerable and unsteerable parameters.
 
     ``direction`` selects which steering direction is probed.  The bracket
-    endpoints must disagree on whether steering is present; the crossing is
-    then resolved to within ``REFINE_TOL`` and classified as a sudden death
-    (live side below) or sudden birth (live side above).
+    endpoints must disagree on whether steering is present.  The search
+    runs Dekker-Brent zeroin on the direction's signed margin, which is
+    positive exactly where that steering is: secant and inverse quadratic
+    steps where they shrink the bracket fast enough, bisection where they
+    do not.  It stops once the bracket across which steering switches is
+    at most ``REFINE_TOL`` wide and returns its midpoint, classified as a
+    sudden death (live side below) or sudden birth (live side above).
     """
     variable = SweepVariable(variable)
     direction = Direction(direction)
     lo, hi = _bracket(bracket, "transition")
-    index = OBSERVABLES.index(_OBSERVABLE_OF[direction])
-    indicator_fn = lambda v: _evaluate(pair, geom, variable, v)[index] > 0.0
+    index = 0 if direction is Direction.A_TO_B else 1
+    read = lambda block: _signed_margins(state_from_block(block))[index]
+    margin = lambda v: _at(pair, geom, variable, v, read)
 
-    live_lo = indicator_fn(lo)
-    live_hi = indicator_fn(hi)
-    if live_lo == live_hi:
+    a, b = lo, hi
+    fa, fb = margin(a), margin(b)
+    live_lo = fa > 0.0
+    if live_lo == (fb > 0.0):
         raise ValidationError(
             "transition bracket endpoints agree; pick a bracket that "
             "straddles the boundary"
         )
+    evaluations = 2
 
-    a, b = lo, hi
-    while (b - a) > REFINE_TOL:
-        mid = 0.5 * (a + b)
-        if indicator_fn(mid) == live_lo:
-            a = mid
+    # steering switches between b and c, and b is the end whose margin is
+    # nearer zero; a is the previous b, d the last step and e the one before
+    tol = 0.5 * REFINE_TOL
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            break
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                # secant through a and b
+                p = 2.0 * m * s
+                q = 1.0 - s
+            else:
+                # inverse quadratic through a, b and c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            # accept the step if it lands well inside the bracket and is
+            # under half the step before last
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            b = mid
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = margin(b)
+        evaluations += 1
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
     kind = TransitionKind.SUDDEN_DEATH if live_lo else TransitionKind.SUDDEN_BIRTH
-    return TransitionResult(location=0.5 * (a + b), kind=kind, direction=direction)
+    return TransitionResult(
+        location=0.5 * (b + c), kind=kind, direction=direction, evaluations=evaluations
+    )
 
 
 @dataclass(frozen=True)

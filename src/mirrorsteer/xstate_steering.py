@@ -125,13 +125,21 @@ def _margins(d11, d22, d33, d44, m14, m23, sqrt):
     )
 
 
-def _both_directions(state: XState) -> tuple[float, float]:
-    """S(A->B) and S(B->A) from the factored thresholds, in one pass."""
+def _signed_margins(state: XState) -> tuple[float, float]:
+    """The signed margins of A->B and B->A, each the larger of its two
+    entries of :func:`_margins`: a direction steers exactly where its
+    margin is positive."""
     (a14, a23), (b14, b23) = _margins(
         state.d11, state.d22, state.d33, state.d44,
         abs(state.c14), abs(state.c23), math.sqrt,
     )
-    return max(0.0, a14, a23), max(0.0, b14, b23)
+    return max(a14, a23), max(b14, b23)
+
+
+def _both_directions(state: XState) -> tuple[float, float]:
+    """S(A->B) and S(B->A), each its signed margin clamped at zero."""
+    m_ab, m_ba = _signed_margins(state)
+    return max(0.0, m_ab), max(0.0, m_ba)
 
 
 def steering_b_to_a(state: XState) -> float:

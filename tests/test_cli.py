@@ -294,6 +294,31 @@ class TestSweepCommand:
         assert "# l =" not in outputs[0]
         assert '"l"' not in outputs[0]
 
+    @pytest.mark.parametrize(
+        "axis, flag, valid, invalid",
+        [
+            ("separation", "--l", "1", "-1"),
+            ("boundary-distance", "--dz", "1", "0"),
+            ("omega-b", "--omega-b", "0.1", "0.05"),  # below --omega-a
+        ],
+    )
+    def test_swept_flag_out_of_its_domain_ignored(self, axis, flag, valid, invalid, capsys):
+        # every grid point overrides the swept flag, so its value is not checked
+        def sweep_with(value, start="0.1"):
+            argv = list(self.ARGS)
+            for name, text in (("--axis", axis), (flag, value), ("--start", start)):
+                argv[argv.index(name) + 1] = text
+            return run(argv, capsys)
+
+        code, out, err = sweep_with(invalid)
+        assert (code, err) == (0, "")
+        assert out == sweep_with(valid)[1]
+        # a range out of the domain is still refused, at its first point
+        code, out, err = sweep_with(invalid, start=invalid)
+        assert code == 2
+        assert f"at {axis} = {float(invalid):g}: " in err
+        assert out == ""
+
     def test_phase_overflow_names_first_failing_grid_point(self, capsys):
         argv = [
             "sweep", "--alignment", "parallel", "--omega-a", "0", "--omega-b", "1",
@@ -340,14 +365,14 @@ class TestOptimizeCommand:
         record = json.loads(out)
         assert 0.5 < record["location"] < 1.5
         assert record["value"] > 0.0
-        assert record["iterations"] > 10
+        assert record["evaluations"] <= 15
 
     def test_record_is_the_hashed_config_plus_the_result(self, capsys):
         code, out, _ = run(self.ARGS, capsys)
         assert code == 0
         record = json.loads(out)
         config_hash = record.pop("provenance")["config_hash"]
-        for key in ("location", "value", "iterations"):
+        for key in ("location", "value", "evaluations"):
             del record[key]
         assert config_hash == _config_hash(record)
         assert list(record) == [
@@ -357,7 +382,7 @@ class TestOptimizeCommand:
     def test_hash_covers_bracket_objective_and_axis(self, monkeypatch, capsys):
         # the search is replaced so that every variant has a peak
         def found(pair, geom, variable, bracket, objective):
-            return PeakResult(location=1.0, value=0.5, bracket=bracket, iterations=3)
+            return PeakResult(location=1.0, value=0.5, bracket=bracket, evaluations=3)
 
         monkeypatch.setattr(cli, "find_peak", found)
         variants = [("--bracket", "0.2,6.0"), ("--bracket", "0.3,5.0"),
@@ -372,16 +397,27 @@ class TestOptimizeCommand:
         assert len(set(hashes)) == len(variants)
 
     def test_swept_flag_not_recorded(self, capsys):
-        # the axis overrides --dz at every evaluation, so its value is no input
+        # the axis overrides --dz at every evaluation, so its value is no
+        # input and is not checked
         outputs = []
-        for dz in ("1", "3"):
+        for dz in ("1", "3", "-3"):
             argv = list(self.ARGS)
             argv[argv.index("--dz") + 1] = dz
             code, out, _ = run(argv, capsys)
             assert code == 0
             outputs.append(out)
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
         assert '"dz"' not in outputs[0]
+
+    def test_bracket_out_of_domain_names_its_end(self, capsys):
+        argv = list(self.ARGS)
+        argv[argv.index("--dz") + 1] = "-3"
+        i = argv.index("--bracket")
+        argv[i : i + 2] = ["--bracket=-1,6.0"]  # argparse reads "-1,6.0" as a flag
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert "at boundary-distance = -1: boundary_distance must be positive" in err
+        assert out == ""
 
     @pytest.mark.parametrize("bracket", ["0.2,nan", "nan,6", "0.2,inf"])
     def test_non_finite_bracket_exits_2(self, bracket, capsys):

@@ -1,10 +1,13 @@
 """Tests for parameter sweeps, peak finding, transition finding, and
 the figure dataset builders."""
 
+import dataclasses
 import math
 import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mirrorsteer.detector_model import (
     Alignment,
@@ -14,6 +17,7 @@ from mirrorsteer.detector_model import (
     boundary_free_steering,
     config_difference,
     harvested_steering,
+    state_from_block,
 )
 from mirrorsteer import sweep_optimize
 from mirrorsteer.errors import ConvergenceError, PerturbativeValidityError, ValidationError
@@ -33,6 +37,7 @@ from mirrorsteer.sweep_optimize import (
     find_transition,
     sweep,
 )
+from mirrorsteer.xstate_steering import _signed_margins
 
 PAIR = DetectorPair(omega_a=0.1, omega_b=0.1)
 GEOM_PAR = BoundaryGeometry(Alignment.PARALLEL, separation=1.0, boundary_distance=1.0)
@@ -258,7 +263,8 @@ class TestFindPeak:
             objective=Objective.S_BA,
         )
         assert res.bracket == (0.2, 6.0)
-        assert res.iterations > 10
+        # the three bracket checks and Brent's steps, counted exactly
+        assert res.evaluations <= 15
         assert res.value == harvested_steering(
             PAIR, BoundaryGeometry(Alignment.PARALLEL, 0.05, res.location)
         ).s_ba
@@ -321,6 +327,8 @@ class TestFindTransition:
         )
         assert res.kind is TransitionKind.SUDDEN_DEATH
         assert res.direction is Direction.A_TO_B
+        # the two bracket ends and zeroin's steps, counted exactly
+        assert res.evaluations <= 9
         live, dead = (
             harvested_steering(
                 PAIR, BoundaryGeometry(Alignment.ORTHOGONAL, res.location + step, 1.0)
@@ -338,6 +346,7 @@ class TestFindTransition:
             PAIR, far, SweepVariable.OMEGA_B, bracket=(0.1, 6.0), direction=Direction.A_TO_B
         )
         assert res.kind is TransitionKind.SUDDEN_BIRTH
+        assert res.evaluations <= 12
         dead, live = (
             harvested_steering(DetectorPair(0.1, res.location + step), far).s_ab
             for step in (-REFINE_TOL, REFINE_TOL)
@@ -373,6 +382,7 @@ class TestFindTransition:
             direction=Direction.B_TO_A,
         )
         assert res.kind is TransitionKind.SUDDEN_DEATH
+        assert res.evaluations <= 10
         assert 0.8 < res.location < 0.9
         live = harvested_steering(
             PAIR, BoundaryGeometry(Alignment.PARALLEL, res.location - 1e-4, 1.0)
@@ -392,6 +402,122 @@ class TestFindTransition:
             pair, GEOM_PAR, SweepVariable.SEPARATION, (0.1, 2.0), Direction.B_TO_A
         )
         assert death_ab.location > death_ba.location
+
+
+# the column each direction's signed margin is clamped into
+_COLUMN = {Direction.A_TO_B: "s_ab", Direction.B_TO_A: "s_ba"}
+_OBJECTIVE = {Direction.A_TO_B: Objective.S_AB, Direction.B_TO_A: Objective.S_BA}
+
+
+class TestSignedMargin:
+    """find_transition reads each direction's signed margin; the sweep
+    columns hold it clamped at zero, so the two must agree on where the
+    steering lives."""
+
+    @pytest.mark.parametrize("alignment", list(Alignment))
+    @pytest.mark.parametrize(
+        "pair, lengths, axis",
+        [
+            # both directions die along the separation
+            (DetectorPair(0.1, 0.3), (1.0, 1.0), ("separation", 0.05, 3.0, 120)),
+            # A-to-B steering switches along the B gap at both separations
+            (PAIR, (1.0, 1.0), ("omega-b", 0.1, 6.0, 120)),
+            (PAIR, (2.0, 1.0), ("omega-b", 0.1, 6.0, 120)),
+        ],
+        ids=["separation", "omega-b-l1", "omega-b-l2"],
+    )
+    def test_margin_clamps_to_the_column(self, alignment, pair, lengths, axis):
+        geom = BoundaryGeometry(alignment, *lengths)
+        axis = SweepAxis(*axis)
+        grid = axis.grid().tolist()
+        points = list(grid)
+        for direction, name in _COLUMN.items():
+            live = [v > 0.0 for v in sweep(pair, geom, axis).column(name)]
+            for i in (i for i in range(len(grid) - 1) if live[i] != live[i + 1]):
+                res = find_transition(
+                    pair, geom, axis.variable, (grid[i], grid[i + 1]), direction
+                )
+                # the margin is near zero here, where a drift would show first
+                points += [res.location + k * REFINE_TOL / 4 for k in range(-4, 5)]
+        assert len(points) > len(grid)
+        for value in points:
+            state = sweep_optimize._at(pair, geom, axis.variable, value, state_from_block)
+            row = sweep_optimize._evaluate(pair, geom, axis.variable, value)
+            for margin, name in zip(_signed_margins(state), _COLUMN.values()):
+                column = row[OBSERVABLES.index(name)]
+                assert (margin > 0.0) == (column > 0.0)
+                assert max(0.0, margin).hex() == column.hex()
+
+
+class TestSearchesNameFailingPoint:
+    # with lambda = 5, p_a + p_b passes 1 beyond a mirror distance near 0.85
+    STRONG = DetectorPair(omega_a=0.1, omega_b=0.1, coupling=5.0)
+
+    @pytest.mark.parametrize(
+        "search, target",
+        [(find_peak, Objective.S_BA), (find_transition, Direction.B_TO_A)],
+        ids=["find_peak", "find_transition"],
+    )
+    def test_model_failure_names_the_point(self, search, target):
+        match = r"^at boundary-distance = 6: p_a \+ p_b = \S+ >= 1"
+        with pytest.raises(PerturbativeValidityError, match=match) as info:
+            search(self.STRONG, GEOM_NEAR, SweepVariable.BOUNDARY_DISTANCE, (0.2, 6.0), target)
+        assert type(info.value) is PerturbativeValidityError
+        assert type(info.value.__cause__) is PerturbativeValidityError
+
+
+@st.composite
+def search_problems(draw):
+    """A pair, geometry and direction from the search benchmark's domain."""
+    omega_a = draw(st.floats(0.0, 0.1))
+    pair = DetectorPair(omega_a, draw(st.floats(omega_a, 1.0)))
+    alignment = draw(st.sampled_from(list(Alignment)))
+    geom = BoundaryGeometry(alignment, draw(st.floats(0.05, 3.0)), draw(st.floats(1e-4, 8.0)))
+    return pair, geom, draw(st.sampled_from(list(Direction)))
+
+
+# fixed examples, so that the suite stays deterministic
+search_properties = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+class TestSearchProperties:
+    @search_properties
+    @given(search_problems())
+    def test_transition_indicator_flips_across_location(self, problem):
+        pair, geom, direction = problem
+
+        def live(separation):
+            steering = harvested_steering(pair, dataclasses.replace(geom, separation=separation))
+            return getattr(steering, _COLUMN[direction]) > 0.0
+
+        assume(live(geom.separation) != live(3.0))
+        res = find_transition(
+            pair, geom, SweepVariable.SEPARATION, (geom.separation, 3.0), direction
+        )
+        assert live(res.location - REFINE_TOL) != live(res.location + REFINE_TOL)
+
+    @search_properties
+    @given(search_problems())
+    def test_peak_value_exceeds_objective_nearby(self, problem):
+        pair, geom, direction = problem
+        name = _COLUMN[direction]
+
+        def objective(dz):
+            steering = harvested_steering(pair, dataclasses.replace(geom, boundary_distance=dz))
+            return getattr(steering, name)
+
+        # bracket the coarse maximum as the search benchmark does
+        axis = SweepAxis(SweepVariable.BOUNDARY_DISTANCE, 1e-4, 8.0, 24)
+        values = sweep(pair, geom, axis).column(name)
+        i = max(range(len(values)), key=values.__getitem__)
+        assume(0 < i < len(values) - 1)
+        lo, hi = axis.grid()[[i - 1, i + 1]].tolist()
+        assume(objective(0.5 * (lo + hi)) > max(objective(lo), objective(hi)))
+        res = find_peak(
+            pair, geom, SweepVariable.BOUNDARY_DISTANCE, (lo, hi), _OBJECTIVE[direction]
+        )
+        for step in (-3.0 * REFINE_TOL, 3.0 * REFINE_TOL):
+            assert objective(res.location + step) < res.value
 
 
 class TestFigureDataset:
