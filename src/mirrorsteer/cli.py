@@ -5,9 +5,10 @@ Subcommands: ``compute`` (single parameter point, JSON by default),
 refinement), ``verify`` (closed forms against the direct quadrature
 oracle), and ``figure`` (canonical curve families, one CSV per curve).
 
-Exit codes: 0 on success, 2 on validation errors, 3 on numerical
-convergence failures.  Physical parameters have no silent defaults except
-the coupling, which defaults to 1 and is echoed in all output metadata.
+Exit codes: 0 on success, 2 on validation errors (an ``--out`` that
+cannot be written included), 3 on numerical convergence failures.
+Physical parameters have no silent defaults except the coupling, which
+defaults to 1 and is echoed in all output metadata.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ import re
 import sys
 
 from . import __version__
-from .detector_model import (
-    Alignment,
-    BoundaryGeometry,
-    DetectorPair,
-    correlations,
-    steering_from_block,
-)
+from .detector_model import Alignment, BoundaryGeometry, DetectorPair, correlations
 from .errors import ConvergenceError, ValidationError
 from .integral_oracle import EPSILONS, NODES, RTOL, TRUNCATION, numeric_correlations
 from .sweep_optimize import (
@@ -79,16 +74,26 @@ def _tmp_name(name: str) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    """Write to stdout, or atomically to a file via a temp-and-rename."""
+    """Write to stdout, or atomically to a file via a temp-and-rename.  A
+    file that cannot be written is a validation error, and its temp file
+    is removed."""
     if path is None:
         sys.stdout.write(text)
         return
     target = pathlib.Path(path)
-    if target.parent != pathlib.Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
+    if not target.name:
+        raise ValidationError(f"cannot write {path}: it names no file")
     tmp = target.with_name(_tmp_name(target.name))
-    tmp.write_text(text)
-    os.replace(tmp, target)
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text)
+        os.replace(tmp, target)
+    except OSError as exc:
+        if tmp.exists():
+            tmp.unlink()
+        # name the culprit when it is a parent directory, not the temp file
+        culprit = "" if exc.filename in (None, str(tmp)) else f" ({exc.filename})"
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}{culprit}") from exc
 
 
 def _config_hash(config: dict) -> str:
@@ -100,14 +105,10 @@ def _provenance(config: dict) -> dict:
     return {"version": __version__, "config_hash": _config_hash(config)}
 
 
-def _comment_lines(params: dict) -> list[str]:
-    return [f"# {key} = {value}" for key, value in params.items()]
-
-
 def _table_csv(table: SweepTable, params: dict) -> str:
     """CSV with one column per table column, headed by its name; each value
     is written with 17 significant digits, enough to read it back exactly."""
-    lines = _comment_lines(params)
+    lines = [f"# {key} = {value}" for key, value in params.items()]
     lines.append(",".join(table.columns))
     row = ",".join(["%.17g"] * len(table.columns))
     lines.extend(row % values for values in zip(*table.columns.values()))
@@ -145,8 +146,7 @@ def _pair_geom(
 
 def _cmd_compute(args) -> int:
     pair, geom, config = _pair_geom(args)
-    block = correlations(pair, geom)
-    values = observable_values(block, steering_from_block(block))
+    values = observable_values(correlations(pair, geom))
     if args.format == "csv":
         columns = observable_columns([geom.separation], zip(values))
         table = SweepTable(SweepVariable.SEPARATION, columns)
@@ -269,16 +269,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    try:
-        figure_id = FigureId(args.figure)
-    except ValueError as exc:
-        raise ValidationError(f"unknown figure id {args.figure!r}") from exc
     # fig2, fig4 and fig6 set the B gap themselves, so the default must not
     # refuse an --omega-a above 0.1 before their curves are built
     omega_b = max(0.1, args.omega_a) if args.omega_b is None else args.omega_b
     pair = DetectorPair(args.omega_a, omega_b, coupling=args.coupling)
     data = figure_dataset(
-        figure_id,
+        args.figure,
         pair=pair,
         resolution=args.resolution,
         separations=(args.small_l, args.large_l),
@@ -298,7 +294,7 @@ def _cmd_figure(args) -> int:
     out_dir = pathlib.Path(args.out)
     for label, table in data.items():
         params = {
-            "figure": figure_id.value,
+            "figure": args.figure,
             "curve": label,
             **dict(table.params),
             "axis": table.variable.value,
@@ -376,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_fig = sub.add_parser("figure", help="emit a canonical figure dataset")
-    p_fig.add_argument("figure", help="one of " + ", ".join(f.value for f in FigureId))
+    p_fig.add_argument("figure", choices=[f.value for f in FigureId])
     p_fig.add_argument("--out", default=".")
     p_fig.add_argument("--resolution", type=int, default=200)
     p_fig.add_argument("--omega-a", type=float, default=0.1, dest="omega_a")

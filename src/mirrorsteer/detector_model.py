@@ -79,15 +79,6 @@ class DetectorPair:
         object.__setattr__(self, "omega_b", wb)
         object.__setattr__(self, "coupling", lam)
 
-    @property
-    def gap_sum(self) -> float:
-        return self.omega_a + self.omega_b
-
-    @property
-    def gap_difference(self) -> float:
-        # nonnegative by the labeling convention
-        return self.omega_b - self.omega_a
-
 
 @dataclass(frozen=True)
 class BoundaryGeometry:
@@ -306,8 +297,9 @@ def correlations(pair: DetectorPair, geom: BoundaryGeometry) -> CorrelationBlock
     p_b = transition_probability(pair.omega_b, geom.distance_b(), lam)
     l = geom.separation
     img = geom.image_separation()
-    s = pair.gap_sum
-    d = pair.gap_difference
+    s = pair.omega_a + pair.omega_b
+    # nonnegative by the labelling convention
+    d = pair.omega_b - pair.omega_a
     pref = lam * lam / (4.0 * _SQRT_PI)
     c = pref * math.exp(-d * d / 4.0) * (_aux_f(l, s) - _aux_f(img, s))
     x = -pref * math.exp(-s * s / 4.0) * (_aux_g(l, d) - _aux_g(img, d))
@@ -374,8 +366,9 @@ def boundary_free_correlations(pair: DetectorPair, separation: float) -> Correla
         raise ValidationError("separation must be a positive real")
     lam = pair.coupling
     pref = lam * lam / (4.0 * _SQRT_PI)
-    s = pair.gap_sum
-    d = pair.gap_difference
+    s = pair.omega_a + pair.omega_b
+    # nonnegative by the labelling convention
+    d = pair.omega_b - pair.omega_a
     return CorrelationBlock(
         p_a=free_space_probability(pair.omega_a, lam),
         p_b=free_space_probability(pair.omega_b, lam),

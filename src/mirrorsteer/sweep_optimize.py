@@ -36,25 +36,7 @@ from .detector_model import (
     steering_from_block,
 )
 from .errors import ConvergenceError, ValidationError
-from .xstate_steering import SteeringResult, _moduli, _signed_margins, steering_arrays
-
-__all__ = [
-    "OBSERVABLES",
-    "SweepVariable",
-    "SweepScale",
-    "SweepAxis",
-    "SweepTable",
-    "Objective",
-    "PeakResult",
-    "Direction",
-    "TransitionKind",
-    "TransitionResult",
-    "FigureId",
-    "sweep",
-    "find_peak",
-    "find_transition",
-    "figure_dataset",
-]
+from .xstate_steering import _moduli, _signed_margins, steering_arrays
 
 _T = TypeVar("_T")
 
@@ -137,8 +119,9 @@ class SweepAxis:
 OBSERVABLES = ("p_a", "p_b", "abs_c", "abs_x", "s_ab", "s_ba", "asymmetry", "concurrence")
 
 
-def observable_values(block: CorrelationBlock, res: SteeringResult) -> tuple[float, ...]:
-    """The :data:`OBSERVABLES` of one point, from its block and steering."""
+def observable_values(block: CorrelationBlock) -> tuple[float, ...]:
+    """The :data:`OBSERVABLES` of one point, from its correlation block."""
+    res = steering_from_block(block)
     return (
         block.p_a, block.p_b, abs(block.c), abs(block.x),
         res.s_ab, res.s_ba, res.asymmetry, res.concurrence,
@@ -212,17 +195,6 @@ def _at(
         raise type(exc)(f"at {variable.value} = {value:g}: {exc}") from exc
 
 
-def _evaluate(
-    pair: DetectorPair,
-    geom: BoundaryGeometry,
-    variable: SweepVariable,
-    value: float,
-) -> tuple[float, ...]:
-    """The :func:`observable_values` at one grid point."""
-    read = lambda block: observable_values(block, steering_from_block(block))
-    return _at(pair, geom, variable, value, read)
-
-
 _SEP = SweepVariable.SEPARATION
 _DZ = SweepVariable.BOUNDARY_DISTANCE
 _WB = SweepVariable.OMEGA_B
@@ -233,8 +205,8 @@ _PARAM_NAME = {_SEP: "l", _DZ: "dz", _WB: "omega_b"}
 def _grid_columns(
     pair: DetectorPair, geom: BoundaryGeometry, variable: SweepVariable, grid: np.ndarray
 ) -> dict[str, tuple[float, ...]]:
-    """The columns of :func:`sweep` in one array pass, bit for bit those of
-    :func:`_evaluate` at each point."""
+    """The columns of :func:`sweep` in one array pass, bit for bit the
+    :func:`observable_values` of each point."""
     n = grid.size
     values = {
         _SEP: np.full(n, geom.separation),
@@ -266,7 +238,7 @@ def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepT
     except (ValidationError, ConvergenceError):
         # the array pass does not say which point failed: the one-point
         # route raises the first failing point's own error
-        values = [_evaluate(pair, geom, axis.variable, v) for v in grid.tolist()]
+        values = [_at(pair, geom, axis.variable, v, observable_values) for v in grid.tolist()]
         columns = observable_columns(grid.tolist(), zip(*values))
     params = {
         "omega_a": pair.omega_a,
@@ -319,7 +291,7 @@ def find_peak(
     objective = Objective(objective)
     lo, hi = _bracket(bracket, "peak")
     index = OBSERVABLES.index(_OBSERVABLE_OF[objective])
-    loss = lambda v: -_evaluate(pair, geom, variable, v)[index]
+    loss = lambda v: -_at(pair, geom, variable, v, observable_values)[index]
 
     f_lo, f_hi = loss(lo), loss(hi)
     x = 0.5 * (lo + hi)
@@ -561,8 +533,7 @@ def figure_dataset(
     params = tuple(p for p in par.params if p[0] != "alignment")
     grid = par.column("axis")
     if spec.extra == "boundary_free":
-        free = boundary_free_correlations(pair, spec.separation)
-        values = observable_values(free, steering_from_block(free))
+        values = observable_values(boundary_free_correlations(pair, spec.separation))
         columns = observable_columns(grid, ([v] * len(grid) for v in values))
     else:
         ort = out[Alignment.ORTHOGONAL.value]

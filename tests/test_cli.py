@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import inspect
 import json
 import math
 import pathlib
@@ -7,7 +8,7 @@ import shlex
 
 import pytest
 
-from mirrorsteer import cli, integral_oracle
+from mirrorsteer import __version__, cli, integral_oracle
 from mirrorsteer.cli import _config_hash, _table_csv, main
 from mirrorsteer.detector_model import (
     Alignment,
@@ -701,8 +702,79 @@ class TestFigureCommand:
         assert not out_dir.exists()
 
     def test_bad_figure_id_exits_2(self, capsys):
-        code, _, _ = run(["figure", "fig9", "--out", "."], capsys)
+        code, _, err = run(["figure", "fig9", "--out", "."], capsys)
         assert code == 2
+        assert "invalid choice: 'fig9'" in err
+        assert all(f"'{f.value}'" in err for f in FigureId)
+
+
+PHYSICS = ["--alignment", "parallel", "--omega-a", "0.1", "--omega-b", "0.1"]
+
+
+class TestUnwritableOut:
+    """An ``--out`` that cannot be written exits 2, naming the path, and
+    leaves no temp file behind."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", *PHYSICS, "--l", "1", "--dz", "1"],
+            ["sweep", *PHYSICS, "--l", "1", "--dz", "1", "--axis", "separation",
+             "--start", "0.1", "--stop", "2", "--points", "3"],
+            ["optimize", *PHYSICS, "--l", "0.05", "--dz", "1", "--axis",
+             "boundary-distance", "--bracket", "0.2,6.0", "--objective", "sba"],
+            ["verify", "--grid", "smoke", "--format", "json"],
+            ["figure", "fig2", "--resolution", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_file_in_place_of_a_directory(self, argv, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        # figure writes into --out; the others write --out itself
+        out = blocker if argv[0] == "figure" else blocker / "out.txt"
+        code, _, err = run([*argv, "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: cannot write {blocker}/")
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("name", ["out.json", "."])
+    def test_directory_in_place_of_the_file(self, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out.json").mkdir()
+        code, _, err = run(["compute", *PHYSICS, "--l", "1", "--dz", "1",
+                            "--out", name], capsys)
+        assert code == 2
+        assert err.startswith(f"error: cannot write {name}: ")
+        # for out.json the temp file was written before the rename failed
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+        assert list((tmp_path / "out.json").iterdir()) == []
+
+
+@pytest.mark.parametrize("figure_id", [f.value for f in FigureId])
+def test_figure_flags_default_to_figure_dataset_defaults(figure_id, monkeypatch, capsys):
+    args = cli._build_parser().parse_args(["figure", figure_id])
+    seen = {}
+
+    def recording_dataset(_figure, **kwargs):
+        seen.update(kwargs)
+        return {}
+
+    monkeypatch.setattr(cli, "figure_dataset", recording_dataset)
+    assert args.handler(args) == 0
+    defaults = inspect.signature(figure_dataset).parameters
+    # figure_dataset's pair=None stands for this pair
+    assert seen["pair"] == DetectorPair(0.1, 0.1)
+    assert seen["resolution"] == defaults["resolution"].default
+    assert seen["separations"] == defaults["separations"].default
+
+
+def test_provenance_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert __version__ == project["version"]
 
 
 def _readme_commands():

@@ -35,6 +35,7 @@ from mirrorsteer.sweep_optimize import (
     figure_dataset,
     find_peak,
     find_transition,
+    observable_values,
     sweep,
 )
 from mirrorsteer.xstate_steering import _signed_margins
@@ -206,7 +207,7 @@ class TestSweep:
 def _scalar_columns(pair, geom, axis):
     """The columns of a sweep evaluated one point at a time."""
     grid = axis.grid().tolist()
-    values = [sweep_optimize._evaluate(pair, geom, axis.variable, v) for v in grid]
+    values = [sweep_optimize._at(pair, geom, axis.variable, v, observable_values) for v in grid]
     return dict(zip(("axis", *OBSERVABLES), (grid, *zip(*values))))
 
 
@@ -442,7 +443,7 @@ class TestSignedMargin:
         assert len(points) > len(grid)
         for value in points:
             state = sweep_optimize._at(pair, geom, axis.variable, value, state_from_block)
-            row = sweep_optimize._evaluate(pair, geom, axis.variable, value)
+            row = sweep_optimize._at(pair, geom, axis.variable, value, observable_values)
             for margin, name in zip(_signed_margins(state), _COLUMN.values()):
                 column = row[OBSERVABLES.index(name)]
                 assert (margin > 0.0) == (column > 0.0)
