@@ -24,7 +24,7 @@ import sys
 from . import __version__
 from .detector_model import Alignment, BoundaryGeometry, DetectorPair, correlations
 from .errors import ConvergenceError, ValidationError
-from .integral_oracle import EPSILONS, NODES, RTOL, TRUNCATION, numeric_correlations
+from .integral_oracle import EPSILONS, NODES, RTOL, TRUNCATION, numeric_correlation_blocks
 from .sweep_optimize import (
     _PARAM_NAME,
     OBSERVABLES,
@@ -211,28 +211,33 @@ def _json_number(value):
 
 def _cmd_verify(args) -> int:
     grid = VERIFY_GRID_SMOKE if args.grid == "smoke" else VERIFY_GRID_DEFAULT
+    cases = [
+        (DetectorPair(omega_a, omega_b), BoundaryGeometry(alignment, l, dz))
+        for omega_a, omega_b, l, dz in grid
+        for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL)
+    ]
+    # one iterator shares the probability integrals among the cases; each
+    # case's oracle work is done right after its closed forms
+    oracle_blocks = numeric_correlation_blocks(cases)
     rows = []
-    for omega_a, omega_b, separation, boundary_distance in grid:
-        pair = DetectorPair(omega_a, omega_b)
-        for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL):
-            geom = BoundaryGeometry(alignment, separation, boundary_distance)
-            block = correlations(pair, geom)
-            oracle = numeric_correlations(pair, geom)
-            row = {
-                "alignment": alignment.value,
-                "omega_a": omega_a,
-                "omega_b": omega_b,
-                "l": separation,
-                "dz": boundary_distance,
+    for pair, geom in cases:
+        block = correlations(pair, geom)
+        oracle = next(oracle_blocks)
+        row = {
+            "alignment": geom.alignment.value,
+            "omega_a": pair.omega_a,
+            "omega_b": pair.omega_b,
+            "l": geom.separation,
+            "dz": geom.boundary_distance,
+        }
+        for key in VERIFIED:
+            closed, reference = getattr(block, key), getattr(oracle, key)
+            row[key] = {
+                "closed_form": _json_number(closed),
+                "oracle": _json_number(reference),
+                "rel_deviation": abs(closed - reference) / abs(reference),
             }
-            for key in VERIFIED:
-                closed, reference = getattr(block, key), getattr(oracle, key)
-                row[key] = {
-                    "closed_form": _json_number(closed),
-                    "oracle": _json_number(reference),
-                    "rel_deviation": abs(closed - reference) / abs(reference),
-                }
-            rows.append(row)
+        rows.append(row)
     worst = {key: max(row[key]["rel_deviation"] for row in rows) for key in VERIFIED}
 
     lines = [f"{'observable':<12}{'max rel deviation':<20}{'tolerance':<12}"]

@@ -33,7 +33,11 @@ decreasing schedule of regulator values and Richardson-extrapolated to
 zero; the meshes of the schedule are nested, so each distinct h is
 evaluated once for every regulator and for every integral that shares
 the mesh (C with X, and P_A with P_B when both detectors are equally far
-from the mirror).
+from the mirror). Over the cases of one
+:func:`numeric_correlation_blocks` iterator each probability integral
+is computed once: it depends only on the gap, the image distance and
+the coupling, which many cases share (both alignments of a
+configuration share P_A).
 
 The discretisation is fixed: the box is truncated at |tau|, |tau'| <=
 :data:`TRUNCATION` switching widths, each sbar row uses the
@@ -49,6 +53,7 @@ same floating-point contract.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from functools import lru_cache
@@ -170,13 +175,20 @@ def _regulated_values(terms, spatial: float, image: float):
     h, inverse = np.unique(h_nodes, return_inverse=True)
     splits = np.cumsum([len(u) for u, _ in meshes])[:-1]
     xs, ws = _folded_nodes(NODES)
-    sb = h[:, None] * xs[None, :]
-    gauss = np.exp(-(sb**2))
+    # sb, the Gaussian and each term's kernel gauss * cos(beta * sb) are
+    # written into buffers allocated once, by the same ufuncs in the same
+    # order as on fresh arrays, so to the same bits
+    sb = np.multiply(h[:, None], xs[None, :])
+    buffer = np.multiply(sb, sb)
+    gauss = np.exp(np.negative(buffer, out=buffer))
     values = np.empty((len(terms), len(meshes)), dtype=complex)
     for k, (omega_a, omega_b, time_ordered) in enumerate(terms):
         beta = omega_a - omega_b
         alpha = (omega_a + omega_b) / 2.0
-        kernel = gauss if beta == 0.0 else gauss * np.cos(beta * sb)
+        kernel = gauss
+        if beta != 0.0:
+            kernel = np.multiply(beta, sb, out=buffer)
+            np.multiply(gauss, np.cos(kernel, out=kernel), out=kernel)
         rows = np.split((kernel @ ws * h)[inverse], splits)
         for i, (eps, (u, uw), srow) in enumerate(zip(EPSILONS, meshes, rows)):
             # the time-ordered term sees the correlator at -|u| on both triangles
@@ -244,6 +256,12 @@ def _extrapolated(
             limit, estimate = extrapolate_epsilon(zip(EPSILONS, schedule))
         limit *= lam2
         estimate *= lam2
+        # nan fails every comparison, so it must be refused before the gate
+        if not (cmath.isfinite(limit) and math.isfinite(estimate)):
+            raise ConvergenceError(
+                f"epsilon extrapolation is not finite (limit {limit:.3e}, error "
+                f"estimate {estimate:.3e}): the quadrature overflows here"
+            )
         # the monotonicity diagnostic is meaningful only above the noise
         # floor; below it the schedule is pure quadrature noise by design
         if abs(limit) >= _ABS_FLOOR:
@@ -335,6 +353,40 @@ def numeric_x(pair: DetectorPair, geom: BoundaryGeometry) -> complex:
     return -value
 
 
+def numeric_correlation_blocks(cases):
+    """:func:`numeric_correlations` of each ``(pair, geom)`` of ``cases``,
+    lazily: a case's integrals are computed when its block is asked for.
+
+    For the iterator's lifetime each probability integral is kept, keyed
+    by gap, image distance and coupling, so one that several cases need is
+    computed once; a case's missing probabilities that share an image
+    distance are computed on one mesh, as are its ``c`` and ``x``. Every
+    block equals, bit for bit, the one-case call.
+    """
+    probabilities = {}
+    for pair, geom in cases:
+        spatial, image, distance_b = _distances(geom)
+        lam = pair.coupling
+        keys = [
+            (pair.omega_a, 2.0 * geom.boundary_distance, lam),
+            (pair.omega_b, 2.0 * distance_b, lam),
+        ]
+        missing = {}
+        for key in dict.fromkeys(keys):
+            if key not in probabilities:
+                missing.setdefault(key[1], []).append(key)
+        for image_p, group in missing.items():
+            terms = [(omega, omega, False) for omega, _, _ in group]
+            probabilities.update(zip(group, _extrapolated(terms, 0.0, image_p, lam)))
+        c, x = _extrapolated(_correlation_terms(pair), spatial, image, lam)
+        yield CorrelationBlock(
+            p_a=_real_probability(*probabilities[keys[0]]),
+            p_b=_real_probability(*probabilities[keys[1]]),
+            c=c[0],
+            x=-x[0],
+        )
+
+
 def numeric_correlations(pair: DetectorPair, geom: BoundaryGeometry) -> CorrelationBlock:
     """``p_a``, ``p_b``, ``c`` and ``x`` of the pair from their defining
     double integrals: the oracle counterpart of ``correlations``.
@@ -343,22 +395,6 @@ def numeric_correlations(pair: DetectorPair, geom: BoundaryGeometry) -> Correlat
     and at unit coupling the matching ``numeric_probability`` result;
     integrals on one mesh share their sbar rows: ``c`` with ``x``, and
     ``p_a`` with ``p_b`` when both detectors are equally far from the
-    mirror.
+    mirror. This is the one-case use of :func:`numeric_correlation_blocks`.
     """
-    spatial, image, distance_b = _distances(geom)
-    lam = pair.coupling
-    dz = geom.boundary_distance
-    terms_a = [(pair.omega_a, pair.omega_a, False)]
-    terms_b = [(pair.omega_b, pair.omega_b, False)]
-    if distance_b == dz:
-        p_a, p_b = _extrapolated(terms_a + terms_b, 0.0, 2.0 * dz, lam)
-    else:
-        (p_a,) = _extrapolated(terms_a, 0.0, 2.0 * dz, lam)
-        (p_b,) = _extrapolated(terms_b, 0.0, 2.0 * distance_b, lam)
-    c, x = _extrapolated(_correlation_terms(pair), spatial, image, lam)
-    return CorrelationBlock(
-        p_a=_real_probability(*p_a),
-        p_b=_real_probability(*p_b),
-        c=c[0],
-        x=-x[0],
-    )
+    return next(numeric_correlation_blocks([(pair, geom)]))

@@ -202,11 +202,13 @@ _WB = SweepVariable.OMEGA_B
 _PARAM_NAME = {_SEP: "l", _DZ: "dz", _WB: "omega_b"}
 
 
-def _grid_columns(
+def _grid_arrays(
     pair: DetectorPair, geom: BoundaryGeometry, variable: SweepVariable, grid: np.ndarray
-) -> dict[str, tuple[float, ...]]:
-    """The columns of :func:`sweep` in one array pass, bit for bit the
-    :func:`observable_values` of each point."""
+) -> tuple[np.ndarray, ...]:
+    """The :data:`OBSERVABLES` columns at each grid point in one array
+    pass, bit for bit the :func:`observable_values` of each point.  Every
+    check is per point, so the pass fails exactly when one of its points
+    fails the one-point route."""
     n = grid.size
     values = {
         _SEP: np.full(n, geom.separation),
@@ -218,8 +220,25 @@ def _grid_columns(
         pair.omega_a, values[_WB], pair.coupling, geom.alignment, values[_SEP], values[_DZ]
     )
     steering = steering_arrays(1.0 - p_a - p_b, p_b, p_a, np.zeros(n), x, c)
-    columns = (p_a, p_b, np.abs(c), _moduli(x), *steering)
-    return observable_columns(grid.tolist(), (col.tolist() for col in columns))
+    return (p_a, p_b, np.abs(c), _moduli(x), *steering)
+
+
+def _first_failure(
+    pair: DetectorPair, geom: BoundaryGeometry, variable: SweepVariable, grid: np.ndarray
+) -> float:
+    """The first point of a grid on which :func:`_grid_arrays` fails,
+    found by bisecting windows: the first half of a failing window that
+    fails holds it, else the second half does."""
+    lo, hi = 0, grid.size
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _grid_arrays(pair, geom, variable, grid[lo:mid])
+        except (ValidationError, ConvergenceError):
+            hi = mid
+        else:
+            lo = mid
+    return float(grid[lo])
 
 
 def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepTable:
@@ -234,12 +253,14 @@ def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepT
     """
     grid = axis.grid()
     try:
-        columns = _grid_columns(pair, geom, axis.variable, grid)
+        arrays = _grid_arrays(pair, geom, axis.variable, grid)
     except (ValidationError, ConvergenceError):
         # the array pass does not say which point failed: the one-point
         # route raises the first failing point's own error
-        values = [_at(pair, geom, axis.variable, v, observable_values) for v in grid.tolist()]
-        columns = observable_columns(grid.tolist(), zip(*values))
+        value = _first_failure(pair, geom, axis.variable, grid)
+        _at(pair, geom, axis.variable, value, observable_values)
+        raise
+    columns = observable_columns(grid.tolist(), (col.tolist() for col in arrays))
     params = {
         "omega_a": pair.omega_a,
         "omega_b": pair.omega_b,

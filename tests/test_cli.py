@@ -490,6 +490,69 @@ class TestVerifyCommand:
         assert type(quadrature["truncation"]) is float
         assert type(quadrature["nodes"]) is int
 
+    def test_each_probability_integral_is_computed_once_per_command(
+        self, monkeypatch, capsys
+    ):
+        # 40 probabilities on the default grid, 14 of them distinct; the
+        # kept integrals die with the command, so a second one redoes them
+        extrapolated = integral_oracle._extrapolated
+        counts = {}
+
+        def counting(terms, spatial, image, coupling):
+            kind = "probability" if spatial == 0.0 else "correlation"
+            counts[kind] = counts.get(kind, 0) + len(terms)
+            return extrapolated(terms, spatial, image, coupling)
+
+        monkeypatch.setattr(integral_oracle, "_extrapolated", counting)
+        for _ in range(2):
+            counts.clear()
+            assert run(["verify", "--grid", "default"], capsys)[0] == 0
+            assert counts == {"probability": 14, "correlation": 40}
+
+    @pytest.mark.parametrize(
+        "grid, configurations",
+        [("smoke", cli.VERIFY_GRID_SMOKE), ("default", cli.VERIFY_GRID_DEFAULT)],
+    )
+    def test_oracle_work_stays_inside_its_case(self, grid, configurations, monkeypatch, capsys):
+        # a command is timed case by case, split at its calls to
+        # correlations: each case's oracle integrals must come after its
+        # own call and before the next case's, on that case's meshes
+        calls = []
+        closed_form, extrapolated = cli.correlations, integral_oracle._extrapolated
+
+        def record_case(pair, geom):
+            calls.append(("case", pair, geom))
+            return closed_form(pair, geom)
+
+        def record_oracle(terms, spatial, image, coupling):
+            calls.append(("oracle", spatial, image))
+            return extrapolated(terms, spatial, image, coupling)
+
+        monkeypatch.setattr(cli, "correlations", record_case)
+        monkeypatch.setattr(integral_oracle, "_extrapolated", record_oracle)
+        assert run(["verify", "--grid", grid], capsys)[0] == 0
+
+        starts = [i for i, call in enumerate(calls) if call[0] == "case"]
+        assert starts[0] == 0
+        cases = [calls[i][1:] for i in starts]
+        assert [
+            (p.omega_a, p.omega_b, g.separation, g.boundary_distance, g.alignment)
+            for p, g in cases
+        ] == [
+            (*configuration, alignment)
+            for configuration in configurations
+            for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL)
+        ]
+        for (pair, geom), start, stop in zip(cases, starts, starts[1:] + [len(calls)]):
+            l, dz = geom.separation, geom.boundary_distance
+            if geom.alignment is Alignment.PARALLEL:
+                image, dz_b = math.hypot(l, 2.0 * dz), dz
+            else:
+                image, dz_b = l + 2.0 * dz, dz + l
+            meshes = {call[1:] for call in calls[start + 1 : stop]}
+            assert (l, image) in meshes
+            assert meshes <= {(0.0, 2.0 * dz), (0.0, 2.0 * dz_b), (l, image)}
+
     def test_unreachable_tolerance_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(integral_oracle, "RTOL", 1e-12)
         code, _, err = run(["verify", "--grid", "smoke"], capsys)

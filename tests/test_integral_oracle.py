@@ -20,11 +20,14 @@ from mirrorsteer.detector_model import (
     correlations,
     transition_probability,
 )
+from mirrorsteer.cli import VERIFY_GRID_DEFAULT, VERIFY_GRID_SMOKE
 from mirrorsteer.errors import ConvergenceError, ValidationError
 from mirrorsteer import integral_oracle
 from mirrorsteer.integral_oracle import (
+    _folded_nodes,
     extrapolate_epsilon,
     numeric_c,
+    numeric_correlation_blocks,
     numeric_correlations,
     numeric_probability,
     numeric_x,
@@ -59,6 +62,46 @@ def full_rule(omega_a, omega_b, spatial, image, eps, time_ordered):
     sb = h[:, None] * xs[None, :]
     srow = np.exp(-(sb**2)) * np.exp(-1j * beta * sb) @ ws * h
     return complex(np.sum(ku * srow))
+
+
+def fresh_regulated_values(terms, spatial, image):
+    """``_regulated_values`` with every sbar temporary a fresh array:
+    ``gauss * np.cos(beta * sb)``, the expression its buffers restate."""
+    meshes = [_u_mesh(spatial, image, eps) for eps in integral_oracle.EPSILONS]
+    h_nodes = np.maximum(
+        integral_oracle.TRUNCATION - np.abs(np.concatenate([u for u, _ in meshes])) / 2.0,
+        0.0,
+    )
+    h, inverse = np.unique(h_nodes, return_inverse=True)
+    splits = np.cumsum([len(u) for u, _ in meshes])[:-1]
+    xs, ws = _folded_nodes(integral_oracle.NODES)
+    sb = h[:, None] * xs[None, :]
+    gauss = np.exp(-(sb**2))
+    values = np.empty((len(terms), len(meshes)), dtype=complex)
+    for k, (omega_a, omega_b, time_ordered) in enumerate(terms):
+        beta = omega_a - omega_b
+        alpha = (omega_a + omega_b) / 2.0
+        kernel = gauss if beta == 0.0 else gauss * np.cos(beta * sb)
+        rows = np.split((kernel @ ws * h)[inverse], splits)
+        for i, (eps, (u, uw), srow) in enumerate(zip(integral_oracle.EPSILONS, meshes, rows)):
+            warg = -np.abs(u) if time_ordered else u
+            ku = (
+                np.exp(-(u**2) / 4.0)
+                * np.exp(-1j * alpha * u)
+                * _two_point(warg, spatial, image, eps)
+                * uw
+            )
+            values[k, i] = np.sum(ku * srow)
+    return values
+
+
+def block_bits(block):
+    """Every field of a correlation block as float.hex strings."""
+    return [
+        float(part).hex()
+        for name in ("p_a", "p_b", "c", "x")
+        for part in (complex(getattr(block, name)).real, complex(getattr(block, name)).imag)
+    ]
 
 
 def reduced_integral(omega_a, omega_b, spatial, image, time_ordered):
@@ -219,6 +262,24 @@ class TestNumericProbability:
             numeric_probability(0.1, 0.0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteExtrapolation:
+    """A nan fails every comparison, so the convergence gate must refuse it
+    explicitly: at a gap of 8e307 the quadrature overflows."""
+
+    PAIR_HUGE = DetectorPair(8e307, 8e307)
+    MATCH = "epsilon extrapolation is not finite"
+
+    def test_probability(self):
+        with pytest.raises(ConvergenceError, match=self.MATCH):
+            numeric_probability(8e307, 1.0)
+
+    @pytest.mark.parametrize("integral", [numeric_c, numeric_x, numeric_correlations])
+    def test_correlations(self, integral):
+        with pytest.raises(ConvergenceError, match=self.MATCH):
+            integral(self.PAIR_HUGE, GEOM_PAR)
+
+
 class TestNumericC:
     def test_matches_closed_form_parallel(self):
         got = numeric_c(PAIR, GEOM_PAR)
@@ -321,6 +382,21 @@ class TestNumericCorrelations:
         assert got.x == numeric_x(pair, geom)
 
 
+    @pytest.mark.parametrize("grid", [VERIFY_GRID_SMOKE, VERIFY_GRID_DEFAULT])
+    def test_shared_blocks_equal_one_case_calls(self, grid):
+        # the iterator keeps each probability integral for its lifetime;
+        # no block may differ by a bit from the case computed alone
+        cases = [
+            (DetectorPair(omega_a, omega_b), BoundaryGeometry(alignment, l, dz))
+            for omega_a, omega_b, l, dz in grid
+            for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL)
+        ]
+        shared = list(numeric_correlation_blocks(cases))
+        assert len(shared) == len(cases)
+        for (pair, geom), block in zip(cases, shared):
+            assert block_bits(block) == block_bits(numeric_correlations(pair, geom))
+
+
 class TestFoldedSharedRows:
     """The oracle folds the symmetric Gauss-Legendre rule onto a real
     cosine and evaluates each sbar row once per distinct section width
@@ -359,3 +435,23 @@ class TestFoldedSharedRows:
                 for eps, got in zip(integral_oracle.EPSILONS, schedule):
                     full = full_rule(*term[:2], spatial_t, image_t, eps, term[2])
                     assert abs(got - full) <= 1e-12 * abs(full) + 1e-14, (term, eps)
+
+    @pytest.mark.parametrize("nodes, alignment, omega_a, omega_b, l, dz", CASES)
+    def test_buffered_rows_equal_fresh_arrays(
+        self, nodes, alignment, omega_a, omega_b, l, dz, monkeypatch
+    ):
+        # the sbar rows are built in reused buffers; they must keep every
+        # bit of the expression on fresh arrays
+        monkeypatch.setattr(integral_oracle, "NODES", nodes)
+        spatial, image, distance_b = _distances(BoundaryGeometry(alignment, l, dz))
+        integrals = [
+            ([(omega_a, omega_a, False), (omega_b, omega_b, False)], 0.0, 2.0 * dz),
+            ([(omega_b, omega_b, False)], 0.0, 2.0 * distance_b),
+            ([(omega_a, omega_b, False), (omega_a, -omega_b, True)], spatial, image),
+        ]
+        for terms, spatial_t, image_t in integrals:
+            got = _regulated_values(terms, spatial_t, image_t)
+            want = fresh_regulated_values(terms, spatial_t, image_t)
+            assert [v.hex() for v in got.view(float).ravel()] == [
+                v.hex() for v in want.view(float).ravel()
+            ]

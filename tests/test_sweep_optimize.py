@@ -203,6 +203,38 @@ class TestSweep:
         with pytest.raises(ValidationError, match=match):
             sweep(PAIR, geom, SweepAxis(*axis))
 
+    @pytest.mark.parametrize(
+        "pair, geom, axis, message",
+        [
+            # the geometry refuses the point before its correlations are built
+            (PAIR, GEOM_ORT, ("boundary-distance", 1.0, 1e308, 10_000, "log"),
+             "at boundary-distance = 9.3153e+307: separation 1 and boundary_distance "
+             "9.3153e+307 overflow the mirror-image distances"),
+            # the correlation block refuses the point
+            (DetectorPair(0.1, 0.1, coupling=5.0), GEOM_PAR,
+             ("boundary-distance", 0.2, 2.0, 9_999),
+             "at boundary-distance = 0.784577: p_a + p_b = 1 >= 1: coupling too "
+             "strong for the leading-order state"),
+        ],
+    )
+    def test_refused_long_sweep_takes_the_one_point_route_once(
+        self, pair, geom, axis, message, monkeypatch
+    ):
+        # array passes over grid windows find the first failing point; only
+        # that point takes the one-point route, for its own message
+        calls = []
+        one_point = sweep_optimize.correlations
+
+        def counting(pair_v, geom_v):
+            calls.append(geom_v.boundary_distance)
+            return one_point(pair_v, geom_v)
+
+        monkeypatch.setattr(sweep_optimize, "correlations", counting)
+        with pytest.raises(ValidationError) as info:
+            sweep(pair, geom, SweepAxis(*axis))
+        assert str(info.value) == message
+        assert len(calls) <= 1
+
 
 def _scalar_columns(pair, geom, axis):
     """The columns of a sweep evaluated one point at a time."""
