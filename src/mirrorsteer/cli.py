@@ -170,7 +170,7 @@ def _cmd_sweep(args) -> int:
         scale=SweepScale.LOG if args.log else SweepScale.LINEAR,
     )
     table = sweep(pair, geom, axis)
-    params = dict(table.params, axis=axis.variable.value, scale=axis.scale.value)
+    params = table.params | {"axis": axis.variable.value, "scale": axis.scale.value}
     params.update(start=axis.start, stop=axis.stop)
     if args.format == "json":
         names = ("axis_value", *OBSERVABLES)
@@ -291,7 +291,7 @@ def _cmd_figure(args) -> int:
         if size > NAME_MAX:
             # only fig6 labels carry a number the user sets: the separation
             raise ValidationError(
-                f"separation = {dict(table.params)['l']:g} gives a curve file "
+                f"separation = {table.params['l']:g} gives a curve file "
                 f"name of {size} bytes with its temporary suffix, over the "
                 f"{NAME_MAX}-byte limit"
             )
@@ -301,7 +301,7 @@ def _cmd_figure(args) -> int:
         params = {
             "figure": args.figure,
             "curve": label,
-            **dict(table.params),
+            **table.params,
             "axis": table.variable.value,
         }
         _write_text(str(out_dir / names[label]), _table_csv(table, params))

@@ -26,7 +26,7 @@ from scipy.special import erfcx, wofz
 
 from .errors import PerturbativeValidityError, ValidationError
 from .special_functions import faddeeva_w
-from .xstate_steering import SteeringResult, XState, steering_asymmetry
+from .xstate_steering import SteeringResult, XState, _each, steering_asymmetry
 
 _SQRT_PI = math.sqrt(math.pi)
 _INV_SQRT_PI = 1.0 / _SQRT_PI
@@ -219,15 +219,6 @@ def _aux_g(l: float, d: float) -> complex:
     )
 
 
-def _each(fn, *arrays: np.ndarray) -> np.ndarray:
-    """``fn`` at each point of the arrays, one libm call per point.
-
-    numpy's own exp, erfc and hypot can differ from libm in the last ulp,
-    and the array kernels must agree with the scalar ones bit for bit.
-    """
-    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, arrays[0].size)
-
-
 def _aux_f_array(l: np.ndarray, s: np.ndarray) -> np.ndarray:
     """:func:`_aux_f` at each point, bit for bit.
 
@@ -245,14 +236,16 @@ def _aux_f_array(l: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _aux_g_array(l: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of :func:`_aux_g` at each point, bit for bit."""
+def _aux_g_array(l: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real and imaginary parts of :func:`_aux_g` at each point, bit for bit,
+    and the boolean column ``ok``, false where its phase check fails; there
+    the phase is replaced by 0, since sin and cos are undefined at inf."""
     damping = _each(math.exp, -l * l / 4.0)
     phase = np.where(damping != 0.0, d * l / 2.0, 0.0)
-    if not np.isfinite(phase).all():
-        raise ValidationError("a point of the batch overflows the kernel phase")
+    ok = np.isfinite(phase)
+    phase[~ok] = 0.0
     real = _aux_f_array(l, d) + damping * _each(math.sin, phase) / l
-    return real, damping * _each(math.cos, phase) / l
+    return real, damping * _each(math.cos, phase) / l, ok
 
 
 def free_space_probability(omega: float, coupling: float = 1.0) -> float:
@@ -321,16 +314,15 @@ def correlation_arrays(
     alignment: Alignment,
     separation: np.ndarray,
     boundary_distance: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`correlations` at each point of equal-length arrays, bit for bit.
 
     ``omega_a`` and ``coupling`` are those of a valid :class:`DetectorPair`.
-    Every point is checked as :class:`DetectorPair`,
-    :class:`BoundaryGeometry` and :class:`CorrelationBlock` check it, and
-    as :func:`_aux_g` checks its phase, once over the arrays; a
-    :class:`ValidationError` that names no point is
-    raised when any fails. Returns the columns p_a, p_b, c (real) and x
-    (complex).
+    Returns the columns p_a, p_b, c (real) and x (complex), then the
+    boolean column ``ok``, true exactly at the points that pass the checks
+    of :class:`DetectorPair`, :class:`BoundaryGeometry`,
+    :class:`CorrelationBlock` and the phase check of :func:`_aux_g`. Every
+    point is computed; where ``ok`` is false the columns are placeholders.
     """
     sep, dz = separation, boundary_distance
     # overflow and nan give inf and nan, as in Python float arithmetic
@@ -339,24 +331,27 @@ def correlation_arrays(
             img, dz_b = _each(math.hypot, sep, 2.0 * dz), dz
         else:
             img, dz_b = sep + 2.0 * dz, dz + sep
-        valid = (omega_b >= omega_a) & np.isfinite(2.0 * omega_b)
-        valid &= (sep > 0.0) & (dz > 0.0) & np.isfinite(img) & np.isfinite(2.0 * dz_b)
-        if not valid.all():
-            raise ValidationError("a point of the batch fails the pair or geometry checks")
+        ok = (omega_b >= omega_a) & np.isfinite(2.0 * omega_b)
+        ok &= (sep > 0.0) & (dz > 0.0) & np.isfinite(img) & np.isfinite(2.0 * dz_b)
+        # a point refused here is computed at placeholder gaps and lengths,
+        # where no scalar kernel overflows or leaves its domain
+        omega_b = np.where(ok, omega_b, omega_a)
+        sep, dz, img, dz_b = (np.where(ok, v, 1.0) for v in (sep, dz, img, dz_b))
         p_a = _probability_array(np.full(dz.size, omega_a), dz, coupling)
         p_b = _probability_array(omega_b, dz_b, coupling)
-        valid = np.isfinite(p_a) & np.isfinite(p_b) & (p_a >= 0.0) & (p_b >= 0.0)
-        if not (valid & (p_a + p_b < 1.0)).all():
-            raise ValidationError("a point of the batch fails the probability checks")
+        # each is nonnegative, inf or nan, so this one comparison holds
+        # exactly where CorrelationBlock's three probability checks pass
+        ok &= p_a + p_b < 1.0
         s = omega_a + omega_b
         d = omega_b - omega_a
         pref = coupling * coupling / (4.0 * _SQRT_PI)
         c = pref * _each(math.exp, -d * d / 4.0) * (_aux_f_array(sep, s) - _aux_f_array(img, s))
-        (g_re, g_im), (h_re, h_im) = _aux_g_array(sep, d), _aux_g_array(img, d)
+        (g_re, g_im, g_ok), (h_re, h_im, h_ok) = _aux_g_array(sep, d), _aux_g_array(img, d)
+        ok &= g_ok & h_ok
         weight = -pref * _each(math.exp, -s * s / 4.0)
         x = (weight * (g_re - h_re)).astype(complex)
         x.imag = weight * (g_im - h_im)
-    return p_a, p_b, c, x
+    return p_a, p_b, c, x, ok
 
 
 def boundary_free_correlations(pair: DetectorPair, separation: float) -> CorrelationBlock:

@@ -182,24 +182,27 @@ def _regulated_values(terms, spatial: float, image: float):
     buffer = np.multiply(sb, sb)
     gauss = np.exp(np.negative(buffer, out=buffer))
     values = np.empty((len(terms), len(meshes)), dtype=complex)
-    for k, (omega_a, omega_b, time_ordered) in enumerate(terms):
-        beta = omega_a - omega_b
-        alpha = (omega_a + omega_b) / 2.0
-        kernel = gauss
-        if beta != 0.0:
-            kernel = np.multiply(beta, sb, out=buffer)
-            np.multiply(gauss, np.cos(kernel, out=kernel), out=kernel)
-        rows = np.split((kernel @ ws * h)[inverse], splits)
-        for i, (eps, (u, uw), srow) in enumerate(zip(EPSILONS, meshes, rows)):
-            # the time-ordered term sees the correlator at -|u| on both triangles
-            warg = -np.abs(u) if time_ordered else u
-            ku = (
-                np.exp(-(u**2) / 4.0)
-                * np.exp(-1j * alpha * u)
-                * _two_point(warg, spatial, image, eps)
-                * uw
-            )
-            values[k, i] = np.sum(ku * srow)
+    # a gap so large that the phases overflow gives inf and nan here, which
+    # _extrapolated refuses as a non-finite extrapolation
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (omega_a, omega_b, time_ordered) in enumerate(terms):
+            beta = omega_a - omega_b
+            alpha = (omega_a + omega_b) / 2.0
+            kernel = gauss
+            if beta != 0.0:
+                kernel = np.multiply(beta, sb, out=buffer)
+                np.multiply(gauss, np.cos(kernel, out=kernel), out=kernel)
+            rows = np.split((kernel @ ws * h)[inverse], splits)
+            for i, (eps, (u, uw), srow) in enumerate(zip(EPSILONS, meshes, rows)):
+                # the time-ordered term sees the correlator at -|u| on both triangles
+                warg = -np.abs(u) if time_ordered else u
+                ku = (
+                    np.exp(-(u**2) / 4.0)
+                    * np.exp(-1j * alpha * u)
+                    * _two_point(warg, spatial, image, eps)
+                    * uw
+                )
+                values[k, i] = np.sum(ku * srow)
     return values
 
 

@@ -35,8 +35,8 @@ from .detector_model import (
     state_from_block,
     steering_from_block,
 )
-from .errors import ConvergenceError, ValidationError
-from .xstate_steering import _moduli, _signed_margins, steering_arrays
+from .errors import ValidationError
+from .xstate_steering import _each, _signed_margins, steering_arrays
 
 _T = TypeVar("_T")
 
@@ -137,13 +137,13 @@ def observable_columns(
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Named columns along one axis, ``axis`` first, with the (name, value)
-    of each parameter they were computed with but the swept one, in CSV
+    """Named columns along one axis, ``axis`` first, with the value of each
+    parameter they were computed with but the swept one, by name in CSV
     metadata order."""
 
     variable: SweepVariable
     columns: dict[str, tuple[float, ...]]
-    params: tuple[tuple[str, float | str], ...] = ()
+    params: dict[str, float | str] = dataclasses.field(default_factory=dict)
 
     def column(self, name: str) -> tuple[float, ...]:
         return self.columns[name]
@@ -186,12 +186,12 @@ def _at(
     value: float,
     read: Callable[[CorrelationBlock], _T],
 ) -> _T:
-    """``read`` of the correlation block at one grid point.  Validation and
-    convergence errors are re-raised as the same type with the point named."""
+    """``read`` of the correlation block at one grid point.  A validation
+    error is re-raised as the same type with the point named."""
     try:
         pair_v, geom_v = _apply(pair, geom, variable, value)
         return read(correlations(pair_v, geom_v))
-    except (ValidationError, ConvergenceError) as exc:
+    except ValidationError as exc:
         raise type(exc)(f"at {variable.value} = {value:g}: {exc}") from exc
 
 
@@ -204,11 +204,11 @@ _PARAM_NAME = {_SEP: "l", _DZ: "dz", _WB: "omega_b"}
 
 def _grid_arrays(
     pair: DetectorPair, geom: BoundaryGeometry, variable: SweepVariable, grid: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """The :data:`OBSERVABLES` columns at each grid point in one array
-    pass, bit for bit the :func:`observable_values` of each point.  Every
-    check is per point, so the pass fails exactly when one of its points
-    fails the one-point route."""
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The verdict ``ok`` of each grid point and the :data:`OBSERVABLES`
+    columns, in one array pass.  ``ok`` is true exactly where the one-point
+    route succeeds, and there the columns are bit for bit the
+    :func:`observable_values` of the point."""
     n = grid.size
     values = {
         _SEP: np.full(n, geom.separation),
@@ -216,29 +216,13 @@ def _grid_arrays(
         _WB: np.full(n, pair.omega_b),
     }
     values[variable] = grid
-    p_a, p_b, c, x = correlation_arrays(
+    p_a, p_b, c, x, ok = correlation_arrays(
         pair.omega_a, values[_WB], pair.coupling, geom.alignment, values[_SEP], values[_DZ]
     )
-    steering = steering_arrays(1.0 - p_a - p_b, p_b, p_a, np.zeros(n), x, c)
-    return (p_a, p_b, np.abs(c), _moduli(x), *steering)
-
-
-def _first_failure(
-    pair: DetectorPair, geom: BoundaryGeometry, variable: SweepVariable, grid: np.ndarray
-) -> float:
-    """The first point of a grid on which :func:`_grid_arrays` fails,
-    found by bisecting windows: the first half of a failing window that
-    fails holds it, else the second half does."""
-    lo, hi = 0, grid.size
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            _grid_arrays(pair, geom, variable, grid[lo:mid])
-        except (ValidationError, ConvergenceError):
-            hi = mid
-        else:
-            lo = mid
-    return float(grid[lo])
+    *steering, state_ok = steering_arrays(1.0 - p_a - p_b, p_b, p_a, np.zeros(n), x, c)
+    ok &= state_ok
+    # the modulus of a refused coherence can overflow abs
+    return ok, (p_a, p_b, np.abs(c), _each(abs, np.where(ok, x, 0.0)), *steering)
 
 
 def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepTable:
@@ -247,19 +231,21 @@ def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepT
     The swept variable overrides the matching field of ``pair`` or ``geom``
     at each grid point; all other fields are held fixed and recorded in
     the table's ``params``.  The grid is evaluated in one array pass, equal
-    bit for bit to the one-point route.  Validation and convergence errors
-    are re-raised as the same type with the first offending grid point
-    named; any other exception propagates unchanged.
+    bit for bit to the one-point route, that also gives each point's
+    verdict.  If a point fails, the one-point route runs at the first
+    failing point alone and its validation error is re-raised as the same
+    type with the grid point named; any other exception propagates
+    unchanged.
     """
     grid = axis.grid()
-    try:
-        arrays = _grid_arrays(pair, geom, axis.variable, grid)
-    except (ValidationError, ConvergenceError):
-        # the array pass does not say which point failed: the one-point
-        # route raises the first failing point's own error
-        value = _first_failure(pair, geom, axis.variable, grid)
+    ok, arrays = _grid_arrays(pair, geom, axis.variable, grid)
+    if not ok.all():
+        value = float(grid[ok.argmin()])
         _at(pair, geom, axis.variable, value, observable_values)
-        raise
+        raise ValidationError(
+            f"at {axis.variable.value} = {value:g}: the array pass refuses a "
+            "point the one-point route accepts"
+        )
     columns = observable_columns(grid.tolist(), (col.tolist() for col in arrays))
     params = {
         "omega_a": pair.omega_a,
@@ -271,7 +257,7 @@ def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepT
         "dz": geom.boundary_distance,
     }
     del params[_PARAM_NAME[axis.variable]]
-    return SweepTable(axis.variable, columns, params=tuple(params.items()))
+    return SweepTable(axis.variable, columns, params)
 
 
 # the observable each objective reads
@@ -551,7 +537,7 @@ def figure_dataset(
 
     # the derived table holds what the parallel curve holds, bar its alignment
     par = out[Alignment.PARALLEL.value]
-    params = tuple(p for p in par.params if p[0] != "alignment")
+    params = {k: v for k, v in par.params.items() if k != "alignment"}
     grid = par.column("axis")
     if spec.extra == "boundary_free":
         values = observable_values(boundary_free_correlations(pair, spec.separation))

@@ -169,42 +169,46 @@ def steering_asymmetry(state: XState) -> SteeringResult:
     )
 
 
+def _each(fn, *arrays: np.ndarray) -> np.ndarray:
+    """``fn`` at each point of the arrays, one libm call per point.
+
+    numpy's own exp, erfc, hypot and complex abs can differ from libm in
+    the last ulp, and the array kernels must agree with the scalar ones
+    bit for bit.
+    """
+    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, arrays[0].size)
+
+
 def _max0(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``max(0.0, a, b)`` at each point, with Python's choice among ties and nan."""
     first = np.where(a > 0.0, a, 0.0)
     return np.where(b > first, b, first)
 
 
-def _moduli(c: np.ndarray) -> np.ndarray:
-    # builtin abs is libm's hypot, which numpy's complex abs can miss by an ulp
-    return np.fromiter(map(abs, c.tolist()), float, c.size)
-
-
 def steering_arrays(d11, d22, d33, d44, c14, c23):
     """:func:`steering_asymmetry` of the X-state at each point, bit for bit.
 
     Takes equal-length arrays of the entries and returns the columns
-    s_ab, s_ba, asymmetry and concurrence. Every point is checked as
-    :class:`XState` checks it, once over the arrays; a
-    :class:`ValidationError` that names no point is raised when any fails.
+    s_ab, s_ba, asymmetry and concurrence, then the boolean column ``ok``,
+    true exactly at the points :class:`XState` accepts. Every point is
+    computed; where ``ok`` is false the columns are placeholders.
     """
-    valid = np.ones(d11.size, bool)
+    ok = np.ones(d11.size, bool)
     diagonal = []
     with np.errstate(invalid="ignore", over="ignore"):
         for value in (d11, d22, d33, d44):
-            valid &= np.isfinite(value) & (value >= -_ATOL) & (value <= 1.0 + _ATOL)
+            ok &= np.isfinite(value) & (value >= -_ATOL) & (value <= 1.0 + _ATOL)
             diagonal.append(np.where(value < 0.0, 0.0, value))
         d11, d22, d33, d44 = diagonal
-        valid &= np.abs(d11 + d22 + d33 + d44 - 1.0) <= _ATOL
+        ok &= np.abs(d11 + d22 + d33 + d44 - 1.0) <= _ATOL
         for value in (c14, c23):
-            valid &= np.isfinite(value.real) & np.isfinite(value.imag)
-    if not valid.all():
-        raise ValidationError("an X-state of the batch fails its checks")
-    m14, m23 = _moduli(c14), _moduli(c23)
-    (a14, a23), (b14, b23) = _margins(d11, d22, d33, d44, m14, m23, np.sqrt)
-    s_ab, s_ba = _max0(a14, a23), _max0(b14, b23)
-    conc = 2.0 * _max0(m14 - np.sqrt(d22 * d33), m23 - np.sqrt(d11 * d44))
-    return s_ab, s_ba, s_ab - s_ba, conc
+            ok &= np.isfinite(value.real) & np.isfinite(value.imag)
+        # the modulus of a refused coherence can overflow abs
+        m14, m23 = (_each(abs, np.where(ok, c, 0.0)) for c in (c14, c23))
+        (a14, a23), (b14, b23) = _margins(d11, d22, d33, d44, m14, m23, np.sqrt)
+        s_ab, s_ba = _max0(a14, a23), _max0(b14, b23)
+        conc = 2.0 * _max0(m14 - np.sqrt(d22 * d33), m23 - np.sqrt(d11 * d44))
+    return s_ab, s_ba, s_ab - s_ba, conc, ok
 
 
 def _certification_map(

@@ -25,6 +25,7 @@ from mirrorsteer.detector_model import (
     boundary_free_correlations,
     boundary_free_steering,
     config_difference,
+    correlation_arrays,
     correlations,
     free_space_probability,
     harvested_steering,
@@ -433,6 +434,25 @@ class TestCorrelations:
         assert abs(far.c - free.c) < 1e-9
         assert abs(far.x - free.x) < 1e-9
         assert far.p_a == pytest.approx(free.p_a, abs=1e-9)
+
+    @pytest.mark.parametrize("alignment", list(Alignment))
+    def test_array_verdict_is_what_correlations_refuses(self, alignment):
+        # accepted; Im G overflowing (the X-state refuses that, not the
+        # block); negative; overflowing images; p_a + p_b >= 1; omega_b
+        # below omega_a
+        omega_b = np.array([0.2, 0.2, 0.2, 0.2, 0.2, 0.05])
+        sep = np.array([1.0, 1e-320, -2.0, 1.0, 1.0, 1.0])
+        dz = np.array([0.2, 0.2, 0.2, 1e308, 2.0, 0.2])
+        *_, ok = correlation_arrays(0.1, omega_b, 5.0, alignment, sep, dz)
+        verdicts = []
+        for wb, l, z in zip(omega_b.tolist(), sep.tolist(), dz.tolist()):
+            try:
+                correlations(DetectorPair(0.1, wb, 5.0), BoundaryGeometry(alignment, l, z))
+            except ValidationError:
+                verdicts.append(False)
+            else:
+                verdicts.append(True)
+        assert ok.tolist() == verdicts == [True, True, False, False, False, False]
 
     def test_coupling_scaling_exact(self):
         strong = correlations(

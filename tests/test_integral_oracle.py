@@ -262,7 +262,6 @@ class TestNumericProbability:
             numeric_probability(0.1, 0.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNonFiniteExtrapolation:
     """A nan fails every comparison, so the convergence gate must refuse it
     explicitly: at a gap of 8e307 the quadrature overflows."""

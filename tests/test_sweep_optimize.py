@@ -20,7 +20,7 @@ from mirrorsteer.detector_model import (
     state_from_block,
 )
 from mirrorsteer import sweep_optimize
-from mirrorsteer.errors import ConvergenceError, PerturbativeValidityError, ValidationError
+from mirrorsteer.errors import PerturbativeValidityError, ValidationError
 from mirrorsteer.sweep_optimize import (
     MAX_POINTS,
     OBSERVABLES,
@@ -161,19 +161,6 @@ class TestSweep:
             sweep(PAIR, GEOM_PAR, axis)
         assert info.value is raised
 
-    def test_convergence_error_names_grid_point(self, monkeypatch):
-        def failing(*args):
-            raise ConvergenceError("no convergence")
-
-        # a model failure fails the array pass and the one-point route alike
-        monkeypatch.setattr(sweep_optimize, "correlation_arrays", failing)
-        monkeypatch.setattr(sweep_optimize, "correlations", failing)
-        axis = SweepAxis(SweepVariable.SEPARATION, start=0.5, stop=2.0, points=3)
-        match = "separation = 0.5: no convergence"
-        with pytest.raises(ConvergenceError, match=match) as info:
-            sweep(PAIR, GEOM_PAR, axis)
-        assert isinstance(info.value.__cause__, ConvergenceError)
-
     def test_deterministic(self):
         axis = SweepAxis(SweepVariable.SEPARATION, start=0.1, stop=2.0, points=30)
         assert sweep(PAIR, GEOM_PAR, axis) == sweep(PAIR, GEOM_PAR, axis)
@@ -234,6 +221,46 @@ class TestSweep:
             sweep(pair, geom, SweepAxis(*axis))
         assert str(info.value) == message
         assert len(calls) <= 1
+
+    def test_names_first_failing_point_across_check_stages(self):
+        # the first point fails the late X-state check, the last ones the
+        # early geometry check
+        geom = BoundaryGeometry(Alignment.ORTHOGONAL, 1.0, 1.0)
+        axis = SweepAxis("separation", 1e-320, 1e308, 200, "log")
+        match = "separation = 9.99989e-321: c14 must be finite"
+        with pytest.raises(ValidationError, match=match):
+            sweep(DetectorPair(0.1, 0.2), geom, axis)
+
+    @pytest.mark.parametrize(
+        "pair, geom, axis",
+        [
+            (DetectorPair(0.1, 0.2), GEOM_ORT, ("separation", 1e-320, 1e308, 60, "log")),
+            # a huge negative length would overflow the series kernel's l**4
+            (PAIR, GEOM_PAR, ("separation", -1e100, 1.0, 9)),
+            (PAIR, GEOM_ORT, ("boundary-distance", -1e300, 1.0, 9)),
+            (DetectorPair(0.0, 0.1), BoundaryGeometry(Alignment.PARALLEL, 10.0, 1.0),
+             ("omega-b", 0.1, 1.7e308, 40)),
+            (DetectorPair(0.1, 0.1, coupling=5.0), GEOM_PAR, ("boundary-distance", 0.2, 2.0, 9)),
+            # every point is refused, and |x| of each would overflow abs
+            (DetectorPair(0.1, 0.1, coupling=1.3e154), GEOM_PAR,
+             ("separation", 0.1277, 0.1278, 11)),
+        ],
+        ids=["c14-and-geometry", "negative-separation", "negative-mirror-distance",
+             "kernel-phase", "coupling", "abs-overflow"],
+    )
+    def test_verdict_is_the_one_point_route(self, pair, geom, axis):
+        axis = SweepAxis(*axis)
+        grid = axis.grid()
+        ok, arrays = sweep_optimize._grid_arrays(pair, geom, axis.variable, grid)
+        for value, verdict, *columns in zip(grid.tolist(), ok.tolist(), *arrays):
+            try:
+                want = sweep_optimize._at(pair, geom, axis.variable, value, observable_values)
+            except ValidationError:
+                assert not verdict, value
+            else:
+                assert verdict, value
+                assert [float(v).hex() for v in columns] == [v.hex() for v in want]
+        assert not ok.all()
 
 
 def _scalar_columns(pair, geom, axis):
