@@ -20,13 +20,24 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import erfcx, wofz
 
 from .errors import PerturbativeValidityError, ValidationError
 from .special_functions import faddeeva_w
-from .xstate_steering import SteeringResult, XState, _each, steering_asymmetry
+from .xstate_steering import _ARRAYS as _ARRAY_OPS
+from .xstate_steering import _ONE_POINT as _POINT_OPS
+from .xstate_steering import (
+    SteeringResult,
+    XState,
+    _check,
+    _each,
+    _INF,
+    _holds,
+    steering_asymmetry,
+)
 
 _SQRT_PI = math.sqrt(math.pi)
 _INV_SQRT_PI = 1.0 / _SQRT_PI
@@ -42,6 +53,102 @@ class Alignment(enum.Enum):
     ORTHOGONAL = "orthogonal"
 
 
+# The domain checks, each an ordered table of rules: see xstate_steering.
+
+
+def _coupling_rules(v):
+    return (
+        (v.coupling > 0.0, ValidationError, "coupling must be positive"),
+        # every entry of the joint state carries the coupling squared
+        (abs(v.coupling * v.coupling) < _INF, ValidationError,
+         "coupling = {coupling:g} is too large: lambda² overflows"),
+    )
+
+
+def _positive_distance_rule(v) -> tuple:
+    return (v.boundary_distance > 0.0, ValidationError, "boundary_distance must be positive")
+
+
+def _pair_rules(v):
+    return (
+        ((abs(v.omega_a) < _INF) & (abs(v.omega_b) < _INF) & (abs(v.coupling) < _INF),
+         ValidationError, "detector parameters must be finite"),
+        ((v.omega_a >= 0.0) & (v.omega_b >= 0.0), ValidationError,
+         "energy gaps must be nonnegative"),
+        (v.omega_b >= v.omega_a, ValidationError,
+         "omega_b must not be smaller than omega_a; name the detector with the larger gap B"),
+        *_coupling_rules(v),
+        # the probability kernel reads each gap doubled
+        (abs(2.0 * v.omega_b) < _INF, ValidationError,
+         "omega_b = {omega_b:g} is too large: 2 omega_b overflows"),
+    )
+
+
+def _free_space_rules(v):
+    return (
+        ((abs(v.omega) < _INF) & (v.omega >= 0.0), ValidationError,
+         "omega must be a nonnegative real"),
+        *_coupling_rules(v),
+    )
+
+
+def _transition_rules(v):
+    return (
+        _positive_distance_rule(v),
+        (abs(2.0 * v.boundary_distance) < _INF, ValidationError,
+         "boundary_distance {boundary_distance:g} overflows its image distance 2 dz"),
+        *_free_space_rules(v),
+        (abs(2.0 * v.omega) < _INF, ValidationError,
+         "omega = {omega:g} is too large: 2 omega overflows"),
+    )
+
+
+def _geometry_rules(v):
+    """The rules of :class:`BoundaryGeometry`, on :func:`_mirror_lengths`."""
+    return (
+        ((abs(v.separation) < _INF) & (abs(v.boundary_distance) < _INF), ValidationError,
+         "geometry lengths must be finite"),
+        (v.separation > 0.0, ValidationError, "separation must be positive"),
+        _positive_distance_rule(v),
+        # distances to the mirror images; B's own, 2 dz_B, bounds A's 2 dz
+        ((abs(v.image_separation) < _INF) & (abs(2.0 * v.distance_b) < _INF), ValidationError,
+         "separation {separation:g} and boundary_distance {boundary_distance:g} "
+         "overflow the mirror-image distances"),
+    )
+
+
+_DIRECT_PHASE, _IMAGE_PHASE = (
+    f"omega_b - omega_a = {{d:g}} at separation {{{length}:g}} overflows the kernel phase "
+    "(omega_b - omega_a)·l/2"
+    for length in ("separation", "image_separation")
+)
+
+
+def _direct_phase_rules(v):
+    return ((abs(v.phase) < _INF, ValidationError, _DIRECT_PHASE),)
+
+
+def _phase_rules(v):
+    """The timelike kernel's phases at the separation and at the image
+    separation must be finite."""
+    return (*_direct_phase_rules(v), (abs(v.image_phase) < _INF, ValidationError, _IMAGE_PHASE))
+
+
+def _block_rules(v):
+    return (
+        ((abs(v.p_a) < _INF) & (abs(v.p_b) < _INF), ValidationError,
+         "probabilities must be finite"),
+        ((v.p_a >= 0.0) & (v.p_b >= 0.0), ValidationError, "probabilities must be nonnegative"),
+        (v.p_sum < 1.0, PerturbativeValidityError,
+         "p_a + p_b = {p_sum:.3g} >= 1: coupling too strong for the leading-order state"),
+    )
+
+
+def _correlation_rules(v):
+    """Every rule the one-point route checks up to the correlation block, in order."""
+    return (*_pair_rules(v), *_geometry_rules(v), *_phase_rules(v), *_block_rules(v))
+
+
 @dataclass(frozen=True)
 class DetectorPair:
     """Energy gaps and coupling of the two detectors.
@@ -55,29 +162,22 @@ class DetectorPair:
     coupling: float = 1.0
 
     def __post_init__(self):
-        wa = float(self.omega_a)
-        wb = float(self.omega_b)
-        lam = float(self.coupling)
-        if not (math.isfinite(wa) and math.isfinite(wb) and math.isfinite(lam)):
-            raise ValidationError("detector parameters must be finite")
-        if wa < 0.0 or wb < 0.0:
-            raise ValidationError("energy gaps must be nonnegative")
-        if wb < wa:
-            raise ValidationError(
-                "omega_b must not be smaller than omega_a; name the detector "
-                "with the larger gap B"
-            )
-        if lam <= 0.0:
-            raise ValidationError("coupling must be positive")
-        # every entry of the joint state carries the coupling squared
-        if not math.isfinite(lam * lam):
-            raise ValidationError(f"coupling = {lam:g} is too large: lambda² overflows")
-        # the probability kernel reads each gap doubled
-        if not math.isfinite(2.0 * wb):
-            raise ValidationError(f"omega_b = {wb:g} is too large: 2 omega_b overflows")
-        object.__setattr__(self, "omega_a", wa)
-        object.__setattr__(self, "omega_b", wb)
-        object.__setattr__(self, "coupling", lam)
+        object.__setattr__(self, "omega_a", float(self.omega_a))
+        object.__setattr__(self, "omega_b", float(self.omega_b))
+        object.__setattr__(self, "coupling", float(self.coupling))
+        _check(_pair_rules, self)
+
+
+def _mirror_lengths(ns, alignment: Alignment, separation, boundary_distance) -> SimpleNamespace:
+    """The lengths the kernels read: the separation, the image separation
+    (from one detector to the mirror image of the other), and the mirror
+    distances of A and B."""
+    if alignment is Alignment.PARALLEL:
+        image, distance_b = ns.hypot(separation, 2.0 * boundary_distance), boundary_distance
+    else:
+        image, distance_b = separation + 2.0 * boundary_distance, boundary_distance + separation
+    return SimpleNamespace(separation=separation, boundary_distance=boundary_distance,
+                           image_separation=image, distance_b=distance_b)
 
 
 @dataclass(frozen=True)
@@ -95,36 +195,24 @@ class BoundaryGeometry:
     boundary_distance: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alignment", Alignment(self.alignment))
-        sep = float(self.separation)
-        dz = float(self.boundary_distance)
-        if not (math.isfinite(sep) and math.isfinite(dz)):
-            raise ValidationError("geometry lengths must be finite")
-        if sep <= 0.0:
-            raise ValidationError("separation must be positive")
-        if dz <= 0.0:
-            raise ValidationError("boundary_distance must be positive")
-        object.__setattr__(self, "separation", sep)
-        object.__setattr__(self, "boundary_distance", dz)
-        # distances to the mirror images; B's own, 2 dz_B, bounds A's 2 dz
-        images = (self.image_separation(), 2.0 * self.distance_b())
-        if not all(map(math.isfinite, images)):
-            raise ValidationError(
-                f"separation {sep:g} and boundary_distance {dz:g} overflow the "
-                "mirror-image distances"
-            )
+        alignment = Alignment(self.alignment)
+        lengths = _mirror_lengths(
+            _ONE_POINT, alignment, float(self.separation), float(self.boundary_distance)
+        )
+        _check(_geometry_rules, lengths)
+        object.__setattr__(self, "alignment", alignment)
+        object.__setattr__(self, "separation", lengths.separation)
+        object.__setattr__(self, "boundary_distance", lengths.boundary_distance)
+        # the checked lengths, which every kernel reads; not a field
+        object.__setattr__(self, "_lengths", lengths)
 
     def image_separation(self) -> float:
         """Distance from one detector to the mirror image of the other."""
-        if self.alignment is Alignment.PARALLEL:
-            return math.hypot(self.separation, 2.0 * self.boundary_distance)
-        return self.separation + 2.0 * self.boundary_distance
+        return self._lengths.image_separation
 
     def distance_b(self) -> float:
         """Mirror distance of detector B."""
-        if self.alignment is Alignment.PARALLEL:
-            return self.boundary_distance
-        return self.boundary_distance + self.separation
+        return self._lengths.distance_b
 
 
 @dataclass(frozen=True)
@@ -146,15 +234,7 @@ class CorrelationBlock:
     def __post_init__(self):
         pa = float(self.p_a)
         pb = float(self.p_b)
-        if not (math.isfinite(pa) and math.isfinite(pb)):
-            raise ValidationError("probabilities must be finite")
-        if pa < 0.0 or pb < 0.0:
-            raise ValidationError("probabilities must be nonnegative")
-        if pa + pb >= 1.0:
-            raise PerturbativeValidityError(
-                f"p_a + p_b = {pa + pb:.3g} >= 1: coupling too strong for the "
-                "leading-order state"
-            )
+        _check(_block_rules, SimpleNamespace(p_a=pa, p_b=pb, p_sum=pa + pb))
         object.__setattr__(self, "p_a", pa)
         object.__setattr__(self, "p_b", pb)
         object.__setattr__(self, "c", complex(self.c))
@@ -196,29 +276,6 @@ def _aux_f(l: float, s: float) -> float:
     return -(math.exp(-s * s / 4.0) / l) * faddeeva_w(complex(-l / 2.0, s / 2.0)).imag
 
 
-def _aux_g(l: float, d: float) -> complex:
-    """Timelike correlation kernel at separation ``l > 0`` and gap ``d``.
-
-    Exactly the spacelike kernel at the same gap plus elementary terms:
-    G = F(l, d) + e^{-l^2/4} (sin(d l/2) + i cos(d l/2)) / l. The real
-    part is continuous at l -> 0; the imaginary part diverges like 1/l
-    there, the coincidence-limit singularity of the time-ordered
-    correlator.
-    """
-    damping = math.exp(-l * l / 4.0)
-    # once the damping underflows (l above ~55) the phase is irrelevant; below
-    # that a phase overflowing to inf, where cos and sin are undefined, is refused
-    phase = d * l / 2.0 if damping else 0.0
-    if not math.isfinite(phase):
-        raise ValidationError(
-            f"omega_b - omega_a = {d:g} at separation {l:g} overflows the "
-            "kernel phase (omega_b - omega_a)·l/2"
-        )
-    return complex(
-        _aux_f(l, d) + damping * math.sin(phase) / l, damping * math.cos(phase) / l
-    )
-
-
 def _aux_f_array(l: np.ndarray, s: np.ndarray) -> np.ndarray:
     """:func:`_aux_f` at each point, bit for bit.
 
@@ -236,28 +293,57 @@ def _aux_f_array(l: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _aux_g_array(l: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real and imaginary parts of :func:`_aux_g` at each point, bit for bit,
-    and the boolean column ``ok``, false where its phase check fails; there
-    the phase is replaced by 0, since sin and cos are undefined at inf."""
-    damping = _each(math.exp, -l * l / 4.0)
-    phase = np.where(damping != 0.0, d * l / 2.0, 0.0)
-    ok = np.isfinite(phase)
-    phase[~ok] = 0.0
-    real = _aux_f_array(l, d) + damping * _each(math.sin, phase) / l
-    return real, damping * _each(math.cos, phase) / l, ok
+# the elementwise functions and the spacelike kernel F
+_ONE_POINT = SimpleNamespace(**vars(_POINT_OPS), F=_aux_f)
+_ARRAYS = SimpleNamespace(**vars(_ARRAY_OPS), F=_aux_f_array)
+
+
+def _timelike(ns, l, d):
+    """Timelike correlation kernel at separation ``l > 0`` and gap ``d``:
+    Re G, Im G and the phase d l/2, which :func:`_phase_rules` check.
+
+    Exactly the spacelike kernel at the same gap plus elementary terms:
+    G = F(l, d) + e^{-l^2/4} (sin(d l/2) + i cos(d l/2)) / l. The real
+    part is continuous at l -> 0; the imaginary part diverges like 1/l
+    there, the coincidence-limit singularity of the time-ordered
+    correlator.
+    """
+    damping = ns.exp(-l * l / 4.0)
+    # once the damping underflows (l above ~55) the phase is irrelevant and
+    # taken as 0; below that a phase overflowing to inf, where cos and sin
+    # are undefined, is read as 0 here and refused by its rule
+    phase = ns.where(damping != 0.0, d * l / 2.0, 0.0)
+    read = ns.where(abs(phase) < _INF, phase, 0.0)
+    return ns.F(l, d) + damping * ns.sin(read) / l, damping * ns.cos(read) / l, phase
+
+
+def _aux_g(l: float, d: float) -> complex:
+    """:func:`_timelike` at one point, as a complex number; a phase that
+    overflows is refused."""
+    re, im, phase = _timelike(_ONE_POINT, l, d)
+    _check(_direct_phase_rules, SimpleNamespace(d=d, separation=l, phase=phase))
+    return complex(re, im)
+
+
+def _free_space(ns, omega, coupling):
+    """:func:`free_space_probability`, unchecked."""
+    bracket = ns.exp(-omega * omega) - _SQRT_PI * omega * ns.erfc(omega)
+    return coupling * coupling / (4.0 * math.pi) * bracket
+
+
+def _probability(ns, omega, boundary_distance, coupling):
+    """:func:`transition_probability`, unchecked."""
+    image = ns.F(2.0 * boundary_distance, 2.0 * omega)
+    p = _free_space(ns, omega, coupling) - coupling * coupling / (4.0 * _SQRT_PI) * image
+    # the subtraction can undershoot zero by a few ulp right at the mirror
+    return ns.max(p, 0.0)
 
 
 def free_space_probability(omega: float, coupling: float = 1.0) -> float:
     """Excitation probability of a single detector without any boundary."""
-    omega = float(omega)
-    coupling = float(coupling)
-    if not math.isfinite(omega) or omega < 0.0:
-        raise ValidationError("omega must be a nonnegative real")
-    if not math.isfinite(coupling) or coupling <= 0.0:
-        raise ValidationError("coupling must be positive")
-    bracket = math.exp(-omega * omega) - _SQRT_PI * omega * math.erfc(omega)
-    return coupling * coupling / (4.0 * math.pi) * bracket
+    v = SimpleNamespace(omega=float(omega), coupling=float(coupling))
+    _check(_free_space_rules, v)
+    return _free_space(_ONE_POINT, v.omega, v.coupling)
 
 
 def transition_probability(
@@ -268,43 +354,40 @@ def transition_probability(
     Vanishes on the mirror and approaches the free-space value far from
     it; the residual boundary correction decays like 1/dz^2.
     """
-    dz = float(boundary_distance)
-    if not math.isfinite(dz) or dz <= 0.0:
-        raise ValidationError("boundary_distance must be positive")
-    if not math.isfinite(2.0 * dz):
-        raise ValidationError(f"boundary_distance {dz:g} overflows its image distance 2 dz")
-    free = free_space_probability(omega, coupling)
-    omega = float(omega)
-    if not math.isfinite(2.0 * omega):
-        raise ValidationError(f"omega = {omega:g} is too large: 2 omega overflows")
-    coupling = float(coupling)
-    p = free - coupling * coupling / (4.0 * _SQRT_PI) * _aux_f(2.0 * dz, 2.0 * omega)
-    # the subtraction can undershoot zero by a few ulp right at the mirror
-    return max(p, 0.0)
+    v = SimpleNamespace(omega=float(omega), boundary_distance=float(boundary_distance),
+                        coupling=float(coupling))
+    _check(_transition_rules, v)
+    return _probability(_ONE_POINT, v.omega, v.boundary_distance, v.coupling)
+
+
+def _entries(ns, omega_a, omega_b, coupling, lengths: SimpleNamespace) -> SimpleNamespace:
+    """P_A, P_B, C and X of the joint state, unchecked, with the values the
+    rules on the kernel phases and on the block read."""
+    l, img = lengths.separation, lengths.image_separation
+    s = omega_a + omega_b
+    # nonnegative by the labelling convention
+    d = omega_b - omega_a
+    pref = coupling * coupling / (4.0 * _SQRT_PI)
+    p_a = _probability(ns, omega_a, lengths.boundary_distance, coupling)
+    p_b = _probability(ns, omega_b, lengths.distance_b, coupling)
+    g_re, g_im, phase = _timelike(ns, l, d)
+    h_re, h_im, image_phase = _timelike(ns, img, d)
+    w, re, im = -pref * ns.exp(-s * s / 4.0), g_re - h_re, g_im - h_im
+    return SimpleNamespace(
+        separation=l, image_separation=img, d=d, phase=phase, image_phase=image_phase,
+        p_a=p_a, p_b=p_b, p_sum=p_a + p_b,
+        c=pref * ns.exp(-d * d / 4.0) * (ns.F(l, s) - ns.F(img, s)),
+        # w (re + i im) as Python multiplies a float by a complex number,
+        # whose zero terms set the sign of a zero part
+        x=ns.complex(w * re - 0.0 * im, w * im + 0.0 * re),
+    )
 
 
 def correlations(pair: DetectorPair, geom: BoundaryGeometry) -> CorrelationBlock:
     """Entries of the joint state for the given pair and placement."""
-    lam = pair.coupling
-    p_a = transition_probability(pair.omega_a, geom.boundary_distance, lam)
-    p_b = transition_probability(pair.omega_b, geom.distance_b(), lam)
-    l = geom.separation
-    img = geom.image_separation()
-    s = pair.omega_a + pair.omega_b
-    # nonnegative by the labelling convention
-    d = pair.omega_b - pair.omega_a
-    pref = lam * lam / (4.0 * _SQRT_PI)
-    c = pref * math.exp(-d * d / 4.0) * (_aux_f(l, s) - _aux_f(img, s))
-    x = -pref * math.exp(-s * s / 4.0) * (_aux_g(l, d) - _aux_g(img, d))
-    return CorrelationBlock(p_a=p_a, p_b=p_b, c=complex(c), x=x)
-
-
-def _probability_array(omega: np.ndarray, dz: np.ndarray, coupling: float) -> np.ndarray:
-    """:func:`transition_probability` at each point, bit for bit, unchecked."""
-    bracket = _each(math.exp, -omega * omega) - _SQRT_PI * omega * _each(math.erfc, omega)
-    free = coupling * coupling / (4.0 * math.pi) * bracket
-    p = free - coupling * coupling / (4.0 * _SQRT_PI) * _aux_f_array(2.0 * dz, 2.0 * omega)
-    return np.where(p < 0.0, 0.0, p)
+    values = _entries(_ONE_POINT, pair.omega_a, pair.omega_b, pair.coupling, geom._lengths)
+    _check(_phase_rules, values)
+    return CorrelationBlock(p_a=values.p_a, p_b=values.p_b, c=complex(values.c), x=values.x)
 
 
 def correlation_arrays(
@@ -314,44 +397,31 @@ def correlation_arrays(
     alignment: Alignment,
     separation: np.ndarray,
     boundary_distance: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[SimpleNamespace, np.ndarray]:
     """:func:`correlations` at each point of equal-length arrays, bit for bit.
 
-    ``omega_a`` and ``coupling`` are those of a valid :class:`DetectorPair`.
-    Returns the columns p_a, p_b, c (real) and x (complex), then the
-    boolean column ``ok``, true exactly at the points that pass the checks
-    of :class:`DetectorPair`, :class:`BoundaryGeometry`,
-    :class:`CorrelationBlock` and the phase check of :func:`_aux_g`. Every
-    point is computed; where ``ok`` is false the columns are placeholders.
+    The same formulas as the one-point route, over array namespaces, and
+    the same rule tables.  Returns a namespace of arrays, holding the
+    entries p_a, p_b, c (real) and x (complex) and every value the rules
+    of :class:`DetectorPair`, :class:`BoundaryGeometry`, the kernel phase
+    and :class:`CorrelationBlock` read, then the boolean column ``ok``,
+    true exactly at the points that pass them all.  Every point is
+    computed; where ``ok`` is false the entries are placeholders.
     """
-    sep, dz = separation, boundary_distance
     # overflow and nan give inf and nan, as in Python float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        if Alignment(alignment) is Alignment.PARALLEL:
-            img, dz_b = _each(math.hypot, sep, 2.0 * dz), dz
-        else:
-            img, dz_b = sep + 2.0 * dz, dz + sep
-        ok = (omega_b >= omega_a) & np.isfinite(2.0 * omega_b)
-        ok &= (sep > 0.0) & (dz > 0.0) & np.isfinite(img) & np.isfinite(2.0 * dz_b)
+        lengths = _mirror_lengths(_ARRAYS, Alignment(alignment), separation, boundary_distance)
+        inputs = SimpleNamespace(omega_a=omega_a, omega_b=omega_b, coupling=coupling,
+                                 **vars(lengths))
+        ok = _holds(_pair_rules, inputs) & _holds(_geometry_rules, inputs)
         # a point refused here is computed at placeholder gaps and lengths,
         # where no scalar kernel overflows or leaves its domain
-        omega_b = np.where(ok, omega_b, omega_a)
-        sep, dz, img, dz_b = (np.where(ok, v, 1.0) for v in (sep, dz, img, dz_b))
-        p_a = _probability_array(np.full(dz.size, omega_a), dz, coupling)
-        p_b = _probability_array(omega_b, dz_b, coupling)
-        # each is nonnegative, inf or nan, so this one comparison holds
-        # exactly where CorrelationBlock's three probability checks pass
-        ok &= p_a + p_b < 1.0
-        s = omega_a + omega_b
-        d = omega_b - omega_a
-        pref = coupling * coupling / (4.0 * _SQRT_PI)
-        c = pref * _each(math.exp, -d * d / 4.0) * (_aux_f_array(sep, s) - _aux_f_array(img, s))
-        (g_re, g_im, g_ok), (h_re, h_im, h_ok) = _aux_g_array(sep, d), _aux_g_array(img, d)
-        ok &= g_ok & h_ok
-        weight = -pref * _each(math.exp, -s * s / 4.0)
-        x = (weight * (g_re - h_re)).astype(complex)
-        x.imag = weight * (g_im - h_im)
-    return p_a, p_b, c, x, ok
+        held = SimpleNamespace(**{k: np.where(ok, v, 1.0) for k, v in vars(lengths).items()})
+        omegas = np.full(omega_b.size, omega_a), np.where(ok, omega_b, omega_a)
+        entries = _entries(_ARRAYS, *omegas, coupling, held)
+        values = SimpleNamespace(**(vars(entries) | vars(inputs)))
+        ok &= _holds(_phase_rules, values) & _holds(_block_rules, values)
+    return values, ok
 
 
 def boundary_free_correlations(pair: DetectorPair, separation: float) -> CorrelationBlock:
@@ -372,16 +442,15 @@ def boundary_free_correlations(pair: DetectorPair, separation: float) -> Correla
     )
 
 
+def _state_entries(p_a, p_b, c, x):
+    """The X-state entries d11 to c23 of a leading-order block, at one
+    point or at each point of arrays."""
+    return 1.0 - p_a - p_b, p_b, p_a, 0.0, x, c
+
+
 def state_from_block(block: CorrelationBlock) -> XState:
     """Assemble the leading-order X-state from its correlation entries."""
-    return XState(
-        d11=1.0 - block.p_a - block.p_b,
-        d22=block.p_b,
-        d33=block.p_a,
-        d44=0.0,
-        c14=block.x,
-        c23=block.c,
-    )
+    return XState(*_state_entries(block.p_a, block.p_b, block.c, block.x))
 
 
 def joint_state(pair: DetectorPair, geom: BoundaryGeometry) -> XState:

@@ -3,8 +3,8 @@
 Everything here drives the closed-form model in :mod:`mirrorsteer.detector_model`
 along a single axis: detector separation, distance to the mirror, or the gap
 of detector B.  Sweeps tabulate the observables as named columns, evaluating
-the whole grid in one array pass through the model's array kernels, equal bit
-for bit to evaluating each point alone; peak and transition finders, whose
+the whole grid in one array pass over the model's formulas, equal bit for
+bit to evaluating each point alone; peak and transition finders, whose
 evaluations each depend on the last, take the one-point route and refine
 features of those curves to 1e-6 in the swept variable: a peak by Brent's
 minimiser, a transition by Dekker-Brent zeroin on the signed steering margin
@@ -20,6 +20,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -29,14 +30,21 @@ from .detector_model import (
     BoundaryGeometry,
     CorrelationBlock,
     DetectorPair,
+    _correlation_rules,
+    _state_entries,
     boundary_free_correlations,
     correlation_arrays,
     correlations,
     state_from_block,
-    steering_from_block,
 )
 from .errors import ValidationError
-from .xstate_steering import _each, _signed_margins, steering_arrays
+from .xstate_steering import (
+    _first_failure,
+    _observed,
+    _signed_margins,
+    _state_rules,
+    state_arrays,
+)
 
 _T = TypeVar("_T")
 
@@ -121,11 +129,7 @@ OBSERVABLES = ("p_a", "p_b", "abs_c", "abs_x", "s_ab", "s_ba", "asymmetry", "con
 
 def observable_values(block: CorrelationBlock) -> tuple[float, ...]:
     """The :data:`OBSERVABLES` of one point, from its correlation block."""
-    res = steering_from_block(block)
-    return (
-        block.p_a, block.p_b, abs(block.c), abs(block.x),
-        res.s_ab, res.s_ba, res.asymmetry, res.concurrence,
-    )
+    return (block.p_a, block.p_b, *_observed(state_from_block(block)))
 
 
 def observable_columns(
@@ -173,9 +177,9 @@ def _apply(
 ) -> tuple[DetectorPair, BoundaryGeometry]:
     """Return copies of the pair and geometry with one field overridden."""
     if variable is SweepVariable.SEPARATION:
-        return pair, dataclasses.replace(geom, separation=value)
+        return pair, BoundaryGeometry(geom.alignment, value, geom.boundary_distance)
     if variable is SweepVariable.BOUNDARY_DISTANCE:
-        return pair, dataclasses.replace(geom, boundary_distance=value)
+        return pair, BoundaryGeometry(geom.alignment, geom.separation, value)
     return DetectorPair(pair.omega_a, value, coupling=pair.coupling), geom
 
 
@@ -202,13 +206,18 @@ _WB = SweepVariable.OMEGA_B
 _PARAM_NAME = {_SEP: "l", _DZ: "dz", _WB: "omega_b"}
 
 
-def _grid_arrays(
+def _rules(v):
+    """Every rule the one-point route checks, in the order it checks them."""
+    return (*_correlation_rules(v), *_state_rules(v))
+
+
+def _grid_values(
     pair: DetectorPair, geom: BoundaryGeometry, variable: SweepVariable, grid: np.ndarray
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The verdict ``ok`` of each grid point and the :data:`OBSERVABLES`
-    columns, in one array pass.  ``ok`` is true exactly where the one-point
-    route succeeds, and there the columns are bit for bit the
-    :func:`observable_values` of the point."""
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], SimpleNamespace]:
+    """In one array pass, the verdict ``ok`` of each grid point, the
+    :data:`OBSERVABLES` columns and every value :func:`_rules` read.  ``ok``
+    is true exactly where the one-point route succeeds, and there the
+    columns are bit for bit the :func:`observable_values` of the point."""
     n = grid.size
     values = {
         _SEP: np.full(n, geom.separation),
@@ -216,13 +225,26 @@ def _grid_arrays(
         _WB: np.full(n, pair.omega_b),
     }
     values[variable] = grid
-    p_a, p_b, c, x, ok = correlation_arrays(
+    block, ok = correlation_arrays(
         pair.omega_a, values[_WB], pair.coupling, geom.alignment, values[_SEP], values[_DZ]
     )
-    *steering, state_ok = steering_arrays(1.0 - p_a - p_b, p_b, p_a, np.zeros(n), x, c)
-    ok &= state_ok
-    # the modulus of a refused coherence can overflow abs
-    return ok, (p_a, p_b, np.abs(c), _each(abs, np.where(ok, x, 0.0)), *steering)
+    entries = _state_entries(block.p_a, block.p_b, block.c, block.x)
+    state, columns, state_ok = state_arrays(*entries)
+    values = SimpleNamespace(**vars(block), **vars(state))
+    return ok & state_ok, (block.p_a, block.p_b, *columns), values
+
+
+def _grid_arrays(
+    pair: DetectorPair, geom: BoundaryGeometry, variable: SweepVariable, grid: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The verdict and the :data:`OBSERVABLES` columns of :func:`_grid_values`."""
+    return _grid_values(pair, geom, variable, grid)[:2]
+
+
+def _point(values: SimpleNamespace, i: int) -> SimpleNamespace:
+    """The values at grid point ``i``, as Python numbers."""
+    items = vars(values).items()
+    return SimpleNamespace(**{k: v[i].item() if isinstance(v, np.ndarray) else v for k, v in items})
 
 
 def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepTable:
@@ -230,22 +252,18 @@ def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepT
 
     The swept variable overrides the matching field of ``pair`` or ``geom``
     at each grid point; all other fields are held fixed and recorded in
-    the table's ``params``.  The grid is evaluated in one array pass, equal
-    bit for bit to the one-point route, that also gives each point's
-    verdict.  If a point fails, the one-point route runs at the first
-    failing point alone and its validation error is re-raised as the same
-    type with the grid point named; any other exception propagates
-    unchanged.
+    the table's ``params``.  The grid is evaluated in one array pass, over
+    the one-point route's formulas and rule tables and equal to it bit for
+    bit, which also gives each point's verdict.  If a point fails, the
+    first rule it fails at the first failing point is raised as the
+    one-point route raises it, with the grid point named.
     """
     grid = axis.grid()
-    ok, arrays = _grid_arrays(pair, geom, axis.variable, grid)
+    ok, arrays, values = _grid_values(pair, geom, axis.variable, grid)
     if not ok.all():
-        value = float(grid[ok.argmin()])
-        _at(pair, geom, axis.variable, value, observable_values)
-        raise ValidationError(
-            f"at {axis.variable.value} = {value:g}: the array pass refuses a "
-            "point the one-point route accepts"
-        )
+        i = int(ok.argmin())
+        error = _first_failure(_rules, _point(values, i))
+        raise type(error)(f"at {axis.variable.value} = {grid[i]:g}: {error}")
     columns = observable_columns(grid.tolist(), (col.tolist() for col in arrays))
     params = {
         "omega_a": pair.omega_a,

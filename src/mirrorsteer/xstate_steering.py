@@ -19,12 +19,19 @@ cancellation exactly:
     g_a - g_b = W- d11 d44 + W+ d22 d33 + (d11 d33 + d22 d44)/2
 
 and g_c +- g_b likewise with W+ and W- exchanged.
+
+Each formula is written once, over a namespace of elementwise functions:
+one state reads it through :mod:`math`, and :func:`state_arrays` reads it
+at each point of arrays of states, bit for bit.  Each domain check is
+written once as well, as an ordered table of rules that one state raises
+from and an array pass ANDs into a verdict per point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,6 +46,111 @@ _TAU_MIX = (3.0 - _SQRT3) / 6.0
 
 # tolerance for trace and diagonal-range checks
 _ATOL = 1e-12
+
+
+def _each(fn, *arrays: np.ndarray) -> np.ndarray:
+    """``fn`` at each point of the arrays, one libm call per point.
+
+    numpy's own exp, erfc, hypot and complex abs can differ from libm in
+    the last ulp, and the array kernels must agree with the scalar ones
+    bit for bit.
+    """
+    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, arrays[0].size)
+
+
+def _maximum(first, *rest):
+    """``max`` at each point: a later value replaces the best so far only if
+    greater, which is Python's choice among ties and nan."""
+    for value in rest:
+        first = np.where(value > first, value, first)
+    return first
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    z = re.astype(complex)
+    z.imag = im
+    return z
+
+
+# The elementwise functions every formula of the model is written over,
+# once: at one point, and at each point of equal-length arrays.  Both round
+# +, -, *, / and sqrt correctly, and the arrays call libm and Python's
+# complex modulus one point at a time, so both give the same bits.
+_LIBM = ("exp", "erfc", "sin", "cos", "hypot")
+_ONE_POINT = SimpleNamespace(
+    **{name: getattr(math, name) for name in _LIBM}, sqrt=math.sqrt, abs=abs, max=max,
+    where=lambda cond, a, b: a if cond else b, complex=complex,
+)
+_ARRAYS = SimpleNamespace(
+    **{name: lambda *a, fn=getattr(math, name): _each(fn, *a) for name in _LIBM},
+    sqrt=np.sqrt, abs=lambda a: _each(abs, a), max=_maximum, where=np.where, complex=_complex,
+)
+
+# A domain check is an ordered table of rules: a function of a namespace of
+# values that returns one row (holds, error type, message) per rule.  Each
+# ``holds`` uses comparisons, ``abs`` and ``&`` only (x is finite exactly
+# where abs(x) < _INF), so a table reads one point or each point of arrays;
+# a message formats the values by name.  One point raises the first rule it
+# fails; an array pass ANDs the rules into a verdict per point.
+_INF = math.inf
+
+
+def _holds(rules, values):
+    """Whether each point of arrays passes every rule; called with numpy's
+    floating-point warnings off."""
+    ok = True
+    for holds, _, _ in rules(values):
+        ok = ok & holds
+    return ok
+
+
+def _first_failure(rules, values) -> Exception | None:
+    """The error of the first rule one point's ``values`` fail, if any."""
+    for holds, error, message in rules(values):
+        if not holds:
+            return error(message.format_map(vars(values)))
+    return None
+
+
+def _check(rules, values) -> None:
+    error = _first_failure(rules, values)
+    if error is not None:
+        raise error
+
+
+def _in_range(x):
+    return (x >= -_ATOL) & (x <= 1.0 + _ATOL)
+
+
+def _state_rules(v):
+    """The rules of :class:`XState`, on the values of :func:`_state_values`."""
+    return (
+        (abs(v.d11) < _INF, ValidationError, "d11 must be finite"),
+        (_in_range(v.d11), ValidationError, "d11 = {d11!r} outside [0, 1]"),
+        (abs(v.d22) < _INF, ValidationError, "d22 must be finite"),
+        (_in_range(v.d22), ValidationError, "d22 = {d22!r} outside [0, 1]"),
+        (abs(v.d33) < _INF, ValidationError, "d33 must be finite"),
+        (_in_range(v.d33), ValidationError, "d33 = {d33!r} outside [0, 1]"),
+        (abs(v.d44) < _INF, ValidationError, "d44 must be finite"),
+        (_in_range(v.d44), ValidationError, "d44 = {d44!r} outside [0, 1]"),
+        (abs(v.trace - 1.0) <= _ATOL, ValidationError, _TRACE_FAILS),
+        ((abs(v.c14.real) < _INF) & (abs(v.c14.imag) < _INF), ValidationError,
+         "c14 must be finite"),
+        ((abs(v.c23.real) < _INF) & (abs(v.c23.imag) < _INF), ValidationError,
+         "c23 must be finite"),
+    )
+
+
+_TRACE_FAILS = f"trace = {{trace!r}}, expected 1 within {_ATOL}"
+
+
+def _state_values(ns, d11, d22, d33, d44, c14, c23):
+    """The values :func:`_state_rules` read, the trace being that of the
+    diagonal clamped at zero, and that clamped diagonal."""
+    diagonal = (ns.max(d11, 0.0), ns.max(d22, 0.0), ns.max(d33, 0.0), ns.max(d44, 0.0))
+    trace = diagonal[0] + diagonal[1] + diagonal[2] + diagonal[3]
+    values = SimpleNamespace(d11=d11, d22=d22, d33=d33, d44=d44, trace=trace, c14=c14, c23=c23)
+    return values, diagonal
 
 
 @dataclass(frozen=True)
@@ -65,21 +177,18 @@ class XState:
     c23: complex = 0j
 
     def __post_init__(self):
-        for name in ("d11", "d22", "d33", "d44"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite")
-            if value < -_ATOL or value > 1.0 + _ATOL:
-                raise ValidationError(f"{name} = {value!r} outside [0, 1]")
-            object.__setattr__(self, name, max(value, 0.0))
-        trace = self.d11 + self.d22 + self.d33 + self.d44
-        if abs(trace - 1.0) > _ATOL:
-            raise ValidationError(f"trace = {trace!r}, expected 1 within {_ATOL}")
-        for name in ("c14", "c23"):
-            value = complex(getattr(self, name))
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise ValidationError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+        values, diagonal = _state_values(
+            _ONE_POINT, float(self.d11), float(self.d22), float(self.d33), float(self.d44),
+            complex(self.c14), complex(self.c23),
+        )
+        _check(_state_rules, values)
+        set_field = object.__setattr__
+        set_field(self, "d11", diagonal[0])
+        set_field(self, "d22", diagonal[1])
+        set_field(self, "d33", diagonal[2])
+        set_field(self, "d44", diagonal[3])
+        set_field(self, "c14", values.c14)
+        set_field(self, "c23", values.c23)
 
 
 @dataclass(frozen=True)
@@ -92,26 +201,10 @@ class SteeringResult:
     concurrence: float
 
 
-def concurrence(state: XState) -> float:
-    """Concurrence of an X-state.
-
-    C = 2 max{0, |c14| - sqrt(d22 d33), |c23| - sqrt(d11 d44)}.
-    The result is not capped at 1; operators outside the positivity cone
-    can exceed the physical range and are reported as computed.
-    """
-    a = abs(state.c14) - math.sqrt(state.d22 * state.d33)
-    b = abs(state.c23) - math.sqrt(state.d11 * state.d44)
-    return 2.0 * max(0.0, a, b)
-
-
-def _margins(d11, d22, d33, d44, m14, m23, sqrt):
-    """Signed margins of S(A->B) and S(B->A) from the factored thresholds.
-
-    Returns ((A->B via c14, A->B via c23), (B->A via c14, B->A via c23)),
-    each a coherence modulus less its threshold. Generic over floats with
-    ``math.sqrt`` and numpy arrays with ``np.sqrt``; both round correctly,
-    so the two agree bit for bit.
-    """
+def _margins(ns, d11, d22, d33, d44, m14, m23):
+    """Signed margins of S(A->B) and S(B->A) from the factored thresholds:
+    each the larger of a coherence modulus less its threshold, via c14 and
+    via c23, so a direction steers exactly where its margin is positive."""
     p14 = d11 * d44
     p23 = d22 * d33
     w_a = _W_MINUS * p14 + _W_PLUS * p23
@@ -120,26 +213,49 @@ def _margins(d11, d22, d33, d44, m14, m23, sqrt):
     h_ab = 0.5 * (d11 * d22 + d33 * d44)
     h_ba = 0.5 * (d11 * d33 + d22 * d44)
     return (
-        (m14 - sqrt(w_a + h_ab), m23 - sqrt(w_c + h_ab)),
-        (m14 - sqrt(w_a + h_ba), m23 - sqrt(w_c + h_ba)),
+        ns.max(m14 - ns.sqrt(w_a + h_ab), m23 - ns.sqrt(w_c + h_ab)),
+        ns.max(m14 - ns.sqrt(w_a + h_ba), m23 - ns.sqrt(w_c + h_ba)),
     )
+
+
+def _concurrence(ns, d11, d22, d33, d44, m14, m23):
+    return 2.0 * ns.max(0.0, m14 - ns.sqrt(d22 * d33), m23 - ns.sqrt(d11 * d44))
+
+
+def _steering(ns, d11, d22, d33, d44, c14, c23):
+    """|c23|, |c14|, S(A->B), S(B->A), their difference and the concurrence
+    of an X-state, unchecked.  Each direction is its margin clamped at 0."""
+    m14, m23 = ns.abs(c14), ns.abs(c23)
+    m_ab, m_ba = _margins(ns, d11, d22, d33, d44, m14, m23)
+    s_ab, s_ba = ns.max(0.0, m_ab), ns.max(0.0, m_ba)
+    return m23, m14, s_ab, s_ba, s_ab - s_ba, _concurrence(ns, d11, d22, d33, d44, m14, m23)
+
+
+def _observed(state: XState) -> tuple[float, ...]:
+    """:func:`_steering` of one state."""
+    return _steering(
+        _ONE_POINT, state.d11, state.d22, state.d33, state.d44, state.c14, state.c23
+    )
+
+
+def concurrence(state: XState) -> float:
+    """Concurrence of an X-state.
+
+    C = 2 max{0, |c14| - sqrt(d22 d33), |c23| - sqrt(d11 d44)}.
+    The result is not capped at 1; operators outside the positivity cone
+    can exceed the physical range and are reported as computed.
+    """
+    return _concurrence(_ONE_POINT, *_moduli(state))
+
+
+def _moduli(state: XState) -> tuple[float, ...]:
+    """The diagonal of one state and the moduli of its coherences."""
+    return state.d11, state.d22, state.d33, state.d44, abs(state.c14), abs(state.c23)
 
 
 def _signed_margins(state: XState) -> tuple[float, float]:
-    """The signed margins of A->B and B->A, each the larger of its two
-    entries of :func:`_margins`: a direction steers exactly where its
-    margin is positive."""
-    (a14, a23), (b14, b23) = _margins(
-        state.d11, state.d22, state.d33, state.d44,
-        abs(state.c14), abs(state.c23), math.sqrt,
-    )
-    return max(a14, a23), max(b14, b23)
-
-
-def _both_directions(state: XState) -> tuple[float, float]:
-    """S(A->B) and S(B->A), each its signed margin clamped at zero."""
-    m_ab, m_ba = _signed_margins(state)
-    return max(0.0, m_ab), max(0.0, m_ba)
+    """The signed margins of A->B and B->A of one state; see :func:`_margins`."""
+    return _margins(_ONE_POINT, *_moduli(state))
 
 
 def steering_b_to_a(state: XState) -> float:
@@ -147,12 +263,12 @@ def steering_b_to_a(state: XState) -> float:
 
     S(B->A) = max{0, |c14| - sqrt(g_a - g_b), |c23| - sqrt(g_c - g_b)}.
     """
-    return _both_directions(state)[1]
+    return _observed(state)[3]
 
 
 def steering_a_to_b(state: XState) -> float:
     """Steering of B by measurements on A; g_b enters with opposite sign."""
-    return _both_directions(state)[0]
+    return _observed(state)[2]
 
 
 def steering_asymmetry(state: XState) -> SteeringResult:
@@ -160,55 +276,21 @@ def steering_asymmetry(state: XState) -> SteeringResult:
 
     The asymmetry is s_ab - s_ba: positive when A steers B more strongly.
     """
-    s_ab, s_ba = _both_directions(state)
-    return SteeringResult(
-        s_ab=s_ab,
-        s_ba=s_ba,
-        asymmetry=s_ab - s_ba,
-        concurrence=concurrence(state),
-    )
+    return SteeringResult(*_observed(state)[2:])
 
 
-def _each(fn, *arrays: np.ndarray) -> np.ndarray:
-    """``fn`` at each point of the arrays, one libm call per point.
-
-    numpy's own exp, erfc, hypot and complex abs can differ from libm in
-    the last ulp, and the array kernels must agree with the scalar ones
-    bit for bit.
-    """
-    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, arrays[0].size)
-
-
-def _max0(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``max(0.0, a, b)`` at each point, with Python's choice among ties and nan."""
-    first = np.where(a > 0.0, a, 0.0)
-    return np.where(b > first, b, first)
-
-
-def steering_arrays(d11, d22, d33, d44, c14, c23):
-    """:func:`steering_asymmetry` of the X-state at each point, bit for bit.
-
-    Takes equal-length arrays of the entries and returns the columns
-    s_ab, s_ba, asymmetry and concurrence, then the boolean column ``ok``,
-    true exactly at the points :class:`XState` accepts. Every point is
-    computed; where ``ok`` is false the columns are placeholders.
-    """
-    ok = np.ones(d11.size, bool)
-    diagonal = []
+def state_arrays(d11, d22, d33, d44, c14, c23):
+    """:class:`XState` and :func:`_steering` at each point of equal-length
+    arrays of the entries, bit for bit: the values :func:`_state_rules`
+    read, the columns of :func:`_steering`, and the verdict ``ok``, true
+    exactly where :class:`XState` accepts the point.  Where ``ok`` is false
+    the columns are placeholders."""
     with np.errstate(invalid="ignore", over="ignore"):
-        for value in (d11, d22, d33, d44):
-            ok &= np.isfinite(value) & (value >= -_ATOL) & (value <= 1.0 + _ATOL)
-            diagonal.append(np.where(value < 0.0, 0.0, value))
-        d11, d22, d33, d44 = diagonal
-        ok &= np.abs(d11 + d22 + d33 + d44 - 1.0) <= _ATOL
-        for value in (c14, c23):
-            ok &= np.isfinite(value.real) & np.isfinite(value.imag)
+        values, diagonal = _state_values(_ARRAYS, d11, d22, d33, d44, c14, c23)
+        ok = _holds(_state_rules, values)
         # the modulus of a refused coherence can overflow abs
-        m14, m23 = (_each(abs, np.where(ok, c, 0.0)) for c in (c14, c23))
-        (a14, a23), (b14, b23) = _margins(d11, d22, d33, d44, m14, m23, np.sqrt)
-        s_ab, s_ba = _max0(a14, a23), _max0(b14, b23)
-        conc = 2.0 * _max0(m14 - np.sqrt(d22 * d33), m23 - np.sqrt(d11 * d44))
-    return s_ab, s_ba, s_ab - s_ba, conc, ok
+        coherences = (np.where(ok, c, 0.0) for c in (c14, c23))
+        return values, _steering(_ARRAYS, *diagonal, *coherences), ok
 
 
 def _certification_map(

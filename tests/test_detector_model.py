@@ -250,6 +250,19 @@ class TestTransitionProbability:
         with pytest.raises(ValidationError, match="2 dz"):
             transition_probability(0.1, 1e308)
 
+    def test_probabilities_refuse_the_coupling_the_pair_refuses(self):
+        # lambda² overflows: both used to return inf and nan with no error
+        with pytest.raises(ValidationError) as pair_error:
+            DetectorPair(0.1, 0.1, coupling=1e200)
+        for call in (
+            lambda: free_space_probability(0.1, 1e200),
+            lambda: transition_probability(0.1, 1.0, 1e200),
+        ):
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == str(pair_error.value)
+            assert str(info.value) == "coupling = 1e+200 is too large: lambda² overflows"
+
 
 def kernel_f_50_digits(l, s):
     """F(l, s) = -(e^{-s^2/4}/l) Im w(-l/2 + i s/2), w(z) = e^{-z^2} erfc(-iz),

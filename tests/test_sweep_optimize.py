@@ -4,7 +4,9 @@ the figure dataset builders."""
 import dataclasses
 import math
 import re
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,10 +14,14 @@ from hypothesis import strategies as st
 from mirrorsteer.detector_model import (
     Alignment,
     BoundaryGeometry,
+    CorrelationBlock,
     DetectorPair,
+    _block_rules,
+    _correlation_rules,
     boundary_free_correlations,
     boundary_free_steering,
     config_difference,
+    correlation_arrays,
     harvested_steering,
     state_from_block,
 )
@@ -38,7 +44,13 @@ from mirrorsteer.sweep_optimize import (
     observable_values,
     sweep,
 )
-from mirrorsteer.xstate_steering import _signed_margins
+from mirrorsteer.xstate_steering import (
+    XState,
+    _first_failure,
+    _signed_margins,
+    _state_rules,
+    state_arrays,
+)
 
 PAIR = DetectorPair(omega_a=0.1, omega_b=0.1)
 GEOM_PAR = BoundaryGeometry(Alignment.PARALLEL, separation=1.0, boundary_distance=1.0)
@@ -207,8 +219,8 @@ class TestSweep:
     def test_refused_long_sweep_takes_the_one_point_route_once(
         self, pair, geom, axis, message, monkeypatch
     ):
-        # array passes over grid windows find the first failing point; only
-        # that point takes the one-point route, for its own message
+        # one array pass finds the first failing point and formats the rule
+        # it fails from that point's values; the one-point route need not run
         calls = []
         one_point = sweep_optimize.correlations
 
@@ -221,6 +233,14 @@ class TestSweep:
             sweep(pair, geom, SweepAxis(*axis))
         assert str(info.value) == message
         assert len(calls) <= 1
+
+    def test_refused_sweep_makes_no_one_point_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sweep_optimize, "correlations", lambda *args: calls.append(args))
+        axis = SweepAxis("boundary-distance", 0.2, 2.0, 9)
+        with pytest.raises(PerturbativeValidityError, match="at boundary-distance = "):
+            sweep(DetectorPair(0.1, 0.1, coupling=5.0), GEOM_PAR, axis)
+        assert calls == []
 
     def test_names_first_failing_point_across_check_stages(self):
         # the first point fails the late X-state check, the last ones the
@@ -263,6 +283,155 @@ class TestSweep:
         assert not ok.all()
 
 
+# one sweep per rule a sweep can fail, by the rule's message template: its
+# first failing point fails that rule
+_SWEEP_REFUSALS = {
+    "energy gaps must be nonnegative": (PAIR, GEOM_PAR, ("omega-b", -1.0, 1.0, 7)),
+    "omega_b must not be smaller than omega_a; name the detector with the larger gap B": (
+        DetectorPair(0.2, 0.5), GEOM_PAR, ("omega-b", 0.05, 1.0, 10)
+    ),
+    # short lengths, so that no kernel phase overflows first
+    "omega_b = {omega_b:g} is too large: 2 omega_b overflows": (
+        PAIR, BoundaryGeometry(Alignment.PARALLEL, 0.01, 0.01), ("omega-b", 0.1, 1.7e308, 7)
+    ),
+    "separation must be positive": (PAIR, GEOM_PAR, ("separation", -1.0, 1.0, 5)),
+    "boundary_distance must be positive": (PAIR, GEOM_ORT, ("boundary-distance", -1.0, 1.0, 7)),
+    "separation {separation:g} and boundary_distance {boundary_distance:g} overflow the "
+    "mirror-image distances": (PAIR, GEOM_ORT, ("boundary-distance", 1.0, 1e308, 5)),
+    "omega_b - omega_a = {d:g} at separation {separation:g} overflows the kernel phase "
+    "(omega_b - omega_a)·l/2": (
+        DetectorPair(0.0, 0.1), BoundaryGeometry(Alignment.PARALLEL, 10.0, 1.0),
+        ("omega-b", 0.1, 8e307, 5),
+    ),
+    # the direct phase d/2 stays finite while d hypot(1, 6)/2 overflows
+    "omega_b - omega_a = {d:g} at separation {image_separation:g} overflows the kernel phase "
+    "(omega_b - omega_a)·l/2": (
+        DetectorPair(0.0, 0.1), BoundaryGeometry(Alignment.PARALLEL, 1.0, 3.0),
+        ("omega-b", 1e307, 8e307, 30),
+    ),
+    "p_a + p_b = {p_sum:.3g} >= 1: coupling too strong for the leading-order state": (
+        DetectorPair(0.1, 0.1, coupling=5.0), GEOM_PAR, ("boundary-distance", 0.2, 2.0, 5)
+    ),
+    # Im G overflows as 1/l
+    "c14 must be finite": (PAIR, GEOM_PAR, ("separation", 1e-320, 1e-300, 5, "log")),
+}
+# the rules no sweep can fail, and why
+_NO_SWEEP_FAILS = {
+    # a sweep's pair is a valid DetectorPair, so its coupling passes
+    "coupling must be positive",
+    "coupling = {coupling:g} is too large: lambda² overflows",
+    # a grid between finite ends holds finite values
+    "detector parameters must be finite",
+    "geometry lengths must be finite",
+    # once the pair and the geometry pass, the closed forms give finite
+    # probabilities clamped at zero, a finite C, and the X-state
+    # 1 - p_a - p_b, p_b, p_a, 0 with p_a + p_b < 1
+    "probabilities must be finite",
+    "probabilities must be nonnegative",
+    *(f"{name} must be finite" for name in ("d11", "d22", "d33", "d44", "c23")),
+    *(f"{name} = {{{name}!r}} outside [0, 1]" for name in ("d11", "d22", "d33", "d44")),
+    "trace = {trace!r}, expected 1 within 1e-12",
+}
+
+
+def _rule_messages():
+    """The message template of every rule a sweep checks, in order."""
+    grid = SweepAxis("separation", 1.0, 2.0, 2).grid()
+    _, _, values = sweep_optimize._grid_values(PAIR, GEOM_PAR, SweepVariable.SEPARATION, grid)
+    return [message for _, _, message in sweep_optimize._rules(sweep_optimize._point(values, 0))]
+
+
+class TestRefusalParity:
+    """A refused sweep raises what the one-point route raises at its first
+    failing point, rule by rule: same type, same message."""
+
+    def test_every_rule_is_covered(self):
+        messages = _rule_messages()
+        assert len(messages) == len(set(messages))
+        assert set(messages) == _SWEEP_REFUSALS.keys() | _NO_SWEEP_FAILS
+        assert not _SWEEP_REFUSALS.keys() & _NO_SWEEP_FAILS
+
+    @pytest.mark.parametrize("template", list(_SWEEP_REFUSALS))
+    def test_sweep_raises_the_one_point_error(self, template):
+        pair, geom, axis = _SWEEP_REFUSALS[template]
+        axis = SweepAxis(*axis)
+        with pytest.raises(ValidationError) as got:
+            sweep(pair, geom, axis)
+        for value in axis.grid().tolist():
+            try:
+                sweep_optimize._at(pair, geom, axis.variable, value, observable_values)
+            except ValidationError as exc:
+                want = exc
+                break
+        assert type(got.value) is type(want)
+        assert str(got.value) == str(want)
+        # the point fails this rule: its fixed text surrounds the values
+        fixed = [re.escape(part) for part in re.split(r"\{[^}]*\}", template)]
+        assert re.fullmatch(r"at \S+ = \S+: " + "[^:]+".join(fixed), str(want))
+
+    @pytest.mark.parametrize(
+        "arrays, build",
+        [
+            ((np.array([0.2, math.nan]), 1.0, np.ones(2)), lambda: DetectorPair(0.1, math.nan)),
+            ((np.full(2, 0.2), -1.0, np.ones(2)), lambda: DetectorPair(0.1, 0.2, coupling=-1.0)),
+            ((np.full(2, 0.2), 1e200, np.ones(2)), lambda: DetectorPair(0.1, 0.2, coupling=1e200)),
+            ((np.full(2, 0.2), 1.0, np.array([1.0, math.inf])),
+             lambda: BoundaryGeometry(Alignment.PARALLEL, math.inf, 1.0)),
+        ],
+        ids=["gap-nan", "coupling-negative", "coupling-overflow", "length-inf"],
+    )
+    def test_pass_values_format_as_the_dataclasses(self, arrays, build):
+        # rules no sweep fails, fed straight to the array pass: formatted
+        # from the first failing point's array values, the message is the
+        # one-point message
+        omega_b, coupling, sep = arrays
+        values, ok = correlation_arrays(
+            0.1, omega_b, coupling, Alignment.PARALLEL, sep, np.ones(2)
+        )
+        i = int(ok.argmin())
+        assert not ok[i]
+        error = _first_failure(_correlation_rules, sweep_optimize._point(values, i))
+        with pytest.raises(ValidationError) as want:
+            build()
+        assert type(error) is type(want.value)
+        assert str(error) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (math.nan, 0.5, 0.5, 0.0, 0j, 0j),
+            (1.5, -0.5, 0.0, 0.0, 0j, 0j),
+            (0.5, math.inf, 0.5, 0.0, 0j, 0j),
+            (0.0, 1.5, 0.0, 0.0, 0j, 0j),
+            (0.25, 0.25, math.nan, 0.25, 0j, 0j),
+            (0.5, 0.5, -0.25, 0.25, 0j, 0j),
+            (0.5, 0.5, 0.0, math.nan, 0j, 0j),
+            (0.25, 0.25, 0.25, -0.75, 0j, 0j),
+            (0.5, 0.0, 0.0, 0.5 + 1e-6, 0j, 0j),
+            (0.5, 0.5, 0.0, 0.0, complex(math.inf, 0.0), 0j),
+            (0.5, 0.5, 0.0, 0.0, 0j, complex(0.0, math.nan)),
+        ],
+    )
+    def test_state_values_format_as_xstate(self, bad):
+        good = (0.25, 0.25, 0.25, 0.25, 0.1 + 0j, 0.1j)
+        values, _, ok = state_arrays(*(np.array(column) for column in zip(good, bad)))
+        assert ok.tolist() == [True, False]
+        error = _first_failure(_state_rules, sweep_optimize._point(values, 1))
+        with pytest.raises(ValidationError) as want:
+            XState(*bad)
+        assert str(error) == str(want.value)
+
+    @pytest.mark.parametrize("p_a, p_b", [(math.nan, 0.1), (0.1, -0.1), (0.6, 0.6)])
+    def test_block_values_format_as_correlation_block(self, p_a, p_b):
+        p_a, p_b = np.array([0.1, p_a]), np.array([0.1, p_b])
+        values = sweep_optimize._point(SimpleNamespace(p_a=p_a, p_b=p_b, p_sum=p_a + p_b), 1)
+        error = _first_failure(_block_rules, values)
+        with pytest.raises(ValidationError) as want:
+            CorrelationBlock(p_a[1], p_b[1], 0j, 0j)
+        assert type(error) is type(want.value)
+        assert str(error) == str(want.value)
+
+
 def _scalar_columns(pair, geom, axis):
     """The columns of a sweep evaluated one point at a time."""
     grid = axis.grid().tolist()
@@ -294,8 +463,7 @@ class TestArrayPassMatchesOnePointRoute:
         # fig2 and fig4: three curves each; fig5 and fig7: two; fig6: four
         assert checked == [200] * 14
 
-    @pytest.mark.parametrize("alignment", list(Alignment))
-    @pytest.mark.parametrize(
+    _AXES = pytest.mark.parametrize(
         "dz, axis",
         [
             # l, and the images at 2 dz, cross SERIES_CROSSOVER
@@ -306,11 +474,32 @@ class TestArrayPassMatchesOnePointRoute:
         ],
         ids=["series-crossover", "omega-b", "far-separation"],
     )
+
+    @pytest.mark.parametrize("alignment", list(Alignment))
+    @_AXES
     def test_axes(self, alignment, dz, axis):
         pair = DetectorPair(0.1, 0.2)
         geom = BoundaryGeometry(alignment, 1.0, dz)
         axis = SweepAxis(*axis)
         assert _bits(sweep(pair, geom, axis).columns) == _bits(_scalar_columns(pair, geom, axis))
+
+    @pytest.mark.parametrize("alignment", list(Alignment))
+    @_AXES
+    def test_block_entries(self, alignment, dz, axis):
+        # the entries themselves, not only the observables read from them:
+        # past l ~ 55 the observables take abs(x), which hides the sign of a
+        # zero Im x that verify prints
+        pair = DetectorPair(0.1, 0.2)
+        geom = BoundaryGeometry(alignment, 1.0, dz)
+        axis = SweepAxis(*axis)
+        grid = axis.grid()
+        ok, _, values = sweep_optimize._grid_values(pair, geom, axis.variable, grid)
+        assert ok.all()
+        for i, value in enumerate(grid.tolist()):
+            block = sweep_optimize._at(pair, geom, axis.variable, value, lambda b: b)
+            want = (block.p_a, block.p_b, block.c.real, block.x.real, block.x.imag)
+            got = (values.p_a[i], values.p_b[i], values.c[i], values.x[i].real, values.x[i].imag)
+            assert [float(v).hex() for v in got] == [v.hex() for v in want], value
 
 
 class TestFindPeak:

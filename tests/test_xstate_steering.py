@@ -18,7 +18,7 @@ from mirrorsteer.xstate_steering import (
     build_tau_ba,
     concurrence,
     steering_a_to_b,
-    steering_arrays,
+    state_arrays,
     steering_asymmetry,
     steering_b_to_a,
 )
@@ -196,7 +196,9 @@ class TestSteeringArrays:
         ]
         # XState clamps an entry just below zero; the arrays must too
         entries.append((0.5 + 1e-13, 0.5, -1e-13, 0.0, 0.3 + 0.1j, 0.2j))
-        *got, ok = steering_arrays(*_entry_columns(entries))
+        _, columns, ok = state_arrays(*_entry_columns(entries))
+        # after the moduli |c23| and |c14|: s_ab, s_ba, asymmetry, concurrence
+        got = columns[2:]
         assert ok.all()
         for i, e in enumerate(entries):
             res = steering_asymmetry(XState(*e))
@@ -219,7 +221,7 @@ class TestSteeringArrays:
         with pytest.raises(ValidationError):
             XState(*bad)
         good = (0.25, 0.25, 0.25, 0.25, 0.1 + 0j, 0.1j)
-        *_, ok = steering_arrays(*_entry_columns([good, bad, good]))
+        *_, ok = state_arrays(*_entry_columns([good, bad, good]))
         assert ok.tolist() == [True, False, True]
 
 
