@@ -21,6 +21,7 @@ import enum
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 from scipy.special import erfcx, wofz
@@ -276,14 +277,17 @@ def _aux_f(l: float, s: float) -> float:
     return -(math.exp(-s * s / 4.0) / l) * faddeeva_w(complex(-l / 2.0, s / 2.0)).imag
 
 
-def _aux_f_array(l: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """:func:`_aux_f` at each point, bit for bit.
+def _aux_f_array(l, s) -> np.ndarray:
+    """:func:`_aux_f` at each point, bit for bit; either argument may be a
+    Python number, held at every point.
 
     The Faddeeva branch runs through ``wofz`` on the whole array; the
     Taylor branch is :func:`_aux_f` itself, called on just the points
     below ``SERIES_CROSSOVER``.
     """
-    out = np.empty(l.size)
+    n = l.size if isinstance(l, np.ndarray) else s.size
+    l, s = (a if isinstance(a, np.ndarray) else np.full(n, a) for a in (l, s))
+    out = np.empty(n)
     small = l < SERIES_CROSSOVER
     out[small] = list(map(_aux_f, l[small].tolist(), s[small].tolist()))
     l, s = l[~small], s[~small]
@@ -325,18 +329,39 @@ def _aux_g(l: float, d: float) -> complex:
     return complex(re, im)
 
 
+def _kernels(ns, l, d, s):
+    """The kernels at one separation, direct or image: :func:`_timelike` at
+    the gap difference ``d`` and the spacelike kernel F at the gap sum ``s``."""
+    return (*_timelike(ns, l, d), ns.F(l, s))
+
+
 def _free_space(ns, omega, coupling):
     """:func:`free_space_probability`, unchecked."""
     bracket = ns.exp(-omega * omega) - _SQRT_PI * omega * ns.erfc(omega)
     return coupling * coupling / (4.0 * math.pi) * bracket
 
 
-def _probability(ns, omega, boundary_distance, coupling):
-    """:func:`transition_probability`, unchecked."""
-    image = ns.F(2.0 * boundary_distance, 2.0 * omega)
-    p = _free_space(ns, omega, coupling) - coupling * coupling / (4.0 * _SQRT_PI) * image
+def _probability(ns, free, pref, omega, boundary_distance):
+    """:func:`transition_probability`, unchecked, from the free-space
+    probability ``free`` and the prefactor lambda²/(4 sqrt(pi))."""
+    p = free - pref * ns.F(2.0 * boundary_distance, 2.0 * omega)
     # the subtraction can undershoot zero by a few ulp right at the mirror
     return ns.max(p, 0.0)
+
+
+def _pair_terms(ns, omega_a, omega_b, coupling) -> SimpleNamespace:
+    """The terms of the joint state that the pair alone fixes: the gaps, their
+    sum s and difference d, the prefactor, both free-space probabilities
+    and the weights of C and X."""
+    s = omega_a + omega_b
+    # nonnegative by the labelling convention
+    d = omega_b - omega_a
+    pref = coupling * coupling / (4.0 * _SQRT_PI)
+    return SimpleNamespace(
+        omega_a=omega_a, omega_b=omega_b, s=s, d=d, pref=pref,
+        free_a=_free_space(ns, omega_a, coupling), free_b=_free_space(ns, omega_b, coupling),
+        c_weight=pref * ns.exp(-d * d / 4.0), x_weight=-pref * ns.exp(-s * s / 4.0),
+    )
 
 
 def free_space_probability(omega: float, coupling: float = 1.0) -> float:
@@ -357,70 +382,162 @@ def transition_probability(
     v = SimpleNamespace(omega=float(omega), boundary_distance=float(boundary_distance),
                         coupling=float(coupling))
     _check(_transition_rules, v)
-    return _probability(_ONE_POINT, v.omega, v.boundary_distance, v.coupling)
+    free = _free_space(_ONE_POINT, v.omega, v.coupling)
+    pref = v.coupling * v.coupling / (4.0 * _SQRT_PI)
+    return _probability(_ONE_POINT, free, pref, v.omega, v.boundary_distance)
 
 
-def _entries(ns, omega_a, omega_b, coupling, lengths: SimpleNamespace) -> SimpleNamespace:
+def _stage(ns, fn, *args):
+    """``fn`` over the namespace ``ns``; in an array pass, a stage none of
+    whose inputs is an array is held fixed and computed once, as one point."""
+    if ns is _ARRAYS and not any(isinstance(a, np.ndarray) for a in args):
+        ns = _ONE_POINT
+    return fn(ns, *args)
+
+
+def _entries(ns, pair, lengths, p_a=None, p_b=None, direct=None) -> SimpleNamespace:
     """P_A, P_B, C and X of the joint state, unchecked, with the values the
-    rules on the kernel phases and on the block read."""
-    l, img = lengths.separation, lengths.image_separation
-    s = omega_a + omega_b
-    # nonnegative by the labelling convention
-    d = omega_b - omega_a
-    pref = coupling * coupling / (4.0 * _SQRT_PI)
-    p_a = _probability(ns, omega_a, lengths.boundary_distance, coupling)
-    p_b = _probability(ns, omega_b, lengths.distance_b, coupling)
-    g_re, g_im, phase = _timelike(ns, l, d)
-    h_re, h_im, image_phase = _timelike(ns, img, d)
-    w, re, im = -pref * ns.exp(-s * s / 4.0), g_re - h_re, g_im - h_im
+    rules on the kernel phases and on the block read, from the
+    :func:`_pair_terms` and the :func:`_mirror_lengths`.
+
+    The stages past the pair terms: the probability of each detector at its
+    mirror distance, the kernels at the direct separation, and those at the
+    image separation.  A search passes in the stages it holds fixed.
+    """
+    if p_a is None:
+        p_a = _stage(ns, _probability, pair.free_a, pair.pref, pair.omega_a,
+                     lengths.boundary_distance)
+    if p_b is None:
+        p_b = _stage(ns, _probability, pair.free_b, pair.pref, pair.omega_b, lengths.distance_b)
+    if direct is None:
+        direct = _stage(ns, _kernels, lengths.separation, pair.d, pair.s)
+    g_re, g_im, phase, f = direct
+    h_re, h_im, image_phase, f_image = _stage(
+        ns, _kernels, lengths.image_separation, pair.d, pair.s
+    )
+    w, re, im = pair.x_weight, g_re - h_re, g_im - h_im
     return SimpleNamespace(
-        separation=l, image_separation=img, d=d, phase=phase, image_phase=image_phase,
-        p_a=p_a, p_b=p_b, p_sum=p_a + p_b,
-        c=pref * ns.exp(-d * d / 4.0) * (ns.F(l, s) - ns.F(img, s)),
+        separation=lengths.separation, image_separation=lengths.image_separation, d=pair.d,
+        phase=phase, image_phase=image_phase, p_a=p_a, p_b=p_b, p_sum=p_a + p_b,
+        c=pair.c_weight * (f - f_image),
         # w (re + i im) as Python multiplies a float by a complex number,
         # whose zero terms set the sign of a zero part
         x=ns.complex(w * re - 0.0 * im, w * im + 0.0 * re),
     )
 
 
+def _checked_block(values: SimpleNamespace) -> SimpleNamespace:
+    """``values`` of :func:`_entries`, once the kernel phases and the block
+    pass their rules."""
+    _check(_phase_rules, values)
+    _check(_block_rules, values)
+    return values
+
+
 def correlations(pair: DetectorPair, geom: BoundaryGeometry) -> CorrelationBlock:
     """Entries of the joint state for the given pair and placement."""
-    values = _entries(_ONE_POINT, pair.omega_a, pair.omega_b, pair.coupling, geom._lengths)
+    terms = _pair_terms(_ONE_POINT, pair.omega_a, pair.omega_b, pair.coupling)
+    values = _entries(_ONE_POINT, terms, geom._lengths)
     _check(_phase_rules, values)
     return CorrelationBlock(p_a=values.p_a, p_b=values.p_b, c=complex(values.c), x=values.x)
 
 
+def _block_evaluator(
+    pair: DetectorPair, geom: BoundaryGeometry, swept: str
+) -> Callable[[float], SimpleNamespace]:
+    """The checked values of :func:`_entries` as a function of one input,
+    ``swept``: "omega_b", "separation" or "boundary_distance", the others
+    being those of ``pair`` and ``geom``.  Built once per search.
+
+    What the swept input does not move is computed here, once: the pair
+    terms unless omega_b is swept, P_A unless the mirror distance is, P_B
+    along the parallel separation, and the direct kernels along the mirror
+    distance.  Each evaluation checks the rules of :class:`DetectorPair`
+    (omega_b swept only), :class:`BoundaryGeometry` (a length swept only),
+    the kernel phases and :class:`CorrelationBlock` in that order, raising
+    what they raise, without building them; the values it returns are the
+    one-point route's, bit for bit.
+    """
+    ns, omega_a, coupling, lengths = _ONE_POINT, pair.omega_a, pair.coupling, geom._lengths
+    terms = _pair_terms(ns, omega_a, pair.omega_b, coupling)
+    held = {}
+    if swept != "boundary_distance":
+        held["p_a"] = _probability(ns, terms.free_a, terms.pref, omega_a,
+                                   lengths.boundary_distance)
+    if swept == "omega_b":
+
+        def at(value):
+            _check(_pair_rules, SimpleNamespace(omega_a=omega_a, omega_b=value, coupling=coupling))
+            terms = _pair_terms(ns, omega_a, value, coupling)
+            return _checked_block(_entries(ns, terms, lengths, **held))
+
+        return at
+
+    if swept == "boundary_distance":
+        held["direct"] = _kernels(ns, lengths.separation, terms.d, terms.s)
+        place = lambda value: (lengths.separation, value)
+    else:
+        if geom.alignment is Alignment.PARALLEL:
+            held["p_b"] = _probability(ns, terms.free_b, terms.pref, terms.omega_b,
+                                       lengths.distance_b)
+        place = lambda value: (value, lengths.boundary_distance)
+
+    def at(value):
+        at_value = _mirror_lengths(ns, geom.alignment, *place(value))
+        _check(_geometry_rules, at_value)
+        return _checked_block(_entries(ns, terms, at_value, **held))
+
+    return at
+
+
 def correlation_arrays(
     omega_a: float,
-    omega_b: np.ndarray,
+    omega_b,
     coupling: float,
     alignment: Alignment,
-    separation: np.ndarray,
-    boundary_distance: np.ndarray,
+    separation,
+    boundary_distance,
 ) -> tuple[SimpleNamespace, np.ndarray]:
     """:func:`correlations` at each point of equal-length arrays, bit for bit.
 
-    The same formulas as the one-point route, over array namespaces, and
-    the same rule tables.  Returns a namespace of arrays, holding the
-    entries p_a, p_b, c (real) and x (complex) and every value the rules
-    of :class:`DetectorPair`, :class:`BoundaryGeometry`, the kernel phase
-    and :class:`CorrelationBlock` read, then the boolean column ``ok``,
-    true exactly at the points that pass them all.  Every point is
-    computed; where ``ok`` is false the entries are placeholders.
+    Each of ``omega_b``, ``separation`` and ``boundary_distance`` is an
+    array or a Python number held at every point, and at least one is an
+    array.  The same formulas as the one-point route, over array
+    namespaces, and the same rule tables; a stage none of whose inputs
+    varies is computed once, as one point.  Returns a namespace of the
+    entries p_a, p_b, c (real) and x (complex), as arrays, and every value
+    the rules of :class:`DetectorPair`, :class:`BoundaryGeometry`, the
+    kernel phase and :class:`CorrelationBlock` read, as an array where it
+    varies; then the boolean column ``ok``, true exactly at the points
+    that pass them all.  Every point is computed; where ``ok`` is false
+    the entries are placeholders.
     """
     # overflow and nan give inf and nan, as in Python float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        lengths = _mirror_lengths(_ARRAYS, Alignment(alignment), separation, boundary_distance)
+        lengths = _stage(_ARRAYS, _mirror_lengths, Alignment(alignment), separation,
+                         boundary_distance)
         inputs = SimpleNamespace(omega_a=omega_a, omega_b=omega_b, coupling=coupling,
                                  **vars(lengths))
         ok = _holds(_pair_rules, inputs) & _holds(_geometry_rules, inputs)
         # a point refused here is computed at placeholder gaps and lengths,
-        # where no scalar kernel overflows or leaves its domain
-        held = SimpleNamespace(**{k: np.where(ok, v, 1.0) for k, v in vars(lengths).items()})
-        omegas = np.full(omega_b.size, omega_a), np.where(ok, omega_b, omega_a)
-        entries = _entries(_ARRAYS, *omegas, coupling, held)
+        # where no scalar kernel overflows or leaves its domain; a held value
+        # stands unless every point is refused
+        anywhere = ok.any()
+
+        def placed(value, placeholder):
+            if isinstance(value, np.ndarray):
+                return np.where(ok, value, placeholder)
+            return value if anywhere else placeholder
+
+        held_a = placed(omega_a, 0.0)
+        terms = _stage(_ARRAYS, _pair_terms, held_a, placed(omega_b, held_a), coupling)
+        held = SimpleNamespace(**{k: placed(v, 1.0) for k, v in vars(lengths).items()})
+        entries = _entries(_ARRAYS, terms, held)
         values = SimpleNamespace(**(vars(entries) | vars(inputs)))
         ok &= _holds(_phase_rules, values) & _holds(_block_rules, values)
+    # a probability held fixed is one number; the entries are columns
+    values.p_a, values.p_b = (np.full(ok.size, p) if np.ndim(p) == 0 else p
+                              for p in (values.p_a, values.p_b))
     return values, ok
 
 
@@ -429,16 +546,12 @@ def boundary_free_correlations(pair: DetectorPair, separation: float) -> Correla
     l = float(separation)
     if not math.isfinite(l) or l <= 0.0:
         raise ValidationError("separation must be a positive real")
-    lam = pair.coupling
-    pref = lam * lam / (4.0 * _SQRT_PI)
-    s = pair.omega_a + pair.omega_b
-    # nonnegative by the labelling convention
-    d = pair.omega_b - pair.omega_a
+    terms = _pair_terms(_ONE_POINT, pair.omega_a, pair.omega_b, pair.coupling)
     return CorrelationBlock(
-        p_a=free_space_probability(pair.omega_a, lam),
-        p_b=free_space_probability(pair.omega_b, lam),
-        c=complex(pref * math.exp(-d * d / 4.0) * _aux_f(l, s)),
-        x=-pref * math.exp(-s * s / 4.0) * _aux_g(l, d),
+        p_a=terms.free_a,
+        p_b=terms.free_b,
+        c=complex(terms.c_weight * _aux_f(l, terms.s)),
+        x=terms.x_weight * _aux_g(l, terms.d),
     )
 
 

@@ -4,11 +4,12 @@ Everything here drives the closed-form model in :mod:`mirrorsteer.detector_model
 along a single axis: detector separation, distance to the mirror, or the gap
 of detector B.  Sweeps tabulate the observables as named columns, evaluating
 the whole grid in one array pass over the model's formulas, equal bit for
-bit to evaluating each point alone; peak and transition finders, whose
-evaluations each depend on the last, take the one-point route and refine
-features of those curves to 1e-6 in the swept variable: a peak by Brent's
-minimiser, a transition by Dekker-Brent zeroin on the signed steering margin
-(R. Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4-5).
+bit to evaluating each point alone.  Peak and transition finders, whose
+evaluations each depend on the last, evaluate one point at a time through an
+evaluator built per search, which holds fixed what the search does not move,
+and refine features of those curves to 1e-6 in the swept variable: a peak by
+Brent's minimiser, a transition by Dekker-Brent zeroin on the signed steering
+margin (R. Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4-5).
 The figure builders reproduce the standard curve families (steering versus
 separation, versus mirror distance, versus detector gap, and the alignment
 difference) as labelled tables.
@@ -30,15 +31,16 @@ from .detector_model import (
     BoundaryGeometry,
     CorrelationBlock,
     DetectorPair,
+    _block_evaluator,
     _correlation_rules,
     _state_entries,
     boundary_free_correlations,
     correlation_arrays,
-    correlations,
     state_from_block,
 )
 from .errors import ValidationError
 from .xstate_steering import (
+    _checked_state,
     _first_failure,
     _observed,
     _signed_margins,
@@ -110,6 +112,11 @@ class SweepAxis:
             raise ValidationError(
                 f"sweep range is empty: start {self.start} must be below stop {self.stop}"
             )
+        if not math.isfinite(self.stop - self.start):
+            raise ValidationError(
+                f"sweep range from {self.start:g} to {self.stop:g} is too wide: "
+                "its width overflows"
+            )
         if not 2 <= self.points <= MAX_POINTS:
             raise ValidationError(
                 f"a sweep takes 2 to {MAX_POINTS} grid points, got {self.points}"
@@ -129,7 +136,13 @@ OBSERVABLES = ("p_a", "p_b", "abs_c", "abs_x", "s_ab", "s_ba", "asymmetry", "con
 
 def observable_values(block: CorrelationBlock) -> tuple[float, ...]:
     """The :data:`OBSERVABLES` of one point, from its correlation block."""
-    return (block.p_a, block.p_b, *_observed(state_from_block(block)))
+    return _observables(block, state_from_block(block))
+
+
+def _observables(block, state) -> tuple[float, ...]:
+    """The :data:`OBSERVABLES` of one point, from its block's entries and its
+    X-state."""
+    return (block.p_a, block.p_b, *_observed(state))
 
 
 def observable_columns(
@@ -183,27 +196,13 @@ def _apply(
     return DetectorPair(pair.omega_a, value, coupling=pair.coupling), geom
 
 
-def _at(
-    pair: DetectorPair,
-    geom: BoundaryGeometry,
-    variable: SweepVariable,
-    value: float,
-    read: Callable[[CorrelationBlock], _T],
-) -> _T:
-    """``read`` of the correlation block at one grid point.  A validation
-    error is re-raised as the same type with the point named."""
-    try:
-        pair_v, geom_v = _apply(pair, geom, variable, value)
-        return read(correlations(pair_v, geom_v))
-    except ValidationError as exc:
-        raise type(exc)(f"at {variable.value} = {value:g}: {exc}") from exc
-
-
 _SEP = SweepVariable.SEPARATION
 _DZ = SweepVariable.BOUNDARY_DISTANCE
 _WB = SweepVariable.OMEGA_B
 # metadata name of the parameter each variable overrides
 _PARAM_NAME = {_SEP: "l", _DZ: "dz", _WB: "omega_b"}
+# the model input each variable overrides
+_INPUT = {_SEP: "separation", _DZ: "boundary_distance", _WB: "omega_b"}
 
 
 def _rules(v):
@@ -217,13 +216,9 @@ def _grid_values(
     """In one array pass, the verdict ``ok`` of each grid point, the
     :data:`OBSERVABLES` columns and every value :func:`_rules` read.  ``ok``
     is true exactly where the one-point route succeeds, and there the
-    columns are bit for bit the :func:`observable_values` of the point."""
-    n = grid.size
-    values = {
-        _SEP: np.full(n, geom.separation),
-        _DZ: np.full(n, geom.boundary_distance),
-        _WB: np.full(n, pair.omega_b),
-    }
+    columns are bit for bit the :func:`observable_values` of the point.
+    What the variable does not move is computed once."""
+    values = {_SEP: geom.separation, _DZ: geom.boundary_distance, _WB: pair.omega_b}
     values[variable] = grid
     block, ok = correlation_arrays(
         pair.omega_a, values[_WB], pair.coupling, geom.alignment, values[_SEP], values[_DZ]
@@ -278,6 +273,34 @@ def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepT
     return SweepTable(axis.variable, columns, params)
 
 
+def _evaluator(
+    pair: DetectorPair,
+    geom: BoundaryGeometry,
+    variable: SweepVariable,
+    read: Callable[[SimpleNamespace, SimpleNamespace], _T],
+) -> Callable[[float], _T]:
+    """``read`` of the block values and the X-state at a value of
+    ``variable``, for one search.
+
+    What the variable does not move is computed once, when the evaluator is
+    built.  Each evaluation checks the rules the one-point route checks, in
+    its order, without building its dataclasses, and ``read`` gets the
+    values the one-point route gets, bit for bit.  A validation error is
+    re-raised as the same type with the point named.
+    """
+    block_at = _block_evaluator(pair, geom, _INPUT[variable])
+
+    def at(value: float) -> _T:
+        try:
+            block = block_at(value)
+            state = _checked_state(*_state_entries(block.p_a, block.p_b, block.c, block.x))
+            return read(block, state)
+        except ValidationError as exc:
+            raise type(exc)(f"at {variable.value} = {value:g}: {exc}") from exc
+
+    return at
+
+
 # the observable each objective reads
 _OBSERVABLE_OF = {
     Objective.S_AB: "s_ab",
@@ -316,7 +339,8 @@ def find_peak(
     objective = Objective(objective)
     lo, hi = _bracket(bracket, "peak")
     index = OBSERVABLES.index(_OBSERVABLE_OF[objective])
-    loss = lambda v: -_at(pair, geom, variable, v, observable_values)[index]
+    evaluate = _evaluator(pair, geom, variable, _observables)
+    loss = lambda v: -evaluate(v)[index]
 
     f_lo, f_hi = loss(lo), loss(hi)
     x = 0.5 * (lo + hi)
@@ -403,8 +427,7 @@ def find_transition(
     direction = Direction(direction)
     lo, hi = _bracket(bracket, "transition")
     index = 0 if direction is Direction.A_TO_B else 1
-    read = lambda block: _signed_margins(state_from_block(block))[index]
-    margin = lambda v: _at(pair, geom, variable, v, read)
+    margin = _evaluator(pair, geom, variable, lambda block, state: _signed_margins(state)[index])
 
     a, b = lo, hi
     fa, fb = margin(a), margin(b)

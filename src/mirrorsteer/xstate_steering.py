@@ -29,6 +29,7 @@ from and an array pass ANDs into a verdict per point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -48,14 +49,20 @@ _TAU_MIX = (3.0 - _SQRT3) / 6.0
 _ATOL = 1e-12
 
 
-def _each(fn, *arrays: np.ndarray) -> np.ndarray:
-    """``fn`` at each point of the arrays, one libm call per point.
+def _each(fn, *args):
+    """``fn`` at each point of the arrays among ``args``, one libm call per
+    point.  A Python number among them is held at every point, and without
+    any array ``fn`` is called once, as at one point.
 
     numpy's own exp, erfc, hypot and complex abs can differ from libm in
     the last ulp, and the array kernels must agree with the scalar ones
     bit for bit.
     """
-    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, arrays[0].size)
+    sizes = [a.size for a in args if isinstance(a, np.ndarray)]
+    if not sizes:
+        return fn(*args)
+    columns = (a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args)
+    return np.fromiter(map(fn, *columns), float, sizes[0])
 
 
 def _maximum(first, *rest):
@@ -138,6 +145,9 @@ def _state_rules(v):
          "c14 must be finite"),
         ((abs(v.c23.real) < _INF) & (abs(v.c23.imag) < _INF), ValidationError,
          "c23 must be finite"),
+        # a finite coherence can still overflow its modulus; halved, it cannot
+        ((abs(v.c14 * 0.5) * 2.0 < _INF) & (abs(v.c23 * 0.5) * 2.0 < _INF), ValidationError,
+         "the moduli of c14 = {c14!r} and c23 = {c23!r} must be finite"),
     )
 
 
@@ -177,18 +187,20 @@ class XState:
     c23: complex = 0j
 
     def __post_init__(self):
-        values, diagonal = _state_values(
-            _ONE_POINT, float(self.d11), float(self.d22), float(self.d33), float(self.d44),
-            complex(self.c14), complex(self.c23),
-        )
-        _check(_state_rules, values)
-        set_field = object.__setattr__
-        set_field(self, "d11", diagonal[0])
-        set_field(self, "d22", diagonal[1])
-        set_field(self, "d33", diagonal[2])
-        set_field(self, "d44", diagonal[3])
-        set_field(self, "c14", values.c14)
-        set_field(self, "c23", values.c23)
+        entries = (self.d11, self.d22, self.d33, self.d44, self.c14, self.c23)
+        for name, value in vars(_checked_state(*entries)).items():
+            object.__setattr__(self, name, value)
+
+
+def _checked_state(d11, d22, d33, d44, c14, c23) -> SimpleNamespace:
+    """The fields :class:`XState` holds for these entries, as a namespace:
+    checked by :func:`_state_rules`, the diagonal clamped at zero."""
+    values, diagonal = _state_values(
+        _ONE_POINT, float(d11), float(d22), float(d33), float(d44), complex(c14), complex(c23)
+    )
+    _check(_state_rules, values)
+    return SimpleNamespace(d11=diagonal[0], d22=diagonal[1], d33=diagonal[2], d44=diagonal[3],
+                           c14=values.c14, c23=values.c23)
 
 
 @dataclass(frozen=True)
@@ -232,7 +244,8 @@ def _steering(ns, d11, d22, d33, d44, c14, c23):
 
 
 def _observed(state: XState) -> tuple[float, ...]:
-    """:func:`_steering` of one state."""
+    """:func:`_steering` of one state: an :class:`XState`, or the fields
+    :func:`_checked_state` gives."""
     return _steering(
         _ONE_POINT, state.d11, state.d22, state.d33, state.d44, state.c14, state.c23
     )
@@ -254,7 +267,8 @@ def _moduli(state: XState) -> tuple[float, ...]:
 
 
 def _signed_margins(state: XState) -> tuple[float, float]:
-    """The signed margins of A->B and B->A of one state; see :func:`_margins`."""
+    """The signed margins of A->B and B->A of one state, as :func:`_observed`
+    takes it; see :func:`_margins`."""
     return _margins(_ONE_POINT, *_moduli(state))
 
 

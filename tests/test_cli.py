@@ -338,6 +338,15 @@ class TestSweepCommand:
         assert code == 2
         assert "start" in err
 
+    def test_range_whose_width_overflows_exits_2(self, capsys):
+        # both ends are finite, but stop - start overflows a double
+        argv = self.ARGS[:-6] + ["--start=-1.7e308", "--stop", "1.7e308", "--points", "5"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert "sweep range from -1.7e+308 to 1.7e+308 is too wide" in err
+        assert "Warning" not in err
+        assert out == ""
+
     def test_too_many_points_exits_2(self, capsys):
         argv = list(self.ARGS)
         argv[argv.index("--points") + 1] = str(MAX_POINTS + 1)

@@ -16,7 +16,7 @@ import sys
 import pytest
 
 import mirrorsteer
-from mirrorsteer import cli, detector_model, sweep_optimize
+from mirrorsteer import cli, detector_model
 from mirrorsteer.xstate_steering import XState
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -92,7 +92,7 @@ def test_install_uninstall_round_trips(layers):
     tracer.install()
     try:
         assert hasattr(detector_model.correlations, "__wrapped__")
-        assert sweep_optimize.correlations is detector_model.correlations
+        assert mirrorsteer.correlations is detector_model.correlations
         assert XState.__init__ is not xstate_init
         assert cli._write_text is not before["mirrorsteer.cli"]["_write_text"]
     finally:

@@ -22,10 +22,11 @@ from mirrorsteer.detector_model import (
     boundary_free_steering,
     config_difference,
     correlation_arrays,
+    correlations,
     harvested_steering,
     state_from_block,
 )
-from mirrorsteer import sweep_optimize
+from mirrorsteer import detector_model, sweep_optimize
 from mirrorsteer.errors import PerturbativeValidityError, ValidationError
 from mirrorsteer.sweep_optimize import (
     MAX_POINTS,
@@ -51,6 +52,19 @@ from mirrorsteer.xstate_steering import (
     _state_rules,
     state_arrays,
 )
+
+
+def _at(pair, geom, variable, value, read):
+    """``read`` of the correlation block at one grid point, through the
+    dataclasses: the one-point route the array pass and the search
+    evaluator are held to.  A validation error is re-raised as the same
+    type with the point named."""
+    try:
+        pair_v, geom_v = sweep_optimize._apply(pair, geom, variable, value)
+        return read(correlations(pair_v, geom_v))
+    except ValidationError as exc:
+        raise type(exc)(f"at {variable.value} = {value:g}: {exc}") from exc
+
 
 PAIR = DetectorPair(omega_a=0.1, omega_b=0.1)
 GEOM_PAR = BoundaryGeometry(Alignment.PARALLEL, separation=1.0, boundary_distance=1.0)
@@ -222,13 +236,13 @@ class TestSweep:
         # one array pass finds the first failing point and formats the rule
         # it fails from that point's values; the one-point route need not run
         calls = []
-        one_point = sweep_optimize.correlations
+        one_point = detector_model.correlations
 
         def counting(pair_v, geom_v):
             calls.append(geom_v.boundary_distance)
             return one_point(pair_v, geom_v)
 
-        monkeypatch.setattr(sweep_optimize, "correlations", counting)
+        monkeypatch.setattr(detector_model, "correlations", counting)
         with pytest.raises(ValidationError) as info:
             sweep(pair, geom, SweepAxis(*axis))
         assert str(info.value) == message
@@ -236,7 +250,7 @@ class TestSweep:
 
     def test_refused_sweep_makes_no_one_point_call(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(sweep_optimize, "correlations", lambda *args: calls.append(args))
+        monkeypatch.setattr(detector_model, "correlations", lambda *args: calls.append(args))
         axis = SweepAxis("boundary-distance", 0.2, 2.0, 9)
         with pytest.raises(PerturbativeValidityError, match="at boundary-distance = "):
             sweep(DetectorPair(0.1, 0.1, coupling=5.0), GEOM_PAR, axis)
@@ -274,7 +288,7 @@ class TestSweep:
         ok, arrays = sweep_optimize._grid_arrays(pair, geom, axis.variable, grid)
         for value, verdict, *columns in zip(grid.tolist(), ok.tolist(), *arrays):
             try:
-                want = sweep_optimize._at(pair, geom, axis.variable, value, observable_values)
+                want = _at(pair, geom, axis.variable, value, observable_values)
             except ValidationError:
                 assert not verdict, value
             else:
@@ -331,6 +345,9 @@ _NO_SWEEP_FAILS = {
     *(f"{name} must be finite" for name in ("d11", "d22", "d33", "d44", "c23")),
     *(f"{name} = {{{name}!r}} outside [0, 1]" for name in ("d11", "d22", "d33", "d44")),
     "trace = {trace!r}, expected 1 within 1e-12",
+    # a sweep's c23 is real and Re c14 stays bounded, so a modulus overflows
+    # only where Im c14 does, which "c14 must be finite" refuses first
+    "the moduli of c14 = {c14!r} and c23 = {c23!r} must be finite",
 }
 
 
@@ -359,7 +376,7 @@ class TestRefusalParity:
             sweep(pair, geom, axis)
         for value in axis.grid().tolist():
             try:
-                sweep_optimize._at(pair, geom, axis.variable, value, observable_values)
+                _at(pair, geom, axis.variable, value, observable_values)
             except ValidationError as exc:
                 want = exc
                 break
@@ -377,8 +394,14 @@ class TestRefusalParity:
             ((np.full(2, 0.2), 1e200, np.ones(2)), lambda: DetectorPair(0.1, 0.2, coupling=1e200)),
             ((np.full(2, 0.2), 1.0, np.array([1.0, math.inf])),
              lambda: BoundaryGeometry(Alignment.PARALLEL, math.inf, 1.0)),
+            # a held value refused at every point takes a placeholder, where
+            # the series kernel's l**4 and the Faddeeva kernel stay defined
+            ((np.full(2, 0.2), 1.0, -1e100),
+             lambda: BoundaryGeometry(Alignment.PARALLEL, -1e100, 1.0)),
+            ((math.nan, 1.0, np.ones(2)), lambda: DetectorPair(0.1, math.nan)),
         ],
-        ids=["gap-nan", "coupling-negative", "coupling-overflow", "length-inf"],
+        ids=["gap-nan", "coupling-negative", "coupling-overflow", "length-inf",
+             "held-length-refused", "held-gap-nan"],
     )
     def test_pass_values_format_as_the_dataclasses(self, arrays, build):
         # rules no sweep fails, fed straight to the array pass: formatted
@@ -410,6 +433,8 @@ class TestRefusalParity:
             (0.5, 0.0, 0.0, 0.5 + 1e-6, 0j, 0j),
             (0.5, 0.5, 0.0, 0.0, complex(math.inf, 0.0), 0j),
             (0.5, 0.5, 0.0, 0.0, 0j, complex(0.0, math.nan)),
+            # finite, but its modulus overflows
+            (1.0, 0.0, 0.0, 0.0, complex(1.5e308, 1.5e308), 0j),
         ],
     )
     def test_state_values_format_as_xstate(self, bad):
@@ -435,7 +460,7 @@ class TestRefusalParity:
 def _scalar_columns(pair, geom, axis):
     """The columns of a sweep evaluated one point at a time."""
     grid = axis.grid().tolist()
-    values = [sweep_optimize._at(pair, geom, axis.variable, v, observable_values) for v in grid]
+    values = [_at(pair, geom, axis.variable, v, observable_values) for v in grid]
     return dict(zip(("axis", *OBSERVABLES), (grid, *zip(*values))))
 
 
@@ -496,10 +521,122 @@ class TestArrayPassMatchesOnePointRoute:
         ok, _, values = sweep_optimize._grid_values(pair, geom, axis.variable, grid)
         assert ok.all()
         for i, value in enumerate(grid.tolist()):
-            block = sweep_optimize._at(pair, geom, axis.variable, value, lambda b: b)
+            block = _at(pair, geom, axis.variable, value, lambda b: b)
             want = (block.p_a, block.p_b, block.c.real, block.x.real, block.x.imag)
             got = (values.p_a[i], values.p_b[i], values.c[i], values.x[i].real, values.x[i].imag)
             assert [float(v).hex() for v in got] == [v.hex() for v in want], value
+
+
+def _margins(block, state):
+    return _signed_margins(state)
+
+
+class TestEvaluatorMatchesDataclassRoute:
+    """A search evaluates one point at a time through an evaluator that holds
+    fixed what its variable does not move and builds no dataclass.  Each
+    evaluation equals the dataclass route bit for bit, and each refusal is
+    the dataclass route's refusal."""
+
+    @pytest.mark.parametrize("alignment", list(Alignment))
+    @TestArrayPassMatchesOnePointRoute._AXES
+    def test_axes(self, alignment, dz, axis):
+        pair = DetectorPair(0.1, 0.2)
+        geom = BoundaryGeometry(alignment, 1.0, dz)
+        axis = SweepAxis(*axis)
+        evaluator = sweep_optimize._evaluator
+        observables = evaluator(pair, geom, axis.variable, sweep_optimize._observables)
+        margins = evaluator(pair, geom, axis.variable, _margins)
+        for value in axis.grid().tolist():
+            want = _at(pair, geom, axis.variable, value, observable_values)
+            assert [v.hex() for v in observables(value)] == [v.hex() for v in want], value
+            want = _signed_margins(_at(pair, geom, axis.variable, value, state_from_block))
+            assert [v.hex() for v in margins(value)] == [v.hex() for v in want], value
+
+    @pytest.mark.parametrize("template", list(_SWEEP_REFUSALS))
+    def test_refusal_at_first_failing_point(self, template):
+        pair, geom, axis = _SWEEP_REFUSALS[template]
+        axis = SweepAxis(*axis)
+        observables = sweep_optimize._observables
+        evaluate = sweep_optimize._evaluator(pair, geom, axis.variable, observables)
+        for value in axis.grid().tolist():
+            try:
+                want = _at(pair, geom, axis.variable, value, observable_values)
+            except ValidationError as exc:
+                want = exc
+                break
+            assert [v.hex() for v in evaluate(value)] == [v.hex() for v in want], value
+        with pytest.raises(ValidationError) as got:
+            evaluate(value)
+        assert type(got.value) is type(want)
+        assert str(got.value) == str(want)
+        assert type(got.value.__cause__) is type(want.__cause__)
+
+
+_PAR = Alignment.PARALLEL
+_ORT = Alignment.ORTHOGONAL
+# searches with the evaluations they take and the location they return
+# (float.hex), recorded on the dataclass route before the search evaluator
+_PEAK_PINS = [
+    ((PAIR, GEOM_NEAR, "boundary-distance", (0.2, 6.0), "sba"), 15, "0x1.d9efbbb17c872p-1"),
+]
+_TRANSITION_PINS = [
+    ((PAIR, GEOM_ORT, "separation", (0.1, 3.0), "ab"), 9, "0x1.7e5a60bd904d2p-1"),
+    ((PAIR, BoundaryGeometry(_PAR, 2.0, 1.0), "omega-b", (0.1, 6.0), "ab"),
+     12, "0x1.63c3015a60850p+0"),
+    ((PAIR, GEOM_PAR, "separation", (0.1, 2.0), "ba"), 10, "0x1.b08d71688bfccp-1"),
+    ((DetectorPair(0.1, 0.3), GEOM_PAR, "separation", (0.1, 2.0), "ab"),
+     8, "0x1.fae933b744de8p-1"),
+    ((DetectorPair(0.1, 0.3), GEOM_PAR, "separation", (0.1, 2.0), "ba"),
+     10, "0x1.ac8e930b82a24p-1"),
+]
+# seeded draws from the search benchmark's domain: omega_a, omega_b,
+# alignment, l, dz and objective; the peak bracket from a 24-point coarse
+# sweep along dz, and the transition bracket (l, 3)
+_DRAWS = [
+    ((0.07138170201741993, 0.26743622501985403, _ORT, 0.8906245128593054, 0.5077782711041202,
+      "sba", (0.0001, 0.6957434782608696)),
+     (13, "0x1.5456344abac2bp-2"), (9, "0x1.1bd1f86c6b90dp+0")),
+    ((0.0020052890304599336, 0.6165683774800355, _PAR, 0.22723750635178291, 5.018766137976747,
+      "sba", (0.3479217391304348, 1.0435652173913044)),
+     (13, "0x1.b07bb343e327cp-1"), (10, "0x1.422e1a8216e9ep-1")),
+    ((0.04197711837912519, 0.434308676467133, _ORT, 0.5101936838681596, 0.03739389048570681,
+      "sba", (0.3479217391304348, 1.0435652173913044)),
+     (12, "0x1.14377f7156e87p-1"), (10, "0x1.6f38e76f6d45ep+0")),
+    ((0.055887149982274446, 0.9865551885018409, _PAR, 0.14533854424426607, 3.653424286311162,
+      "sba", (0.3479217391304348, 1.0435652173913044)),
+     (12, "0x1.8f82e1cfc84b8p-1"), (11, "0x1.236338b51669ep-1")),
+    ((0.08115514128083372, 0.13754292771878804, _PAR, 0.6321343325864675, 4.277142860718161,
+      "sab", (0.6957434782608696, 1.3913869565217392)),
+     (11, "0x1.b883d6f8f9972p-1"), (8, "0x1.72d1528c8d4e2p-1")),
+]
+for (omega_a, omega_b, alignment, l, dz, objective, bracket), peak, death in _DRAWS:
+    pair, geom = DetectorPair(omega_a, omega_b), BoundaryGeometry(alignment, l, dz)
+    _PEAK_PINS.append(((pair, geom, "boundary-distance", bracket, objective), *peak))
+    _TRANSITION_PINS.append(((pair, geom, "separation", (l, 3.0), objective[1:]), *death))
+
+
+class TestSearchIterates:
+    """The searches take the same steps as before the evaluator: the same
+    evaluations and the same location, bit for bit."""
+
+    @pytest.mark.parametrize("args, evaluations, location", _PEAK_PINS)
+    def test_find_peak(self, args, evaluations, location):
+        res = find_peak(*args)
+        assert (res.evaluations, res.location.hex()) == (evaluations, location)
+
+    @pytest.mark.parametrize("args, evaluations, location", _TRANSITION_PINS)
+    def test_find_transition(self, args, evaluations, location):
+        res = find_transition(*args)
+        assert (res.evaluations, res.location.hex()) == (evaluations, location)
+
+    def test_coarse_brackets(self):
+        # the peak brackets of the draws are the coarse sweep's, as recorded
+        axis = SweepAxis(SweepVariable.BOUNDARY_DISTANCE, 1e-4, 8.0, 24)
+        for (omega_a, omega_b, alignment, l, dz, objective, bracket), _, _ in _DRAWS:
+            table = sweep(DetectorPair(omega_a, omega_b), BoundaryGeometry(alignment, l, dz), axis)
+            values = table.column(_COLUMN[Direction(objective[1:])])
+            i = max(range(len(values)), key=values.__getitem__)
+            assert tuple(axis.grid()[[i - 1, i + 1]].tolist()) == bracket
 
 
 class TestFindPeak:
@@ -690,8 +827,8 @@ class TestSignedMargin:
                 points += [res.location + k * REFINE_TOL / 4 for k in range(-4, 5)]
         assert len(points) > len(grid)
         for value in points:
-            state = sweep_optimize._at(pair, geom, axis.variable, value, state_from_block)
-            row = sweep_optimize._at(pair, geom, axis.variable, value, observable_values)
+            state = _at(pair, geom, axis.variable, value, state_from_block)
+            row = _at(pair, geom, axis.variable, value, observable_values)
             for margin, name in zip(_signed_margins(state), _COLUMN.values()):
                 column = row[OBSERVABLES.index(name)]
                 assert (margin > 0.0) == (column > 0.0)

@@ -64,6 +64,15 @@ class TestXStateValidation:
         with pytest.raises(ValidationError):
             XState(d11=math.nan, d22=0.5, d33=0.25, d44=0.25)
 
+    @pytest.mark.parametrize(
+        "c14, c23", [(complex(1.5e308, 1.5e308), 0j), (0j, complex(-1.5e308, 1.5e308))]
+    )
+    def test_coherence_modulus_must_not_overflow(self, c14, c23):
+        # finite parts whose modulus overflows a double: refused, not an
+        # OverflowError from abs() when the steering is read
+        with pytest.raises(ValidationError, match="moduli of c14 = .* must be finite"):
+            steering_asymmetry(XState(1.0, 0.0, 0.0, 0.0, c14, c23))
+
     def test_coherences_coerced_to_complex(self):
         s = XState(d11=0.5, d22=0.0, d33=0.0, d44=0.5, c14=0.3)
         assert isinstance(s.c14, complex)
