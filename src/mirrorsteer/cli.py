@@ -14,6 +14,7 @@ defaults to 1 and is echoed in all output metadata.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -105,13 +106,32 @@ def _provenance(config: dict) -> dict:
     return {"version": __version__, "config_hash": _config_hash(config)}
 
 
+def _constant_text(column) -> str | None:
+    """The text every value of ``column`` prints as, if they all print the
+    same; None otherwise.  Equal values print alike except the zeros, whose
+    sign shows, and nan never equals another nan."""
+    first = column[0]
+    if column.count(first) != len(column):
+        return None
+    text = "%.17g" % first
+    if first == 0.0 and any("%.17g" % v != text for v in column):
+        return None
+    return text
+
+
 def _table_csv(table: SweepTable, params: dict) -> str:
     """CSV with one column per table column, headed by its name; each value
-    is written with 17 significant digits, enough to read it back exactly."""
+    is written with 17 significant digits, enough to read it back exactly.
+    A column whose values all print alike is formatted once."""
     lines = [f"# {key} = {value}" for key, value in params.items()]
     lines.append(",".join(table.columns))
-    row = ",".join(["%.17g"] * len(table.columns))
-    lines.extend(row % values for values in zip(*table.columns.values()))
+    columns = list(table.columns.values())
+    texts = [_constant_text(column) for column in columns]
+    row = ",".join("%.17g" if text is None else text for text in texts)
+    varying = [column for column, text in zip(columns, texts) if text is None]
+    # with every column constant, zip would give no rows at all
+    rows = zip(*varying) if varying else [()] * len(columns[0])
+    lines.extend(row % values for values in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -334,7 +354,9 @@ def _add_axis_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused."""
     parser = argparse.ArgumentParser(
         prog="mirrorsteer",
         description="Directional steering harvested by two detectors near a mirror.",
@@ -403,6 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.  May be called repeatedly
+    in one process: the parser is built on the first call and reused, and
+    each call parses its own ``argv`` into fresh arguments."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -18,6 +18,7 @@ generic X-state formulas of :mod:`mirrorsteer.xstate_steering`.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -286,11 +287,16 @@ def _aux_f_array(l, s) -> np.ndarray:
     below ``SERIES_CROSSOVER``.
     """
     n = l.size if isinstance(l, np.ndarray) else s.size
-    l, s = (a if isinstance(a, np.ndarray) else np.full(n, a) for a in (l, s))
+    l = l if isinstance(l, np.ndarray) else np.full(n, l)
     out = np.empty(n)
     small = l < SERIES_CROSSOVER
-    out[small] = list(map(_aux_f, l[small].tolist(), s[small].tolist()))
-    l, s = l[~small], s[~small]
+    if isinstance(s, np.ndarray):
+        s_small, s = s[small].tolist(), s[~small]
+    else:
+        # a held gap stays one number, so its damping is one exp
+        s_small = itertools.repeat(s)
+    out[small] = list(map(_aux_f, l[small].tolist(), s_small))
+    l = l[~small]
     z = (-l / 2.0).astype(complex)
     z.imag = s / 2.0
     out[~small] = -(_each(math.exp, -s * s / 4.0) / l) * wofz(z).imag

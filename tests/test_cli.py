@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import argparse
 import inspect
 import json
 import math
@@ -21,6 +22,7 @@ from mirrorsteer.detector_model import (
 )
 from mirrorsteer.sweep_optimize import (
     MAX_POINTS,
+    OBSERVABLES,
     FigureId,
     PeakResult,
     SweepAxis,
@@ -31,6 +33,38 @@ from mirrorsteer.sweep_optimize import (
 )
 
 CSV_HEADER = "axis,p_a,p_b,abs_c,abs_x,s_ab,s_ba,asymmetry,concurrence"
+
+
+SPECIALS = (0.0, -0.0, 5e-324, 1e22, 1.0 / 3.0, math.inf, -math.inf, math.nan)
+GRID = (0.5, 1.0, 1.5, 2.0)
+# tables whose CSV rows must read as if each value were formatted on its own:
+# constant columns are formatted once, and equal values need not print alike
+CSV_TABLES = {
+    "specials": {"axis": SPECIALS, "x": SPECIALS[::-1]},
+    "constant_beside_varying": {
+        "axis": GRID, "p_a": (0.25,) * 4, "p_b": (1e-3, 2e-3, 0.0, 1.0)
+    },
+    "constant_negative_zero": {"axis": GRID, "x": (-0.0,) * 4},
+    "zero_holding_one_negative_zero": {"axis": GRID, "x": (0.0, 0.0, -0.0, 0.0)},
+    "negative_zero_holding_one_zero": {"axis": GRID, "x": (-0.0, 0.0, -0.0, -0.0)},
+    "constant_non_finite": {
+        "axis": GRID,
+        "nan": (math.nan,) * 4,
+        # equal text, but no nan equals another
+        "distinct_nans": tuple(float("nan") for _ in GRID),
+        "inf": (math.inf,) * 4,
+        "minus_inf": (-math.inf,) * 4,
+    },
+    # fig5's boundary_free curve: one block held along the axis
+    "boundary_free": {
+        "axis": GRID, **{n: (0.125 * (k - 3),) * 4 for k, n in enumerate(OBSERVABLES)}
+    },
+    "all_constant": {
+        "axis": (2.0,) * 4, **{n: (1.0 / (k + 3),) * 4 for k, n in enumerate(OBSERVABLES)}
+    },
+    "two_rows": {"axis": (0.5, 1.0), "x": (3.0, 3.0), "y": (1.0, -1.0)},
+    "one_row": {"axis": (1.0,), "x": (-0.0,)},
+}
 
 
 def run(argv, capsys):
@@ -238,11 +272,14 @@ class TestSweepCommand:
             assert fields[5] == s_ab
             assert fields[6] == s_ba
 
-    def test_csv_rows_equal_per_value_formatting(self):
-        values = (0.0, -0.0, 5e-324, 1e22, 1.0 / 3.0, math.inf, -math.inf, math.nan)
-        table = SweepTable(SweepVariable.SEPARATION, {"axis": values, "x": values[::-1]})
-        rows = "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(values, values[::-1]))
-        assert _table_csv(table, {"k": 1}) == "# k = 1\naxis,x\n" + rows
+    @pytest.mark.parametrize("columns", CSV_TABLES.values(), ids=CSV_TABLES.keys())
+    def test_csv_rows_equal_per_value_formatting(self, columns):
+        table = SweepTable(SweepVariable.SEPARATION, columns)
+        rows = "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*columns.values())
+        )
+        header = ",".join(columns)
+        assert _table_csv(table, {"k": 1}) == f"# k = 1\n{header}\n" + rows
 
     def test_json_format(self, capsys):
         code, out, _ = run(self.ARGS + ["--format", "json"], capsys)
@@ -822,6 +859,70 @@ class TestUnwritableOut:
         # for out.json the temp file was written before the rename failed
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
         assert list((tmp_path / "out.json").iterdir()) == []
+
+
+@pytest.fixture
+def fresh_parser():
+    """Start with no parser built, and leave none behind."""
+    cli._build_parser.cache_clear()
+    yield
+    cli._build_parser.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_parser")
+class TestRepeatedMain:
+    """Calls of ``main`` in one process act like calls in fresh processes."""
+
+    COMPUTE = ["compute", *PHYSICS, "--l", "1", "--dz", "1"]
+    SWEEP = [*TestSweepCommand.ARGS[:-2], "--points", "3"]
+
+    @pytest.mark.parametrize(
+        "failing, code",
+        [
+            (["compute", "--nope", "1"], 2),
+            (["sweep", "--help"], 0),
+            (["compute", *PHYSICS, "--l", "-1", "--dz", "1"], 2),
+        ],
+        ids=["argparse_error", "help", "validation_error"],
+    )
+    @pytest.mark.parametrize("good", [COMPUTE, SWEEP], ids=["compute", "sweep"])
+    def test_good_call_after_a_failed_one(self, failing, code, good, capsys):
+        fresh = run(good, capsys)
+        assert fresh[0] == 0
+        assert run(failing, capsys)[0] == code
+        assert run(good, capsys) == fresh
+
+    def test_defaults_do_not_leak_between_subcommands(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        figure = ["figure", "fig7", "--resolution", "3"]
+        assert run([*figure, "--out", "elsewhere"], capsys)[0] == 0
+        code, out, _ = run(figure, capsys)
+        assert (code, out) == (0, "wrote 3 curve files to .\n")
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+            "difference.csv", "orthogonal.csv", "parallel.csv"
+        ]
+        code, out, _ = run([*self.SWEEP, "--format", "csv"], capsys)
+        assert code == 0 and out.splitlines()[-4] == CSV_HEADER
+        code, out, _ = run(self.COMPUTE, capsys)
+        assert code == 0
+        assert json.loads(out)["provenance"]["version"] == __version__
+
+    def test_parser_built_during_the_first_call_only(self, monkeypatch, capsys):
+        built_in = []
+        calls = []
+
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built_in.append(len(calls))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (self.COMPUTE, ["compute", "--nope"], ["--help"], self.SWEEP, self.COMPUTE):
+            calls.append(argv)
+            run(argv, capsys)
+        # the top-level parser and one per subcommand, all during call 1
+        assert built_in == [1] * 6
 
 
 @pytest.mark.parametrize("figure_id", [f.value for f in FigureId])

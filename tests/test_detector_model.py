@@ -6,6 +6,7 @@ comparison); limits and series checks are worked inline from stdlib
 math so they do not share code with the implementation.
 """
 
+import itertools
 import math
 import sys
 from decimal import Decimal, localcontext
@@ -21,6 +22,7 @@ from mirrorsteer.detector_model import (
     SERIES_CROSSOVER,
     DetectorPair,
     _aux_f,
+    _aux_f_array,
     _aux_g,
     boundary_free_correlations,
     boundary_free_steering,
@@ -333,6 +335,34 @@ class TestAuxF:
             want = kernel_f_50_digits(l, s)
             worst = max(worst, relative_error(_aux_f(l, s), want, abs(want)))
         assert worst <= 1e-12
+
+
+class TestAuxFArray:
+    """The array kernel is the one-point kernel at each point, bit for bit,
+    whichever argument is held; the lengths straddle the series crossover,
+    so one call takes both branches."""
+
+    @staticmethod
+    def one_point(ls, ss):
+        return [_aux_f(l, s).hex() for l, s in zip(ls, ss)]
+
+    @pytest.mark.parametrize("s", KERNEL_GAPS)
+    def test_held_gap(self, s):
+        got = _aux_f_array(np.array(KERNEL_LENGTHS), s)
+        assert [v.hex() for v in got.tolist()] == self.one_point(
+            KERNEL_LENGTHS, [s] * len(KERNEL_LENGTHS)
+        )
+
+    def test_held_length(self):
+        gaps = list(KERNEL_GAPS)
+        for l in KERNEL_LENGTHS:
+            got = _aux_f_array(l, np.array(gaps))
+            assert [v.hex() for v in got.tolist()] == self.one_point([l] * len(gaps), gaps)
+
+    def test_both_arrays(self):
+        ls, ss = zip(*itertools.product(KERNEL_LENGTHS, KERNEL_GAPS))
+        got = _aux_f_array(np.array(ls), np.array(ss))
+        assert [v.hex() for v in got.tolist()] == self.one_point(ls, ss)
 
 
 class TestAuxG:
