@@ -37,7 +37,6 @@ from .xstate_steering import (
     _check,
     _each,
     _INF,
-    _holds,
     steering_asymmetry,
 )
 
@@ -144,11 +143,6 @@ def _block_rules(v):
         (v.p_sum < 1.0, PerturbativeValidityError,
          "p_a + p_b = {p_sum:.3g} >= 1: coupling too strong for the leading-order state"),
     )
-
-
-def _correlation_rules(v):
-    """Every rule the one-point route checks up to the correlation block, in order."""
-    return (*_pair_rules(v), *_geometry_rules(v), *_phase_rules(v), *_block_rules(v))
 
 
 @dataclass(frozen=True)
@@ -393,14 +387,6 @@ def transition_probability(
     return _probability(_ONE_POINT, free, pref, v.omega, v.boundary_distance)
 
 
-def _stage(ns, fn, *args):
-    """``fn`` over the namespace ``ns``; in an array pass, a stage none of
-    whose inputs is an array is held fixed and computed once, as one point."""
-    if ns is _ARRAYS and not any(isinstance(a, np.ndarray) for a in args):
-        ns = _ONE_POINT
-    return fn(ns, *args)
-
-
 def _entries(ns, pair, lengths, p_a=None, p_b=None, direct=None) -> SimpleNamespace:
     """P_A, P_B, C and X of the joint state, unchecked, with the values the
     rules on the kernel phases and on the block read, from the
@@ -408,19 +394,16 @@ def _entries(ns, pair, lengths, p_a=None, p_b=None, direct=None) -> SimpleNamesp
 
     The stages past the pair terms: the probability of each detector at its
     mirror distance, the kernels at the direct separation, and those at the
-    image separation.  A search passes in the stages it holds fixed.
+    image separation.  An evaluator passes in the stages it holds fixed.
     """
     if p_a is None:
-        p_a = _stage(ns, _probability, pair.free_a, pair.pref, pair.omega_a,
-                     lengths.boundary_distance)
+        p_a = _probability(ns, pair.free_a, pair.pref, pair.omega_a, lengths.boundary_distance)
     if p_b is None:
-        p_b = _stage(ns, _probability, pair.free_b, pair.pref, pair.omega_b, lengths.distance_b)
+        p_b = _probability(ns, pair.free_b, pair.pref, pair.omega_b, lengths.distance_b)
     if direct is None:
-        direct = _stage(ns, _kernels, lengths.separation, pair.d, pair.s)
+        direct = _kernels(ns, lengths.separation, pair.d, pair.s)
     g_re, g_im, phase, f = direct
-    h_re, h_im, image_phase, f_image = _stage(
-        ns, _kernels, lengths.image_separation, pair.d, pair.s
-    )
+    h_re, h_im, image_phase, f_image = _kernels(ns, lengths.image_separation, pair.d, pair.s)
     w, re, im = pair.x_weight, g_re - h_re, g_im - h_im
     return SimpleNamespace(
         separation=lengths.separation, image_separation=lengths.image_separation, d=pair.d,
@@ -430,14 +413,6 @@ def _entries(ns, pair, lengths, p_a=None, p_b=None, direct=None) -> SimpleNamesp
         # whose zero terms set the sign of a zero part
         x=ns.complex(w * re - 0.0 * im, w * im + 0.0 * re),
     )
-
-
-def _checked_block(values: SimpleNamespace) -> SimpleNamespace:
-    """``values`` of :func:`_entries`, once the kernel phases and the block
-    pass their rules."""
-    _check(_phase_rules, values)
-    _check(_block_rules, values)
-    return values
 
 
 def correlations(pair: DetectorPair, geom: BoundaryGeometry) -> CorrelationBlock:
@@ -450,101 +425,61 @@ def correlations(pair: DetectorPair, geom: BoundaryGeometry) -> CorrelationBlock
 
 def _block_evaluator(
     pair: DetectorPair, geom: BoundaryGeometry, swept: str
-) -> Callable[[float], SimpleNamespace]:
-    """The checked values of :func:`_entries` as a function of one input,
-    ``swept``: "omega_b", "separation" or "boundary_distance", the others
-    being those of ``pair`` and ``geom``.  Built once per search.
+) -> Callable[[float | np.ndarray], tuple[SimpleNamespace, bool | np.ndarray]]:
+    """The values of :func:`_entries` and their verdict as a function of one
+    input, ``swept``: "omega_b", "separation" or "boundary_distance", the
+    others being those of ``pair`` and ``geom``.  Built once per search or
+    sweep.
 
-    What the swept input does not move is computed here, once: the pair
-    terms unless omega_b is swept, P_A unless the mirror distance is, P_B
-    along the parallel separation, and the direct kernels along the mirror
-    distance.  Each evaluation checks the rules of :class:`DetectorPair`
-    (omega_b swept only), :class:`BoundaryGeometry` (a length swept only),
-    the kernel phases and :class:`CorrelationBlock` in that order, raising
-    what they raise, without building them; the values it returns are the
-    one-point route's, bit for bit.
+    What the swept input does not move is computed here, once, as one point:
+    the pair terms unless omega_b is swept, P_A unless the mirror distance
+    is, P_B along the parallel separation, and the direct kernels along the
+    mirror distance.  The evaluator takes a Python float, or an array of
+    values with numpy's floating-point warnings off, and reads the formulas
+    and the rules of :class:`DetectorPair` (omega_b swept only),
+    :class:`BoundaryGeometry` (a length swept only), the kernel phases and
+    :class:`CorrelationBlock`, in that order, through the namespace the
+    value's type picks.  It returns ``(values, ok)``, the values bit for bit
+    the one-point route's.  At one point a failed rule is raised as the
+    dataclasses raise it, and ``ok`` is True; over an array ``ok`` is true
+    exactly at the points that pass, and the values elsewhere are
+    placeholders.
     """
-    ns, omega_a, coupling, lengths = _ONE_POINT, pair.omega_a, pair.coupling, geom._lengths
+    omega_a, coupling, alignment = pair.omega_a, pair.coupling, geom.alignment
+    ns, lengths = _ONE_POINT, geom._lengths
     terms = _pair_terms(ns, omega_a, pair.omega_b, coupling)
     held = {}
     if swept != "boundary_distance":
-        held["p_a"] = _probability(ns, terms.free_a, terms.pref, omega_a,
-                                   lengths.boundary_distance)
+        held["p_a"] = _probability(ns, terms.free_a, terms.pref, omega_a, lengths.boundary_distance)
+    # the rules on the swept input, the values they read, and the pair terms
+    # and lengths from those values; a refused point of an array is computed
+    # at a placeholder input, where no kernel overflows or leaves its domain
     if swept == "omega_b":
-
-        def at(value):
-            _check(_pair_rules, SimpleNamespace(omega_a=omega_a, omega_b=value, coupling=coupling))
-            terms = _pair_terms(ns, omega_a, value, coupling)
-            return _checked_block(_entries(ns, terms, lengths, **held))
-
-        return at
-
-    if swept == "boundary_distance":
-        held["direct"] = _kernels(ns, lengths.separation, terms.d, terms.s)
-        place = lambda value: (lengths.separation, value)
+        rules, placeholder = _pair_rules, omega_a
+        inputs = lambda ns, wb: SimpleNamespace(omega_a=omega_a, omega_b=wb, coupling=coupling)
+        stages = lambda ns, v: (_pair_terms(ns, omega_a, v.omega_b, coupling), lengths)
     else:
-        if geom.alignment is Alignment.PARALLEL:
-            held["p_b"] = _probability(ns, terms.free_b, terms.pref, terms.omega_b,
-                                       lengths.distance_b)
-        place = lambda value: (value, lengths.boundary_distance)
+        rules, placeholder = _geometry_rules, 1.0
+        stages = lambda ns, v: (terms, v)
+        if swept == "boundary_distance":
+            held["direct"] = _kernels(ns, lengths.separation, terms.d, terms.s)
+            inputs = lambda ns, dz: _mirror_lengths(ns, alignment, lengths.separation, dz)
+        else:
+            if alignment is Alignment.PARALLEL:
+                held["p_b"] = _probability(ns, terms.free_b, terms.pref, terms.omega_b,
+                                           lengths.distance_b)
+            inputs = lambda ns, l: _mirror_lengths(ns, alignment, l, lengths.boundary_distance)
 
     def at(value):
-        at_value = _mirror_lengths(ns, geom.alignment, *place(value))
-        _check(_geometry_rules, at_value)
-        return _checked_block(_entries(ns, terms, at_value, **held))
+        ns = _ARRAYS if isinstance(value, np.ndarray) else _ONE_POINT
+        v = inputs(ns, value)
+        ok = ns.verdict(rules, v)
+        if ok is not True:
+            v = inputs(ns, np.where(ok, value, placeholder))
+        values = _entries(ns, *stages(ns, v), **held)
+        return values, ok & ns.verdict(_phase_rules, values) & ns.verdict(_block_rules, values)
 
     return at
-
-
-def correlation_arrays(
-    omega_a: float,
-    omega_b,
-    coupling: float,
-    alignment: Alignment,
-    separation,
-    boundary_distance,
-) -> tuple[SimpleNamespace, np.ndarray]:
-    """:func:`correlations` at each point of equal-length arrays, bit for bit.
-
-    Each of ``omega_b``, ``separation`` and ``boundary_distance`` is an
-    array or a Python number held at every point, and at least one is an
-    array.  The same formulas as the one-point route, over array
-    namespaces, and the same rule tables; a stage none of whose inputs
-    varies is computed once, as one point.  Returns a namespace of the
-    entries p_a, p_b, c (real) and x (complex), as arrays, and every value
-    the rules of :class:`DetectorPair`, :class:`BoundaryGeometry`, the
-    kernel phase and :class:`CorrelationBlock` read, as an array where it
-    varies; then the boolean column ``ok``, true exactly at the points
-    that pass them all.  Every point is computed; where ``ok`` is false
-    the entries are placeholders.
-    """
-    # overflow and nan give inf and nan, as in Python float arithmetic
-    with np.errstate(over="ignore", invalid="ignore"):
-        lengths = _stage(_ARRAYS, _mirror_lengths, Alignment(alignment), separation,
-                         boundary_distance)
-        inputs = SimpleNamespace(omega_a=omega_a, omega_b=omega_b, coupling=coupling,
-                                 **vars(lengths))
-        ok = _holds(_pair_rules, inputs) & _holds(_geometry_rules, inputs)
-        # a point refused here is computed at placeholder gaps and lengths,
-        # where no scalar kernel overflows or leaves its domain; a held value
-        # stands unless every point is refused
-        anywhere = ok.any()
-
-        def placed(value, placeholder):
-            if isinstance(value, np.ndarray):
-                return np.where(ok, value, placeholder)
-            return value if anywhere else placeholder
-
-        held_a = placed(omega_a, 0.0)
-        terms = _stage(_ARRAYS, _pair_terms, held_a, placed(omega_b, held_a), coupling)
-        held = SimpleNamespace(**{k: placed(v, 1.0) for k, v in vars(lengths).items()})
-        entries = _entries(_ARRAYS, terms, held)
-        values = SimpleNamespace(**(vars(entries) | vars(inputs)))
-        ok &= _holds(_phase_rules, values) & _holds(_block_rules, values)
-    # a probability held fixed is one number; the entries are columns
-    values.p_a, values.p_b = (np.full(ok.size, p) if np.ndim(p) == 0 else p
-                              for p in (values.p_a, values.p_b))
-    return values, ok
 
 
 def boundary_free_correlations(pair: DetectorPair, separation: float) -> CorrelationBlock:

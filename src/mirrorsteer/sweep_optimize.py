@@ -2,12 +2,13 @@
 
 Everything here drives the closed-form model in :mod:`mirrorsteer.detector_model`
 along a single axis: detector separation, distance to the mirror, or the gap
-of detector B.  Sweeps tabulate the observables as named columns, evaluating
-the whole grid in one array pass over the model's formulas, equal bit for
-bit to evaluating each point alone.  Peak and transition finders, whose
-evaluations each depend on the last, evaluate one point at a time through an
-evaluator built per search, which holds fixed what the search does not move,
-and refine features of those curves to 1e-6 in the swept variable: a peak by
+of detector B.  Sweeps and searches share one evaluator, built per call, which
+holds fixed what the swept variable does not move.  Sweeps tabulate the
+observables as named columns, applying it to the whole grid in one array
+pass, equal bit for bit to evaluating each point alone; a refused grid is
+reported by evaluating its first failing point alone.  Peak and transition
+finders, whose evaluations each depend on the last, apply it one point at a
+time and refine features of those curves to 1e-6 in the swept variable: a peak by
 Brent's minimiser, a transition by Dekker-Brent zeroin on the signed steering
 margin (R. Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4-5).
 The figure builders reproduce the standard curve families (steering versus
@@ -20,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -32,21 +34,12 @@ from .detector_model import (
     CorrelationBlock,
     DetectorPair,
     _block_evaluator,
-    _correlation_rules,
     _state_entries,
     boundary_free_correlations,
-    correlation_arrays,
     state_from_block,
 )
 from .errors import ValidationError
-from .xstate_steering import (
-    _checked_state,
-    _first_failure,
-    _observed,
-    _signed_margins,
-    _state_rules,
-    state_arrays,
-)
+from .xstate_steering import _checked_state, _observed, _signed_margins, state_arrays
 
 _T = TypeVar("_T")
 
@@ -117,6 +110,12 @@ class SweepAxis:
                 f"sweep range from {self.start:g} to {self.stop:g} is too wide: "
                 "its width overflows"
             )
+        try:
+            object.__setattr__(self, "points", operator.index(self.points))
+        except TypeError:
+            raise ValidationError(
+                f"a sweep takes a whole number of grid points, got {self.points!r}"
+            ) from None
         if not 2 <= self.points <= MAX_POINTS:
             raise ValidationError(
                 f"a sweep takes 2 to {MAX_POINTS} grid points, got {self.points}"
@@ -205,41 +204,21 @@ _PARAM_NAME = {_SEP: "l", _DZ: "dz", _WB: "omega_b"}
 _INPUT = {_SEP: "separation", _DZ: "boundary_distance", _WB: "omega_b"}
 
 
-def _rules(v):
-    """Every rule the one-point route checks, in the order it checks them."""
-    return (*_correlation_rules(v), *_state_rules(v))
-
-
-def _grid_values(
-    pair: DetectorPair, geom: BoundaryGeometry, variable: SweepVariable, grid: np.ndarray
-) -> tuple[np.ndarray, tuple[np.ndarray, ...], SimpleNamespace]:
-    """In one array pass, the verdict ``ok`` of each grid point, the
-    :data:`OBSERVABLES` columns and every value :func:`_rules` read.  ``ok``
-    is true exactly where the one-point route succeeds, and there the
-    columns are bit for bit the :func:`observable_values` of the point.
-    What the variable does not move is computed once."""
-    values = {_SEP: geom.separation, _DZ: geom.boundary_distance, _WB: pair.omega_b}
-    values[variable] = grid
-    block, ok = correlation_arrays(
-        pair.omega_a, values[_WB], pair.coupling, geom.alignment, values[_SEP], values[_DZ]
-    )
-    entries = _state_entries(block.p_a, block.p_b, block.c, block.x)
-    state, columns, state_ok = state_arrays(*entries)
-    values = SimpleNamespace(**vars(block), **vars(state))
-    return ok & state_ok, (block.p_a, block.p_b, *columns), values
-
-
 def _grid_arrays(
     pair: DetectorPair, geom: BoundaryGeometry, variable: SweepVariable, grid: np.ndarray
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The verdict and the :data:`OBSERVABLES` columns of :func:`_grid_values`."""
-    return _grid_values(pair, geom, variable, grid)[:2]
-
-
-def _point(values: SimpleNamespace, i: int) -> SimpleNamespace:
-    """The values at grid point ``i``, as Python numbers."""
-    items = vars(values).items()
-    return SimpleNamespace(**{k: v[i].item() if isinstance(v, np.ndarray) else v for k, v in items})
+    """The verdict ``ok`` of each grid point and the :data:`OBSERVABLES`
+    columns, in one array pass: the :func:`_block_evaluator` a search
+    builds, applied to the whole grid, then :func:`state_arrays`.  ``ok`` is
+    true exactly where the one-point route succeeds, and there the columns
+    are bit for bit the :func:`observable_values` of the point."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        block, ok = _block_evaluator(pair, geom, _INPUT[variable])(grid)
+        # a probability held fixed is one number; the columns are arrays
+        p_a, p_b = (np.broadcast_to(p, grid.shape) for p in (block.p_a, block.p_b))
+        entries = _state_entries(p_a, p_b, block.c, block.x)
+    columns, state_ok = state_arrays(*entries)
+    return ok & state_ok, (p_a, p_b, *columns)
 
 
 def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepTable:
@@ -247,18 +226,21 @@ def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepT
 
     The swept variable overrides the matching field of ``pair`` or ``geom``
     at each grid point; all other fields are held fixed and recorded in
-    the table's ``params``.  The grid is evaluated in one array pass, over
-    the one-point route's formulas and rule tables and equal to it bit for
-    bit, which also gives each point's verdict.  If a point fails, the
-    first rule it fails at the first failing point is raised as the
-    one-point route raises it, with the grid point named.
+    the table's ``params``.  The grid is evaluated in one array pass, the
+    evaluator of a search applied to the whole grid, equal to the one-point
+    route bit for bit, which also gives each point's verdict.  If a point
+    fails, the first failing point is evaluated alone, by the evaluator of
+    a search, which raises the first rule it fails as the one-point route
+    raises it, with the grid point named.
     """
     grid = axis.grid()
-    ok, arrays, values = _grid_values(pair, geom, axis.variable, grid)
+    ok, arrays = _grid_arrays(pair, geom, axis.variable, grid)
     if not ok.all():
-        i = int(ok.argmin())
-        error = _first_failure(_rules, _point(values, i))
-        raise type(error)(f"at {axis.variable.value} = {grid[i]:g}: {error}")
+        # the first failing point, evaluated alone, raises the one-point error
+        value = grid[ok.argmin()].item()
+        _evaluator(pair, geom, axis.variable, _observables)(value)
+        raise AssertionError(f"the array pass refuses {axis.variable.value} = {value:g}, "
+                             "which the one-point route accepts")
     columns = observable_columns(grid.tolist(), (col.tolist() for col in arrays))
     params = {
         "omega_a": pair.omega_a,
@@ -280,19 +262,21 @@ def _evaluator(
     read: Callable[[SimpleNamespace, SimpleNamespace], _T],
 ) -> Callable[[float], _T]:
     """``read`` of the block values and the X-state at a value of
-    ``variable``, for one search.
+    ``variable``: a search's evaluator, and a refused sweep's at its first
+    failing point.
 
     What the variable does not move is computed once, when the evaluator is
-    built.  Each evaluation checks the rules the one-point route checks, in
-    its order, without building its dataclasses, and ``read`` gets the
-    values the one-point route gets, bit for bit.  A validation error is
-    re-raised as the same type with the point named.
+    built (see :func:`_block_evaluator`).  Each evaluation checks the rules
+    the one-point route checks, in its order, without building its
+    dataclasses, and ``read`` gets the values the one-point route gets, bit
+    for bit.  A validation error is re-raised as the same type with the
+    point named.
     """
     block_at = _block_evaluator(pair, geom, _INPUT[variable])
 
     def at(value: float) -> _T:
         try:
-            block = block_at(value)
+            block, _ = block_at(value)
             state = _checked_state(*_state_entries(block.p_a, block.p_b, block.c, block.x))
             return read(block, state)
         except ValidationError as exc:

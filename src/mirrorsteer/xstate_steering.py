@@ -23,8 +23,10 @@ and g_c +- g_b likewise with W+ and W- exchanged.
 Each formula is written once, over a namespace of elementwise functions:
 one state reads it through :mod:`math`, and :func:`state_arrays` reads it
 at each point of arrays of states, bit for bit.  Each domain check is
-written once as well, as an ordered table of rules that one state raises
-from and an array pass ANDs into a verdict per point.
+written once as well, as an ordered table of rules that a namespace reads
+through its ``verdict``: one state raises the first rule it fails, and an
+array pass ANDs the rules into a verdict per point.  :class:`XState` and
+:func:`state_arrays` check and clamp a state through one body, :func:`_state`.
 """
 
 from __future__ import annotations
@@ -79,26 +81,13 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return z
 
 
-# The elementwise functions every formula of the model is written over,
-# once: at one point, and at each point of equal-length arrays.  Both round
-# +, -, *, / and sqrt correctly, and the arrays call libm and Python's
-# complex modulus one point at a time, so both give the same bits.
-_LIBM = ("exp", "erfc", "sin", "cos", "hypot")
-_ONE_POINT = SimpleNamespace(
-    **{name: getattr(math, name) for name in _LIBM}, sqrt=math.sqrt, abs=abs, max=max,
-    where=lambda cond, a, b: a if cond else b, complex=complex,
-)
-_ARRAYS = SimpleNamespace(
-    **{name: lambda *a, fn=getattr(math, name): _each(fn, *a) for name in _LIBM},
-    sqrt=np.sqrt, abs=lambda a: _each(abs, a), max=_maximum, where=np.where, complex=_complex,
-)
-
 # A domain check is an ordered table of rules: a function of a namespace of
 # values that returns one row (holds, error type, message) per rule.  Each
 # ``holds`` uses comparisons, ``abs`` and ``&`` only (x is finite exactly
 # where abs(x) < _INF), so a table reads one point or each point of arrays;
-# a message formats the values by name.  One point raises the first rule it
-# fails; an array pass ANDs the rules into a verdict per point.
+# a message formats the values by name.  A namespace's ``verdict`` reads a
+# table: one point raises the first rule it fails, and an array pass ANDs
+# the rules into a verdict per point.
 _INF = math.inf
 
 
@@ -111,18 +100,30 @@ def _holds(rules, values):
     return ok
 
 
-def _first_failure(rules, values) -> Exception | None:
-    """The error of the first rule one point's ``values`` fail, if any."""
+def _check(rules, values) -> bool:
+    """True if one point's ``values`` pass every rule; otherwise the error of
+    the first rule they fail is raised."""
     for holds, error, message in rules(values):
         if not holds:
-            return error(message.format_map(vars(values)))
-    return None
+            raise error(message.format_map(vars(values)))
+    return True
 
 
-def _check(rules, values) -> None:
-    error = _first_failure(rules, values)
-    if error is not None:
-        raise error
+# The elementwise functions every formula of the model is written over,
+# once: at one point, and at each point of equal-length arrays.  Both round
+# +, -, *, / and sqrt correctly, and the arrays call libm and Python's
+# complex modulus one point at a time, so both give the same bits.
+_LIBM = ("exp", "erfc", "sin", "cos", "hypot")
+_ONE_POINT = SimpleNamespace(
+    **{name: getattr(math, name) for name in _LIBM}, sqrt=math.sqrt, abs=abs, max=max,
+    where=lambda cond, a, b: a if cond else b, complex=complex,
+    verdict=_check,
+)
+_ARRAYS = SimpleNamespace(
+    **{name: lambda *a, fn=getattr(math, name): _each(fn, *a) for name in _LIBM},
+    sqrt=np.sqrt, abs=lambda a: _each(abs, a), max=_maximum, where=np.where, complex=_complex,
+    verdict=_holds,
+)
 
 
 def _in_range(x):
@@ -130,7 +131,7 @@ def _in_range(x):
 
 
 def _state_rules(v):
-    """The rules of :class:`XState`, on the values of :func:`_state_values`."""
+    """The rules of :class:`XState`, on the values :func:`_state` checks."""
     return (
         (abs(v.d11) < _INF, ValidationError, "d11 must be finite"),
         (_in_range(v.d11), ValidationError, "d11 = {d11!r} outside [0, 1]"),
@@ -154,13 +155,17 @@ def _state_rules(v):
 _TRACE_FAILS = f"trace = {{trace!r}}, expected 1 within {_ATOL}"
 
 
-def _state_values(ns, d11, d22, d33, d44, c14, c23):
-    """The values :func:`_state_rules` read, the trace being that of the
-    diagonal clamped at zero, and that clamped diagonal."""
+def _state(ns, d11, d22, d33, d44, c14, c23):
+    """The fields :class:`XState` holds for these entries, as a namespace,
+    the diagonal clamped at zero, and the ``verdict`` of :func:`_state_rules`
+    on the entries and the trace of that clamped diagonal."""
     diagonal = (ns.max(d11, 0.0), ns.max(d22, 0.0), ns.max(d33, 0.0), ns.max(d44, 0.0))
     trace = diagonal[0] + diagonal[1] + diagonal[2] + diagonal[3]
     values = SimpleNamespace(d11=d11, d22=d22, d33=d33, d44=d44, trace=trace, c14=c14, c23=c23)
-    return values, diagonal
+    ok = ns.verdict(_state_rules, values)
+    state = SimpleNamespace(d11=diagonal[0], d22=diagonal[1], d33=diagonal[2], d44=diagonal[3],
+                            c14=c14, c23=c23)
+    return state, ok
 
 
 @dataclass(frozen=True)
@@ -193,14 +198,10 @@ class XState:
 
 
 def _checked_state(d11, d22, d33, d44, c14, c23) -> SimpleNamespace:
-    """The fields :class:`XState` holds for these entries, as a namespace:
-    checked by :func:`_state_rules`, the diagonal clamped at zero."""
-    values, diagonal = _state_values(
-        _ONE_POINT, float(d11), float(d22), float(d33), float(d44), complex(c14), complex(c23)
-    )
-    _check(_state_rules, values)
-    return SimpleNamespace(d11=diagonal[0], d22=diagonal[1], d33=diagonal[2], d44=diagonal[3],
-                           c14=values.c14, c23=values.c23)
+    """The fields :class:`XState` holds for these entries, once they pass
+    :func:`_state_rules`; see :func:`_state`."""
+    entries = float(d11), float(d22), float(d33), float(d44), complex(c14), complex(c23)
+    return _state(_ONE_POINT, *entries)[0]
 
 
 @dataclass(frozen=True)
@@ -295,16 +296,14 @@ def steering_asymmetry(state: XState) -> SteeringResult:
 
 def state_arrays(d11, d22, d33, d44, c14, c23):
     """:class:`XState` and :func:`_steering` at each point of equal-length
-    arrays of the entries, bit for bit: the values :func:`_state_rules`
-    read, the columns of :func:`_steering`, and the verdict ``ok``, true
-    exactly where :class:`XState` accepts the point.  Where ``ok`` is false
-    the columns are placeholders."""
+    arrays of the entries, bit for bit: the columns of :func:`_steering` and
+    the verdict ``ok``, true exactly where :class:`XState` accepts the point.
+    Where ``ok`` is false the columns are placeholders."""
     with np.errstate(invalid="ignore", over="ignore"):
-        values, diagonal = _state_values(_ARRAYS, d11, d22, d33, d44, c14, c23)
-        ok = _holds(_state_rules, values)
+        state, ok = _state(_ARRAYS, d11, d22, d33, d44, c14, c23)
         # the modulus of a refused coherence can overflow abs
-        coherences = (np.where(ok, c, 0.0) for c in (c14, c23))
-        return values, _steering(_ARRAYS, *diagonal, *coherences), ok
+        c14, c23 = (np.where(ok, c, 0.0) for c in (c14, c23))
+        return _steering(_ARRAYS, state.d11, state.d22, state.d33, state.d44, c14, c23), ok
 
 
 def _certification_map(

@@ -24,10 +24,10 @@ from mirrorsteer.detector_model import (
     _aux_f,
     _aux_f_array,
     _aux_g,
+    _block_evaluator,
     boundary_free_correlations,
     boundary_free_steering,
     config_difference,
-    correlation_arrays,
     correlations,
     free_space_probability,
     harvested_steering,
@@ -479,23 +479,36 @@ class TestCorrelations:
         assert far.p_a == pytest.approx(free.p_a, abs=1e-9)
 
     @pytest.mark.parametrize("alignment", list(Alignment))
-    def test_array_verdict_is_what_correlations_refuses(self, alignment):
-        # accepted; Im G overflowing (the X-state refuses that, not the
-        # block); negative; overflowing images; p_a + p_b >= 1; omega_b
-        # below omega_a
-        omega_b = np.array([0.2, 0.2, 0.2, 0.2, 0.2, 0.05])
-        sep = np.array([1.0, 1e-320, -2.0, 1.0, 1.0, 1.0])
-        dz = np.array([0.2, 0.2, 0.2, 1e308, 2.0, 0.2])
-        *_, ok = correlation_arrays(0.1, omega_b, 5.0, alignment, sep, dz)
-        verdicts = []
-        for wb, l, z in zip(omega_b.tolist(), sep.tolist(), dz.tolist()):
+    @pytest.mark.parametrize(
+        "swept, values, verdicts",
+        [
+            # accepted; Im G overflowing (the X-state refuses that, not the
+            # block); negative
+            ("separation", [1.0, 1e-320, -2.0], [True, True, False]),
+            # accepted; overflowing images; p_a + p_b >= 1
+            ("boundary_distance", [0.2, 1e308, 2.0], [True, False, False]),
+            # accepted; omega_b below omega_a
+            ("omega_b", [0.2, 0.05], [True, False]),
+        ],
+    )
+    def test_array_verdict_is_what_correlations_refuses(self, alignment, swept, values, verdicts):
+        # one grid per swept input, around the accepted point (0.2, 1, 0.2)
+        pair, geom = DetectorPair(0.1, 0.2, 5.0), BoundaryGeometry(alignment, 1.0, 0.2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, ok = _block_evaluator(pair, geom, swept)(np.array(values))
+        got = []
+        for value in values:
+            inputs = {"omega_b": 0.2, "separation": 1.0, "boundary_distance": 0.2, swept: value}
             try:
-                correlations(DetectorPair(0.1, wb, 5.0), BoundaryGeometry(alignment, l, z))
+                correlations(
+                    DetectorPair(0.1, inputs["omega_b"], 5.0),
+                    BoundaryGeometry(alignment, inputs["separation"], inputs["boundary_distance"]),
+                )
             except ValidationError:
-                verdicts.append(False)
+                got.append(False)
             else:
-                verdicts.append(True)
-        assert ok.tolist() == verdicts == [True, True, False, False, False, False]
+                got.append(True)
+        assert ok.tolist() == got == verdicts
 
     def test_coupling_scaling_exact(self):
         strong = correlations(

@@ -16,12 +16,14 @@ from mirrorsteer.detector_model import (
     BoundaryGeometry,
     CorrelationBlock,
     DetectorPair,
+    _block_evaluator,
     _block_rules,
-    _correlation_rules,
+    _geometry_rules,
+    _pair_rules,
+    _phase_rules,
     boundary_free_correlations,
     boundary_free_steering,
     config_difference,
-    correlation_arrays,
     correlations,
     harvested_steering,
     state_from_block,
@@ -46,8 +48,8 @@ from mirrorsteer.sweep_optimize import (
     sweep,
 )
 from mirrorsteer.xstate_steering import (
+    _ARRAYS,
     XState,
-    _first_failure,
     _signed_margins,
     _state_rules,
     state_arrays,
@@ -88,6 +90,15 @@ class TestSweepAxis:
     def test_rejects_single_point(self):
         with pytest.raises(ValidationError):
             SweepAxis(SweepVariable.SEPARATION, start=1.0, stop=2.0, points=1)
+
+    @pytest.mark.parametrize("points", [3.0, 2.5, "5", None])
+    def test_rejects_non_integer_points(self, points):
+        with pytest.raises(ValidationError, match=re.escape(f"got {points!r}")):
+            SweepAxis(SweepVariable.SEPARATION, start=1.0, stop=2.0, points=points)
+
+    def test_accepts_numpy_integer_points(self):
+        axis = SweepAxis(SweepVariable.SEPARATION, start=1.0, stop=2.0, points=np.int64(5))
+        assert len(axis.grid()) == 5
 
     def test_log_scale_requires_positive_start(self):
         with pytest.raises(ValidationError):
@@ -181,7 +192,7 @@ class TestSweep:
         def failing(*args):
             raise raised
 
-        monkeypatch.setattr(sweep_optimize, "correlation_arrays", failing)
+        monkeypatch.setattr(sweep_optimize, "_block_evaluator", failing)
         axis = SweepAxis(SweepVariable.SEPARATION, start=0.1, stop=2.0, points=3)
         with pytest.raises(TwoArgError) as info:
             sweep(PAIR, GEOM_PAR, axis)
@@ -230,23 +241,35 @@ class TestSweep:
              "strong for the leading-order state"),
         ],
     )
-    def test_refused_long_sweep_takes_the_one_point_route_once(
+    def test_refused_long_sweep_evaluates_one_point_alone(
         self, pair, geom, axis, message, monkeypatch
     ):
-        # one array pass finds the first failing point and formats the rule
-        # it fails from that point's values; the one-point route need not run
+        # one array pass finds the first failing point; that point alone is
+        # evaluated by a search's evaluator, which raises its error
         calls = []
-        one_point = detector_model.correlations
+        evaluator = sweep_optimize._evaluator
 
-        def counting(pair_v, geom_v):
-            calls.append(geom_v.boundary_distance)
-            return one_point(pair_v, geom_v)
+        def counting(*args):
+            evaluate = evaluator(*args)
 
-        monkeypatch.setattr(detector_model, "correlations", counting)
+            def at(value):
+                calls.append(value)
+                return evaluate(value)
+
+            return at
+
+        monkeypatch.setattr(sweep_optimize, "_evaluator", counting)
+        axis = SweepAxis(*axis)
         with pytest.raises(ValidationError) as info:
-            sweep(pair, geom, SweepAxis(*axis))
+            sweep(pair, geom, axis)
         assert str(info.value) == message
-        assert len(calls) <= 1
+        [value] = calls
+        assert type(value) is float
+        grid = axis.grid().tolist()
+        i = grid.index(value)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            _at(pair, geom, axis.variable, value, observable_values)
+        _at(pair, geom, axis.variable, grid[i - 1], observable_values)
 
     def test_refused_sweep_makes_no_one_point_call(self, monkeypatch):
         calls = []
@@ -351,11 +374,18 @@ _NO_SWEEP_FAILS = {
 }
 
 
+class _Zeros:
+    """A namespace in which every name reads 0.0."""
+
+    def __getattr__(self, name):
+        return 0.0
+
+
 def _rule_messages():
-    """The message template of every rule a sweep checks, in order."""
-    grid = SweepAxis("separation", 1.0, 2.0, 2).grid()
-    _, _, values = sweep_optimize._grid_values(PAIR, GEOM_PAR, SweepVariable.SEPARATION, grid)
-    return [message for _, _, message in sweep_optimize._rules(sweep_optimize._point(values, 0))]
+    """The message template of every rule a sweep checks, in the order the
+    one-point route checks them."""
+    tables = (_pair_rules, _geometry_rules, _phase_rules, _block_rules, _state_rules)
+    return [message for rules in tables for _, _, message in rules(_Zeros())]
 
 
 class TestRefusalParity:
@@ -382,42 +412,37 @@ class TestRefusalParity:
                 break
         assert type(got.value) is type(want)
         assert str(got.value) == str(want)
+        # a numpy scalar would print as np.float64(...) in a !r field
+        assert "np." not in str(got.value)
         # the point fails this rule: its fixed text surrounds the values
         fixed = [re.escape(part) for part in re.split(r"\{[^}]*\}", template)]
         assert re.fullmatch(r"at \S+ = \S+: " + "[^:]+".join(fixed), str(want))
 
     @pytest.mark.parametrize(
-        "arrays, build",
+        "swept, values, build",
         [
-            ((np.array([0.2, math.nan]), 1.0, np.ones(2)), lambda: DetectorPair(0.1, math.nan)),
-            ((np.full(2, 0.2), -1.0, np.ones(2)), lambda: DetectorPair(0.1, 0.2, coupling=-1.0)),
-            ((np.full(2, 0.2), 1e200, np.ones(2)), lambda: DetectorPair(0.1, 0.2, coupling=1e200)),
-            ((np.full(2, 0.2), 1.0, np.array([1.0, math.inf])),
+            ("omega_b", [0.2, math.nan], lambda: DetectorPair(0.1, math.nan)),
+            ("separation", [1.0, math.inf],
              lambda: BoundaryGeometry(Alignment.PARALLEL, math.inf, 1.0)),
-            # a held value refused at every point takes a placeholder, where
-            # the series kernel's l**4 and the Faddeeva kernel stay defined
-            ((np.full(2, 0.2), 1.0, -1e100),
-             lambda: BoundaryGeometry(Alignment.PARALLEL, -1e100, 1.0)),
-            ((math.nan, 1.0, np.ones(2)), lambda: DetectorPair(0.1, math.nan)),
+            ("boundary_distance", [1.0, math.nan],
+             lambda: BoundaryGeometry(Alignment.PARALLEL, 1.0, math.nan)),
         ],
-        ids=["gap-nan", "coupling-negative", "coupling-overflow", "length-inf",
-             "held-length-refused", "held-gap-nan"],
+        ids=["gap-nan", "length-inf", "mirror-distance-nan"],
     )
-    def test_pass_values_format_as_the_dataclasses(self, arrays, build):
-        # rules no sweep fails, fed straight to the array pass: formatted
-        # from the first failing point's array values, the message is the
-        # one-point message
-        omega_b, coupling, sep = arrays
-        values, ok = correlation_arrays(
-            0.1, omega_b, coupling, Alignment.PARALLEL, sep, np.ones(2)
-        )
-        i = int(ok.argmin())
-        assert not ok[i]
-        error = _first_failure(_correlation_rules, sweep_optimize._point(values, i))
+    def test_evaluator_refuses_as_the_dataclasses(self, swept, values, build):
+        # rules no sweep fails, fed straight to the evaluator: the array's
+        # verdict refuses the point, and the point alone raises the
+        # dataclass's error
+        evaluate = _block_evaluator(PAIR, GEOM_PAR, swept)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, ok = evaluate(np.array(values))
+        assert ok.tolist() == [True, False]
+        with pytest.raises(ValidationError) as got:
+            evaluate(values[1])
         with pytest.raises(ValidationError) as want:
             build()
-        assert type(error) is type(want.value)
-        assert str(error) == str(want.value)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize(
         "bad",
@@ -437,24 +462,20 @@ class TestRefusalParity:
             (1.0, 0.0, 0.0, 0.0, complex(1.5e308, 1.5e308), 0j),
         ],
     )
-    def test_state_values_format_as_xstate(self, bad):
+    def test_state_verdict_is_what_xstate_refuses(self, bad):
         good = (0.25, 0.25, 0.25, 0.25, 0.1 + 0j, 0.1j)
-        values, _, ok = state_arrays(*(np.array(column) for column in zip(good, bad)))
+        _, ok = state_arrays(*(np.array(column) for column in zip(good, bad)))
         assert ok.tolist() == [True, False]
-        error = _first_failure(_state_rules, sweep_optimize._point(values, 1))
-        with pytest.raises(ValidationError) as want:
+        with pytest.raises(ValidationError):
             XState(*bad)
-        assert str(error) == str(want.value)
 
     @pytest.mark.parametrize("p_a, p_b", [(math.nan, 0.1), (0.1, -0.1), (0.6, 0.6)])
-    def test_block_values_format_as_correlation_block(self, p_a, p_b):
+    def test_block_verdict_is_what_correlation_block_refuses(self, p_a, p_b):
         p_a, p_b = np.array([0.1, p_a]), np.array([0.1, p_b])
-        values = sweep_optimize._point(SimpleNamespace(p_a=p_a, p_b=p_b, p_sum=p_a + p_b), 1)
-        error = _first_failure(_block_rules, values)
-        with pytest.raises(ValidationError) as want:
+        ok = _ARRAYS.verdict(_block_rules, SimpleNamespace(p_a=p_a, p_b=p_b, p_sum=p_a + p_b))
+        assert ok.tolist() == [True, False]
+        with pytest.raises(ValidationError):
             CorrelationBlock(p_a[1], p_b[1], 0j, 0j)
-        assert type(error) is type(want.value)
-        assert str(error) == str(want.value)
 
 
 def _scalar_columns(pair, geom, axis):
@@ -518,12 +539,15 @@ class TestArrayPassMatchesOnePointRoute:
         geom = BoundaryGeometry(alignment, 1.0, dz)
         axis = SweepAxis(*axis)
         grid = axis.grid()
-        ok, _, values = sweep_optimize._grid_values(pair, geom, axis.variable, grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, ok = _block_evaluator(pair, geom, sweep_optimize._INPUT[axis.variable])(grid)
         assert ok.all()
+        # a probability held fixed is one number
+        p_a, p_b = (np.broadcast_to(p, grid.shape) for p in (values.p_a, values.p_b))
         for i, value in enumerate(grid.tolist()):
             block = _at(pair, geom, axis.variable, value, lambda b: b)
             want = (block.p_a, block.p_b, block.c.real, block.x.real, block.x.imag)
-            got = (values.p_a[i], values.p_b[i], values.c[i], values.x[i].real, values.x[i].imag)
+            got = (p_a[i], p_b[i], values.c[i], values.x[i].real, values.x[i].imag)
             assert [float(v).hex() for v in got] == [v.hex() for v in want], value
 
 
@@ -551,6 +575,10 @@ class TestEvaluatorMatchesDataclassRoute:
             assert [v.hex() for v in observables(value)] == [v.hex() for v in want], value
             want = _signed_margins(_at(pair, geom, axis.variable, value, state_from_block))
             assert [v.hex() for v in margins(value)] == [v.hex() for v in want], value
+            # a numpy scalar would print as np.float64(...) in a !r field,
+            # which float.hex cannot tell from a float
+            got = (*observables(value), *margins(value))
+            assert all(type(v) is float for v in got), (value, got)
 
     @pytest.mark.parametrize("template", list(_SWEEP_REFUSALS))
     def test_refusal_at_first_failing_point(self, template):
@@ -570,6 +598,39 @@ class TestEvaluatorMatchesDataclassRoute:
         assert type(got.value) is type(want)
         assert str(got.value) == str(want)
         assert type(got.value.__cause__) is type(want.__cause__)
+
+
+@pytest.mark.parametrize(
+    "alignment, axis, at_build, per_point",
+    [
+        # P_A and P_B; the direct kernels are held
+        (Alignment.PARALLEL, "boundary-distance", 2, 4),
+        (Alignment.ORTHOGONAL, "boundary-distance", 2, 4),
+        # P_A and P_B; both kernels move
+        (Alignment.PARALLEL, "separation", 2, 4),
+        # P_A; P_B moves with the separation
+        (Alignment.ORTHOGONAL, "separation", 1, 5),
+        # P_A; the gap moves P_B and every kernel
+        (Alignment.PARALLEL, "omega-b", 1, 5),
+        (Alignment.ORTHOGONAL, "omega-b", 1, 5),
+    ],
+)
+def test_held_stages_are_computed_once(alignment, axis, at_build, per_point, monkeypatch):
+    # every kernel calls the Faddeeva function past SERIES_CROSSOVER; the
+    # array pass calls wofz instead, so a sweep makes only the build's calls
+    calls = []
+    faddeeva_w = detector_model.faddeeva_w
+    monkeypatch.setattr(detector_model, "faddeeva_w", lambda z: calls.append(z) or faddeeva_w(z))
+    pair, geom = DetectorPair(0.1, 0.2), BoundaryGeometry(alignment, 1.0, 1.0)
+    variable = SweepVariable(axis)
+    evaluate = sweep_optimize._evaluator(pair, geom, variable, sweep_optimize._observables)
+    assert len(calls) == at_build
+    for value in (0.5, 0.7, 1.3):
+        evaluate(value)
+    assert len(calls) == at_build + 3 * per_point
+    calls.clear()
+    sweep(pair, geom, SweepAxis(variable, 0.5, 2.0, 200))
+    assert len(calls) == at_build
 
 
 _PAR = Alignment.PARALLEL

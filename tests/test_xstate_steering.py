@@ -205,7 +205,7 @@ class TestSteeringArrays:
         ]
         # XState clamps an entry just below zero; the arrays must too
         entries.append((0.5 + 1e-13, 0.5, -1e-13, 0.0, 0.3 + 0.1j, 0.2j))
-        _, columns, ok = state_arrays(*_entry_columns(entries))
+        columns, ok = state_arrays(*_entry_columns(entries))
         # after the moduli |c23| and |c14|: s_ab, s_ba, asymmetry, concurrence
         got = columns[2:]
         assert ok.all()
