@@ -25,29 +25,30 @@ never sampled across a panel; splitting the diamond at u = 0 is the
 same as integrating the two time-ordered triangles of the original box.
 For each u node the sbar integral runs over the exact diamond section
 |sbar| <= h = T - |u|/2. Its integrand is a Gaussian times the phase
-exp(-i beta sbar), so the symmetric Gauss-Legendre rule is folded onto
-its nonnegative half and the odd sine part, which cancels, is dropped:
-each sbar row is a real sum over exp(-sbar^2) cos(beta sbar). A row
-depends on its u node only through h. The quadrature is repeated for a
-decreasing schedule of regulator values and Richardson-extrapolated to
-zero; the meshes of the schedule are nested, so each distinct h is
-evaluated once for every regulator and for every integral that shares
-the mesh (C with X, and P_A with P_B when both detectors are equally far
-from the mirror). Over the cases of one
+exp(-i beta sbar), whose odd sine part cancels, so each sbar row is the
+real 2 int_0^h exp(-sbar^2) cos(beta sbar). The half-axis [0, T] is
+covered by fixed Gauss-Legendre panels whose sums make a prefix, and a
+row is the prefix up to the last panel edge below h plus one piece from
+there to h. A row depends on its u node only through h. The quadrature
+is repeated for a decreasing schedule of regulator values and
+Richardson-extrapolated to zero; the meshes of the schedule are nested,
+so each distinct h is evaluated once for every regulator and for every
+integral that shares the mesh (C with X, and P_A with P_B when both
+detectors are equally far from the mirror). Over the cases of one
 :func:`numeric_correlation_blocks` iterator each probability integral
 is computed once: it depends only on the gap, the image distance and
 the coupling, which many cases share (both alignments of a
 configuration share P_A).
 
 The discretisation is fixed: the box is truncated at |tau|, |tau'| <=
-:data:`TRUNCATION` switching widths, each sbar row uses the
+:data:`TRUNCATION` switching widths, every panel on both axes uses the
 :data:`NODES`-point rule, the regulator schedule is :data:`EPSILONS`,
 and the extrapolation must hold the relative tolerance :data:`RTOL`.
 None of the four is a parameter; ``verify`` echoes them in its
 provenance block.
 
-All summation is done with numpy's pairwise reductions on fixed-shape
-arrays, so results are bit-stable across runs and machines with the
+All summation is done with numpy reductions in an order fixed by the
+shapes, so results are bit-stable across runs and machines with the
 same floating-point contract.
 """
 
@@ -68,15 +69,16 @@ from .errors import ConvergenceError, ValidationError
 # result is quadrature noise by construction)
 _ABS_FLOOR = 1e-8
 
-# width of the background panels the u axis is covered with away from
-# the graded regions
+# widths of the background panels the u axis is covered with away from
+# the graded regions, and of the fixed panels of the sbar half-axis
 _COARSE_WIDTH = 1.0
+_SBAR_WIDTH = 0.5
 
 # half-width of the switching window kept in the integration box (the
 # Gaussian window is ~1e-14 at 8)
 TRUNCATION = 8.0
-# Gauss-Legendre order of the sbar rule; the u panels use 16 nodes per 400
-NODES = 400
+# Gauss-Legendre order of every panel, on the u and the sbar axis
+NODES = 16
 # decreasing regulator schedule, extrapolated to zero
 EPSILONS = (0.02, 0.01, 0.005)
 # requested relative tolerance: an extrapolation error estimate above 10 x
@@ -123,38 +125,40 @@ def _panel_edges(singular, eps: float, half_width: float):
     return np.array(sorted(pts))
 
 
-def _u_mesh(spatial: float, image: float, eps: float):
-    order = max(8, (16 * NODES) // 400)
-    half_width = 2.0 * TRUNCATION
-    edges = _panel_edges((0.0, spatial, image), eps, half_width)
-    xg, wg = _gauss_nodes(order)
-    a, b = edges[:-1], edges[1:]
-    mid = 0.5 * (a + b)[:, None]
+def _panel_rule(a, b):
+    """The :data:`NODES`-point Gauss-Legendre rule on each panel [a, b]:
+    nodes and weights, one row per panel."""
+    xg, wg = _gauss_nodes(NODES)
     half = 0.5 * (b - a)[:, None]
-    u = (mid + half * xg[None, :]).ravel()
-    w = (half * np.broadcast_to(wg, (len(a), order))).ravel()
-    return u, w
+    return 0.5 * (a + b)[:, None] + half * xg[None, :], half * wg[None, :]
 
 
-@lru_cache(maxsize=32)
-def _folded_nodes(order: int):
-    """The Gauss-Legendre rule folded onto its nonnegative half.
+def _u_mesh(spatial: float, image: float, eps: float):
+    edges = _panel_edges((0.0, spatial, image), eps, 2.0 * TRUNCATION)
+    u, w = _panel_rule(edges[:-1], edges[1:])
+    return u.ravel(), w.ravel()
 
-    Node i is paired with node order - 1 - i by index, and the pair's
-    weights are summed; an odd order keeps its middle node once. On an
-    even integrand this is the full rule.
+
+def _sbar_rows(h, betas):
+    """Rows 2 int_0^h exp(-s^2) cos(beta s) ds, shape (betas, h): the sums
+    of the fixed panels of [0, TRUNCATION] below h, as a prefix, plus one
+    piece from the last panel edge to h. Each row is summed on its own, so
+    it depends on (h, beta) alone.
     """
-    x, w = _gauss_nodes(order)
-    half = order // 2
-    upper = np.arange(order - half, order)
-    xs = x[upper]
-    ws = w[upper] + w[order - 1 - upper]
-    if order % 2:
-        xs = np.concatenate(([x[half]], xs))
-        ws = np.concatenate(([w[half]], ws))
-    xs.setflags(write=False)
-    ws.setflags(write=False)
-    return xs, ws
+    panels = math.ceil(TRUNCATION / _SBAR_WIDTH)
+    edges = np.minimum(np.arange(panels + 1) * _SBAR_WIDTH, TRUNCATION)
+    k = np.floor(h / _SBAR_WIDTH).astype(np.intp)
+    s, w = _panel_rule(
+        np.concatenate((edges[:-1], edges[k])), np.concatenate((edges[1:], h))
+    )
+    gauss = np.exp(-(s * s))
+    rows = np.empty((len(betas), len(h)))
+    for i, beta in enumerate(betas):
+        f = gauss if beta == 0.0 else gauss * np.cos(beta * s)
+        pieces = np.sum(f * w, axis=1)
+        prefix = np.concatenate(([0.0], np.cumsum(pieces[:panels])))
+        rows[i] = 2.0 * (prefix[k] + pieces[panels:])
+    return rows
 
 
 def _regulated_values(terms, spatial: float, image: float):
@@ -164,9 +168,9 @@ def _regulated_values(terms, spatial: float, image: float):
     Each term is ``(omega_a, omega_b, time_ordered)``: the gaps at tau and
     tau', so that the phase omega_a tau - omega_b tau' is alpha u + beta
     sbar, and whether the time-ordered correlator is used. Returns a
-    complex array of shape (terms, regulators). The folded sbar rows are
+    complex array of shape (terms, regulators). The sbar rows are
     evaluated once per distinct section half-width h over the whole
-    schedule, and the exp(-sbar^2) factor once for all terms.
+    schedule, for all terms at once.
     """
     meshes = [_u_mesh(spatial, image, eps) for eps in EPSILONS]
     h_nodes = np.maximum(
@@ -174,26 +178,15 @@ def _regulated_values(terms, spatial: float, image: float):
     )
     h, inverse = np.unique(h_nodes, return_inverse=True)
     splits = np.cumsum([len(u) for u, _ in meshes])[:-1]
-    xs, ws = _folded_nodes(NODES)
-    # sb, the Gaussian and each term's kernel gauss * cos(beta * sb) are
-    # written into buffers allocated once, by the same ufuncs in the same
-    # order as on fresh arrays, so to the same bits
-    sb = np.multiply(h[:, None], xs[None, :])
-    buffer = np.multiply(sb, sb)
-    gauss = np.exp(np.negative(buffer, out=buffer))
     values = np.empty((len(terms), len(meshes)), dtype=complex)
     # a gap so large that the phases overflow gives inf and nan here, which
     # _extrapolated refuses as a non-finite extrapolation
     with np.errstate(over="ignore", invalid="ignore"):
+        rows = _sbar_rows(h, [omega_a - omega_b for omega_a, omega_b, _ in terms])
         for k, (omega_a, omega_b, time_ordered) in enumerate(terms):
-            beta = omega_a - omega_b
             alpha = (omega_a + omega_b) / 2.0
-            kernel = gauss
-            if beta != 0.0:
-                kernel = np.multiply(beta, sb, out=buffer)
-                np.multiply(gauss, np.cos(kernel, out=kernel), out=kernel)
-            rows = np.split((kernel @ ws * h)[inverse], splits)
-            for i, (eps, (u, uw), srow) in enumerate(zip(EPSILONS, meshes, rows)):
+            srows = np.split(rows[k][inverse], splits)
+            for i, (eps, (u, uw), srow) in enumerate(zip(EPSILONS, meshes, srows)):
                 # the time-ordered term sees the correlator at -|u| on both triangles
                 warg = -np.abs(u) if time_ordered else u
                 ku = (

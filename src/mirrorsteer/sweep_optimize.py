@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -99,6 +100,10 @@ class SweepAxis:
     def __post_init__(self):
         object.__setattr__(self, "variable", SweepVariable(self.variable))
         object.__setattr__(self, "scale", SweepScale(self.scale))
+        for end in ("start", "stop"):
+            value = getattr(self, end)
+            if not isinstance(value, numbers.Real):
+                raise ValidationError(f"a sweep {end} must be a real number, got {value!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValidationError("sweep range must be finite")
         if not self.start < self.stop:

@@ -530,7 +530,7 @@ class TestVerifyCommand:
         assert provenance["config_hash"] == _config_hash({"grid": "smoke"})
         quadrature = provenance["quadrature"]
         assert list(quadrature.items()) == [
-            ("truncation", 8.0), ("nodes", 400), ("epsilons", [0.02, 0.01, 0.005]),
+            ("truncation", 8.0), ("nodes", 16), ("epsilons", [0.02, 0.01, 0.005]),
             ("rtol", 0.001),
         ]
         assert type(quadrature["truncation"]) is float

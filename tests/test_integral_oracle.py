@@ -9,6 +9,7 @@ single points and over the full grid in the acceptance suite.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,7 +25,6 @@ from mirrorsteer.cli import VERIFY_GRID_DEFAULT, VERIFY_GRID_SMOKE
 from mirrorsteer.errors import ConvergenceError, ValidationError
 from mirrorsteer import integral_oracle
 from mirrorsteer.integral_oracle import (
-    _folded_nodes,
     extrapolate_epsilon,
     numeric_c,
     numeric_correlation_blocks,
@@ -34,6 +34,7 @@ from mirrorsteer.integral_oracle import (
     _distances,
     _gauss_nodes,
     _regulated_values,
+    _sbar_rows,
     _two_point,
     _u_mesh,
 )
@@ -42,11 +43,16 @@ PAIR = DetectorPair(omega_a=0.1, omega_b=0.1)
 GEOM_PAR = BoundaryGeometry(Alignment.PARALLEL, separation=1.0, boundary_distance=1.0)
 
 
+# order of the reference rule's single Gauss-Legendre sum over each sbar
+# section, independent of the oracle's panel order
+FULL_RULE_NODES = 400
+
+
 def full_rule(omega_a, omega_b, spatial, image, eps, time_ordered):
     """One regulated quadrature of the response integral with the complex
-    phase over every Gauss-Legendre node, one sbar row per u node: the
-    unfolded rule the oracle's folded, shared rows must reproduce. Reads
-    the oracle's discretisation constants at call time."""
+    phase, each sbar row its own FULL_RULE_NODES-point sum over [-h, h]:
+    the reference the oracle's composite, shared rows must reproduce.
+    Reads the oracle's u mesh at call time."""
     beta = omega_a - omega_b
     alpha = (omega_a + omega_b) / 2.0
     u, uw = _u_mesh(spatial, image, eps)
@@ -57,42 +63,11 @@ def full_rule(omega_a, omega_b, spatial, image, eps, time_ordered):
         * _two_point(warg, spatial, image, eps)
         * uw
     )
-    xs, ws = _gauss_nodes(integral_oracle.NODES)
+    xs, ws = _gauss_nodes(FULL_RULE_NODES)
     h = np.maximum(integral_oracle.TRUNCATION - np.abs(u) / 2.0, 0.0)
     sb = h[:, None] * xs[None, :]
     srow = np.exp(-(sb**2)) * np.exp(-1j * beta * sb) @ ws * h
     return complex(np.sum(ku * srow))
-
-
-def fresh_regulated_values(terms, spatial, image):
-    """``_regulated_values`` with every sbar temporary a fresh array:
-    ``gauss * np.cos(beta * sb)``, the expression its buffers restate."""
-    meshes = [_u_mesh(spatial, image, eps) for eps in integral_oracle.EPSILONS]
-    h_nodes = np.maximum(
-        integral_oracle.TRUNCATION - np.abs(np.concatenate([u for u, _ in meshes])) / 2.0,
-        0.0,
-    )
-    h, inverse = np.unique(h_nodes, return_inverse=True)
-    splits = np.cumsum([len(u) for u, _ in meshes])[:-1]
-    xs, ws = _folded_nodes(integral_oracle.NODES)
-    sb = h[:, None] * xs[None, :]
-    gauss = np.exp(-(sb**2))
-    values = np.empty((len(terms), len(meshes)), dtype=complex)
-    for k, (omega_a, omega_b, time_ordered) in enumerate(terms):
-        beta = omega_a - omega_b
-        alpha = (omega_a + omega_b) / 2.0
-        kernel = gauss if beta == 0.0 else gauss * np.cos(beta * sb)
-        rows = np.split((kernel @ ws * h)[inverse], splits)
-        for i, (eps, (u, uw), srow) in enumerate(zip(integral_oracle.EPSILONS, meshes, rows)):
-            warg = -np.abs(u) if time_ordered else u
-            ku = (
-                np.exp(-(u**2) / 4.0)
-                * np.exp(-1j * alpha * u)
-                * _two_point(warg, spatial, image, eps)
-                * uw
-            )
-            values[k, i] = np.sum(ku * srow)
-    return values
 
 
 def block_bits(block):
@@ -217,7 +192,7 @@ class TestNumericProbability:
 
     def test_node_doubling_stable(self, monkeypatch):
         base = numeric_probability(0.1, 1.0)
-        monkeypatch.setattr(integral_oracle, "NODES", 800)
+        monkeypatch.setattr(integral_oracle, "NODES", 2 * integral_oracle.NODES)
         fine = numeric_probability(0.1, 1.0)
         assert fine == pytest.approx(base, rel=1e-6)
 
@@ -338,7 +313,7 @@ class TestNumericX:
 
     def test_node_doubling_stable(self, monkeypatch):
         base = numeric_x(PAIR, GEOM_PAR)
-        monkeypatch.setattr(integral_oracle, "NODES", 800)
+        monkeypatch.setattr(integral_oracle, "NODES", 2 * integral_oracle.NODES)
         fine = numeric_x(PAIR, GEOM_PAR)
         assert abs(fine - base) <= 1e-6 * abs(base)
 
@@ -396,22 +371,66 @@ class TestNumericCorrelations:
             assert block_bits(block) == block_bits(numeric_correlations(pair, geom))
 
 
-class TestFoldedSharedRows:
-    """The oracle folds the symmetric Gauss-Legendre rule onto a real
-    cosine and evaluates each sbar row once per distinct section width
-    across the regulator schedule; at every regulator it must agree with
-    the unfolded complex rule to rounding."""
+def exact_row(h, beta):
+    """2 int_0^h exp(-s^2) cos(beta s) ds to 40 digits:
+    sqrt(pi) exp(-beta^2/4) Re erf(h + i beta/2)."""
+    with mpmath.workdps(40):
+        h, beta = mpmath.mpf(h), mpmath.mpf(beta)
+        return (
+            mpmath.sqrt(mpmath.pi)
+            * mpmath.exp(-beta * beta / 4)
+            * mpmath.re(mpmath.erf(mpmath.mpc(h, beta / 2)))
+        )
 
+
+class TestSbarRows:
+    """Each sbar row is a panel prefix plus one remainder piece; it must
+    match the exact integral to 1e-14 of the row's scale, the beta = 0 row
+    sqrt(pi) erf(h), and depend on (h, beta) alone."""
+
+    BETAS = (0.0, 0.2, 1.1, 2.6, 6.0, 10.0)
+    # from near zero to the truncation, with exact panel edges and h = T
+    H = np.array(
+        [1e-6, 1e-3, 0.1, 0.25, 0.5, 0.7, 1.0, 1.5, 2.0, 3.3, 4.0, 5.5, 7.0, 7.5,
+         7.9999, integral_oracle.TRUNCATION]
+    )
+
+    def test_matches_exact_integral(self):
+        rows = _sbar_rows(self.H, self.BETAS)
+        for beta, row in zip(self.BETAS, rows):
+            for h, got in zip(self.H, row):
+                scale = math.sqrt(math.pi) * math.erf(h)
+                assert abs(float(got - exact_row(h, beta))) <= 1e-14 * scale, (h, beta)
+
+    def test_rows_depend_on_h_and_beta_alone(self):
+        rng = np.random.default_rng(7)
+        h = np.unique(
+            np.concatenate((rng.uniform(0.0, integral_oracle.TRUNCATION, 500), self.H))
+        )
+        rows = _sbar_rows(h, self.BETAS)
+        subsets = [[0], [len(h) - 1], [3, 4], np.sort(rng.choice(len(h), 37, replace=False))]
+        for subset in subsets:
+            got = _sbar_rows(h[subset], self.BETAS[::-1])[::-1]
+            assert got.tobytes() == rows[:, subset].tobytes()
+
+
+class TestCompositeSharedRows:
+    """The oracle evaluates each sbar row once per distinct section width
+    across the regulator schedule, from its composite panel rule; at every
+    regulator it must agree with one full complex Gauss-Legendre sum per
+    row to rounding, at the panel order, twice it and an odd order."""
+
+    NODES = integral_oracle.NODES
     # (nodes, alignment, omega_a, omega_b, separation, boundary_distance);
     # l = 0.05, dz = 0.01 sits near the mirror, and omega_b = 2.5 makes
     # P_B tiny there
     CASES = [
-        (400, Alignment.PARALLEL, 0.1, 1.0, 1.0, 2.0),
-        (400, Alignment.ORTHOGONAL, 0.1, 1.0, 1.0, 2.0),
-        (400, Alignment.PARALLEL, 0.1, 2.5, 0.05, 0.01),
-        (400, Alignment.ORTHOGONAL, 0.1, 2.5, 0.05, 0.01),
-        (401, Alignment.ORTHOGONAL, 0.1, 2.5, 0.05, 0.01),
-        (800, Alignment.PARALLEL, 0.1, 1.0, 1.0, 2.0),
+        (NODES, Alignment.PARALLEL, 0.1, 1.0, 1.0, 2.0),
+        (NODES, Alignment.ORTHOGONAL, 0.1, 1.0, 1.0, 2.0),
+        (NODES, Alignment.PARALLEL, 0.1, 2.5, 0.05, 0.01),
+        (NODES, Alignment.ORTHOGONAL, 0.1, 2.5, 0.05, 0.01),
+        (NODES + 1, Alignment.ORTHOGONAL, 0.1, 2.5, 0.05, 0.01),
+        (2 * NODES, Alignment.PARALLEL, 0.1, 1.0, 1.0, 2.0),
     ]
 
     @pytest.mark.parametrize("nodes, alignment, omega_a, omega_b, l, dz", CASES)
@@ -434,23 +453,3 @@ class TestFoldedSharedRows:
                 for eps, got in zip(integral_oracle.EPSILONS, schedule):
                     full = full_rule(*term[:2], spatial_t, image_t, eps, term[2])
                     assert abs(got - full) <= 1e-12 * abs(full) + 1e-14, (term, eps)
-
-    @pytest.mark.parametrize("nodes, alignment, omega_a, omega_b, l, dz", CASES)
-    def test_buffered_rows_equal_fresh_arrays(
-        self, nodes, alignment, omega_a, omega_b, l, dz, monkeypatch
-    ):
-        # the sbar rows are built in reused buffers; they must keep every
-        # bit of the expression on fresh arrays
-        monkeypatch.setattr(integral_oracle, "NODES", nodes)
-        spatial, image, distance_b = _distances(BoundaryGeometry(alignment, l, dz))
-        integrals = [
-            ([(omega_a, omega_a, False), (omega_b, omega_b, False)], 0.0, 2.0 * dz),
-            ([(omega_b, omega_b, False)], 0.0, 2.0 * distance_b),
-            ([(omega_a, omega_b, False), (omega_a, -omega_b, True)], spatial, image),
-        ]
-        for terms, spatial_t, image_t in integrals:
-            got = _regulated_values(terms, spatial_t, image_t)
-            want = fresh_regulated_values(terms, spatial_t, image_t)
-            assert [v.hex() for v in got.view(float).ravel()] == [
-                v.hex() for v in want.view(float).ravel()
-            ]

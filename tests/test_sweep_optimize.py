@@ -96,6 +96,20 @@ class TestSweepAxis:
         with pytest.raises(ValidationError, match=re.escape(f"got {points!r}")):
             SweepAxis(SweepVariable.SEPARATION, start=1.0, stop=2.0, points=points)
 
+    @pytest.mark.parametrize("end", ["start", "stop"])
+    @pytest.mark.parametrize("value", ["0.1", None])
+    def test_rejects_non_real_range_ends(self, end, value):
+        ends = {"start": 1.0, "stop": 2.0, end: value}
+        match = re.escape(f"a sweep {end} must be a real number, got {value!r}")
+        with pytest.raises(ValidationError, match=match):
+            SweepAxis(SweepVariable.SEPARATION, points=5, **ends)
+
+    def test_accepts_numpy_float_range_ends(self):
+        axis = SweepAxis(
+            SweepVariable.SEPARATION, start=np.float64(0.5), stop=np.float32(2.0), points=4
+        )
+        assert axis.grid().tolist() == [0.5, 1.0, 1.5, 2.0]
+
     def test_accepts_numpy_integer_points(self):
         axis = SweepAxis(SweepVariable.SEPARATION, start=1.0, stop=2.0, points=np.int64(5))
         assert len(axis.grid()) == 5
