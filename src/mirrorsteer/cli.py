@@ -27,6 +27,9 @@ from .detector_model import Alignment, BoundaryGeometry, DetectorPair, correlati
 from .errors import ConvergenceError, ValidationError
 from .integral_oracle import EPSILONS, NODES, RTOL, TRUNCATION, numeric_correlation_blocks
 from .sweep_optimize import (
+    _FIGURE_GAP,
+    _FIGURE_RESOLUTION,
+    _FIGURE_SEPARATIONS,
     _PARAM_NAME,
     OBSERVABLES,
     FigureId,
@@ -295,8 +298,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_figure(args) -> int:
     # fig2, fig4 and fig6 set the B gap themselves, so the default must not
-    # refuse an --omega-a above 0.1 before their curves are built
-    omega_b = max(0.1, args.omega_a) if args.omega_b is None else args.omega_b
+    # refuse an --omega-a above the default gap before their curves are built
+    omega_b = max(_FIGURE_GAP, args.omega_a) if args.omega_b is None else args.omega_b
     pair = DetectorPair(args.omega_a, omega_b, coupling=args.coupling)
     data = figure_dataset(
         args.figure,
@@ -401,22 +404,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figure", help="emit a canonical figure dataset")
     p_fig.add_argument("figure", choices=[f.value for f in FigureId])
     p_fig.add_argument("--out", default=".")
-    p_fig.add_argument("--resolution", type=int, default=200)
-    p_fig.add_argument("--omega-a", type=float, default=0.1, dest="omega_a")
+    p_fig.add_argument("--resolution", type=int, default=_FIGURE_RESOLUTION)
+    p_fig.add_argument("--omega-a", type=float, default=_FIGURE_GAP, dest="omega_a")
     p_fig.add_argument(
         "--omega-b", type=float, dest="omega_b",
-        help="gap of detector B (default: the larger of 0.1 and --omega-a)",
+        help=f"gap of detector B (default: the larger of {_FIGURE_GAP:g} and --omega-a)",
     )
     p_fig.add_argument(
         "--lambda", type=float, default=1.0, dest="coupling",
         help="coupling strength (default 1, echoed in output)",
     )
     p_fig.add_argument(
-        "--small-l", type=float, default=0.05, dest="small_l",
+        "--small-l", type=float, default=_FIGURE_SEPARATIONS[0], dest="small_l",
         help="small separation for the gap-sweep curves",
     )
     p_fig.add_argument(
-        "--large-l", type=float, default=2.0, dest="large_l",
+        "--large-l", type=float, default=_FIGURE_SEPARATIONS[1], dest="large_l",
         help="large separation for the gap-sweep curves",
     )
     p_fig.set_defaults(handler=_cmd_figure)

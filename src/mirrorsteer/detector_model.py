@@ -13,6 +13,13 @@ The pair can be stacked parallel to the mirror (both detectors at the
 same distance) or orthogonal to it (detector B farther by the detector
 separation). The steering of the harvested X-state is evaluated by the
 generic X-state formulas of :mod:`mirrorsteer.xstate_steering`.
+
+Each formula and domain check is written once, over the namespaces of
+:mod:`mirrorsteer.xstate_steering` extended by the spacelike kernel F
+(:func:`_aux_f` at one point, :func:`_aux_f_array` over arrays), which every
+entry reads; X also reads the timelike kernel G (:func:`_timelike`).
+:func:`_block_evaluator`, built per sweep or search, holds what the swept
+input does not move and takes the rest through the X-state stage.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .xstate_steering import (
     _check,
     _each,
     _INF,
+    _observe,
     steering_asymmetry,
 )
 
@@ -425,11 +433,11 @@ def correlations(pair: DetectorPair, geom: BoundaryGeometry) -> CorrelationBlock
 
 def _block_evaluator(
     pair: DetectorPair, geom: BoundaryGeometry, swept: str
-) -> Callable[[float | np.ndarray], tuple[SimpleNamespace, bool | np.ndarray]]:
-    """The values of :func:`_entries` and their verdict as a function of one
-    input, ``swept``: "omega_b", "separation" or "boundary_distance", the
-    others being those of ``pair`` and ``geom``.  Built once per search or
-    sweep.
+) -> Callable[[float | np.ndarray], tuple[SimpleNamespace, tuple, bool | np.ndarray]]:
+    """The values of :func:`_entries`, the observables of their X-state and
+    the verdict as a function of one input, ``swept``: "omega_b",
+    "separation" or "boundary_distance", the others being those of ``pair``
+    and ``geom``.  Built once per search or sweep.
 
     What the swept input does not move is computed here, once, as one point:
     the pair terms unless omega_b is swept, P_A unless the mirror distance
@@ -437,13 +445,14 @@ def _block_evaluator(
     mirror distance.  The evaluator takes a Python float, or an array of
     values with numpy's floating-point warnings off, and reads the formulas
     and the rules of :class:`DetectorPair` (omega_b swept only),
-    :class:`BoundaryGeometry` (a length swept only), the kernel phases and
-    :class:`CorrelationBlock`, in that order, through the namespace the
-    value's type picks.  It returns ``(values, ok)``, the values bit for bit
-    the one-point route's.  At one point a failed rule is raised as the
-    dataclasses raise it, and ``ok`` is True; over an array ``ok`` is true
-    exactly at the points that pass, and the values elsewhere are
-    placeholders.
+    :class:`BoundaryGeometry` (a length swept only), the kernel phases,
+    :class:`CorrelationBlock` and :class:`XState`, in that order, through
+    the namespace the value's type picks.  It returns ``(values, observed,
+    ok)``, ``observed`` being P_A, P_B and the columns of ``_observe``, each
+    bit for bit the one-point route's; a value held fixed stays one number.
+    At one point a failed rule is raised as the dataclasses raise it, and
+    ``ok`` is True; over an array ``ok`` is true exactly at the points that
+    pass, and the values elsewhere are placeholders.
     """
     omega_a, coupling, alignment = pair.omega_a, pair.coupling, geom.alignment
     ns, lengths = _ONE_POINT, geom._lengths
@@ -477,7 +486,10 @@ def _block_evaluator(
         if ok is not True:
             v = inputs(ns, np.where(ok, value, placeholder))
         values = _entries(ns, *stages(ns, v), **held)
-        return values, ok & ns.verdict(_phase_rules, values) & ns.verdict(_block_rules, values)
+        ok = ok & ns.verdict(_phase_rules, values) & ns.verdict(_block_rules, values)
+        entries = _state_entries(values.p_a, values.p_b, values.c, values.x)
+        columns, state_ok = _observe(ns, *entries)
+        return values, (values.p_a, values.p_b, *columns), ok & state_ok
 
     return at
 

@@ -3,7 +3,8 @@
 Everything here drives the closed-form model in :mod:`mirrorsteer.detector_model`
 along a single axis: detector separation, distance to the mirror, or the gap
 of detector B.  Sweeps and searches share one evaluator, built per call, which
-holds fixed what the swept variable does not move.  Sweeps tabulate the
+holds fixed what the swept variable does not move
+(:func:`~mirrorsteer.detector_model._block_evaluator`).  Sweeps tabulate the
 observables as named columns, applying it to the whole grid in one array
 pass, equal bit for bit to evaluating each point alone; a refused grid is
 reported by evaluating its first failing point alone.  Peak and transition
@@ -13,7 +14,8 @@ Brent's minimiser, a transition by Dekker-Brent zeroin on the signed steering
 margin (R. Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4-5).
 The figure builders reproduce the standard curve families (steering versus
 separation, versus mirror distance, versus detector gap, and the alignment
-difference) as labelled tables.
+difference) as labelled tables, each figure declared by one row of
+``_FIGURES``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from types import SimpleNamespace
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,14 +36,11 @@ from .detector_model import (
     CorrelationBlock,
     DetectorPair,
     _block_evaluator,
-    _state_entries,
     boundary_free_correlations,
     state_from_block,
 )
 from .errors import ValidationError
-from .xstate_steering import _checked_state, _observed, _signed_margins, state_arrays
-
-_T = TypeVar("_T")
+from .xstate_steering import _observed
 
 REFINE_TOL = 1e-6
 # largest grid a SweepAxis accepts; refused before anything is allocated
@@ -136,17 +134,14 @@ class SweepAxis:
 
 # the observables of a sweep, in the column order after ``axis``
 OBSERVABLES = ("p_a", "p_b", "abs_c", "abs_x", "s_ab", "s_ba", "asymmetry", "concurrence")
+# what the evaluator of a sweep or a search gives: the observables, then the
+# signed margins that S(A->B) and S(B->A) clamp at zero
+_OBSERVED = (*OBSERVABLES, "margin_ab", "margin_ba")
 
 
 def observable_values(block: CorrelationBlock) -> tuple[float, ...]:
     """The :data:`OBSERVABLES` of one point, from its correlation block."""
-    return _observables(block, state_from_block(block))
-
-
-def _observables(block, state) -> tuple[float, ...]:
-    """The :data:`OBSERVABLES` of one point, from its block's entries and its
-    X-state."""
-    return (block.p_a, block.p_b, *_observed(state))
+    return (block.p_a, block.p_b, *_observed(state_from_block(block)))[: len(OBSERVABLES)]
 
 
 def observable_columns(
@@ -209,44 +204,28 @@ _PARAM_NAME = {_SEP: "l", _DZ: "dz", _WB: "omega_b"}
 _INPUT = {_SEP: "separation", _DZ: "boundary_distance", _WB: "omega_b"}
 
 
-def _grid_arrays(
-    pair: DetectorPair, geom: BoundaryGeometry, variable: SweepVariable, grid: np.ndarray
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The verdict ``ok`` of each grid point and the :data:`OBSERVABLES`
-    columns, in one array pass: the :func:`_block_evaluator` a search
-    builds, applied to the whole grid, then :func:`state_arrays`.  ``ok`` is
-    true exactly where the one-point route succeeds, and there the columns
-    are bit for bit the :func:`observable_values` of the point."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        block, ok = _block_evaluator(pair, geom, _INPUT[variable])(grid)
-        # a probability held fixed is one number; the columns are arrays
-        p_a, p_b = (np.broadcast_to(p, grid.shape) for p in (block.p_a, block.p_b))
-        entries = _state_entries(p_a, p_b, block.c, block.x)
-    columns, state_ok = state_arrays(*entries)
-    return ok & state_ok, (p_a, p_b, *columns)
-
-
 def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepTable:
     """Tabulate the harvested observables along one parameter axis.
 
     The swept variable overrides the matching field of ``pair`` or ``geom``
     at each grid point; all other fields are held fixed and recorded in
-    the table's ``params``.  The grid is evaluated in one array pass, the
-    evaluator of a search applied to the whole grid, equal to the one-point
-    route bit for bit, which also gives each point's verdict.  If a point
-    fails, the first failing point is evaluated alone, by the evaluator of
-    a search, which raises the first rule it fails as the one-point route
-    raises it, with the grid point named.
+    the table's ``params``.  If a point is refused, the first one is
+    evaluated alone, which raises the one-point route's error there with
+    the grid point named.
     """
     grid = axis.grid()
-    ok, arrays = _grid_arrays(pair, geom, axis.variable, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, observed, ok = _block_evaluator(pair, geom, _INPUT[axis.variable])(grid)
     if not ok.all():
         # the first failing point, evaluated alone, raises the one-point error
         value = grid[ok.argmin()].item()
-        _evaluator(pair, geom, axis.variable, _observables)(value)
+        _evaluator(pair, geom, axis.variable)(value)
         raise AssertionError(f"the array pass refuses {axis.variable.value} = {value:g}, "
                              "which the one-point route accepts")
-    columns = observable_columns(grid.tolist(), (col.tolist() for col in arrays))
+    # a value held fixed is one number, which its column repeats; the margins
+    # after the OBSERVABLES make no column
+    values = (v.tolist() if isinstance(v, np.ndarray) else [v] * len(grid) for v in observed)
+    columns = observable_columns(grid.tolist(), values)
     params = {
         "omega_a": pair.omega_a,
         "omega_b": pair.omega_b,
@@ -261,45 +240,41 @@ def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepT
 
 
 def _evaluator(
-    pair: DetectorPair,
-    geom: BoundaryGeometry,
-    variable: SweepVariable,
-    read: Callable[[SimpleNamespace, SimpleNamespace], _T],
-) -> Callable[[float], _T]:
-    """``read`` of the block values and the X-state at a value of
-    ``variable``: a search's evaluator, and a refused sweep's at its first
-    failing point.
-
-    What the variable does not move is computed once, when the evaluator is
-    built (see :func:`_block_evaluator`).  Each evaluation checks the rules
-    the one-point route checks, in its order, without building its
-    dataclasses, and ``read`` gets the values the one-point route gets, bit
-    for bit.  A validation error is re-raised as the same type with the
-    point named.
-    """
+    pair: DetectorPair, geom: BoundaryGeometry, variable: SweepVariable
+) -> Callable[[float], tuple[float, ...]]:
+    """The :data:`_OBSERVED` values at one value of ``variable``, as
+    :func:`_block_evaluator` gives them: a search's evaluator, and a refused
+    sweep's at its first failing point.  A validation error is re-raised as
+    the same type with the point named."""
     block_at = _block_evaluator(pair, geom, _INPUT[variable])
 
-    def at(value: float) -> _T:
+    def at(value: float) -> tuple[float, ...]:
         try:
-            block, _ = block_at(value)
-            state = _checked_state(*_state_entries(block.p_a, block.p_b, block.c, block.x))
-            return read(block, state)
+            return block_at(value)[1]
         except ValidationError as exc:
             raise type(exc)(f"at {variable.value} = {value:g}: {exc}") from exc
 
     return at
 
 
-# the observable each objective reads
-_OBSERVABLE_OF = {
-    Objective.S_AB: "s_ab",
-    Objective.S_BA: "s_ba",
-    Objective.ASYMMETRY: "asymmetry",
-}
+# the entry of _OBSERVED that each objective maximises, and whose sign
+# change is each direction's transition
+_READS = {Objective.S_AB: "s_ab", Objective.S_BA: "s_ba", Objective.ASYMMETRY: "asymmetry",
+          Direction.A_TO_B: "margin_ab", Direction.B_TO_A: "margin_ba"}
 
 
 def _bracket(bracket: tuple[float, float], kind: str) -> tuple[float, float]:
-    lo, hi = float(bracket[0]), float(bracket[1])
+    """The ends of a search bracket, a pair of finite reals lo < hi, as floats."""
+    try:
+        lo, hi = bracket
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"a {kind} bracket is a pair of real numbers (lo, hi), got {bracket!r}"
+        ) from None
+    for end, value in (("lo", lo), ("hi", hi)):
+        if not isinstance(value, numbers.Real):
+            raise ValidationError(f"{kind} bracket end {end} must be a real number, got {value!r}")
+    lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"{kind} bracket ({lo:g}, {hi:g}) must be finite")
     if not lo < hi:
@@ -327,8 +302,8 @@ def find_peak(
     variable = SweepVariable(variable)
     objective = Objective(objective)
     lo, hi = _bracket(bracket, "peak")
-    index = OBSERVABLES.index(_OBSERVABLE_OF[objective])
-    evaluate = _evaluator(pair, geom, variable, _observables)
+    index = _OBSERVED.index(_READS[objective])
+    evaluate = _evaluator(pair, geom, variable)
     loss = lambda v: -evaluate(v)[index]
 
     f_lo, f_hi = loss(lo), loss(hi)
@@ -415,8 +390,9 @@ def find_transition(
     variable = SweepVariable(variable)
     direction = Direction(direction)
     lo, hi = _bracket(bracket, "transition")
-    index = 0 if direction is Direction.A_TO_B else 1
-    margin = _evaluator(pair, geom, variable, lambda block, state: _signed_margins(state)[index])
+    index = _OBSERVED.index(_READS[direction])
+    evaluate = _evaluator(pair, geom, variable)
+    margin = lambda v: evaluate(v)[index]
 
     a, b = lo, hi
     fa, fb = margin(a), margin(b)
@@ -501,13 +477,18 @@ _FIGURES = {
 }
 # curve-label name of each family variable
 _FAMILY_NAME = {_WB: "omega_b", _SEP: "L"}
+# the defaults of figure_dataset, which the figure command shares: grid
+# points per curve, both gaps of the pair, and fig6's two separations
+_FIGURE_RESOLUTION = 200
+_FIGURE_GAP = 0.1
+_FIGURE_SEPARATIONS = (0.05, 2.0)
 
 
 def figure_dataset(
     figure_id: FigureId | str,
     pair: DetectorPair | None = None,
-    resolution: int = 200,
-    separations: Sequence[float] = (0.05, 2.0),
+    resolution: int = _FIGURE_RESOLUTION,
+    separations: Sequence[float] = _FIGURE_SEPARATIONS,
 ) -> dict[str, SweepTable]:
     """Build the labelled table set behind one of the standard figures.
 
@@ -519,12 +500,13 @@ def figure_dataset(
     separation of ``separations``.
     ``fig7``: both alignments versus separation and their
     orthogonal-minus-parallel steering difference.
-    Every table carries the parameters it was computed with.
+    Every table carries the parameters it was computed with.  A curve whose
+    sweep is refused raises the sweep's error with the curve named.
     """
     figure_id = FigureId(figure_id)
     spec = _FIGURES[figure_id]
     if pair is None:
-        pair = DetectorPair(omega_a=0.1, omega_b=0.1)
+        pair = DetectorPair(omega_a=_FIGURE_GAP, omega_b=_FIGURE_GAP)
     if spec.start is None and not pair.omega_a < spec.stop:
         raise ValidationError(
             f"{figure_id.value} sweeps omega_b from omega_a up to {spec.stop:g}, "
@@ -561,7 +543,11 @@ def figure_dataset(
                     raise ValidationError(
                         f"curve {label!r} cannot be built with {culprit}: {exc}"
                     ) from exc
-            out[label] = sweep(curve_pair, curve_geom, axis)
+            try:
+                out[label] = sweep(curve_pair, curve_geom, axis)
+            except ValidationError as exc:
+                member = "" if spec.family is None else f" with {_INPUT[spec.family]} = {value:g}"
+                raise type(exc)(f"curve {label!r}{member}: {exc}") from exc
     if not spec.extra:
         return out
 

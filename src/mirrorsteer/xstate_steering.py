@@ -21,12 +21,15 @@ cancellation exactly:
 and g_c +- g_b likewise with W+ and W- exchanged.
 
 Each formula is written once, over a namespace of elementwise functions:
-one state reads it through :mod:`math`, and :func:`state_arrays` reads it
-at each point of arrays of states, bit for bit.  Each domain check is
-written once as well, as an ordered table of rules that a namespace reads
-through its ``verdict``: one state raises the first rule it fails, and an
-array pass ANDs the rules into a verdict per point.  :class:`XState` and
-:func:`state_arrays` check and clamp a state through one body, :func:`_state`.
+one state reads it through :mod:`math`, and arrays of states read it one
+libm call per point (numpy's own functions can differ in the last ulp), so
+both give the same bits.  Each domain check is written once as well, as an
+ordered table of rules (predicate, error type, message) that a namespace
+reads through its ``verdict``: one state raises the first rule it fails, and
+an array pass ANDs the rules into a verdict per point.  :class:`XState`
+checks and clamps a state through :func:`_state`, and :func:`_observe` takes
+entries through :func:`_state` and :func:`_steering` at one point or over
+arrays: the X-state stage of every sweep and search.
 """
 
 from __future__ import annotations
@@ -192,16 +195,10 @@ class XState:
     c23: complex = 0j
 
     def __post_init__(self):
-        entries = (self.d11, self.d22, self.d33, self.d44, self.c14, self.c23)
-        for name, value in vars(_checked_state(*entries)).items():
+        entries = (float(self.d11), float(self.d22), float(self.d33), float(self.d44),
+                   complex(self.c14), complex(self.c23))
+        for name, value in vars(_state(_ONE_POINT, *entries)[0]).items():
             object.__setattr__(self, name, value)
-
-
-def _checked_state(d11, d22, d33, d44, c14, c23) -> SimpleNamespace:
-    """The fields :class:`XState` holds for these entries, once they pass
-    :func:`_state_rules`; see :func:`_state`."""
-    entries = float(d11), float(d22), float(d33), float(d44), complex(c14), complex(c23)
-    return _state(_ONE_POINT, *entries)[0]
 
 
 @dataclass(frozen=True)
@@ -236,17 +233,30 @@ def _concurrence(ns, d11, d22, d33, d44, m14, m23):
 
 
 def _steering(ns, d11, d22, d33, d44, c14, c23):
-    """|c23|, |c14|, S(A->B), S(B->A), their difference and the concurrence
-    of an X-state, unchecked.  Each direction is its margin clamped at 0."""
+    """|c23|, |c14|, S(A->B), S(B->A), their difference, the concurrence and
+    the signed margins of A->B and B->A of an X-state, unchecked.  Each
+    direction is its margin clamped at 0."""
     m14, m23 = ns.abs(c14), ns.abs(c23)
     m_ab, m_ba = _margins(ns, d11, d22, d33, d44, m14, m23)
     s_ab, s_ba = ns.max(0.0, m_ab), ns.max(0.0, m_ba)
-    return m23, m14, s_ab, s_ba, s_ab - s_ba, _concurrence(ns, d11, d22, d33, d44, m14, m23)
+    concurrence = _concurrence(ns, d11, d22, d33, d44, m14, m23)
+    return m23, m14, s_ab, s_ba, s_ab - s_ba, concurrence, m_ab, m_ba
+
+
+def _observe(ns, d11, d22, d33, d44, c14, c23):
+    """The columns of :func:`_steering` for these entries, checked and clamped
+    as :class:`XState` does, and the verdict: one point raises the first rule
+    it fails; over arrays, with numpy's warnings off, ``ok`` is true exactly
+    where :class:`XState` accepts the point, the columns elsewhere placeholders."""
+    state, ok = _state(ns, d11, d22, d33, d44, c14, c23)
+    if ok is not True:
+        # the modulus of a refused coherence can overflow abs
+        c14, c23 = ns.where(ok, c14, 0.0), ns.where(ok, c23, 0.0)
+    return _steering(ns, state.d11, state.d22, state.d33, state.d44, c14, c23), ok
 
 
 def _observed(state: XState) -> tuple[float, ...]:
-    """:func:`_steering` of one state: an :class:`XState`, or the fields
-    :func:`_checked_state` gives."""
+    """:func:`_steering` of one :class:`XState`."""
     return _steering(
         _ONE_POINT, state.d11, state.d22, state.d33, state.d44, state.c14, state.c23
     )
@@ -259,18 +269,8 @@ def concurrence(state: XState) -> float:
     The result is not capped at 1; operators outside the positivity cone
     can exceed the physical range and are reported as computed.
     """
-    return _concurrence(_ONE_POINT, *_moduli(state))
-
-
-def _moduli(state: XState) -> tuple[float, ...]:
-    """The diagonal of one state and the moduli of its coherences."""
-    return state.d11, state.d22, state.d33, state.d44, abs(state.c14), abs(state.c23)
-
-
-def _signed_margins(state: XState) -> tuple[float, float]:
-    """The signed margins of A->B and B->A of one state, as :func:`_observed`
-    takes it; see :func:`_margins`."""
-    return _margins(_ONE_POINT, *_moduli(state))
+    moduli = abs(state.c14), abs(state.c23)
+    return _concurrence(_ONE_POINT, state.d11, state.d22, state.d33, state.d44, *moduli)
 
 
 def steering_b_to_a(state: XState) -> float:
@@ -291,33 +291,35 @@ def steering_asymmetry(state: XState) -> SteeringResult:
 
     The asymmetry is s_ab - s_ba: positive when A steers B more strongly.
     """
-    return SteeringResult(*_observed(state)[2:])
+    return SteeringResult(*_observed(state)[2:6])
 
 
-def state_arrays(d11, d22, d33, d44, c14, c23):
-    """:class:`XState` and :func:`_steering` at each point of equal-length
-    arrays of the entries, bit for bit: the columns of :func:`_steering` and
-    the verdict ``ok``, true exactly where :class:`XState` accepts the point.
-    Where ``ok`` is false the columns are placeholders."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        state, ok = _state(_ARRAYS, d11, d22, d33, d44, c14, c23)
-        # the modulus of a refused coherence can overflow abs
-        c14, c23 = (np.where(ok, c, 0.0) for c in (c14, c23))
-        return _steering(_ARRAYS, state.d11, state.d22, state.d33, state.d44, c14, c23), ok
-
-
-def _certification_map(
-    state: XState, m11: float, m22: float, m33: float, m44: float
-) -> XState:
-    """Scale the state by 1/sqrt(3) and add one mixing term per diagonal entry."""
-    return XState(
-        d11=state.d11 / _SQRT3 + m11,
-        d22=state.d22 / _SQRT3 + m22,
-        d33=state.d33 / _SQRT3 + m33,
-        d44=state.d44 / _SQRT3 + m44,
-        c14=state.c14 / _SQRT3,
-        c23=state.c23 / _SQRT3,
+def _certification_map(ns, state, m11, m22, m33, m44) -> tuple:
+    """The entries d11 to c23 of the state scaled by 1/sqrt(3), plus one mixing
+    term per diagonal entry, for one state or arrays of states; each part of
+    a coherence is divided on its own, as numpy divides an array."""
+    return (
+        state.d11 / _SQRT3 + m11,
+        state.d22 / _SQRT3 + m22,
+        state.d33 / _SQRT3 + m33,
+        state.d44 / _SQRT3 + m44,
+        ns.complex(state.c14.real / _SQRT3, state.c14.imag / _SQRT3),
+        ns.complex(state.c23.real / _SQRT3, state.c23.imag / _SQRT3),
     )
+
+
+def _tau_ab(ns, state) -> tuple:
+    """The entries of :func:`build_tau_ab`'s operator."""
+    m = _TAU_MIX * (state.d11 + state.d22)
+    n = _TAU_MIX * (state.d33 + state.d44)
+    return _certification_map(ns, state, m, m, n, n)
+
+
+def _tau_ba(ns, state) -> tuple:
+    """The entries of :func:`build_tau_ba`'s operator."""
+    m = _TAU_MIX * (state.d11 + state.d33)
+    n = _TAU_MIX * (state.d22 + state.d44)
+    return _certification_map(ns, state, m, n, m, n)
 
 
 def build_tau_ab(state: XState) -> XState:
@@ -327,9 +329,7 @@ def build_tau_ab(state: XState) -> XState:
     entries share one mixing term, the last two the other, so that
     3 tau22 tau33 = g_a - g_b and 3 tau11 tau44 = g_c - g_b.
     """
-    m = _TAU_MIX * (state.d11 + state.d22)
-    n = _TAU_MIX * (state.d33 + state.d44)
-    return _certification_map(state, m, m, n, n)
+    return XState(*_tau_ab(_ONE_POINT, state))
 
 
 def build_tau_ba(state: XState) -> XState:
@@ -338,6 +338,4 @@ def build_tau_ba(state: XState) -> XState:
     Same construction with the mixing pairs regrouped across the other
     subsystem: rows 1 and 3 share one term, rows 2 and 4 the other.
     """
-    m = _TAU_MIX * (state.d11 + state.d33)
-    n = _TAU_MIX * (state.d22 + state.d44)
-    return _certification_map(state, m, n, m, n)
+    return XState(*_tau_ba(_ONE_POINT, state))

@@ -11,11 +11,12 @@ magnitudes.  See README.md for the analysis.
 import cmath
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import random_x_state
+from conftest import random_x_entries, random_x_state
 from mirrorsteer.cli import VERIFY_GRID_DEFAULT
 from mirrorsteer.detector_model import (
     Alignment,
@@ -43,10 +44,11 @@ from mirrorsteer.sweep_optimize import (
     sweep,
 )
 from mirrorsteer.xstate_steering import (
+    _ARRAYS,
     XState,
-    build_tau_ab,
-    build_tau_ba,
-    concurrence,
+    _observe,
+    _tau_ab,
+    _tau_ba,
     steering_a_to_b,
     steering_b_to_a,
 )
@@ -164,18 +166,22 @@ def test_criterion_03_symmetry_suite():
 
 
 def test_criterion_04_certification_equivalence():
-    # steering positive exactly when the matching tau-matrix is entangled
+    # steering positive exactly when the matching tau-matrix is entangled;
+    # the states, and then each tau map of them, are one array pass each
     rng = np.random.default_rng(11)
     band = 1e-12
+    draws = (random_x_entries(rng) for _ in range(100_000))
+    entries = [np.array(column) for column in zip(*draws)]
+    (_, _, s_ab, s_ba, *_), ok = _observe(_ARRAYS, *entries)
+    assert ok.all()
+    state = SimpleNamespace(**dict(zip(("d11", "d22", "d33", "d44", "c14", "c23"), entries)))
     mismatches = 0
-    for _ in range(100_000):
-        state = random_x_state(rng)
-        s_ba = steering_b_to_a(state)
-        s_ab = steering_a_to_b(state)
-        if (s_ba > band) != (concurrence(build_tau_ab(state)) > band):
-            mismatches += 1
-        if (s_ab > band) != (concurrence(build_tau_ba(state)) > band):
-            mismatches += 1
+    for tau, steering in ((_tau_ab, s_ba), (_tau_ba, s_ab)):
+        tau_columns, tau_ok = _observe(_ARRAYS, *tau(_ARRAYS, state))
+        # every tau operator is an X-state that XState accepts
+        assert tau_ok.all()
+        concurrence = tau_columns[5]
+        mismatches += int(np.count_nonzero((steering > band) != (concurrence > band)))
     failures = [] if mismatches == 0 else [f"{mismatches} certification mismatches"]
     _finish(4, "certification-equivalence", failures)
 

@@ -810,6 +810,26 @@ class TestFigureCommand:
         assert "omega_a" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["fig7", "--lambda", "4"],
+             "error: curve 'orthogonal': at separation = 0.138945: p_a + p_b = 1 >= 1: "
+             "coupling too strong for the leading-order state\n"),
+            # the label keeps two decimals; the message gives the separation
+            (["fig6", "--large-l", "1e-320"],
+             "error: curve 'parallel L=0.00' with separation = 9.99989e-321: "
+             "at omega-b = 0.1: c14 must be finite\n"),
+        ],
+        ids=["fig7-coupling", "fig6-separation"],
+    )
+    def test_refused_curve_is_named(self, flags, message, tmp_path, capsys):
+        out_dir = tmp_path / "fig"
+        code, _, err = run(["figure", *flags, "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert err == message
+        assert not out_dir.exists()
+
     def test_bad_figure_id_exits_2(self, capsys):
         code, _, err = run(["figure", "fig9", "--out", "."], capsys)
         assert code == 2
@@ -941,6 +961,21 @@ def test_figure_flags_default_to_figure_dataset_defaults(figure_id, monkeypatch,
     assert seen["pair"] == DetectorPair(0.1, 0.1)
     assert seen["resolution"] == defaults["resolution"].default
     assert seen["separations"] == defaults["separations"].default
+
+
+def test_figure_without_flags_writes_figure_dataset(tmp_path, capsys):
+    code, _, _ = run(["figure", "fig6", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    data = figure_dataset("fig6")
+    written = {}
+    for path in tmp_path.glob("*.csv"):
+        text = path.read_text()
+        label = text.split("# curve = ", 1)[1].split("\n", 1)[0]
+        written[label] = text
+    assert written.keys() == data.keys()
+    for label, table in data.items():
+        params = {"figure": "fig6", "curve": label, **table.params, "axis": table.variable.value}
+        assert written[label] == _table_csv(table, params)
 
 
 def test_provenance_version_is_the_package_version():

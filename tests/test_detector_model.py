@@ -484,23 +484,23 @@ class TestCorrelations:
         [
             # accepted; Im G overflowing (the X-state refuses that, not the
             # block); negative
-            ("separation", [1.0, 1e-320, -2.0], [True, True, False]),
+            ("separation", [1.0, 1e-320, -2.0], [True, False, False]),
             # accepted; overflowing images; p_a + p_b >= 1
             ("boundary_distance", [0.2, 1e308, 2.0], [True, False, False]),
             # accepted; omega_b below omega_a
             ("omega_b", [0.2, 0.05], [True, False]),
         ],
     )
-    def test_array_verdict_is_what_correlations_refuses(self, alignment, swept, values, verdicts):
+    def test_array_verdict_is_what_joint_state_refuses(self, alignment, swept, values, verdicts):
         # one grid per swept input, around the accepted point (0.2, 1, 0.2)
         pair, geom = DetectorPair(0.1, 0.2, 5.0), BoundaryGeometry(alignment, 1.0, 0.2)
         with np.errstate(over="ignore", invalid="ignore"):
-            _, ok = _block_evaluator(pair, geom, swept)(np.array(values))
+            _, _, ok = _block_evaluator(pair, geom, swept)(np.array(values))
         got = []
         for value in values:
             inputs = {"omega_b": 0.2, "separation": 1.0, "boundary_distance": 0.2, swept: value}
             try:
-                correlations(
+                joint_state(
                     DetectorPair(0.1, inputs["omega_b"], 5.0),
                     BoundaryGeometry(alignment, inputs["separation"], inputs["boundary_distance"]),
                 )

@@ -50,9 +50,9 @@ from mirrorsteer.sweep_optimize import (
 from mirrorsteer.xstate_steering import (
     _ARRAYS,
     XState,
-    _signed_margins,
+    _observe,
+    _observed,
     _state_rules,
-    state_arrays,
 )
 
 
@@ -66,6 +66,25 @@ def _at(pair, geom, variable, value, read):
         return read(correlations(pair_v, geom_v))
     except ValidationError as exc:
         raise type(exc)(f"at {variable.value} = {value:g}: {exc}") from exc
+
+
+def _signed_margins(state):
+    """The signed margins of A->B and B->A of one :class:`XState`."""
+    return _observed(state)[6:]
+
+
+def _array_pass(pair, geom, variable, grid):
+    """The verdict of each grid point and the :data:`OBSERVABLES` columns of
+    a sweep's array pass."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, observed, ok = _block_evaluator(pair, geom, sweep_optimize._INPUT[variable])(grid)
+    return ok, [np.broadcast_to(col, grid.shape) for col in observed[: len(OBSERVABLES)]]
+
+
+def _observables_evaluator(pair, geom, variable):
+    """A search's evaluator, read as the :data:`OBSERVABLES`."""
+    evaluate = sweep_optimize._evaluator(pair, geom, variable)
+    return lambda value: evaluate(value)[: len(OBSERVABLES)]
 
 
 PAIR = DetectorPair(omega_a=0.1, omega_b=0.1)
@@ -322,7 +341,7 @@ class TestSweep:
     def test_verdict_is_the_one_point_route(self, pair, geom, axis):
         axis = SweepAxis(*axis)
         grid = axis.grid()
-        ok, arrays = sweep_optimize._grid_arrays(pair, geom, axis.variable, grid)
+        ok, arrays = _array_pass(pair, geom, axis.variable, grid)
         for value, verdict, *columns in zip(grid.tolist(), ok.tolist(), *arrays):
             try:
                 want = _at(pair, geom, axis.variable, value, observable_values)
@@ -449,7 +468,7 @@ class TestRefusalParity:
         # dataclass's error
         evaluate = _block_evaluator(PAIR, GEOM_PAR, swept)
         with np.errstate(over="ignore", invalid="ignore"):
-            _, ok = evaluate(np.array(values))
+            _, _, ok = evaluate(np.array(values))
         assert ok.tolist() == [True, False]
         with pytest.raises(ValidationError) as got:
             evaluate(values[1])
@@ -478,7 +497,8 @@ class TestRefusalParity:
     )
     def test_state_verdict_is_what_xstate_refuses(self, bad):
         good = (0.25, 0.25, 0.25, 0.25, 0.1 + 0j, 0.1j)
-        _, ok = state_arrays(*(np.array(column) for column in zip(good, bad)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, ok = _observe(_ARRAYS, *(np.array(column) for column in zip(good, bad)))
         assert ok.tolist() == [True, False]
         with pytest.raises(ValidationError):
             XState(*bad)
@@ -554,7 +574,7 @@ class TestArrayPassMatchesOnePointRoute:
         axis = SweepAxis(*axis)
         grid = axis.grid()
         with np.errstate(over="ignore", invalid="ignore"):
-            values, ok = _block_evaluator(pair, geom, sweep_optimize._INPUT[axis.variable])(grid)
+            values, _, ok = _block_evaluator(pair, geom, sweep_optimize._INPUT[axis.variable])(grid)
         assert ok.all()
         # a probability held fixed is one number
         p_a, p_b = (np.broadcast_to(p, grid.shape) for p in (values.p_a, values.p_b))
@@ -563,10 +583,6 @@ class TestArrayPassMatchesOnePointRoute:
             want = (block.p_a, block.p_b, block.c.real, block.x.real, block.x.imag)
             got = (p_a[i], p_b[i], values.c[i], values.x[i].real, values.x[i].imag)
             assert [float(v).hex() for v in got] == [v.hex() for v in want], value
-
-
-def _margins(block, state):
-    return _signed_margins(state)
 
 
 class TestEvaluatorMatchesDataclassRoute:
@@ -581,9 +597,9 @@ class TestEvaluatorMatchesDataclassRoute:
         pair = DetectorPair(0.1, 0.2)
         geom = BoundaryGeometry(alignment, 1.0, dz)
         axis = SweepAxis(*axis)
-        evaluator = sweep_optimize._evaluator
-        observables = evaluator(pair, geom, axis.variable, sweep_optimize._observables)
-        margins = evaluator(pair, geom, axis.variable, _margins)
+        observables = _observables_evaluator(pair, geom, axis.variable)
+        evaluate = sweep_optimize._evaluator(pair, geom, axis.variable)
+        margins = lambda value: evaluate(value)[len(OBSERVABLES):]
         for value in axis.grid().tolist():
             want = _at(pair, geom, axis.variable, value, observable_values)
             assert [v.hex() for v in observables(value)] == [v.hex() for v in want], value
@@ -598,8 +614,7 @@ class TestEvaluatorMatchesDataclassRoute:
     def test_refusal_at_first_failing_point(self, template):
         pair, geom, axis = _SWEEP_REFUSALS[template]
         axis = SweepAxis(*axis)
-        observables = sweep_optimize._observables
-        evaluate = sweep_optimize._evaluator(pair, geom, axis.variable, observables)
+        evaluate = _observables_evaluator(pair, geom, axis.variable)
         for value in axis.grid().tolist():
             try:
                 want = _at(pair, geom, axis.variable, value, observable_values)
@@ -637,7 +652,7 @@ def test_held_stages_are_computed_once(alignment, axis, at_build, per_point, mon
     monkeypatch.setattr(detector_model, "faddeeva_w", lambda z: calls.append(z) or faddeeva_w(z))
     pair, geom = DetectorPair(0.1, 0.2), BoundaryGeometry(alignment, 1.0, 1.0)
     variable = SweepVariable(axis)
-    evaluate = sweep_optimize._evaluator(pair, geom, variable, sweep_optimize._observables)
+    evaluate = sweep_optimize._evaluator(pair, geom, variable)
     assert len(calls) == at_build
     for value in (0.5, 0.7, 1.3):
         evaluate(value)
@@ -865,6 +880,49 @@ class TestFindTransition:
         assert death_ab.location > death_ba.location
 
 
+class TestSearchBrackets:
+    """Both searches take a bracket only as a pair of real numbers, as
+    :class:`SweepAxis` takes its range."""
+
+    SEARCHES = pytest.mark.parametrize(
+        "search, geom, variable, target, kind",
+        [
+            (find_peak, GEOM_NEAR, "boundary-distance", Objective.S_BA, "peak"),
+            (find_transition, GEOM_ORT, "separation", Direction.A_TO_B, "transition"),
+        ],
+        ids=["find_peak", "find_transition"],
+    )
+
+    @SEARCHES
+    @pytest.mark.parametrize(
+        "bracket, message",
+        [
+            ((None, 3.0), "{kind} bracket end lo must be a real number, got None"),
+            ((0.2, 1j), "{kind} bracket end hi must be a real number, got 1j"),
+            ((0.2, "x"), "{kind} bracket end hi must be a real number, got 'x'"),
+            (("0.2", "3"), "{kind} bracket end lo must be a real number, got '0.2'"),
+            ((0.2,), "a {kind} bracket is a pair of real numbers (lo, hi), got (0.2,)"),
+            ((0.2, 1.0, 3.0), "a {kind} bracket is a pair of real numbers (lo, hi), "
+             "got (0.2, 1.0, 3.0)"),
+            (None, "a {kind} bracket is a pair of real numbers (lo, hi), got None"),
+        ],
+        ids=["none", "complex", "text", "text-pair", "one-end", "three-ends", "no-bracket"],
+    )
+    def test_refused_with_the_end_named(
+        self, search, geom, variable, target, kind, bracket, message
+    ):
+        with pytest.raises(ValidationError) as info:
+            search(PAIR, geom, variable, bracket, target)
+        assert type(info.value) is ValidationError
+        assert str(info.value) == message.format(kind=kind)
+
+    @SEARCHES
+    def test_numpy_ends_accepted(self, search, geom, variable, target, kind):
+        ends = (0.25, 3.0)
+        got = search(PAIR, geom, variable, (np.float64(ends[0]), np.float32(ends[1])), target)
+        assert got == search(PAIR, geom, variable, ends, target)
+
+
 # the column each direction's signed margin is clamped into
 _COLUMN = {Direction.A_TO_B: "s_ab", Direction.B_TO_A: "s_ba"}
 _OBJECTIVE = {Direction.A_TO_B: Objective.S_AB, Direction.B_TO_A: Objective.S_BA}
@@ -1044,6 +1102,21 @@ class TestFigureDataset:
         a = figure_dataset(FigureId.FIG2, resolution=25)
         b = figure_dataset(FigureId.FIG2, resolution=25)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "figure, pair, match",
+        [
+            ("fig7", DetectorPair(0.1, 0.1, coupling=4.0),
+             r"^curve 'orthogonal': at separation = 0\.138945: p_a \+ p_b = 1 >= 1"),
+            ("fig2", DetectorPair(0.1, 0.1, coupling=5.0),
+             r"^curve 'parallel omega_b=0\.10' with omega_b = 0\.1: at separation = 0\.05: "),
+        ],
+    )
+    def test_refused_curve_is_named(self, figure, pair, match):
+        with pytest.raises(PerturbativeValidityError, match=match) as info:
+            figure_dataset(figure, pair)
+        assert type(info.value) is PerturbativeValidityError
+        assert type(info.value.__cause__) is PerturbativeValidityError
 
     def test_accepts_string_id(self):
         data = figure_dataset("fig7", resolution=8)

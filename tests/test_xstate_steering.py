@@ -6,6 +6,7 @@ shows up as a disagreement here.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,12 +14,15 @@ import pytest
 from conftest import random_x_state
 from mirrorsteer.errors import ValidationError
 from mirrorsteer.xstate_steering import (
+    _ARRAYS,
     XState,
+    _observe,
+    _tau_ab,
+    _tau_ba,
     build_tau_ab,
     build_tau_ba,
     concurrence,
     steering_a_to_b,
-    state_arrays,
     steering_asymmetry,
     steering_b_to_a,
 )
@@ -191,9 +195,21 @@ class TestSteering:
             assert steering_a_to_b(s) >= 0.0
 
 
+def _bits(value):
+    """The exact bits of a float or of a complex number's two parts."""
+    value = complex(value)
+    return value.real.hex(), value.imag.hex()
+
+
 def _entry_columns(entries):
     """One array per X-state entry, d11 to c23, over a list of entry tuples."""
     return [np.array(column) for column in zip(*entries)]
+
+
+def _observe_arrays(*columns):
+    """:func:`_observe` over arrays of the entries, with numpy's warnings off."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _observe(_ARRAYS, *columns)
 
 
 class TestSteeringArrays:
@@ -205,9 +221,9 @@ class TestSteeringArrays:
         ]
         # XState clamps an entry just below zero; the arrays must too
         entries.append((0.5 + 1e-13, 0.5, -1e-13, 0.0, 0.3 + 0.1j, 0.2j))
-        columns, ok = state_arrays(*_entry_columns(entries))
+        columns, ok = _observe_arrays(*_entry_columns(entries))
         # after the moduli |c23| and |c14|: s_ab, s_ba, asymmetry, concurrence
-        got = columns[2:]
+        got = columns[2:6]
         assert ok.all()
         for i, e in enumerate(entries):
             res = steering_asymmetry(XState(*e))
@@ -230,7 +246,7 @@ class TestSteeringArrays:
         with pytest.raises(ValidationError):
             XState(*bad)
         good = (0.25, 0.25, 0.25, 0.25, 0.1 + 0j, 0.1j)
-        *_, ok = state_arrays(*_entry_columns([good, bad, good]))
+        _, ok = _observe_arrays(*_entry_columns([good, bad, good]))
         assert ok.tolist() == [True, False, True]
 
 
@@ -275,6 +291,24 @@ class TestCertificationMap:
             lhs = concurrence(build_tau_ba(s))
             rhs = (2.0 / SQRT3) * steering_a_to_b(s)
             assert lhs == pytest.approx(rhs, abs=1e-14)
+
+    def test_array_route_is_build_tau_bit_for_bit(self):
+        # the drift guard of criterion 04, which maps arrays of states
+        rng = np.random.default_rng(404)
+        states = [random_x_state(rng) for _ in range(500)]
+        fields = ("d11", "d22", "d33", "d44", "c14", "c23")
+        arrays = SimpleNamespace(**{k: np.array([getattr(s, k) for s in states]) for k in fields})
+        for tau, build in ((_tau_ab, build_tau_ab), (_tau_ba, build_tau_ba)):
+            entries = tau(_ARRAYS, arrays)
+            columns, ok = _observe(_ARRAYS, *entries)
+            assert ok.all()
+            for i, state in enumerate(states):
+                want = build(state)
+                got = XState(*(column[i].item() for column in entries))
+                assert [_bits(getattr(got, k)) for k in fields] == [
+                    _bits(getattr(want, k)) for k in fields
+                ]
+                assert columns[5][i].item().hex() == concurrence(want).hex()
 
     def test_bell_identity_value(self):
         assert concurrence(build_tau_ab(BELL)) == pytest.approx(
