@@ -31,14 +31,26 @@ covered by fixed Gauss-Legendre panels whose sums make a prefix, and a
 row is the prefix up to the last panel edge below h plus one piece from
 there to h. A row depends on its u node only through h. The quadrature
 is repeated for a decreasing schedule of regulator values and
-Richardson-extrapolated to zero; the meshes of the schedule are nested,
-so each distinct h is evaluated once for every regulator and for every
-integral that shares the mesh (C with X, and P_A with P_B when both
-detectors are equally far from the mirror). Over the cases of one
-:func:`numeric_correlation_blocks` iterator each probability integral
-is computed once: it depends only on the gap, the image distance and
-the coupling, which many cases share (both alignments of a
-configuration share P_A).
+Richardson-extrapolated to zero.
+
+Integrals on one (spatial, image) pair are computed together: C with
+X, and P_A with P_B when both detectors are equally far from the
+mirror. The regulators' meshes share most of their panels, nested or
+not, so the rule is mapped once onto the union of their panels (each
+panel kept once per edge pair), and each regulator's mesh is an index
+into that union, in its own panel order. The u Gaussian, each
+integral's u phase and the section half-width h are evaluated once per
+union node, the sbar rows once per distinct h and beta for every
+regulator, and the correlator once per regulator and time ordering.
+Each regulated value is still summed over its own mesh in its own
+order, so the sharing changes no bit.
+
+Over the cases of one :func:`numeric_correlation_blocks` iterator each
+probability integral is computed once: it depends only on the gap, the
+image distance and the coupling, which many cases share (both
+alignments of a configuration share P_A). The iterator also keeps each
+probability mesh's sbar row (a probability has beta = 0), so a
+probability at an image distance that an earlier case had reuses it.
 
 The discretisation is fixed: the box is truncated at |tau|, |tau'| <=
 :data:`TRUNCATION` switching widths, every panel on both axes uses the
@@ -103,26 +115,34 @@ def _gauss_nodes(order: int):
     return x, w
 
 
+def _distinct(x):
+    """The distinct values of ``x``, sorted (``np.unique`` without its
+    overhead)."""
+    x = np.sort(x, axis=None)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def _panel_edges(singular, eps: float, half_width: float):
     """Panel boundaries on [-half_width, half_width], graded dyadically
     (innermost half-width eps, doubling outward) around each singular
     abscissa and its mirror, over a coarse background grid."""
-    pts = {-half_width, 0.0, half_width}
-    for r in singular:
-        for c in (r, -r):
-            if not -half_width < c < half_width:
-                continue
-            pts.add(c)
-            h = eps
-            while h <= 2.0 * half_width:
-                for q in (c - h, c + h):
-                    if -half_width < q < half_width:
-                        pts.add(q)
-                h *= 2.0
+    centres = [c for r in singular for c in (r, -r) if -half_width < c < half_width]
+    steps = []
+    h = eps
+    while h <= 2.0 * half_width:
+        steps += [-h, h]
+        h *= 2.0
+    graded = np.add.outer(centres, steps).ravel()
     k = max(2, int(math.ceil(2.0 * half_width / _COARSE_WIDTH)))
-    for i in range(k + 1):
-        pts.add(-half_width + 2.0 * half_width * i / k)
-    return np.array(sorted(pts))
+    pts = np.concatenate((
+        [-half_width, 0.0, half_width],
+        centres,
+        graded[(-half_width < graded) & (graded < half_width)],
+        -half_width + 2.0 * half_width * np.arange(k + 1) / k,
+    ))
+    # the mirror of the centre r = 0 is -0.0, which equals 0.0; adding 0.0
+    # makes the edge +0.0 whichever of the two the sort kept
+    return _distinct(pts) + 0.0
 
 
 def _panel_rule(a, b):
@@ -133,10 +153,22 @@ def _panel_rule(a, b):
     return 0.5 * (a + b)[:, None] + half * xg[None, :], half * wg[None, :]
 
 
-def _u_mesh(spatial: float, image: float, eps: float):
-    edges = _panel_edges((0.0, spatial, image), eps, 2.0 * TRUNCATION)
-    u, w = _panel_rule(edges[:-1], edges[1:])
-    return u.ravel(), w.ravel()
+def _u_meshes(spatial: float, image: float):
+    """The u meshes of every regulator of :data:`EPSILONS` on one
+    ``(spatial, image)`` pair, from one rule over the union of their
+    panels: the union's nodes and weights, one row per panel, and for
+    each regulator the rows of its panels, in its own panel order."""
+    keys = []
+    for eps in EPSILONS:
+        edges = _panel_edges((0.0, spatial, image), eps, 2.0 * TRUNCATION)
+        # a panel [a, b] is the key a + ib, which sorts by a, then b
+        key = np.empty(len(edges) - 1, dtype=complex)
+        key.real = edges[:-1]
+        key.imag = edges[1:]
+        keys.append(key)
+    union = _distinct(np.concatenate(keys))
+    u, w = _panel_rule(union.real, union.imag)
+    return u, w, [np.searchsorted(union, key) for key in keys]
 
 
 def _sbar_rows(h, betas):
@@ -161,41 +193,53 @@ def _sbar_rows(h, betas):
     return rows
 
 
-def _regulated_values(terms, spatial: float, image: float):
+def _regulated_values(terms, spatial: float, image: float, kept_rows=None):
     """Regulated quadratures of response integrals that share one
     ``(spatial, image)`` mesh, at every regulator of :data:`EPSILONS`.
 
     Each term is ``(omega_a, omega_b, time_ordered)``: the gaps at tau and
     tau', so that the phase omega_a tau - omega_b tau' is alpha u + beta
     sbar, and whether the time-ordered correlator is used. Returns a
-    complex array of shape (terms, regulators). The sbar rows are
-    evaluated once per distinct section half-width h over the whole
-    schedule, for all terms at once.
+    complex array of shape (terms, regulators). The regulators share one
+    union of u panels (:func:`_u_meshes`): the u Gaussian, each term's u
+    phase and the section half-width h are evaluated once per node of the
+    union, the sbar rows once per distinct h and beta, and the correlator
+    once per regulator and time ordering. ``kept_rows``, a dict, keeps the
+    sbar rows across calls, keyed by ``(spatial, image, beta)``; a row
+    found there is not computed again.
     """
-    meshes = [_u_mesh(spatial, image, eps) for eps in EPSILONS]
-    h_nodes = np.maximum(
-        TRUNCATION - np.abs(np.concatenate([u for u, _ in meshes])) / 2.0, 0.0
-    )
-    h, inverse = np.unique(h_nodes, return_inverse=True)
-    splits = np.cumsum([len(u) for u, _ in meshes])[:-1]
-    values = np.empty((len(terms), len(meshes)), dtype=complex)
+    u, uw, panels = _u_meshes(spatial, image)
+    h_nodes = np.maximum(TRUNCATION - np.abs(u) / 2.0, 0.0)
+    h = _distinct(h_nodes)
+    at_h = np.searchsorted(h, h_nodes)
+    rows = {} if kept_rows is None else kept_rows
+    keys = [(spatial, image, omega_a - omega_b) for omega_a, omega_b, _ in terms]
+    missing = [key for key in dict.fromkeys(keys) if key not in rows]
+    values = np.empty((len(terms), len(panels)), dtype=complex)
     # a gap so large that the phases overflow gives inf and nan here, which
     # _extrapolated refuses as a non-finite extrapolation
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = _sbar_rows(h, [omega_a - omega_b for omega_a, omega_b, _ in terms])
-        for k, (omega_a, omega_b, time_ordered) in enumerate(terms):
-            alpha = (omega_a + omega_b) / 2.0
-            srows = np.split(rows[k][inverse], splits)
-            for i, (eps, (u, uw), srow) in enumerate(zip(EPSILONS, meshes, srows)):
-                # the time-ordered term sees the correlator at -|u| on both triangles
-                warg = -np.abs(u) if time_ordered else u
-                ku = (
-                    np.exp(-(u**2) / 4.0)
-                    * np.exp(-1j * alpha * u)
-                    * _two_point(warg, spatial, image, eps)
-                    * uw
-                )
-                values[k, i] = np.sum(ku * srow)
+        if missing:
+            rows.update(zip(missing, _sbar_rows(h, [beta for _, _, beta in missing])))
+        gauss = np.exp(-(u**2) / 4.0)
+        # a zero phase is exactly 1: the Gaussian alone gives the same bits
+        factors = [
+            gauss if alpha == 0.0 else gauss * np.exp(-1j * alpha * u)
+            for alpha in ((omega_a + omega_b) / 2.0 for omega_a, omega_b, _ in terms)
+        ]
+        for i, (eps, p) in enumerate(zip(EPSILONS, panels)):
+            # this regulator's nodes, weights and rows of h, in its mesh order
+            un, w, at = u[p].ravel(), uw[p].ravel(), at_h[p].ravel()
+            two_point = {}
+            for k, (key, factor, (_, _, ordered)) in enumerate(zip(keys, factors, terms)):
+                if ordered not in two_point:
+                    # the time-ordered term sees the correlator at -|u| on
+                    # both triangles
+                    two_point[ordered] = _two_point(
+                        -np.abs(un) if ordered else un, spatial, image, eps
+                    )
+                ku = factor[p].ravel() * two_point[ordered] * w
+                values[k, i] = np.sum(ku * rows[key][at])
     return values
 
 
@@ -239,14 +283,14 @@ def extrapolate_epsilon(values) -> tuple[complex, float]:
 
 
 def _extrapolated(
-    terms, spatial: float, image: float, coupling: float
+    terms, spatial: float, image: float, coupling: float, kept_rows=None
 ) -> list[tuple[complex, float]]:
-    """Each response integral of ``terms`` (see :func:`_regulated_values`)
-    extrapolated to zero regulator, times the squared coupling, with its
-    extrapolation error estimate."""
+    """Each response integral of ``terms`` (see :func:`_regulated_values`,
+    which also takes ``kept_rows``) extrapolated to zero regulator, times
+    the squared coupling, with its extrapolation error estimate."""
     lam2 = coupling * coupling
     results = []
-    for schedule in _regulated_values(terms, spatial, image):
+    for schedule in _regulated_values(terms, spatial, image, kept_rows):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             limit, estimate = extrapolate_epsilon(zip(EPSILONS, schedule))
@@ -355,11 +399,15 @@ def numeric_correlation_blocks(cases):
 
     For the iterator's lifetime each probability integral is kept, keyed
     by gap, image distance and coupling, so one that several cases need is
-    computed once; a case's missing probabilities that share an image
-    distance are computed on one mesh, as are its ``c`` and ``x``. Every
-    block equals, bit for bit, the one-case call.
+    computed once. So is each probability mesh's sbar row, keyed by image
+    distance, which every probability on that mesh uses. A case's missing
+    probabilities that share an image distance are computed on one mesh,
+    as are its ``c`` and ``x``. Every block equals, bit for bit, the
+    one-case call.
     """
     probabilities = {}
+    # the sbar rows of the probability meshes, which cases share as well
+    probability_rows = {}
     for pair, geom in cases:
         spatial, image, distance_b = _distances(geom)
         lam = pair.coupling
@@ -373,7 +421,8 @@ def numeric_correlation_blocks(cases):
                 missing.setdefault(key[1], []).append(key)
         for image_p, group in missing.items():
             terms = [(omega, omega, False) for omega, _, _ in group]
-            probabilities.update(zip(group, _extrapolated(terms, 0.0, image_p, lam)))
+            values = _extrapolated(terms, 0.0, image_p, lam, probability_rows)
+            probabilities.update(zip(group, values))
         c, x = _extrapolated(_correlation_terms(pair), spatial, image, lam)
         yield CorrelationBlock(
             p_a=_real_probability(*probabilities[keys[0]]),
@@ -388,9 +437,12 @@ def numeric_correlations(pair: DetectorPair, geom: BoundaryGeometry) -> Correlat
     double integrals: the oracle counterpart of ``correlations``.
 
     Each field equals the matching ``numeric_c`` or ``numeric_x`` result,
-    and at unit coupling the matching ``numeric_probability`` result;
-    integrals on one mesh share their sbar rows: ``c`` with ``x``, and
+    and at unit coupling the matching ``numeric_probability`` result.
+    Integrals on one mesh are computed together: ``c`` with ``x``, and
     ``p_a`` with ``p_b`` when both detectors are equally far from the
-    mirror. This is the one-case use of :func:`numeric_correlation_blocks`.
+    mirror. They share the union of the regulators' u panels, the u
+    Gaussian and the sbar rows of each distinct beta, and ``p_a`` with
+    ``p_b`` share the correlator as well. This is the one-case use of
+    :func:`numeric_correlation_blocks`.
     """
     return next(numeric_correlation_blocks([(pair, geom)]))

@@ -10,6 +10,17 @@ from mirrorsteer.xstate_steering import XState
 _FLAT = np.ones(4)
 
 
+def erf_maclaurin(z: complex, terms: int = 60) -> complex:
+    """Maclaurin series for erf, accurate to ~1e-12 relative for |z| <= 3."""
+    acc = 0.0 + 0.0j
+    a = complex(z)  # a_n = z^(2n+1) / n!
+    z2 = z * z
+    for n in range(terms):
+        acc += a / (2 * n + 1)
+        a *= -z2 / (n + 1)
+    return 2.0 / math.sqrt(math.pi) * acc
+
+
 def random_x_state(rng: np.random.Generator, physical: bool | None = None) -> XState:
     """Draw a random X-state.
 

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import random_x_entries, random_x_state
+from conftest import erf_maclaurin, random_x_entries, random_x_state
 from mirrorsteer.cli import VERIFY_GRID_DEFAULT
 from mirrorsteer.detector_model import (
     Alignment,
@@ -351,22 +351,13 @@ def test_criterion_09_alignment_difference_trends():
     _finish(9, "alignment-difference-trends", failures)
 
 
-def _erf_series(z: complex, terms: int = 60) -> complex:
-    total = 0.0 + 0.0j
-    term = complex(z)
-    for n in range(terms):
-        total += term / (2 * n + 1)
-        term *= -z * z / (n + 1)
-    return 2.0 / math.sqrt(math.pi) * total
-
-
 def test_criterion_10_kernel_accuracy():
     failures = []
     worst = 0.0
     for radius in (0.1, 0.5, 1.0, 1.7, 2.4, 3.0):
         for k in range(24):
             z = radius * cmath.exp(2j * math.pi * k / 24)
-            dev = _rel(erf_complex(z), _erf_series(z))
+            dev = _rel(erf_complex(z), erf_maclaurin(z))
             worst = max(worst, dev)
     if worst > 1e-12:
         failures.append(f"series deviation {worst:.2e} > 1e-12")

@@ -33,14 +33,24 @@ from mirrorsteer.integral_oracle import (
     numeric_x,
     _distances,
     _gauss_nodes,
+    _panel_edges,
+    _panel_rule,
     _regulated_values,
     _sbar_rows,
     _two_point,
-    _u_mesh,
+    _u_meshes,
 )
 
 PAIR = DetectorPair(omega_a=0.1, omega_b=0.1)
 GEOM_PAR = BoundaryGeometry(Alignment.PARALLEL, separation=1.0, boundary_distance=1.0)
+
+
+def u_mesh(spatial, image, eps):
+    """One regulator's u mesh on its own: the rule on its own panels, which
+    the oracle's union of the schedule's panels must reproduce."""
+    edges = _panel_edges((0.0, spatial, image), eps, 2.0 * integral_oracle.TRUNCATION)
+    u, w = _panel_rule(edges[:-1], edges[1:])
+    return u.ravel(), w.ravel()
 
 
 # order of the reference rule's single Gauss-Legendre sum over each sbar
@@ -52,10 +62,10 @@ def full_rule(omega_a, omega_b, spatial, image, eps, time_ordered):
     """One regulated quadrature of the response integral with the complex
     phase, each sbar row its own FULL_RULE_NODES-point sum over [-h, h]:
     the reference the oracle's composite, shared rows must reproduce.
-    Reads the oracle's u mesh at call time."""
+    Reads the regulator's u mesh (u_mesh) at call time."""
     beta = omega_a - omega_b
     alpha = (omega_a + omega_b) / 2.0
-    u, uw = _u_mesh(spatial, image, eps)
+    u, uw = u_mesh(spatial, image, eps)
     warg = -np.abs(u) if time_ordered else u
     ku = (
         np.exp(-(u**2) / 4.0)
@@ -89,7 +99,7 @@ def reduced_integral(omega_a, omega_b, spatial, image, time_ordered):
     alpha = (omega_a + omega_b) / 2.0
     values = []
     for eps in integral_oracle.EPSILONS:
-        u, uw = _u_mesh(spatial, image, eps)
+        u, uw = u_mesh(spatial, image, eps)
         warg = -np.abs(u) if time_ordered else u
         ku = (
             np.exp(-(u**2) / 4.0)
@@ -369,6 +379,138 @@ class TestNumericCorrelations:
         assert len(shared) == len(cases)
         for (pair, geom), block in zip(cases, shared):
             assert block_bits(block) == block_bits(numeric_correlations(pair, geom))
+
+
+def set_panel_edges(singular, eps, half_width):
+    """Panel edges added one by one to a set, as the oracle first built
+    them: the reference of the array builder, bit for bit."""
+    pts = {-half_width, 0.0, half_width}
+    for r in singular:
+        for c in (r, -r):
+            if not -half_width < c < half_width:
+                continue
+            pts.add(c)
+            h = eps
+            while h <= 2.0 * half_width:
+                for q in (c - h, c + h):
+                    if -half_width < q < half_width:
+                        pts.add(q)
+                h *= 2.0
+    k = max(2, int(math.ceil(2.0 * half_width / integral_oracle._COARSE_WIDTH)))
+    for i in range(k + 1):
+        pts.add(-half_width + 2.0 * half_width * i / k)
+    return np.array(sorted(pts))
+
+
+def regulated_reference(terms, spatial, image):
+    """Each regulator's quadrature on its own mesh, with the u factors
+    evaluated per term and regulator: the route the shared union must
+    reproduce bit for bit."""
+    meshes = [u_mesh(spatial, image, eps) for eps in integral_oracle.EPSILONS]
+    h_nodes = np.maximum(
+        integral_oracle.TRUNCATION - np.abs(np.concatenate([u for u, _ in meshes])) / 2.0,
+        0.0,
+    )
+    h, inverse = np.unique(h_nodes, return_inverse=True)
+    splits = np.cumsum([len(u) for u, _ in meshes])[:-1]
+    rows = _sbar_rows(h, [omega_a - omega_b for omega_a, omega_b, _ in terms])
+    values = np.empty((len(terms), len(meshes)), dtype=complex)
+    for k, (omega_a, omega_b, time_ordered) in enumerate(terms):
+        alpha = (omega_a + omega_b) / 2.0
+        srows = np.split(rows[k][inverse], splits)
+        for i, (eps, (u, uw), srow) in enumerate(
+            zip(integral_oracle.EPSILONS, meshes, srows)
+        ):
+            warg = -np.abs(u) if time_ordered else u
+            ku = (
+                np.exp(-(u**2) / 4.0)
+                * np.exp(-1j * alpha * u)
+                * _two_point(warg, spatial, image, eps)
+                * uw
+            )
+            values[k, i] = np.sum(ku * srow)
+    return values
+
+
+class TestSharedUMesh:
+    """The edges are graded with whole arrays, and the regulators of one
+    (spatial, image) pair share one union of panels; each regulator's mesh
+    and every regulated value must stay as the per-regulator route gave
+    them, bit for bit, whether or not the schedule's meshes are nested."""
+
+    HALF_WIDTH = 2.0 * integral_oracle.TRUNCATION
+    GEOMETRIES = [
+        (0.0, 2.0),
+        _distances(BoundaryGeometry(Alignment.PARALLEL, 0.05, 0.01))[:2],
+        _distances(BoundaryGeometry(Alignment.ORTHOGONAL, 1.0, 2.0))[:2],
+        (1.5, 1.5),
+        (0.3, HALF_WIDTH - 1e-4),
+        (0.3, HALF_WIDTH),
+        (0.3, HALF_WIDTH + 3e-3),
+    ]
+    # (0.02, 0.015, 0.005) is not nested: 0.015 grades points that the
+    # 0.005 mesh lacks
+    SCHEDULES = [integral_oracle.EPSILONS, (0.02, 0.015, 0.005)]
+
+    @pytest.mark.parametrize("spatial, image", GEOMETRIES)
+    @pytest.mark.parametrize("eps", [0.02, 0.015, 0.01, 0.005, 0.003, 1e-3])
+    def test_edges_match_set_builder(self, spatial, image, eps):
+        singular = (0.0, spatial, image)
+        got = _panel_edges(singular, eps, self.HALF_WIDTH)
+        assert got.tobytes() == set_panel_edges(singular, eps, self.HALF_WIDTH).tobytes()
+        # the mirrored centre r = 0 is -0.0; the edge must be +0.0
+        assert 0.0 in got
+        assert not np.signbit(got[got == 0.0]).any()
+
+    def test_second_schedule_is_not_nested(self):
+        singular = (0.0, *self.GEOMETRIES[1])
+        coarse, fine = (_panel_edges(singular, eps, self.HALF_WIDTH) for eps in (0.015, 0.005))
+        assert not set(coarse) <= set(fine)
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize("spatial, image", GEOMETRIES)
+    def test_union_gives_each_regulator_mesh(self, spatial, image, schedule, monkeypatch):
+        monkeypatch.setattr(integral_oracle, "EPSILONS", schedule)
+        u, w, panels = _u_meshes(spatial, image)
+        assert len(panels) == len(schedule)
+        # the regulators share panels, so the union is smaller than the sum
+        assert len(u) < sum(len(p) for p in panels)
+        for eps, p in zip(schedule, panels):
+            want_u, want_w = u_mesh(spatial, image, eps)
+            assert u[p].ravel().tobytes() == want_u.tobytes()
+            assert w[p].ravel().tobytes() == want_w.tobytes()
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize(
+        "terms, spatial, image",
+        [
+            ([(0.1, 0.1, False), (1.0, 1.0, False)], 0.0, 2.0),
+            ([(0.1, 1.0, False), (0.1, -1.0, True)], *GEOMETRIES[1]),
+            ([(0.0, 0.0, False), (0.0, -0.0, True)], *GEOMETRIES[2]),
+            ([(0.3, -0.7, True)], 1.0, 3.0),
+        ],
+    )
+    def test_values_match_per_regulator_route(self, terms, spatial, image, schedule, monkeypatch):
+        monkeypatch.setattr(integral_oracle, "EPSILONS", schedule)
+        got = _regulated_values(terms, spatial, image)
+        assert got.tobytes() == regulated_reference(terms, spatial, image).tobytes()
+
+
+    def test_kept_rows_are_reused_bit_for_bit(self, monkeypatch):
+        terms, later = [(0.1, 0.1, False), (1.0, 1.0, False)], [(0.3, 0.3, False)]
+        kept = {}
+        first = _regulated_values(terms, 0.0, 2.0, kept)
+        # both terms have beta = 0: one row, kept under its mesh and beta
+        assert list(kept) == [(0.0, 2.0, 0.0)]
+
+        def refused(*args):
+            raise AssertionError("a kept sbar row was computed again")
+
+        monkeypatch.setattr(integral_oracle, "_sbar_rows", refused)
+        again = _regulated_values(later, 0.0, 2.0, kept)
+        monkeypatch.undo()
+        assert first.tobytes() == _regulated_values(terms, 0.0, 2.0).tobytes()
+        assert again.tobytes() == _regulated_values(later, 0.0, 2.0).tobytes()
 
 
 def exact_row(h, beta):

@@ -10,26 +10,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import erf_maclaurin
 from mirrorsteer.errors import ValidationError
 from mirrorsteer.special_functions import (
     ERF_COMPLEX_WINDOW,
     erf_complex,
     faddeeva_w,
 )
-
-TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-
-
-def erf_maclaurin(z: complex, terms: int = 60) -> complex:
-    """Maclaurin series for erf, accurate to ~1e-12 relative for |z| <= 3."""
-    acc = 0.0 + 0.0j
-    a = complex(z)  # a_n = z^(2n+1) / n!
-    z2 = z * z
-    for n in range(terms):
-        acc += a / (2 * n + 1)
-        a *= -z2 / (n + 1)
-    return TWO_OVER_SQRT_PI * acc
-
 
 class TestErfComplex:
     def test_matches_maclaurin_near_origin(self):
