@@ -3,8 +3,8 @@
 ``golden/`` holds what these commands wrote through ``cli.main``: the five
 figures at resolution 25, ``compute`` as JSON and CSV at two points in each
 alignment, one ``sweep`` per axis (the separation axis log-spaced across
-``SERIES_CROSSOVER``), two ``optimize`` runs, ``verify --grid smoke --format
-json``, and the exit code and stderr of one refused sweep.  The test reruns
+``SERIES_CROSSOVER``), two ``optimize`` runs, ``verify --format json`` on the smoke and
+the default grid, and the exit code and stderr of one refused sweep.  The test reruns
 every command into a temporary directory and compares bytes, so an output
 that drifts even in its last digit fails, where a tolerance would pass it.
 
@@ -16,7 +16,9 @@ relative change, so that such a move reads as one.
 Regenerate the files, with ``PYTHONPATH=src python tests/test_golden.py``,
 only in a change that means to move an output, and name the moved files and
 their largest change in CHANGES.md.  Never regenerate them to make a
-failure go away.
+failure go away.  Output names as arguments (``python tests/test_golden.py
+verify_default.json fig5``) write only those outputs and leave every other
+file untouched; with no names the whole directory is written afresh.
 """
 
 import contextlib
@@ -75,6 +77,7 @@ COMMANDS = {
         "--bracket", "0.57,1.08", "--objective", "sab",
     ],
     "verify_smoke.json": ["verify", "--grid", "smoke", "--format", "json"],
+    "verify_default.json": ["verify", "--grid", "default", "--format", "json"],
 }
 # output name -> command that is refused; its exit code and stderr are pinned
 REFUSED = {
@@ -93,15 +96,17 @@ def _main(argv) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def generate(out: pathlib.Path) -> None:
-    """Write every golden output under ``out``."""
-    for name, argv in COMMANDS.items():
-        code, err = _main([*argv, "--out", str(out / name)])
-        assert code == 0, f"{name}: exit {code}: {err}"
-    for name, argv in REFUSED.items():
-        code, err = _main(argv)
-        assert code != 0, f"{name}: the command was not refused"
-        (out / name).write_text(f"exit {code}\n{err}")
+def generate(out: pathlib.Path, names=None) -> None:
+    """Write the golden outputs ``names`` (every one, by default) under
+    ``out``."""
+    for name in [*COMMANDS, *REFUSED] if names is None else names:
+        if name in COMMANDS:
+            code, err = _main([*COMMANDS[name], "--out", str(out / name)])
+            assert code == 0, f"{name}: exit {code}: {err}"
+        else:
+            code, err = _main(REFUSED[name])
+            assert code != 0, f"{name}: the command was not refused"
+            (out / name).write_text(f"exit {code}\n{err}")
 
 
 def _files(root: pathlib.Path) -> dict[str, bytes]:
@@ -190,7 +195,15 @@ def test_report_names_the_moved_column():
 
 
 if __name__ == "__main__":
-    shutil.rmtree(GOLDEN, ignore_errors=True)
-    GOLDEN.mkdir()
-    generate(GOLDEN)
-    print(f"wrote {len(_files(GOLDEN))} files to {GOLDEN}", file=sys.stderr)
+    names = sys.argv[1:]
+    unknown = [name for name in names if name not in COMMANDS and name not in REFUSED]
+    if unknown:
+        raise SystemExit(f"no golden output is named {', '.join(unknown)}")
+    if names:
+        generate(GOLDEN, names)
+        print(f"wrote {len(names)} outputs to {GOLDEN}", file=sys.stderr)
+    else:
+        shutil.rmtree(GOLDEN, ignore_errors=True)
+        GOLDEN.mkdir()
+        generate(GOLDEN)
+        print(f"wrote {len(_files(GOLDEN))} files to {GOLDEN}", file=sys.stderr)
