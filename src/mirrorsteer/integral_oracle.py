@@ -48,9 +48,15 @@ order, so the sharing changes no bit.
 Over the cases of one :func:`numeric_correlation_blocks` iterator each
 probability integral is computed once: it depends only on the gap, the
 image distance and the coupling, which many cases share (both
-alignments of a configuration share P_A). The iterator also keeps each
-probability mesh's sbar row (a probability has beta = 0), so a
-probability at an image distance that an earlier case had reuses it.
+alignments of a configuration share P_A). The iterator reads its cases
+once, up front, and keeps each (spatial, image) mesh, with the
+correlators and sbar rows computed on it, until the last case on that
+pair: a probability at an image distance that an earlier case had, or a
+configuration whose geometry an earlier one had, builds nothing its
+mesh already holds. The ``verify`` default grid's 34 integral groups
+are on 25 meshes. The sbar rule's large arrays live in one workspace
+per iterator, grown to the largest mesh and reused, rather than being
+allocated for every mesh.
 
 The discretisation is fixed: the box is truncated at |tau|, |tau'| <=
 :data:`TRUNCATION` switching widths, every panel on both axes uses the
@@ -145,12 +151,15 @@ def _panel_edges(singular, eps: float, half_width: float):
     return _distinct(pts) + 0.0
 
 
-def _panel_rule(a, b):
+def _panel_rule(a, b, out=None):
     """The :data:`NODES`-point Gauss-Legendre rule on each panel [a, b]:
-    nodes and weights, one row per panel."""
+    nodes and weights, one row per panel, written to the arrays ``out``
+    (a pair) when given."""
     xg, wg = _gauss_nodes(NODES)
+    x, w = (None, None) if out is None else out
     half = 0.5 * (b - a)[:, None]
-    return 0.5 * (a + b)[:, None] + half * xg[None, :], half * wg[None, :]
+    x = np.multiply(half, xg, out=x)
+    return np.add(0.5 * (a + b)[:, None], x, out=x), np.multiply(half, wg, out=w)
 
 
 def _u_meshes(spatial: float, image: float):
@@ -171,75 +180,132 @@ def _u_meshes(spatial: float, image: float):
     return u, w, [np.searchsorted(union, key) for key in keys]
 
 
-def _sbar_rows(h, betas):
+class _Workspace:
+    """The large arrays of the sbar rule (:func:`_sbar_rows`), four of shape
+    (rows, :data:`NODES`), grown to the largest row count asked for and
+    reused: each call takes views of their first rows and fills them
+    before it reads them."""
+
+    def __init__(self):
+        self._arrays = np.empty((4, 0, NODES))
+
+    def take(self, rows: int):
+        if rows > self._arrays.shape[1] or self._arrays.shape[2] != NODES:
+            self._arrays = np.empty((4, rows, NODES))
+        return self._arrays[:, :rows]
+
+
+def _sbar_rows(h, betas, workspace=None):
     """Rows 2 int_0^h exp(-s^2) cos(beta s) ds, shape (betas, h): the sums
     of the fixed panels of [0, TRUNCATION] below h, as a prefix, plus one
     piece from the last panel edge to h. Each row is summed on its own, so
-    it depends on (h, beta) alone.
+    it depends on (h, beta) alone. The rule's nodes, weights and integrand
+    are written to ``workspace`` (a fresh one by default).
     """
     panels = math.ceil(TRUNCATION / _SBAR_WIDTH)
     edges = np.minimum(np.arange(panels + 1) * _SBAR_WIDTH, TRUNCATION)
     k = np.floor(h / _SBAR_WIDTH).astype(np.intp)
-    s, w = _panel_rule(
-        np.concatenate((edges[:-1], edges[k])), np.concatenate((edges[1:], h))
+    workspace = _Workspace() if workspace is None else workspace
+    s, w, gauss, f = workspace.take(panels + len(h))
+    _panel_rule(
+        np.concatenate((edges[:-1], edges[k])), np.concatenate((edges[1:], h)), (s, w)
     )
-    gauss = np.exp(-(s * s))
+    # exp(-s^2), and below each row's integrand times the weights, in place
+    np.exp(np.negative(np.multiply(s, s, out=gauss), out=gauss), out=gauss)
     rows = np.empty((len(betas), len(h)))
     for i, beta in enumerate(betas):
-        f = gauss if beta == 0.0 else gauss * np.cos(beta * s)
-        pieces = np.sum(f * w, axis=1)
+        if beta == 0.0:
+            np.multiply(gauss, w, out=f)
+        else:
+            np.cos(np.multiply(s, beta, out=f), out=f)
+            np.multiply(np.multiply(gauss, f, out=f), w, out=f)
+        pieces = np.sum(f, axis=1)
         prefix = np.concatenate(([0.0], np.cumsum(pieces[:panels])))
         rows[i] = 2.0 * (prefix[k] + pieces[panels:])
     return rows
 
 
-def _regulated_values(terms, spatial: float, image: float, kept_rows=None):
+class _Mesh:
+    """What the integrals on one ``(spatial, image)`` pair share: the union
+    of the regulators' u panels with each regulator's rows of it
+    (:func:`_u_meshes`), the section half-widths h with each node's index
+    into them, and the u Gaussian; and, as the integrals ask for them, the
+    correlator per regulator and time ordering and the sbar row per beta."""
+
+    def __init__(self, spatial: float, image: float):
+        self.spatial, self.image = spatial, image
+        self.u, self.w, self.panels = _u_meshes(spatial, image)
+        h_nodes = np.maximum(TRUNCATION - np.abs(self.u) / 2.0, 0.0)
+        self.h = _distinct(h_nodes)
+        self.at_h = np.searchsorted(self.h, h_nodes)
+        self.gauss = np.exp(-(self.u**2) / 4.0)
+        self.rows = {}
+        self._correlators = {}
+
+    def correlator(self, regulator: int, ordered: bool):
+        """The correlator on the mesh of the ``regulator``-th entry of
+        :data:`EPSILONS`, time-ordered or not."""
+        key = (regulator, ordered)
+        if key not in self._correlators:
+            u = self.u[self.panels[regulator]].ravel()
+            # the time-ordered term sees the correlator at -|u| on both
+            # triangles
+            self._correlators[key] = _two_point(
+                -np.abs(u) if ordered else u, self.spatial, self.image, EPSILONS[regulator]
+            )
+        return self._correlators[key]
+
+
+class _State:
+    """The oracle's state over a run of integrals: the meshes built so far,
+    keyed by ``(spatial, image)``, and one sbar :class:`_Workspace`."""
+
+    def __init__(self):
+        self.meshes = {}
+        self.workspace = _Workspace()
+
+    def mesh(self, spatial: float, image: float) -> _Mesh:
+        key = (spatial, image)
+        if key not in self.meshes:
+            self.meshes[key] = _Mesh(spatial, image)
+        return self.meshes[key]
+
+
+def _regulated_values(terms, spatial: float, image: float, state=None):
     """Regulated quadratures of response integrals that share one
     ``(spatial, image)`` mesh, at every regulator of :data:`EPSILONS`.
 
     Each term is ``(omega_a, omega_b, time_ordered)``: the gaps at tau and
     tau', so that the phase omega_a tau - omega_b tau' is alpha u + beta
     sbar, and whether the time-ordered correlator is used. Returns a
-    complex array of shape (terms, regulators). The regulators share one
-    union of u panels (:func:`_u_meshes`): the u Gaussian, each term's u
-    phase and the section half-width h are evaluated once per node of the
-    union, the sbar rows once per distinct h and beta, and the correlator
-    once per regulator and time ordering. ``kept_rows``, a dict, keeps the
-    sbar rows across calls, keyed by ``(spatial, image, beta)``; a row
-    found there is not computed again.
+    complex array of shape (terms, regulators). The pieces the terms share
+    come from the pair's :class:`_Mesh` in ``state`` (a fresh
+    :class:`_State` by default), which builds each once and keeps it for
+    later calls; each term's u phase is evaluated once per node of the
+    union, and each regulated value is summed over its own regulator's
+    mesh, in that mesh's order.
     """
-    u, uw, panels = _u_meshes(spatial, image)
-    h_nodes = np.maximum(TRUNCATION - np.abs(u) / 2.0, 0.0)
-    h = _distinct(h_nodes)
-    at_h = np.searchsorted(h, h_nodes)
-    rows = {} if kept_rows is None else kept_rows
-    keys = [(spatial, image, omega_a - omega_b) for omega_a, omega_b, _ in terms]
-    missing = [key for key in dict.fromkeys(keys) if key not in rows]
-    values = np.empty((len(terms), len(panels)), dtype=complex)
+    state = _State() if state is None else state
+    mesh = state.mesh(spatial, image)
+    betas = [omega_a - omega_b for omega_a, omega_b, _ in terms]
+    values = np.empty((len(terms), len(mesh.panels)), dtype=complex)
     # a gap so large that the phases overflow gives inf and nan here, which
     # _extrapolated refuses as a non-finite extrapolation
     with np.errstate(over="ignore", invalid="ignore"):
+        missing = [beta for beta in dict.fromkeys(betas) if beta not in mesh.rows]
         if missing:
-            rows.update(zip(missing, _sbar_rows(h, [beta for _, _, beta in missing])))
-        gauss = np.exp(-(u**2) / 4.0)
+            mesh.rows.update(zip(missing, _sbar_rows(mesh.h, missing, state.workspace)))
         # a zero phase is exactly 1: the Gaussian alone gives the same bits
         factors = [
-            gauss if alpha == 0.0 else gauss * np.exp(-1j * alpha * u)
+            mesh.gauss if alpha == 0.0 else mesh.gauss * np.exp(-1j * alpha * mesh.u)
             for alpha in ((omega_a + omega_b) / 2.0 for omega_a, omega_b, _ in terms)
         ]
-        for i, (eps, p) in enumerate(zip(EPSILONS, panels)):
-            # this regulator's nodes, weights and rows of h, in its mesh order
-            un, w, at = u[p].ravel(), uw[p].ravel(), at_h[p].ravel()
-            two_point = {}
-            for k, (key, factor, (_, _, ordered)) in enumerate(zip(keys, factors, terms)):
-                if ordered not in two_point:
-                    # the time-ordered term sees the correlator at -|u| on
-                    # both triangles
-                    two_point[ordered] = _two_point(
-                        -np.abs(un) if ordered else un, spatial, image, eps
-                    )
-                ku = factor[p].ravel() * two_point[ordered] * w
-                values[k, i] = np.sum(ku * rows[key][at])
+        for i, p in enumerate(mesh.panels):
+            # this regulator's weights and rows of h, in its mesh order
+            w, at = mesh.w[p].ravel(), mesh.at_h[p].ravel()
+            for k, (beta, factor, (_, _, ordered)) in enumerate(zip(betas, factors, terms)):
+                ku = factor[p].ravel() * mesh.correlator(i, ordered) * w
+                values[k, i] = np.sum(ku * mesh.rows[beta][at])
     return values
 
 
@@ -283,14 +349,14 @@ def extrapolate_epsilon(values) -> tuple[complex, float]:
 
 
 def _extrapolated(
-    terms, spatial: float, image: float, coupling: float, kept_rows=None
+    terms, spatial: float, image: float, coupling: float, state=None
 ) -> list[tuple[complex, float]]:
     """Each response integral of ``terms`` (see :func:`_regulated_values`,
-    which also takes ``kept_rows``) extrapolated to zero regulator, times
+    which also takes ``state``) extrapolated to zero regulator, times
     the squared coupling, with its extrapolation error estimate."""
     lam2 = coupling * coupling
     results = []
-    for schedule in _regulated_values(terms, spatial, image, kept_rows):
+    for schedule in _regulated_values(terms, spatial, image, state):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             limit, estimate = extrapolate_epsilon(zip(EPSILONS, schedule))
@@ -397,33 +463,43 @@ def numeric_correlation_blocks(cases):
     """:func:`numeric_correlations` of each ``(pair, geom)`` of ``cases``,
     lazily: a case's integrals are computed when its block is asked for.
 
-    For the iterator's lifetime each probability integral is kept, keyed
-    by gap, image distance and coupling, so one that several cases need is
-    computed once. So is each probability mesh's sbar row, keyed by image
-    distance, which every probability on that mesh uses. A case's missing
-    probabilities that share an image distance are computed on one mesh,
-    as are its ``c`` and ``x``. Every block equals, bit for bit, the
-    one-case call.
+    The cases are read once, when the first block is asked for. For the
+    iterator's lifetime each probability integral is kept, keyed by gap,
+    image distance and coupling, so one that several cases need is computed
+    once. A case's missing probabilities that share an image distance are
+    computed on one mesh, as are its ``c`` and ``x``. Each mesh, with the
+    correlators and sbar rows computed on it, is kept from the first case
+    that builds it to the last case of the list on that ``(spatial,
+    image)`` pair, and dropped before that case's block is returned. The
+    sbar rule writes its large arrays to one workspace, grown to the
+    largest mesh. Every block equals, bit for bit, the one-case call.
     """
-    probabilities = {}
-    # the sbar rows of the probability meshes, which cases share as well
-    probability_rows = {}
-    for pair, geom in cases:
+    cases = list(cases)
+    # each case's meshes: those of p_a, of p_b, and of c with x
+    meshes = []
+    for _, geom in cases:
         spatial, image, distance_b = _distances(geom)
+        meshes.append(
+            [(0.0, 2.0 * geom.boundary_distance), (0.0, 2.0 * distance_b), (spatial, image)]
+        )
+    last = {mesh: i for i, on in enumerate(meshes) for mesh in on}
+    state = _State()
+    probabilities = {}
+    for i, ((pair, _), on) in enumerate(zip(cases, meshes)):
         lam = pair.coupling
-        keys = [
-            (pair.omega_a, 2.0 * geom.boundary_distance, lam),
-            (pair.omega_b, 2.0 * distance_b, lam),
-        ]
+        keys = [(pair.omega_a, on[0][1], lam), (pair.omega_b, on[1][1], lam)]
         missing = {}
         for key in dict.fromkeys(keys):
             if key not in probabilities:
                 missing.setdefault(key[1], []).append(key)
         for image_p, group in missing.items():
             terms = [(omega, omega, False) for omega, _, _ in group]
-            values = _extrapolated(terms, 0.0, image_p, lam, probability_rows)
+            values = _extrapolated(terms, 0.0, image_p, lam, state)
             probabilities.update(zip(group, values))
-        c, x = _extrapolated(_correlation_terms(pair), spatial, image, lam)
+        c, x = _extrapolated(_correlation_terms(pair), *on[2], lam, state)
+        for mesh in on:
+            if last[mesh] == i:
+                state.meshes.pop(mesh, None)
         yield CorrelationBlock(
             p_a=_real_probability(*probabilities[keys[0]]),
             p_b=_real_probability(*probabilities[keys[1]]),

@@ -544,10 +544,10 @@ class TestVerifyCommand:
         extrapolated = integral_oracle._extrapolated
         counts = {}
 
-        def counting(terms, spatial, image, coupling, *kept_rows):
+        def counting(terms, spatial, image, coupling, *state):
             kind = "probability" if spatial == 0.0 else "correlation"
             counts[kind] = counts.get(kind, 0) + len(terms)
-            return extrapolated(terms, spatial, image, coupling, *kept_rows)
+            return extrapolated(terms, spatial, image, coupling, *state)
 
         monkeypatch.setattr(integral_oracle, "_extrapolated", counting)
         for _ in range(2):
@@ -556,11 +556,14 @@ class TestVerifyCommand:
             assert counts == {"probability": 14, "correlation": 40}
 
     def test_one_panel_rule_per_u_mesh_and_sbar_rows(self, monkeypatch, capsys):
-        # the default grid makes 34 oracle calls; each grades the edges of
-        # its 3 regulators' meshes (102) and maps the Gauss-Legendre rule
-        # once onto the union of their panels (34). Its sbar pieces take one
-        # more rule, except in the 7 of 14 probability calls whose image
-        # distance an earlier case had: their rows are kept (27)
+        # the default grid makes 34 oracle calls on 25 distinct (spatial,
+        # image) pairs. Each pair's mesh is built once per command: it grades
+        # the edges of its 3 regulators' meshes (75) and maps the
+        # Gauss-Legendre rule once onto the union of their panels (25). The
+        # sbar pieces take one more rule per call that needs a row its mesh
+        # does not hold yet: all but the 7 of 14 probability calls whose
+        # image distance an earlier case had, where the beta = 0 row is
+        # kept (27)
         counts = {"_panel_edges": 0, "_panel_rule": 0}
         for name in counts:
 
@@ -570,7 +573,7 @@ class TestVerifyCommand:
 
             monkeypatch.setattr(integral_oracle, name, counting)
         assert run(["verify", "--grid", "default"], capsys)[0] == 0
-        assert counts == {"_panel_edges": 102, "_panel_rule": 34 + 27}
+        assert counts == {"_panel_edges": 75, "_panel_rule": 25 + 27}
 
     @pytest.mark.parametrize(
         "grid, configurations",
@@ -587,9 +590,9 @@ class TestVerifyCommand:
             calls.append(("case", pair, geom))
             return closed_form(pair, geom)
 
-        def record_oracle(terms, spatial, image, coupling, *kept_rows):
+        def record_oracle(terms, spatial, image, coupling, *state):
             calls.append(("oracle", spatial, image))
-            return extrapolated(terms, spatial, image, coupling, *kept_rows)
+            return extrapolated(terms, spatial, image, coupling, *state)
 
         monkeypatch.setattr(cli, "correlations", record_case)
         monkeypatch.setattr(integral_oracle, "_extrapolated", record_oracle)

@@ -7,7 +7,9 @@ determinism); its agreement with the closed forms is exercised here at
 single points and over the full grid in the acceptance suite.
 """
 
+import gc
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -78,6 +80,15 @@ def full_rule(omega_a, omega_b, spatial, image, eps, time_ordered):
     sb = h[:, None] * xs[None, :]
     srow = np.exp(-(sb**2)) * np.exp(-1j * beta * sb) @ ws * h
     return complex(np.sum(ku * srow))
+
+
+def default_grid_cases():
+    """The default ``verify`` grid's cases, in the command's order."""
+    return [
+        (DetectorPair(omega_a, omega_b), BoundaryGeometry(alignment, l, dz))
+        for omega_a, omega_b, l, dz in VERIFY_GRID_DEFAULT
+        for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL)
+    ]
 
 
 def block_bits(block):
@@ -380,6 +391,40 @@ class TestNumericCorrelations:
         for (pair, geom), block in zip(cases, shared):
             assert block_bits(block) == block_bits(numeric_correlations(pair, geom))
 
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_case_order_changes_no_bit(self, order):
+        # the cases share meshes in another order, and so build them, keep
+        # their correlators and sbar rows and drop them at other cases
+        cases = default_grid_cases()
+        if order == "reversed":
+            cases.reverse()
+        else:
+            cases = [cases[i] for i in np.random.default_rng(23).permutation(len(cases))]
+        shared = list(numeric_correlation_blocks(cases))
+        assert len(shared) == len(cases)
+        for (pair, geom), block in zip(cases, shared):
+            assert block_bits(block) == block_bits(numeric_correlations(pair, geom))
+
+    def test_each_mesh_is_built_once_and_dropped_after_its_last_case(self, monkeypatch):
+        # the default grid's 34 oracle calls are on 25 distinct (spatial,
+        # image) pairs; no mesh outlives the last case that is on it
+        real_u_meshes = integral_oracle._u_meshes
+        built = []
+
+        def counting(spatial, image):
+            meshes = real_u_meshes(spatial, image)
+            built.append(((spatial, image), weakref.ref(meshes[0])))
+            return meshes
+
+        monkeypatch.setattr(integral_oracle, "_u_meshes", counting)
+        cases = default_grid_cases()
+        blocks = numeric_correlation_blocks(cases)
+        for _ in cases:
+            next(blocks)
+        gc.collect()
+        assert len(built) == len({pair for pair, _ in built}) == 25
+        assert [pair for pair, alive in built if alive() is not None] == []
+
 
 def set_panel_edges(singular, eps, half_width):
     """Panel edges added one by one to a set, as the oracle first built
@@ -498,16 +543,18 @@ class TestSharedUMesh:
 
     def test_kept_rows_are_reused_bit_for_bit(self, monkeypatch):
         terms, later = [(0.1, 0.1, False), (1.0, 1.0, False)], [(0.3, 0.3, False)]
-        kept = {}
-        first = _regulated_values(terms, 0.0, 2.0, kept)
-        # both terms have beta = 0: one row, kept under its mesh and beta
-        assert list(kept) == [(0.0, 2.0, 0.0)]
+        state = integral_oracle._State()
+        first = _regulated_values(terms, 0.0, 2.0, state)
+        # one mesh, and both terms have beta = 0: one row, kept on the mesh
+        assert list(state.meshes) == [(0.0, 2.0)]
+        assert list(state.meshes[0.0, 2.0].rows) == [0.0]
 
         def refused(*args):
-            raise AssertionError("a kept sbar row was computed again")
+            raise AssertionError("a kept mesh, correlator or sbar row was computed again")
 
-        monkeypatch.setattr(integral_oracle, "_sbar_rows", refused)
-        again = _regulated_values(later, 0.0, 2.0, kept)
+        for name in ("_u_meshes", "_two_point", "_sbar_rows"):
+            monkeypatch.setattr(integral_oracle, name, refused)
+        again = _regulated_values(later, 0.0, 2.0, state)
         monkeypatch.undo()
         assert first.tobytes() == _regulated_values(terms, 0.0, 2.0).tobytes()
         assert again.tobytes() == _regulated_values(later, 0.0, 2.0).tobytes()
@@ -543,6 +590,18 @@ class TestSbarRows:
             for h, got in zip(self.H, row):
                 scale = math.sqrt(math.pi) * math.erf(h)
                 assert abs(float(got - exact_row(h, beta))) <= 1e-14 * scale, (h, beta)
+
+    def test_reused_workspace_leaves_no_stale_tail(self):
+        # a large mesh, a small one, then the large one again: each result
+        # must equal a call with a fresh workspace, so no value left in the
+        # workspace by a larger or earlier call reaches a row
+        rng = np.random.default_rng(11)
+        large = np.unique(rng.uniform(0.0, integral_oracle.TRUNCATION, 1500))
+        small = np.unique(rng.uniform(0.0, integral_oracle.TRUNCATION, 40))
+        workspace = integral_oracle._Workspace()
+        for h, betas in [(large, self.BETAS), (small, self.BETAS[1:3]), (large, self.BETAS[::-1])]:
+            got = _sbar_rows(h, betas, workspace)
+            assert got.tobytes() == _sbar_rows(h, betas).tobytes()
 
     def test_rows_depend_on_h_and_beta_alone(self):
         rng = np.random.default_rng(7)
