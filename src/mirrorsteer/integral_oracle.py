@@ -486,8 +486,9 @@ def numeric_correlation_blocks(cases):
     state = _State()
     probabilities = {}
     for i, ((pair, _), on) in enumerate(zip(cases, meshes)):
+        (_, image_a), (_, image_b), (spatial, image) = on
         lam = pair.coupling
-        keys = [(pair.omega_a, on[0][1], lam), (pair.omega_b, on[1][1], lam)]
+        keys = [(pair.omega_a, image_a, lam), (pair.omega_b, image_b, lam)]
         missing = {}
         for key in dict.fromkeys(keys):
             if key not in probabilities:
@@ -496,7 +497,7 @@ def numeric_correlation_blocks(cases):
             terms = [(omega, omega, False) for omega, _, _ in group]
             values = _extrapolated(terms, 0.0, image_p, lam, state)
             probabilities.update(zip(group, values))
-        c, x = _extrapolated(_correlation_terms(pair), *on[2], lam, state)
+        c, x = _extrapolated(_correlation_terms(pair), spatial, image, lam, state)
         for mesh in on:
             if last[mesh] == i:
                 state.meshes.pop(mesh, None)
