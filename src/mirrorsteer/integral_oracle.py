@@ -26,24 +26,39 @@ same as integrating the two time-ordered triangles of the original box.
 For each u node the sbar integral runs over the exact diamond section
 |sbar| <= h = T - |u|/2. Its integrand is a Gaussian times the phase
 exp(-i beta sbar), whose odd sine part cancels, so each sbar row is the
-real 2 int_0^h exp(-sbar^2) cos(beta sbar). The half-axis [0, T] is
-covered by fixed Gauss-Legendre panels whose sums make a prefix, and a
-row is the prefix up to the last panel edge below h plus one piece from
-there to h. A row depends on its u node only through h. The quadrature
-is repeated for a decreasing schedule of regulator values and
-Richardson-extrapolated to zero.
+real 2 int_0^h exp(-sbar^2) cos(beta sbar), the same for beta and
+-beta. The half-axis [0, T] is covered by fixed Gauss-Legendre panels
+whose sums make a prefix, and a row is the prefix up to the last panel
+edge below h plus one piece from there to h. A row depends on its u
+node only through h. The quadrature is repeated for a decreasing
+schedule of regulator values and Richardson-extrapolated to zero.
+
+The panel edges are their own mirror image about u = 0, and the
+Gauss-Legendre nodes and weights are symmetric, so each mesh is built on
+its u > 0 half and mirrored. Every u factor is conjugate-symmetric, bit
+for bit in IEEE arithmetic: the Gaussian is even, exp(-i alpha (-u)) is
+conj exp(-i alpha u), and the regulated correlator obeys G(-u) = conj
+G(u), so the time-ordered correlator G(-|u|) is conj G(|u|) on both
+triangles. Each factor is therefore evaluated on the u > 0 nodes only,
+and its values at -u are the conjugates, reversed. Where the image path
+equals the direct one the correlator is an exact signed zero, the same
+at u and -u, which conjugation would flip; there it is evaluated on the
+whole mesh instead.
 
 Integrals on one (spatial, image) pair are computed together: C with
 X, and P_A with P_B when both detectors are equally far from the
 mirror. The regulators' meshes share most of their panels, nested or
-not, so the rule is mapped once onto the union of their panels (each
-panel kept once per edge pair), and each regulator's mesh is an index
-into that union, in its own panel order. The u Gaussian, each
+not, so the rule is mapped once onto the union of their u > 0 panels
+(each panel kept once per edge pair), and each regulator's half mesh is
+an index into that union, in its own panel order. The u Gaussian, each
 integral's u phase and the section half-width h are evaluated once per
-union node, the sbar rows once per distinct h and beta for every
-regulator, and the correlator once per regulator and time ordering.
-Each regulated value is still summed over its own mesh in its own
-order, so the sharing changes no bit.
+union node, the sbar rows once per distinct h and |beta| for every
+regulator, and the correlator once per regulator, for both time
+orderings. Each regulator's whole-mesh arrays are built from its half
+as an integral needs them, and each regulated value is still summed
+over its own whole mesh in its own order, with every summand the same
+as if it were evaluated at its own node: neither the sharing nor the
+mirroring changes a bit.
 
 Over the cases of one :func:`numeric_correlation_blocks` iterator each
 probability integral is computed once: it depends only on the gap, the
@@ -163,13 +178,17 @@ def _panel_rule(a, b, out=None):
 
 
 def _u_meshes(spatial: float, image: float):
-    """The u meshes of every regulator of :data:`EPSILONS` on one
-    ``(spatial, image)`` pair, from one rule over the union of their
-    panels: the union's nodes and weights, one row per panel, and for
-    each regulator the rows of its panels, in its own panel order."""
+    """The u > 0 halves of the u meshes of every regulator of
+    :data:`EPSILONS` on one ``(spatial, image)`` pair, from one rule over
+    the union of their panels from u = 0 up: the union's nodes and weights,
+    one row per panel, and for each regulator the rows of its panels, in
+    its own panel order. A regulator's whole mesh is its half mirrored
+    (:func:`_mirrored`): its edges are antisymmetric, u = 0 is one of them,
+    and the Gauss-Legendre nodes and weights are symmetric."""
     keys = []
     for eps in EPSILONS:
         edges = _panel_edges((0.0, spatial, image), eps, 2.0 * TRUNCATION)
+        edges = edges[edges >= 0.0]
         # a panel [a, b] is the key a + ib, which sorts by a, then b
         key = np.empty(len(edges) - 1, dtype=complex)
         key.real = edges[:-1]
@@ -178,6 +197,13 @@ def _u_meshes(spatial: float, image: float):
     union = _distinct(np.concatenate(keys))
     u, w = _panel_rule(union.real, union.imag)
     return u, w, [np.searchsorted(union, key) for key in keys]
+
+
+def _mirrored(half):
+    """A regulator's whole-mesh array from its values on the u > 0 half:
+    the half reversed and conjugated (a no-op on real values), then the
+    half."""
+    return np.concatenate((half[::-1].conj(), half))
 
 
 class _Workspace:
@@ -227,33 +253,42 @@ def _sbar_rows(h, betas, workspace=None):
 
 class _Mesh:
     """What the integrals on one ``(spatial, image)`` pair share: the union
-    of the regulators' u panels with each regulator's rows of it
-    (:func:`_u_meshes`), the section half-widths h with each node's index
-    into them, and the u Gaussian; and, as the integrals ask for them, the
-    correlator per regulator and time ordering and the sbar row per beta."""
+    of the u > 0 halves of the regulators' u panels with each regulator's
+    rows of it (:func:`_u_meshes`), the section half-widths h with each
+    node's index into them, and the u Gaussian; and, as the integrals ask
+    for them, the correlator on each regulator's u > 0 nodes and the sbar
+    row per |beta|."""
 
     def __init__(self, spatial: float, image: float):
         self.spatial, self.image = spatial, image
         self.u, self.w, self.panels = _u_meshes(spatial, image)
-        h_nodes = np.maximum(TRUNCATION - np.abs(self.u) / 2.0, 0.0)
+        h_nodes = np.maximum(TRUNCATION - self.u / 2.0, 0.0)
         self.h = _distinct(h_nodes)
         self.at_h = np.searchsorted(self.h, h_nodes)
         self.gauss = np.exp(-(self.u**2) / 4.0)
         self.rows = {}
-        self._correlators = {}
+        self._positive = {}
 
     def correlator(self, regulator: int, ordered: bool):
-        """The correlator on the mesh of the ``regulator``-th entry of
-        :data:`EPSILONS`, time-ordered or not."""
-        key = (regulator, ordered)
-        if key not in self._correlators:
-            u = self.u[self.panels[regulator]].ravel()
-            # the time-ordered term sees the correlator at -|u| on both
-            # triangles
-            self._correlators[key] = _two_point(
-                -np.abs(u) if ordered else u, self.spatial, self.image, EPSILONS[regulator]
-            )
-        return self._correlators[key]
+        """The correlator on the whole mesh of the ``regulator``-th entry of
+        :data:`EPSILONS`, time-ordered or not, from one evaluation G+ on its
+        u > 0 nodes: G(-u) is conj G(u) bit for bit, and the time-ordered
+        term sees G at -|u| on both triangles, so the unordered correlator
+        is [conj G+ reversed, G+] and the time-ordered one [conj G+
+        reversed, conj G+]."""
+        u = self.u[self.panels[regulator]].ravel()
+        eps = EPSILONS[regulator]
+        if self.spatial * self.spatial == self.image * self.image:
+            # the image term cancels the direct one exactly, to a signed
+            # zero that is the same at u and -u and that conj would flip:
+            # evaluated on the whole mesh instead
+            u = np.concatenate((-u[::-1], u))
+            return _two_point(-np.abs(u) if ordered else u, self.spatial, self.image, eps)
+        if regulator not in self._positive:
+            self._positive[regulator] = _two_point(u, self.spatial, self.image, eps)
+        g = self._positive[regulator]
+        conj = g.conj()
+        return np.concatenate((conj[::-1], conj if ordered else g))
 
 
 class _State:
@@ -282,12 +317,14 @@ def _regulated_values(terms, spatial: float, image: float, state=None):
     come from the pair's :class:`_Mesh` in ``state`` (a fresh
     :class:`_State` by default), which builds each once and keeps it for
     later calls; each term's u phase is evaluated once per node of the
-    union, and each regulated value is summed over its own regulator's
-    mesh, in that mesh's order.
+    half union, and each regulated value is summed over its own
+    regulator's whole mesh, mirrored from its half, in that mesh's order.
     """
     state = _State() if state is None else state
     mesh = state.mesh(spatial, image)
-    betas = [omega_a - omega_b for omega_a, omega_b, _ in terms]
+    # cos is even and s (-beta) is -(s beta) exactly: the sbar row of -beta
+    # is the row of beta, bit for bit, so the rows are keyed by |beta|
+    betas = [abs(omega_a - omega_b) for omega_a, omega_b, _ in terms]
     values = np.empty((len(terms), len(mesh.panels)), dtype=complex)
     # a gap so large that the phases overflow gives inf and nan here, which
     # _extrapolated refuses as a non-finite extrapolation
@@ -301,10 +338,11 @@ def _regulated_values(terms, spatial: float, image: float, state=None):
             for alpha in ((omega_a + omega_b) / 2.0 for omega_a, omega_b, _ in terms)
         ]
         for i, p in enumerate(mesh.panels):
-            # this regulator's weights and rows of h, in its mesh order
-            w, at = mesh.w[p].ravel(), mesh.at_h[p].ravel()
+            # this regulator's weights and rows of h, over its whole mesh in
+            # its order
+            w, at = _mirrored(mesh.w[p].ravel()), _mirrored(mesh.at_h[p].ravel())
             for k, (beta, factor, (_, _, ordered)) in enumerate(zip(betas, factors, terms)):
-                ku = factor[p].ravel() * mesh.correlator(i, ordered) * w
+                ku = _mirrored(factor[p].ravel()) * mesh.correlator(i, ordered) * w
                 values[k, i] = np.sum(ku * mesh.rows[beta][at])
     return values
 
@@ -517,8 +555,8 @@ def numeric_correlations(pair: DetectorPair, geom: BoundaryGeometry) -> Correlat
     and at unit coupling the matching ``numeric_probability`` result.
     Integrals on one mesh are computed together: ``c`` with ``x``, and
     ``p_a`` with ``p_b`` when both detectors are equally far from the
-    mirror. They share the union of the regulators' u panels, the u
-    Gaussian and the sbar rows of each distinct beta, and ``p_a`` with
+    mirror. They share the union of the regulators' u > 0 panels, the u
+    Gaussian and the sbar rows of each distinct |beta|, and ``p_a`` with
     ``p_b`` share the correlator as well. This is the one-case use of
     :func:`numeric_correlation_blocks`.
     """

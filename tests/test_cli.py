@@ -559,12 +559,13 @@ class TestVerifyCommand:
         # the default grid makes 34 oracle calls on 25 distinct (spatial,
         # image) pairs. Each pair's mesh is built once per command: it grades
         # the edges of its 3 regulators' meshes (75) and maps the
-        # Gauss-Legendre rule once onto the union of their panels (25). The
-        # sbar pieces take one more rule per call that needs a row its mesh
-        # does not hold yet: all but the 7 of 14 probability calls whose
-        # image distance an earlier case had, where the beta = 0 row is
-        # kept (27)
-        counts = {"_panel_edges": 0, "_panel_rule": 0}
+        # Gauss-Legendre rule once onto the union of their u > 0 panels
+        # (25). The sbar pieces take one more rule per call that needs a row
+        # its mesh does not hold yet: all but the 7 of 14 probability calls
+        # whose image distance an earlier case had, where the beta = 0 row
+        # is kept (27). The correlator is evaluated once per mesh and
+        # regulator, on its u > 0 nodes, for both time orderings (75)
+        counts = {"_panel_edges": 0, "_panel_rule": 0, "_two_point": 0}
         for name in counts:
 
             def counting(*args, _name=name, _real=getattr(integral_oracle, name)):
@@ -573,7 +574,7 @@ class TestVerifyCommand:
 
             monkeypatch.setattr(integral_oracle, name, counting)
         assert run(["verify", "--grid", "default"], capsys)[0] == 0
-        assert counts == {"_panel_edges": 75, "_panel_rule": 25 + 27}
+        assert counts == {"_panel_edges": 75, "_panel_rule": 25 + 27, "_two_point": 75}
 
     @pytest.mark.parametrize(
         "grid, configurations",

@@ -477,6 +477,16 @@ def regulated_reference(terms, spatial, image):
     return values
 
 
+def assert_mirrored_meshes(spatial, image, u, w, panels):
+    """Each regulator's rows of the half union, mirrored, must be its whole
+    u mesh (u_mesh), nodes and weights, bit for bit."""
+    for eps, p in zip(integral_oracle.EPSILONS, panels):
+        want_u, want_w = u_mesh(spatial, image, eps)
+        half_u, half_w = u[p].ravel(), w[p].ravel()
+        assert np.concatenate((-half_u[::-1], half_u)).tobytes() == want_u.tobytes()
+        assert integral_oracle._mirrored(half_w).tobytes() == want_w.tobytes()
+
+
 class TestSharedUMesh:
     """The edges are graded with whole arrays, and the regulators of one
     (spatial, image) pair share one union of panels; each regulator's mesh
@@ -512,6 +522,18 @@ class TestSharedUMesh:
         coarse, fine = (_panel_edges(singular, eps, self.HALF_WIDTH) for eps in (0.015, 0.005))
         assert not set(coarse) <= set(fine)
 
+    @pytest.mark.parametrize("setting", [{}, {"TRUNCATION": 6.0}, {"NODES": 17}])
+    @pytest.mark.parametrize("spatial, image", GEOMETRIES)
+    @pytest.mark.parametrize("eps", [0.02, 0.015, 0.01, 0.005, 0.003, 1e-3])
+    def test_edges_are_antisymmetric(self, spatial, image, eps, setting, monkeypatch):
+        # the oracle builds the u > 0 half of each mesh and mirrors it, which
+        # gives the whole mesh only if the edges are their own mirror image
+        for name, value in setting.items():
+            monkeypatch.setattr(integral_oracle, name, value)
+        got = _panel_edges((0.0, spatial, image), eps, 2.0 * integral_oracle.TRUNCATION)
+        assert (-got[::-1] + 0.0).tobytes() == got.tobytes()
+        assert got[len(got) // 2] == 0.0 and not np.signbit(got[len(got) // 2])
+
     @pytest.mark.parametrize("schedule", SCHEDULES)
     @pytest.mark.parametrize("spatial, image", GEOMETRIES)
     def test_union_gives_each_regulator_mesh(self, spatial, image, schedule, monkeypatch):
@@ -520,10 +542,45 @@ class TestSharedUMesh:
         assert len(panels) == len(schedule)
         # the regulators share panels, so the union is smaller than the sum
         assert len(u) < sum(len(p) for p in panels)
-        for eps, p in zip(schedule, panels):
-            want_u, want_w = u_mesh(spatial, image, eps)
-            assert u[p].ravel().tobytes() == want_u.tobytes()
-            assert w[p].ravel().tobytes() == want_w.tobytes()
+        assert (u > 0.0).all()
+        assert_mirrored_meshes(spatial, image, u, w, panels)
+
+    @pytest.mark.parametrize("setting", [{"TRUNCATION": 6.0}, {"NODES": 17}])
+    @pytest.mark.parametrize("spatial, image", GEOMETRIES[:4])
+    def test_mirrored_mesh_at_other_settings(self, spatial, image, setting, monkeypatch):
+        for name, value in setting.items():
+            monkeypatch.setattr(integral_oracle, name, value)
+        assert_mirrored_meshes(spatial, image, *_u_meshes(spatial, image))
+
+    # (1.5, 1.5) and the parallel l = 1, dz = 1e-9, where hypot(l, 2 dz)
+    # rounds to l, subtract the image exactly: the correlator is a signed zero
+    @pytest.mark.parametrize(
+        "spatial, image",
+        GEOMETRIES + [_distances(BoundaryGeometry(Alignment.PARALLEL, 1.0, 1e-9))[:2]],
+    )
+    def test_mirrored_factors_equal_direct_evaluation(self, spatial, image):
+        # the phase and both correlators on each regulator's whole mesh must
+        # equal their evaluation at -u bit for bit, signs of zeros included
+        mesh = integral_oracle._Mesh(spatial, image)
+        for i, (eps, p) in enumerate(zip(integral_oracle.EPSILONS, mesh.panels)):
+            half = mesh.u[p].ravel()
+            u = np.concatenate((-half[::-1], half))
+            for alpha in (0.05, 0.1, 0.5, 0.55, 1.0, 2.5):
+                got = integral_oracle._mirrored(mesh.gauss[p].ravel() * np.exp(-1j * alpha * half))
+                want = np.exp(-(u**2) / 4.0) * np.exp(-1j * alpha * u)
+                assert got.tobytes() == want.tobytes(), alpha
+            for ordered in (False, True):
+                want = _two_point(-np.abs(u) if ordered else u, spatial, image, eps)
+                assert mesh.correlator(i, ordered).tobytes() == want.tobytes(), ordered
+
+    def test_exact_image_cancellation_keeps_its_signed_zeros(self):
+        # the values the oracle gave when it evaluated both halves of the mesh
+        geom = BoundaryGeometry(Alignment.PARALLEL, 1.0, 1e-9)
+        for pair in (PAIR, DetectorPair(0.0, 1.0)):
+            c, x = numeric_c(pair, geom), numeric_x(pair, geom)
+            assert [math.copysign(1.0, v) for v in (c.real, c.imag)] == [1.0, 1.0]
+            assert [math.copysign(1.0, v) for v in (x.real, x.imag)] == [-1.0, -1.0]
+            assert c == x == 0.0
 
     @pytest.mark.parametrize("schedule", SCHEDULES)
     @pytest.mark.parametrize(
@@ -602,6 +659,11 @@ class TestSbarRows:
         for h, betas in [(large, self.BETAS), (small, self.BETAS[1:3]), (large, self.BETAS[::-1])]:
             got = _sbar_rows(h, betas, workspace)
             assert got.tobytes() == _sbar_rows(h, betas).tobytes()
+
+    def test_row_of_negated_beta_is_the_same(self):
+        # the oracle keys its rows by |beta|
+        for beta in self.BETAS:
+            assert _sbar_rows(self.H, [-beta]).tobytes() == _sbar_rows(self.H, [beta]).tobytes()
 
     def test_rows_depend_on_h_and_beta_alone(self):
         rng = np.random.default_rng(7)
