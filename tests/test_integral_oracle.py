@@ -522,14 +522,13 @@ class TestSharedUMesh:
         coarse, fine = (_panel_edges(singular, eps, self.HALF_WIDTH) for eps in (0.015, 0.005))
         assert not set(coarse) <= set(fine)
 
-    @pytest.mark.parametrize("setting", [{}, {"TRUNCATION": 6.0}, {"NODES": 17}])
+    @pytest.mark.parametrize("truncation", [integral_oracle.TRUNCATION, 6.0])
     @pytest.mark.parametrize("spatial, image", GEOMETRIES)
     @pytest.mark.parametrize("eps", [0.02, 0.015, 0.01, 0.005, 0.003, 1e-3])
-    def test_edges_are_antisymmetric(self, spatial, image, eps, setting, monkeypatch):
+    def test_edges_are_antisymmetric(self, spatial, image, eps, truncation, monkeypatch):
         # the oracle builds the u > 0 half of each mesh and mirrors it, which
         # gives the whole mesh only if the edges are their own mirror image
-        for name, value in setting.items():
-            monkeypatch.setattr(integral_oracle, name, value)
+        monkeypatch.setattr(integral_oracle, "TRUNCATION", truncation)
         got = _panel_edges((0.0, spatial, image), eps, 2.0 * integral_oracle.TRUNCATION)
         assert (-got[::-1] + 0.0).tobytes() == got.tobytes()
         assert got[len(got) // 2] == 0.0 and not np.signbit(got[len(got) // 2])
@@ -545,11 +544,11 @@ class TestSharedUMesh:
         assert (u > 0.0).all()
         assert_mirrored_meshes(spatial, image, u, w, panels)
 
-    @pytest.mark.parametrize("setting", [{"TRUNCATION": 6.0}, {"NODES": 17}])
+    # an odd order puts a Gauss-Legendre node at each panel's midpoint
+    @pytest.mark.parametrize("name, value", [("TRUNCATION", 6.0), ("NODES", 17)])
     @pytest.mark.parametrize("spatial, image", GEOMETRIES[:4])
-    def test_mirrored_mesh_at_other_settings(self, spatial, image, setting, monkeypatch):
-        for name, value in setting.items():
-            monkeypatch.setattr(integral_oracle, name, value)
+    def test_mirrored_mesh_at_other_settings(self, spatial, image, name, value, monkeypatch):
+        monkeypatch.setattr(integral_oracle, name, value)
         assert_mirrored_meshes(spatial, image, *_u_meshes(spatial, image))
 
     # (1.5, 1.5) and the parallel l = 1, dz = 1e-9, where hypot(l, 2 dz)
