@@ -1,7 +1,9 @@
 """Golden CLI outputs: the bytes each command below writes, pinned.
 
 ``golden/`` holds what these commands wrote through ``cli.main``: the five
-figures at resolution 25, ``compute`` as JSON and CSV at two points in each
+figures at resolution 25, once at the default gaps 0.1/0.1 and once at
+``--omega-a 0.05 --omega-b 0.5`` (where fig5 and fig7 have a nonzero gap
+difference and fig6's curves start at 0.05), ``compute`` as JSON and CSV at two points in each
 alignment, one ``sweep`` per axis (the separation axis log-spaced across
 ``SERIES_CROSSOVER``), two ``optimize`` runs, ``verify --format json`` on the smoke and
 the default grid, and the exit code and stderr of one refused sweep.  The test reruns
@@ -53,6 +55,9 @@ _POINTS = {
 # output name -> command; each command writes to --out at its name
 COMMANDS = {
     **{f"{fig}": ["figure", fig, "--resolution", "25"]
+       for fig in ("fig2", "fig4", "fig5", "fig6", "fig7")},
+    **{f"{fig}_gaps_0.05_0.5": ["figure", fig, "--omega-a", "0.05", "--omega-b", "0.5",
+                                "--resolution", "25"]
        for fig in ("fig2", "fig4", "fig5", "fig6", "fig7")},
     **{f"compute_{name}.{fmt}": ["compute", *_point(*point), "--format", fmt]
        for name, point in _POINTS.items() for fmt in ("json", "csv")},
