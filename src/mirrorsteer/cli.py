@@ -122,15 +122,20 @@ def _constant_text(column) -> str | None:
     return text
 
 
-def _table_csv(table: SweepTable, params: dict) -> str:
+def _table_csv(table: SweepTable, params: dict, axis_text: list[str] | None = None) -> str:
     """CSV with one column per table column, headed by its name; each value
     is written with 17 significant digits, enough to read it back exactly.
-    A column whose values all print alike is formatted once."""
+    A column whose values all print alike is formatted once, and so is an
+    axis column that tables share: ``axis_text`` holds its values as text,
+    which each row takes as it is."""
     lines = [f"# {key} = {value}" for key, value in params.items()]
     lines.append(",".join(table.columns))
     columns = list(table.columns.values())
     texts = [_constant_text(column) for column in columns]
-    row = ",".join("%.17g" if text is None else text for text in texts)
+    cells = ["%.17g" if text is None else text for text in texts]
+    if axis_text is not None:
+        columns[0], texts[0], cells[0] = axis_text, None, "%s"
+    row = ",".join(cells)
     varying = [column for column, text in zip(columns, texts) if text is None]
     # with every column constant, zip would give no rows at all
     rows = zip(*varying) if varying else [()] * len(columns[0])
@@ -320,14 +325,19 @@ def _cmd_figure(args) -> int:
             )
         names[label] = name
     out_dir = pathlib.Path(args.out)
+    axis = None
     for label, table in data.items():
+        # the tables of a figure hold one axis column, formatted once
+        if table.column("axis") is not axis:
+            axis = table.column("axis")
+            axis_text = ["%.17g" % value for value in axis]
         params = {
             "figure": args.figure,
             "curve": label,
             **table.params,
             "axis": table.variable.value,
         }
-        _write_text(str(out_dir / names[label]), _table_csv(table, params))
+        _write_text(str(out_dir / names[label]), _table_csv(table, params, axis_text))
     print(f"wrote {len(data)} curve files to {out_dir}")
     return 0
 

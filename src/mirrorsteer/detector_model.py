@@ -395,21 +395,46 @@ def transition_probability(
     return _probability(_ONE_POINT, free, pref, v.omega, v.boundary_distance)
 
 
-def _entries(ns, pair, lengths, p_a=None, p_b=None, direct=None) -> SimpleNamespace:
+def _exact(value) -> bytes | str:
+    """A key that two inputs share only if they hold the same bits: the
+    bytes of an array, the hex digits of a number (which tell -0.0 from
+    0.0, where ``==`` does not)."""
+    return value.tobytes() if isinstance(value, np.ndarray) else float(value).hex()
+
+
+def _kept(fn: Callable, store: dict) -> Callable:
+    """The stage ``fn``, keeping each result in ``store`` keyed by ``fn``
+    and the exact bits of every input it read, and taking a result from
+    there when a later call reads the same inputs."""
+
+    def kept(ns, *inputs):
+        key = (fn, *map(_exact, inputs))
+        if key not in store:
+            store[key] = fn(ns, *inputs)
+        return store[key]
+
+    return kept
+
+
+def _entries(ns, pair, lengths, p_a=None, p_b=None, direct=None,
+             probability=_probability, kernels=_kernels) -> SimpleNamespace:
     """P_A, P_B, C and X of the joint state, unchecked, with the values the
     rules on the kernel phases and on the block read, from the
     :func:`_pair_terms` and the :func:`_mirror_lengths`.
 
     The stages past the pair terms: the probability of each detector at its
     mirror distance, the kernels at the direct separation, and those at the
-    image separation.  An evaluator passes in the stages it holds fixed.
+    image separation.  An evaluator passes in the stages it holds fixed, and
+    may pass ``probability`` and ``kernels`` that keep their results
+    (:func:`_kept`) for the first three; the image kernels, which differ
+    from curve to curve, are always computed.
     """
     if p_a is None:
-        p_a = _probability(ns, pair.free_a, pair.pref, pair.omega_a, lengths.boundary_distance)
+        p_a = probability(ns, pair.free_a, pair.pref, pair.omega_a, lengths.boundary_distance)
     if p_b is None:
-        p_b = _probability(ns, pair.free_b, pair.pref, pair.omega_b, lengths.distance_b)
+        p_b = probability(ns, pair.free_b, pair.pref, pair.omega_b, lengths.distance_b)
     if direct is None:
-        direct = _kernels(ns, lengths.separation, pair.d, pair.s)
+        direct = kernels(ns, lengths.separation, pair.d, pair.s)
     g_re, g_im, phase, f = direct
     h_re, h_im, image_phase, f_image = _kernels(ns, lengths.image_separation, pair.d, pair.s)
     w, re, im = pair.x_weight, g_re - h_re, g_im - h_im
@@ -432,7 +457,7 @@ def correlations(pair: DetectorPair, geom: BoundaryGeometry) -> CorrelationBlock
 
 
 def _block_evaluator(
-    pair: DetectorPair, geom: BoundaryGeometry, swept: str
+    pair: DetectorPair, geom: BoundaryGeometry, swept: str, store: dict | None = None
 ) -> Callable[[float | np.ndarray], tuple[SimpleNamespace, tuple, bool | np.ndarray]]:
     """The values of :func:`_entries`, the observables of their X-state and
     the verdict as a function of one input, ``swept``: "omega_b",
@@ -453,6 +478,18 @@ def _block_evaluator(
     At one point a failed rule is raised as the dataclasses raise it, and
     ``ok`` is True; over an array ``ok`` is true exactly at the points that
     pass, and the values elsewhere are placeholders.
+
+    The evaluators of one figure's curves share a ``store``, a dict that
+    lives as long as the figure's build.  Each stage the evaluator does not
+    hold is kept in it (the pair terms along omega_b, each detector's
+    probability and the direct kernels; not the image kernels, which differ
+    from curve to curve), keyed by its function and the exact bits of every
+    input it reads (:func:`_kept`).  A later curve whose stage reads the
+    same inputs takes it from there: the omega_b pair terms of every fig6
+    curve (keyed by omega_a and lambda), P_A along fig5's mirror distance in
+    both alignments, the direct kernels of fig6's curves at one separation L
+    and of fig7's two curves (keyed by the gap pair), and P_B along fig6's
+    gap in the parallel alignment (keyed by dz).
     """
     omega_a, coupling, alignment = pair.omega_a, pair.coupling, geom.alignment
     ns, lengths = _ONE_POINT, geom._lengths
@@ -460,13 +497,17 @@ def _block_evaluator(
     held = {}
     if swept != "boundary_distance":
         held["p_a"] = _probability(ns, terms.free_a, terms.pref, omega_a, lengths.boundary_distance)
+    pair_terms, kept = _pair_terms, {}
+    if store is not None:
+        pair_terms = _kept(_pair_terms, store)
+        kept = {"probability": _kept(_probability, store), "kernels": _kept(_kernels, store)}
     # the rules on the swept input, the values they read, and the pair terms
     # and lengths from those values; a refused point of an array is computed
     # at a placeholder input, where no kernel overflows or leaves its domain
     if swept == "omega_b":
         rules, placeholder = _pair_rules, omega_a
         inputs = lambda ns, wb: SimpleNamespace(omega_a=omega_a, omega_b=wb, coupling=coupling)
-        stages = lambda ns, v: (_pair_terms(ns, omega_a, v.omega_b, coupling), lengths)
+        stages = lambda ns, v: (pair_terms(ns, omega_a, v.omega_b, coupling), lengths)
     else:
         rules, placeholder = _geometry_rules, 1.0
         stages = lambda ns, v: (terms, v)
@@ -485,7 +526,7 @@ def _block_evaluator(
         ok = ns.verdict(rules, v)
         if ok is not True:
             v = inputs(ns, np.where(ok, value, placeholder))
-        values = _entries(ns, *stages(ns, v), **held)
+        values = _entries(ns, *stages(ns, v), **held, **kept)
         ok = ok & ns.verdict(_phase_rules, values) & ns.verdict(_block_rules, values)
         entries = _state_entries(values.p_a, values.p_b, values.c, values.x)
         columns, state_ok = _observe(ns, *entries)

@@ -15,7 +15,15 @@ margin (R. Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4
 The figure builders reproduce the standard curve families (steering versus
 separation, versus mirror distance, versus detector gap, and the alignment
 difference) as labelled tables, each figure declared by one row of
-``_FIGURES``.
+``_FIGURES``.  The curves of one figure share one axis column, and a store
+that lives for one :func:`figure_dataset` call: each curve's evaluator keeps
+its array stages there, keyed by the stage and the exact bits of its inputs,
+and takes a stage an earlier curve computed from the same inputs.  fig6's
+curves share the pair terms along omega_b (the same omega_a and lambda), the
+direct kernels at each separation L and the parallel P_B (the same dz);
+fig5's share P_A along the mirror distance, and fig7's the direct kernels
+(the same gap pair).  Every value stays bit for bit what a lone
+:func:`sweep` gives.
 """
 
 from __future__ import annotations
@@ -147,7 +155,8 @@ def observable_values(block: CorrelationBlock) -> tuple[float, ...]:
 def observable_columns(
     grid: Sequence[float], columns: Iterable[Sequence[float]]
 ) -> dict[str, tuple[float, ...]]:
-    """The ``axis`` column and the :data:`OBSERVABLES` columns, in order."""
+    """The ``axis`` column and the :data:`OBSERVABLES` columns, in order; a
+    ``grid`` that is a tuple already is the axis column itself."""
     return {"axis": tuple(grid), **{n: tuple(c) for n, c in zip(OBSERVABLES, columns)}}
 
 
@@ -214,8 +223,23 @@ def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepT
     the grid point named.
     """
     grid = axis.grid()
+    return _sweep(pair, geom, axis, grid, tuple(grid.tolist()))
+
+
+def _sweep(
+    pair: DetectorPair,
+    geom: BoundaryGeometry,
+    axis: SweepAxis,
+    grid: np.ndarray,
+    column: tuple[float, ...],
+    store: dict | None = None,
+) -> SweepTable:
+    """:func:`sweep` over ``grid``, the grid of ``axis``, whose values
+    ``column`` holds as the table's axis column.  The evaluator keeps the
+    stages it computes in ``store``, and takes a stage from there when its
+    inputs match one kept by an earlier curve of the same figure."""
     with np.errstate(over="ignore", invalid="ignore"):
-        _, observed, ok = _block_evaluator(pair, geom, _INPUT[axis.variable])(grid)
+        _, observed, ok = _block_evaluator(pair, geom, _INPUT[axis.variable], store)(grid)
     if not ok.all():
         # the first failing point, evaluated alone, raises the one-point error
         value = grid[ok.argmin()].item()
@@ -225,7 +249,7 @@ def sweep(pair: DetectorPair, geom: BoundaryGeometry, axis: SweepAxis) -> SweepT
     # a value held fixed is one number, which its column repeats; the margins
     # after the OBSERVABLES make no column
     values = (v.tolist() if isinstance(v, np.ndarray) else [v] * len(grid) for v in observed)
-    columns = observable_columns(grid.tolist(), values)
+    columns = observable_columns(column, values)
     params = {
         "omega_a": pair.omega_a,
         "omega_b": pair.omega_b,
@@ -515,6 +539,11 @@ def figure_dataset(
     start = pair.omega_a if spec.start is None else spec.start
     axis = SweepAxis(spec.variable, start, spec.stop, resolution)
     family = separations if spec.family is _SEP else spec.members or (None,)
+    # every table holds this one axis column; the curves share the stages
+    # they compute from the same inputs, for this call only
+    grid = axis.grid()
+    column = tuple(grid.tolist())
+    store: dict = {}
 
     out: dict[str, SweepTable] = {}
     for alignment in spec.alignments:
@@ -544,7 +573,7 @@ def figure_dataset(
                         f"curve {label!r} cannot be built with {culprit}: {exc}"
                     ) from exc
             try:
-                out[label] = sweep(curve_pair, curve_geom, axis)
+                out[label] = _sweep(curve_pair, curve_geom, axis, grid, column, store)
             except ValidationError as exc:
                 member = "" if spec.family is None else f" with {_INPUT[spec.family]} = {value:g}"
                 raise type(exc)(f"curve {label!r}{member}: {exc}") from exc
@@ -554,13 +583,12 @@ def figure_dataset(
     # the derived table holds what the parallel curve holds, bar its alignment
     par = out[Alignment.PARALLEL.value]
     params = {k: v for k, v in par.params.items() if k != "alignment"}
-    grid = par.column("axis")
     if spec.extra == "boundary_free":
         values = observable_values(boundary_free_correlations(pair, spec.separation))
-        columns = observable_columns(grid, ([v] * len(grid) for v in values))
+        columns = observable_columns(column, ([v] * len(column) for v in values))
     else:
         ort = out[Alignment.ORTHOGONAL.value]
-        columns = {"axis": grid} | {
+        columns = {"axis": column} | {
             f"delta_{n}": tuple(o - p for p, o in zip(par.column(n), ort.column(n)))
             for n in ("s_ab", "s_ba")
         }

@@ -5,7 +5,9 @@ attainable by the model itself (the image-term corrections decay only
 algebraically, and the exchange coherence keeps the A-to-B direction
 alive at large gaps).  Those tests assert the stated numbers faithfully
 and are expected to fail; the failure messages carry the measured
-magnitudes.  See README.md for the analysis.
+magnitudes.  See README.md for the analysis, whose two explanations (the
+1/dz² image tail, and the exchange coherence outgrowing its threshold) are
+pinned by tests of their own after criterion 08.
 """
 
 import cmath
@@ -45,6 +47,8 @@ from mirrorsteer.sweep_optimize import (
 )
 from mirrorsteer.xstate_steering import (
     _ARRAYS,
+    _W_MINUS,
+    _W_PLUS,
     XState,
     _observe,
     _tau_ab,
@@ -322,6 +326,46 @@ def test_criterion_08_gap_sweep_trends():
                 f"population threshold)"
             )
     _finish(8, "gap-sweep-trends", failures)
+
+
+# The explanations README gives for the clauses of criteria 02, 07 and 08
+# that fail by design, each pinned as it is stated there.
+
+
+@pytest.mark.parametrize("alignment", list(Alignment))
+def test_by_design_image_correction_decays_like_inverse_dz_squared(alignment):
+    # dz² times each entry's distance from its boundary-free value settles
+    # to a constant: the correction is algebraic in dz, not exponential
+    pair = DetectorPair(0.1, 0.3)
+    free = boundary_free_correlations(pair, 0.5)
+    scaled = {}
+    for dz in (128.0, 256.0):
+        block = correlations(pair, BoundaryGeometry(alignment, 0.5, dz))
+        scaled[dz] = [dz * dz * (block.p_a - free.p_a),
+                      dz * dz * (abs(block.c) - abs(free.c)),
+                      dz * dz * (abs(block.x) - abs(free.x))]
+    for name, near, far in zip(("p_a", "|c|", "|x|"), scaled[128.0], scaled[256.0]):
+        assert near != 0.0
+        assert abs(far / near - 1.0) < 5e-3, (name, near, far)
+
+
+def test_by_design_exchange_coherence_outgrows_its_threshold():
+    # on fig6's parallel L = 2 curve |X| = |c14| against the A->B threshold
+    # sqrt(g_a + g_b), whose populations decay faster in omega_b: the ratio
+    # grows without a break, so S(A->B) never dies
+    table = figure_dataset("fig6")["parallel L=2.00"]
+    ratios = []
+    for omega_b, p_a, p_b, abs_x, s_ab in zip(
+        *map(table.column, ("axis", "p_a", "p_b", "abs_x", "s_ab"))
+    ):
+        if 3.0 <= omega_b <= 6.0:
+            d11, d22, d33, d44 = 1.0 - p_a - p_b, p_b, p_a, 0.0
+            g_sum = _W_MINUS * d11 * d44 + _W_PLUS * d22 * d33 + (d11 * d22 + d33 * d44) / 2.0
+            ratios.append(abs_x / math.sqrt(g_sum))
+            assert s_ab > 0.0, omega_b
+    assert len(ratios) > 50
+    assert all(b > a for a, b in zip(ratios, ratios[1:]))
+    assert ratios[0] > 10.0 and ratios[-1] > 1e4
 
 
 def test_criterion_09_alignment_difference_trends():

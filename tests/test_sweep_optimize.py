@@ -523,23 +523,35 @@ def _bits(columns):
     return {name: [float(v).hex() for v in column] for name, column in columns.items()}
 
 
+def _figure_curves(figure, data):
+    """Each curve among ``data``, the tables of one figure, with the pair and
+    geometry rebuilt from the parameters it records and the figure's axis at
+    its resolution: (label, table, pair, geometry, axis)."""
+    spec = sweep_optimize._FIGURES[FigureId(figure)]
+    for label, table in data.items():
+        if label == spec.extra:
+            continue
+        p = table.params
+        start = p["omega_a"] if spec.start is None else spec.start
+        pair = DetectorPair(p["omega_a"], p.get("omega_b", p["omega_a"]), p["lambda"])
+        geom = BoundaryGeometry(p["alignment"], p.get("l", 1.0), p.get("dz", 1.0))
+        yield label, table, pair, geom, SweepAxis(spec.variable, start, spec.stop,
+                                                  p["resolution"])
+
+
 class TestArrayPassMatchesOnePointRoute:
     """Every column of the array sweep equals the one-point route bit for
     bit, so the two routes cannot drift apart."""
 
     @pytest.mark.parametrize("omega_a, omega_b", [(0.05, 0.5), (0.1, 0.1), (0.0, 0.3), (0.08, 1.0)])
-    def test_all_figures(self, omega_a, omega_b, monkeypatch):
+    def test_all_figures(self, omega_a, omega_b):
         checked = []
-
-        def checked_sweep(pair, geom, axis):
-            table = sweep(pair, geom, axis)
-            assert _bits(table.columns) == _bits(_scalar_columns(pair, geom, axis))
-            checked.append(axis.points)
-            return table
-
-        monkeypatch.setattr(sweep_optimize, "sweep", checked_sweep)
         for figure in FigureId:
-            figure_dataset(figure, DetectorPair(omega_a, omega_b), resolution=200)
+            data = figure_dataset(figure, DetectorPair(omega_a, omega_b), resolution=200)
+            for label, table, pair, geom, axis in _figure_curves(figure, data):
+                assert table.variable is axis.variable
+                assert _bits(table.columns) == _bits(_scalar_columns(pair, geom, axis)), label
+                checked.append(axis.points)
         # fig2 and fig4: three curves each; fig5 and fig7: two; fig6: four
         assert checked == [200] * 14
 
@@ -660,6 +672,75 @@ def test_held_stages_are_computed_once(alignment, axis, at_build, per_point, mon
     calls.clear()
     sweep(pair, geom, SweepAxis(variable, 0.5, 2.0, 200))
     assert len(calls) == at_build
+
+
+@pytest.mark.parametrize(
+    "figure, pair_terms, kernels, probabilities",
+    [
+        # every curve has its own gap (fig2, fig4) or alignment (fig5, fig7)
+        # and so its own image kernels; fig2 and fig4 share nothing else
+        ("fig2", 0, 3 + 3, 0),
+        ("fig4", 0, 3 + 3, 3),
+        # the direct kernels are held; P_A along dz, then P_B per alignment
+        ("fig5", 0, 2, 1 + 2),
+        # the pair terms once, the direct kernels once per L, four image
+        # kernels; P_B once in the parallel alignment (dz = 1 at both L),
+        # once per L in the orthogonal one
+        ("fig6", 1, 2 + 4, 1 + 2),
+        # the direct kernels once; P_B along l in the orthogonal alignment
+        ("fig7", 0, 1 + 2, 1),
+    ],
+)
+def test_figure_curves_share_stages(figure, pair_terms, kernels, probabilities, monkeypatch):
+    # the stages an array pass computes, by function; the held ones are
+    # computed at one point when each curve's evaluator is built
+    calls = []
+    for name in ("_pair_terms", "_kernels", "_probability"):
+        stage = getattr(detector_model, name)
+
+        def counted(ns, *inputs, stage=stage, name=name):
+            if any(isinstance(v, np.ndarray) for v in inputs):
+                calls.append((name, inputs))
+            return stage(ns, *inputs)
+
+        monkeypatch.setattr(detector_model, name, counted)
+    # the second call keeps nothing of the first, and computes as much
+    for run in (1, 2):
+        figure_dataset(figure, DetectorPair(0.05, 0.5), resolution=50)
+        counts = {name: sum(n == name for n, _ in calls)
+                  for name in ("_pair_terms", "_kernels", "_probability")}
+        assert counts == {"_pair_terms": run * pair_terms, "_kernels": run * kernels,
+                          "_probability": run * probabilities}
+    if figure == "fig6":
+        # the direct kernels read a separation of the family, L = 0.05 or 2
+        direct = [inputs[0] for n, inputs in calls if n == "_kernels" and inputs[0] in (0.05, 2.0)]
+        assert direct == [0.05, 2.0] * 2
+
+
+# the coupling at which each figure is refused; fig6 and fig7 are refused
+# at a later curve, after an earlier one has kept its stages
+_REFUSED_COUPLING = {"fig2": 5.0, "fig4": 4.0, "fig5": 4.0, "fig6": 4.0, "fig7": 4.0}
+
+
+@pytest.mark.parametrize("figure", [f.value for f in FigureId])
+def test_figure_calls_share_nothing(figure):
+    # each call equals the curves a fresh run gives, one plain sweep each
+    def assert_fresh(data):
+        for label, table, pair, geom, axis in _figure_curves(figure, data):
+            assert _bits(table.columns) == _bits(sweep(pair, geom, axis).columns), label
+
+    first = figure_dataset(figure, DetectorPair(0.1, 0.1), resolution=30)
+    second = figure_dataset(figure, DetectorPair(0.05, 0.5), resolution=30)
+    with pytest.raises(PerturbativeValidityError):
+        figure_dataset(figure, DetectorPair(0.1, 0.1, _REFUSED_COUPLING[figure]), resolution=30)
+    after = figure_dataset(figure, DetectorPair(0.1, 0.1), resolution=30)
+    for data in (first, second, after):
+        assert_fresh(data)
+    assert {k: _bits(t.columns) for k, t in after.items()} == {
+        k: _bits(t.columns) for k, t in first.items()
+    }
+    # every table of a figure holds one axis column
+    assert len({id(t.column("axis")) for t in after.values()}) == 1
 
 
 _PAR = Alignment.PARALLEL
