@@ -69,9 +69,8 @@ correlators and sbar rows computed on it, until the last case on that
 pair: a probability at an image distance that an earlier case had, or a
 configuration whose geometry an earlier one had, builds nothing its
 mesh already holds. The ``verify`` default grid's 34 integral groups
-are on 25 meshes. The sbar rule's large arrays live in one workspace
-per iterator, grown to the largest mesh and reused, rather than being
-allocated for every mesh.
+are on 25 meshes. The sbar rule's large work arrays live only for the
+call that fills them.
 
 The discretisation is fixed: the box is truncated at |tau|, |tau'| <=
 :data:`TRUNCATION` switching widths, every panel on both axes uses the
@@ -206,33 +205,18 @@ def _mirrored(half):
     return np.concatenate((half[::-1].conj(), half))
 
 
-class _Workspace:
-    """The large arrays of the sbar rule (:func:`_sbar_rows`), four of shape
-    (rows, :data:`NODES`), grown to the largest row count asked for and
-    reused: each call takes views of their first rows and fills them
-    before it reads them."""
-
-    def __init__(self):
-        self._arrays = np.empty((4, 0, NODES))
-
-    def take(self, rows: int):
-        if rows > self._arrays.shape[1] or self._arrays.shape[2] != NODES:
-            self._arrays = np.empty((4, rows, NODES))
-        return self._arrays[:, :rows]
-
-
-def _sbar_rows(h, betas, workspace=None):
+def _sbar_rows(h, betas):
     """Rows 2 int_0^h exp(-s^2) cos(beta s) ds, shape (betas, h): the sums
     of the fixed panels of [0, TRUNCATION] below h, as a prefix, plus one
     piece from the last panel edge to h. Each row is summed on its own, so
     it depends on (h, beta) alone. The rule's nodes, weights and integrand
-    are written to ``workspace`` (a fresh one by default).
+    are written in place to four arrays that this call allocates, each
+    filled before it is read.
     """
     panels = math.ceil(TRUNCATION / _SBAR_WIDTH)
     edges = np.minimum(np.arange(panels + 1) * _SBAR_WIDTH, TRUNCATION)
     k = np.floor(h / _SBAR_WIDTH).astype(np.intp)
-    workspace = _Workspace() if workspace is None else workspace
-    s, w, gauss, f = workspace.take(panels + len(h))
+    s, w, gauss, f = np.empty((4, panels + len(h), NODES))
     _panel_rule(
         np.concatenate((edges[:-1], edges[k])), np.concatenate((edges[1:], h)), (s, w)
     )
@@ -293,11 +277,10 @@ class _Mesh:
 
 class _State:
     """The oracle's state over a run of integrals: the meshes built so far,
-    keyed by ``(spatial, image)``, and one sbar :class:`_Workspace`."""
+    keyed by ``(spatial, image)``."""
 
     def __init__(self):
         self.meshes = {}
-        self.workspace = _Workspace()
 
     def mesh(self, spatial: float, image: float) -> _Mesh:
         key = (spatial, image)
@@ -331,7 +314,7 @@ def _regulated_values(terms, spatial: float, image: float, state=None):
     with np.errstate(over="ignore", invalid="ignore"):
         missing = [beta for beta in dict.fromkeys(betas) if beta not in mesh.rows]
         if missing:
-            mesh.rows.update(zip(missing, _sbar_rows(mesh.h, missing, state.workspace)))
+            mesh.rows.update(zip(missing, _sbar_rows(mesh.h, missing)))
         # a zero phase is exactly 1: the Gaussian alone gives the same bits
         factors = [
             mesh.gauss if alpha == 0.0 else mesh.gauss * np.exp(-1j * alpha * mesh.u)
@@ -509,8 +492,8 @@ def numeric_correlation_blocks(cases):
     correlators and sbar rows computed on it, is kept from the first case
     that builds it to the last case of the list on that ``(spatial,
     image)`` pair, and dropped before that case's block is returned. The
-    sbar rule writes its large arrays to one workspace, grown to the
-    largest mesh. Every block equals, bit for bit, the one-case call.
+    iterator keeps nothing else, so two iterators share no state, and
+    every block equals, bit for bit, the one-case call.
     """
     cases = list(cases)
     # each case's meshes: those of p_a, of p_b, and of c with x

@@ -405,6 +405,25 @@ class TestNumericCorrelations:
         for (pair, geom), block in zip(cases, shared):
             assert block_bits(block) == block_bits(numeric_correlations(pair, geom))
 
+    def test_interleaved_iterators_share_no_state(self):
+        # two iterators advanced in turn, one case each: the smoke grid, and
+        # its geometries in reverse order with other gaps and coupling, so
+        # the two meet on the same meshes and image distances; each must
+        # yield the blocks it yields when run alone
+        smoke = [
+            (DetectorPair(omega_a, omega_b), BoundaryGeometry(alignment, l, dz))
+            for omega_a, omega_b, l, dz in VERIFY_GRID_SMOKE
+            for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL)
+        ]
+        other = [(DetectorPair(0.0, 0.1, 0.5), geom) for _, geom in reversed(smoke)]
+        alone = [[block_bits(b) for b in numeric_correlation_blocks(c)] for c in (smoke, other)]
+        iterators = [numeric_correlation_blocks(smoke), numeric_correlation_blocks(other)]
+        interleaved = [[], []]
+        for _ in smoke:
+            for got, blocks in zip(interleaved, iterators):
+                got.append(block_bits(next(blocks)))
+        assert interleaved == alone
+
     def test_each_mesh_is_built_once_and_dropped_after_its_last_case(self, monkeypatch):
         # the default grid's 34 oracle calls are on 25 distinct (spatial,
         # image) pairs; no mesh outlives the last case that is on it
@@ -646,18 +665,6 @@ class TestSbarRows:
             for h, got in zip(self.H, row):
                 scale = math.sqrt(math.pi) * math.erf(h)
                 assert abs(float(got - exact_row(h, beta))) <= 1e-14 * scale, (h, beta)
-
-    def test_reused_workspace_leaves_no_stale_tail(self):
-        # a large mesh, a small one, then the large one again: each result
-        # must equal a call with a fresh workspace, so no value left in the
-        # workspace by a larger or earlier call reaches a row
-        rng = np.random.default_rng(11)
-        large = np.unique(rng.uniform(0.0, integral_oracle.TRUNCATION, 1500))
-        small = np.unique(rng.uniform(0.0, integral_oracle.TRUNCATION, 40))
-        workspace = integral_oracle._Workspace()
-        for h, betas in [(large, self.BETAS), (small, self.BETAS[1:3]), (large, self.BETAS[::-1])]:
-            got = _sbar_rows(h, betas, workspace)
-            assert got.tobytes() == _sbar_rows(h, betas).tobytes()
 
     def test_row_of_negated_beta_is_the_same(self):
         # the oracle keys its rows by |beta|
