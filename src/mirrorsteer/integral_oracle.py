@@ -52,13 +52,13 @@ not, so the rule is mapped once onto the union of their u > 0 panels
 (each panel kept once per edge pair), and each regulator's half mesh is
 an index into that union, in its own panel order. The u Gaussian, each
 integral's u phase and the section half-width h are evaluated once per
-union node, the sbar rows once per distinct h and |beta| for every
-regulator, and the correlator once per regulator, for both time
-orderings. Each regulator's whole-mesh arrays are built from its half
-as an integral needs them, and each regulated value is still summed
-over its own whole mesh in its own order, with every summand the same
-as if it were evaluated at its own node: neither the sharing nor the
-mirroring changes a bit.
+union node, the sbar rows once per union node (each has its own h) and
+|beta| for every regulator, and the correlator once per regulator, for
+both time orderings. Each regulator's whole-mesh arrays are built from
+its half as an integral needs them, and each regulated value is still
+summed over its own whole mesh in its own order, with every summand the
+same as if it were evaluated at its own node: neither the sharing nor
+the mirroring changes a bit.
 
 Over the cases of one :func:`numeric_correlation_blocks` iterator each
 probability integral is computed once: it depends only on the gap, the
@@ -74,14 +74,16 @@ call that fills them.
 
 The discretisation is fixed: the box is truncated at |tau|, |tau'| <=
 :data:`TRUNCATION` switching widths, every panel on both axes uses the
-:data:`NODES`-point rule, the regulator schedule is :data:`EPSILONS`,
-and the extrapolation must hold the relative tolerance :data:`RTOL`.
-None of the four is a parameter; ``verify`` echoes them in its
-provenance block.
+:data:`NODES`-point Gauss-Legendre rule, the regulator schedule is
+:data:`EPSILONS`, and the extrapolation must hold the relative tolerance
+:data:`RTOL`. None of the four is a parameter; ``verify`` echoes them in
+its provenance block. The 16-point rule is stored as float literals
+rather than computed, so the oracle makes no LAPACK call.
 
 All summation is done with numpy reductions in an order fixed by the
-shapes, so results are bit-stable across runs and machines with the
-same floating-point contract.
+shapes, and the rule's nodes and weights are a constant table, so
+results are bit-stable across runs and machines with the same
+floating-point contract, whichever LAPACK numpy links.
 """
 
 from __future__ import annotations
@@ -127,9 +129,41 @@ def _two_point(dt, spatial: float, image: float, eps: float):
     )
 
 
+# The 16-point Gauss-Legendre rule on [-1, 1], nodes ascending, then
+# weights, generated once with numpy 2.4.6 as
+#     [[repr(float(v)) for v in a] for a in numpy.polynomial.legendre.leggauss(16)]
+# Each repr reads back to the same bits, so the table is that rule exactly
+_GAUSS_LEGENDRE_16 = (
+    (
+        -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+        -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+        -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+        0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+        0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+        0.9894009349916499,
+    ),
+    (
+        0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+        0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+        0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+        0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+        0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+        0.027152459411754176,
+    ),
+)
+
+
 @lru_cache(maxsize=32)
 def _gauss_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
+    """The ``order``-point Gauss-Legendre nodes and weights on [-1, 1], as
+    read-only arrays. The 16-point rule, the oracle's :data:`NODES`, is the
+    table above. Any other order is computed by ``leggauss``, which finds
+    the nodes with a LAPACK eigensolve (Golub & Welsch, Math. Comp. 23
+    (1969) 221-230)."""
+    if order == 16:
+        x, w = map(np.array, _GAUSS_LEGENDRE_16)
+    else:
+        x, w = np.polynomial.legendre.leggauss(order)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -238,17 +272,15 @@ def _sbar_rows(h, betas):
 class _Mesh:
     """What the integrals on one ``(spatial, image)`` pair share: the union
     of the u > 0 halves of the regulators' u panels with each regulator's
-    rows of it (:func:`_u_meshes`), the section half-widths h with each
-    node's index into them, and the u Gaussian; and, as the integrals ask
-    for them, the correlator on each regulator's u > 0 nodes and the sbar
-    row per |beta|."""
+    rows of it (:func:`_u_meshes`), the section half-width h and the u
+    Gaussian at each of its nodes; and, as the integrals ask for them, the
+    correlator on each regulator's u > 0 nodes and the sbar row per
+    |beta|, one value per node in the union's shape."""
 
     def __init__(self, spatial: float, image: float):
         self.spatial, self.image = spatial, image
         self.u, self.w, self.panels = _u_meshes(spatial, image)
-        h_nodes = np.maximum(TRUNCATION - self.u / 2.0, 0.0)
-        self.h = _distinct(h_nodes)
-        self.at_h = np.searchsorted(self.h, h_nodes)
+        self.h = np.maximum(TRUNCATION - self.u / 2.0, 0.0)
         self.gauss = np.exp(-(self.u**2) / 4.0)
         self.rows = {}
         self._positive = {}
@@ -314,19 +346,19 @@ def _regulated_values(terms, spatial: float, image: float, state=None):
     with np.errstate(over="ignore", invalid="ignore"):
         missing = [beta for beta in dict.fromkeys(betas) if beta not in mesh.rows]
         if missing:
-            mesh.rows.update(zip(missing, _sbar_rows(mesh.h, missing)))
+            rows = _sbar_rows(mesh.h.ravel(), missing)
+            mesh.rows.update(zip(missing, rows.reshape(len(missing), *mesh.u.shape)))
         # a zero phase is exactly 1: the Gaussian alone gives the same bits
         factors = [
             mesh.gauss if alpha == 0.0 else mesh.gauss * np.exp(-1j * alpha * mesh.u)
             for alpha in ((omega_a + omega_b) / 2.0 for omega_a, omega_b, _ in terms)
         ]
         for i, p in enumerate(mesh.panels):
-            # this regulator's weights and rows of h, over its whole mesh in
-            # its order
-            w, at = _mirrored(mesh.w[p].ravel()), _mirrored(mesh.at_h[p].ravel())
+            # this regulator's weights, over its whole mesh in its order
+            w = _mirrored(mesh.w[p].ravel())
             for k, (beta, factor, (_, _, ordered)) in enumerate(zip(betas, factors, terms)):
                 ku = _mirrored(factor[p].ravel()) * mesh.correlator(i, ordered) * w
-                values[k, i] = np.sum(ku * mesh.rows[beta][at])
+                values[k, i] = np.sum(ku * _mirrored(mesh.rows[beta][p].ravel()))
     return values
 
 

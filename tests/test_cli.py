@@ -7,6 +7,7 @@ import math
 import pathlib
 import shlex
 
+import numpy as np
 import pytest
 
 from mirrorsteer import __version__, cli, integral_oracle
@@ -619,6 +620,17 @@ class TestVerifyCommand:
             meshes = {call[1:] for call in calls[start + 1 : stop]}
             assert (l, image) in meshes
             assert meshes <= {(0.0, 2.0 * dz), (0.0, 2.0 * dz_b), (l, image)}
+
+    def test_makes_no_lapack_call(self, monkeypatch, capsys):
+        # the oracle's 16-point Gauss-Legendre rule is a stored table:
+        # leggauss would compute it with a LAPACK eigensolve
+        def refused(*args, **kwargs):
+            raise AssertionError("verify called numpy.linalg.eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        # a rule an earlier test left in the cache would hide the call
+        integral_oracle._gauss_nodes.cache_clear()
+        assert run(["verify", "--grid", "smoke"], capsys)[0] == 0
 
     def test_unreachable_tolerance_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(integral_oracle, "RTOL", 1e-12)

@@ -683,9 +683,35 @@ class TestSbarRows:
             assert got.tobytes() == rows[:, subset].tobytes()
 
 
+class TestGaussLegendreTable:
+    """The oracle's 16-point rule is a stored table; it must be the
+    Gauss-Legendre rule in its own right, and what leggauss computes."""
+
+    X, W = _gauss_nodes(16)
+
+    def test_is_the_oracle_rule_and_read_only(self):
+        assert integral_oracle.NODES == 16
+        assert self.X.shape == self.W.shape == (16,)
+        assert not (self.X.flags.writeable or self.W.flags.writeable)
+
+    def test_nodes_antisymmetric_and_weights_symmetric(self):
+        assert (-self.X[::-1]).tobytes() == self.X.tobytes()
+        assert self.W[::-1].tobytes() == self.W.tobytes()
+        assert (np.diff(self.X) > 0.0).all() and (self.W > 0.0).all()
+
+    def test_within_one_ulp_of_leggauss(self):
+        for got, want in zip((self.X, self.W), np.polynomial.legendre.leggauss(16)):
+            assert (np.abs(got - want) <= np.spacing(np.abs(want))).all()
+
+    def test_integrates_every_degree_below_32(self):
+        for k in range(32):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(np.sum(self.W * self.X**k) - exact) <= 1e-15, k
+
+
 class TestCompositeSharedRows:
-    """The oracle evaluates each sbar row once per distinct section width
-    across the regulator schedule, from its composite panel rule; at every
+    """The oracle evaluates each sbar row once per node of the union of the
+    regulators' u panels, from its composite panel rule; at every
     regulator it must agree with one full complex Gauss-Legendre sum per
     row to rounding, at the panel order, twice it and an odd order."""
 
