@@ -150,6 +150,10 @@ def _block_rules(v):
         ((v.p_a >= 0.0) & (v.p_b >= 0.0), ValidationError, "probabilities must be nonnegative"),
         (v.p_sum < 1.0, PerturbativeValidityError,
          "p_a + p_b = {p_sum:.3g} >= 1: coupling too strong for the leading-order state"),
+        # Im G = e^{-l^2/4} cos(d l/2)/l overflows below l ~ 1e-308
+        ((abs(v.c.real) < _INF) & (abs(v.c.imag) < _INF) & (abs(v.x.real) < _INF)
+         & (abs(v.x.imag) < _INF), ValidationError,
+         "c and x must be finite, got x = {x!r}: the separation is below the kernels' range"),
     )
 
 
@@ -210,14 +214,6 @@ class BoundaryGeometry:
         # the checked lengths, which every kernel reads; not a field
         object.__setattr__(self, "_lengths", lengths)
 
-    def image_separation(self) -> float:
-        """Distance from one detector to the mirror image of the other."""
-        return self._lengths.image_separation
-
-    def distance_b(self) -> float:
-        """Mirror distance of detector B."""
-        return self._lengths.distance_b
-
 
 @dataclass(frozen=True)
 class CorrelationBlock:
@@ -236,13 +232,12 @@ class CorrelationBlock:
     x: complex
 
     def __post_init__(self):
-        pa = float(self.p_a)
-        pb = float(self.p_b)
-        _check(_block_rules, SimpleNamespace(p_a=pa, p_b=pb, p_sum=pa + pb))
+        pa, pb, c, x = float(self.p_a), float(self.p_b), complex(self.c), complex(self.x)
+        _check(_block_rules, SimpleNamespace(p_a=pa, p_b=pb, p_sum=pa + pb, c=c, x=x))
         object.__setattr__(self, "p_a", pa)
         object.__setattr__(self, "p_b", pb)
-        object.__setattr__(self, "c", complex(self.c))
-        object.__setattr__(self, "x", complex(self.x))
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "x", x)
 
     @property
     def trusted(self) -> bool:
@@ -327,14 +322,6 @@ def _timelike(ns, l, d):
     phase = ns.where(damping != 0.0, d * l / 2.0, 0.0)
     read = ns.where(abs(phase) < _INF, phase, 0.0)
     return ns.F(l, d) + damping * ns.sin(read) / l, damping * ns.cos(read) / l, phase
-
-
-def _aux_g(l: float, d: float) -> complex:
-    """:func:`_timelike` at one point, as a complex number; a phase that
-    overflows is refused."""
-    re, im, phase = _timelike(_ONE_POINT, l, d)
-    _check(_direct_phase_rules, SimpleNamespace(d=d, separation=l, phase=phase))
-    return complex(re, im)
 
 
 def _kernels(ns, l, d, s):
@@ -541,11 +528,13 @@ def boundary_free_correlations(pair: DetectorPair, separation: float) -> Correla
     if not math.isfinite(l) or l <= 0.0:
         raise ValidationError("separation must be a positive real")
     terms = _pair_terms(_ONE_POINT, pair.omega_a, pair.omega_b, pair.coupling)
+    g_re, g_im, phase, f = _kernels(_ONE_POINT, l, terms.d, terms.s)
+    _check(_direct_phase_rules, SimpleNamespace(d=terms.d, separation=l, phase=phase))
     return CorrelationBlock(
         p_a=terms.free_a,
         p_b=terms.free_b,
-        c=complex(terms.c_weight * _aux_f(l, terms.s)),
-        x=terms.x_weight * _aux_g(l, terms.d),
+        c=complex(terms.c_weight * f),
+        x=terms.x_weight * complex(g_re, g_im),
     )
 
 

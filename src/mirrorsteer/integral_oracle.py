@@ -65,20 +65,22 @@ probability integral is computed once: it depends only on the gap, the
 image distance and the coupling, which many cases share (both
 alignments of a configuration share P_A). The iterator reads its cases
 once, up front, and keeps each (spatial, image) mesh, with the
-correlators and sbar rows computed on it, until the last case on that
-pair: a probability at an image distance that an earlier case had, or a
-configuration whose geometry an earlier one had, builds nothing its
-mesh already holds. The ``verify`` default grid's 34 integral groups
-are on 25 meshes. The sbar rule's large work arrays live only for the
-call that fills them.
+correlators and sbar rows computed on it, in a dict keyed by that pair
+until the last case on it: a probability at an image distance that an
+earlier case had, or a configuration whose geometry an earlier one had,
+builds nothing its mesh already holds. The ``verify`` default grid's 34
+integral groups are on 25 meshes. The sbar rule's large work arrays live
+only for the call that fills them.
 
 The discretisation is fixed: the box is truncated at |tau|, |tau'| <=
 :data:`TRUNCATION` switching widths, every panel on both axes uses the
 :data:`NODES`-point Gauss-Legendre rule, the regulator schedule is
 :data:`EPSILONS`, and the extrapolation must hold the relative tolerance
 :data:`RTOL`. None of the four is a parameter; ``verify`` echoes them in
-its provenance block. The 16-point rule is stored as float literals
-rather than computed, so the oracle makes no LAPACK call.
+its provenance block. The 16-point rule is a table of float literals,
+two read-only arrays that every panel reads; the library computes no
+Gauss rule, so the oracle makes no LAPACK call. A rule of another order
+replaces both arrays together with :data:`NODES`.
 
 All summation is done with numpy reductions in an order fixed by the
 shapes, and the rule's nodes and weights are a constant table, so
@@ -91,7 +93,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from functools import lru_cache
 
 import numpy as np
 
@@ -133,7 +134,7 @@ def _two_point(dt, spatial: float, image: float, eps: float):
 # weights, generated once with numpy 2.4.6 as
 #     [[repr(float(v)) for v in a] for a in numpy.polynomial.legendre.leggauss(16)]
 # Each repr reads back to the same bits, so the table is that rule exactly
-_GAUSS_LEGENDRE_16 = (
+_LEGENDRE_X, _LEGENDRE_W = map(np.array, (
     (
         -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
         -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
@@ -150,23 +151,9 @@ _GAUSS_LEGENDRE_16 = (
         0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
         0.027152459411754176,
     ),
-)
-
-
-@lru_cache(maxsize=32)
-def _gauss_nodes(order: int):
-    """The ``order``-point Gauss-Legendre nodes and weights on [-1, 1], as
-    read-only arrays. The 16-point rule, the oracle's :data:`NODES`, is the
-    table above. Any other order is computed by ``leggauss``, which finds
-    the nodes with a LAPACK eigensolve (Golub & Welsch, Math. Comp. 23
-    (1969) 221-230)."""
-    if order == 16:
-        x, w = map(np.array, _GAUSS_LEGENDRE_16)
-    else:
-        x, w = np.polynomial.legendre.leggauss(order)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+))
+_LEGENDRE_X.setflags(write=False)
+_LEGENDRE_W.setflags(write=False)
 
 
 def _distinct(x):
@@ -200,14 +187,14 @@ def _panel_edges(singular, eps: float, half_width: float):
 
 
 def _panel_rule(a, b, out=None):
-    """The :data:`NODES`-point Gauss-Legendre rule on each panel [a, b]:
-    nodes and weights, one row per panel, written to the arrays ``out``
-    (a pair) when given."""
-    xg, wg = _gauss_nodes(NODES)
+    """The :data:`NODES`-point Gauss-Legendre rule, the arrays
+    ``_LEGENDRE_X`` and ``_LEGENDRE_W``, on each panel [a, b]: nodes and
+    weights, one row per panel, written to the arrays ``out`` (a pair) when
+    given."""
     x, w = (None, None) if out is None else out
     half = 0.5 * (b - a)[:, None]
-    x = np.multiply(half, xg, out=x)
-    return np.add(0.5 * (a + b)[:, None], x, out=x), np.multiply(half, wg, out=w)
+    x = np.multiply(half, _LEGENDRE_X, out=x)
+    return np.add(0.5 * (a + b)[:, None], x, out=x), np.multiply(half, _LEGENDRE_W, out=w)
 
 
 def _u_meshes(spatial: float, image: float):
@@ -307,21 +294,7 @@ class _Mesh:
         return np.concatenate((conj[::-1], conj if ordered else g))
 
 
-class _State:
-    """The oracle's state over a run of integrals: the meshes built so far,
-    keyed by ``(spatial, image)``."""
-
-    def __init__(self):
-        self.meshes = {}
-
-    def mesh(self, spatial: float, image: float) -> _Mesh:
-        key = (spatial, image)
-        if key not in self.meshes:
-            self.meshes[key] = _Mesh(spatial, image)
-        return self.meshes[key]
-
-
-def _regulated_values(terms, spatial: float, image: float, state=None):
+def _regulated_values(terms, spatial: float, image: float, meshes=None):
     """Regulated quadratures of response integrals that share one
     ``(spatial, image)`` mesh, at every regulator of :data:`EPSILONS`.
 
@@ -329,14 +302,16 @@ def _regulated_values(terms, spatial: float, image: float, state=None):
     tau', so that the phase omega_a tau - omega_b tau' is alpha u + beta
     sbar, and whether the time-ordered correlator is used. Returns a
     complex array of shape (terms, regulators). The pieces the terms share
-    come from the pair's :class:`_Mesh` in ``state`` (a fresh
-    :class:`_State` by default), which builds each once and keeps it for
-    later calls; each term's u phase is evaluated once per node of the
-    half union, and each regulated value is summed over its own
+    come from the pair's :class:`_Mesh` in ``meshes``, a dict keyed by
+    ``(spatial, image)`` (a fresh one by default), which builds each once
+    and keeps it for later calls; each term's u phase is evaluated once per
+    node of the half union, and each regulated value is summed over its own
     regulator's whole mesh, mirrored from its half, in that mesh's order.
     """
-    state = _State() if state is None else state
-    mesh = state.mesh(spatial, image)
+    meshes = {} if meshes is None else meshes
+    if (spatial, image) not in meshes:
+        meshes[spatial, image] = _Mesh(spatial, image)
+    mesh = meshes[spatial, image]
     # cos is even and s (-beta) is -(s beta) exactly: the sbar row of -beta
     # is the row of beta, bit for bit, so the rows are keyed by |beta|
     betas = [abs(omega_a - omega_b) for omega_a, omega_b, _ in terms]
@@ -366,7 +341,7 @@ def extrapolate_epsilon(values) -> tuple[complex, float]:
     """Extrapolate a regulator schedule to zero.
 
     ``values`` is a sequence of (epsilon, value) pairs with strictly
-    decreasing positive epsilons, at least three of them. A Neville
+    decreasing positive finite epsilons, at least three of them. A Neville
     tableau extrapolates the polynomial-in-epsilon model to zero; the
     error estimate is the distance to the extrapolant of the last two
     points alone. Emits a warning when the raw values do not approach
@@ -378,6 +353,10 @@ def extrapolate_epsilon(values) -> tuple[complex, float]:
     eps = [e for e, _ in pairs]
     if any(e <= 0.0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
         raise ValidationError("epsilons must be positive and strictly decreasing")
+    # nan fails every comparison above, and an infinite first epsilon
+    # passes them, with a zero error estimate
+    if not all(map(math.isfinite, eps)):
+        raise ValidationError("epsilons must be finite")
 
     def neville(xs, ts):
         t = list(ts)
@@ -402,14 +381,14 @@ def extrapolate_epsilon(values) -> tuple[complex, float]:
 
 
 def _extrapolated(
-    terms, spatial: float, image: float, coupling: float, state=None
+    terms, spatial: float, image: float, coupling: float, meshes=None
 ) -> list[tuple[complex, float]]:
     """Each response integral of ``terms`` (see :func:`_regulated_values`,
-    which also takes ``state``) extrapolated to zero regulator, times
+    which also takes ``meshes``) extrapolated to zero regulator, times
     the squared coupling, with its extrapolation error estimate."""
     lam2 = coupling * coupling
     results = []
-    for schedule in _regulated_values(terms, spatial, image, state):
+    for schedule in _regulated_values(terms, spatial, image, meshes):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             limit, estimate = extrapolate_epsilon(zip(EPSILONS, schedule))
@@ -536,7 +515,8 @@ def numeric_correlation_blocks(cases):
             [(0.0, 2.0 * geom.boundary_distance), (0.0, 2.0 * distance_b), (spatial, image)]
         )
     last = {mesh: i for i, on in enumerate(meshes) for mesh in on}
-    state = _State()
+    # the meshes built so far, keyed by (spatial, image)
+    kept = {}
     probabilities = {}
     for i, ((pair, _), on) in enumerate(zip(cases, meshes)):
         (_, image_a), (_, image_b), (spatial, image) = on
@@ -548,12 +528,12 @@ def numeric_correlation_blocks(cases):
                 missing.setdefault(key[1], []).append(key)
         for image_p, group in missing.items():
             terms = [(omega, omega, False) for omega, _, _ in group]
-            values = _extrapolated(terms, 0.0, image_p, lam, state)
+            values = _extrapolated(terms, 0.0, image_p, lam, kept)
             probabilities.update(zip(group, values))
-        c, x = _extrapolated(_correlation_terms(pair), spatial, image, lam, state)
+        c, x = _extrapolated(_correlation_terms(pair), spatial, image, lam, kept)
         for mesh in on:
             if last[mesh] == i:
-                state.meshes.pop(mesh, None)
+                kept.pop(mesh, None)
         yield CorrelationBlock(
             p_a=_real_probability(*probabilities[keys[0]]),
             p_b=_real_probability(*probabilities[keys[1]]),

@@ -15,10 +15,13 @@ margin (R. Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4
 The figure builders reproduce the standard curve families (steering versus
 separation, versus mirror distance, versus detector gap, and the alignment
 difference) as labelled tables, each figure declared by one row of
-``_FIGURES``.  The curves of one figure share one axis column, and a store
-that lives for one :func:`figure_dataset` call: each curve's evaluator keeps
-its array stages there, keyed by the stage and the exact bits of its inputs,
-and takes a stage an earlier curve computed from the same inputs.  fig6's
+``_FIGURES``.  A family member is a gap of B (fig2, fig4) or a separation
+(fig6): :func:`figure_dataset` builds each member's ``DetectorPair`` or
+``BoundaryGeometry`` itself, and names the member that fails.  The curves of
+one figure share one axis column, and a store that lives for one
+:func:`figure_dataset` call: each curve's evaluator keeps its array stages
+there, keyed by the stage and the exact bits of its inputs, and takes a stage
+an earlier curve computed from the same inputs.  fig6's
 curves share the pair terms along omega_b (the same omega_a and lambda), the
 direct kernels at each separation L and the parallel P_B (the same dz);
 fig5's share P_A along the mirror distance, and fig7's the direct kernels
@@ -188,20 +191,6 @@ class TransitionResult:
     kind: TransitionKind
     direction: Direction
     evaluations: int  # model evaluations, the two bracket ends included
-
-
-def _apply(
-    pair: DetectorPair,
-    geom: BoundaryGeometry,
-    variable: SweepVariable,
-    value: float,
-) -> tuple[DetectorPair, BoundaryGeometry]:
-    """Return copies of the pair and geometry with one field overridden."""
-    if variable is SweepVariable.SEPARATION:
-        return pair, BoundaryGeometry(geom.alignment, value, geom.boundary_distance)
-    if variable is SweepVariable.BOUNDARY_DISTANCE:
-        return pair, BoundaryGeometry(geom.alignment, geom.separation, value)
-    return DetectorPair(pair.omega_a, value, coupling=pair.coupling), geom
 
 
 _SEP = SweepVariable.SEPARATION
@@ -521,7 +510,7 @@ def figure_dataset(
     ``fig5``: steering versus mirror distance, both alignments, plus a
     constant boundary-free reference table.
     ``fig6``: steering versus the detector-B gap, both alignments, at each
-    separation of ``separations``.
+    separation of ``separations``, of which there must be at least one.
     ``fig7``: both alignments versus separation and their
     orthogonal-minus-parallel steering difference.
     Every table carries the parameters it was computed with.  A curve whose
@@ -539,6 +528,8 @@ def figure_dataset(
     start = pair.omega_a if spec.start is None else spec.start
     axis = SweepAxis(spec.variable, start, spec.stop, resolution)
     family = separations if spec.family is _SEP else spec.members or (None,)
+    if len(family) == 0:
+        raise ValidationError(f"{figure_id.value} takes at least one separation, got none")
     # every table holds this one axis column; the curves share the stages
     # they compute from the same inputs, for this call only
     grid = axis.grid()
@@ -560,15 +551,15 @@ def figure_dataset(
                         f"{figure_id.value} curves at {name} = {values} share the "
                         f"label {label!r}; labels keep two decimals"
                     )
+                # a gap member fails against omega_a, a separation on its own
                 try:
-                    curve_pair, curve_geom = _apply(pair, geom, spec.family, value)
+                    if spec.family is _WB:
+                        culprit = f"omega_a = {pair.omega_a:g}"
+                        curve_pair = DetectorPair(pair.omega_a, value, coupling=pair.coupling)
+                    else:
+                        culprit = f"separation = {value:g}"
+                        curve_geom = BoundaryGeometry(alignment, value, spec.boundary_distance)
                 except ValidationError as exc:
-                    # a gap member fails against omega_a, a separation on its own
-                    culprit = (
-                        f"omega_a = {pair.omega_a:g}"
-                        if spec.family is _WB
-                        else f"separation = {value:g}"
-                    )
                     raise ValidationError(
                         f"curve {label!r} cannot be built with {culprit}: {exc}"
                     ) from exc

@@ -7,7 +7,6 @@ import math
 import pathlib
 import shlex
 
-import numpy as np
 import pytest
 
 from mirrorsteer import __version__, cli, integral_oracle
@@ -158,6 +157,20 @@ class TestCompute:
         code, out, err = run(argv, capsys)
         assert code == 2
         assert "omega_b - omega_a = 8e+307 at separation 10 overflows" in err
+        assert out == ""
+
+    def test_separation_below_kernel_range_exits_2(self, capsys):
+        # Im G overflows as 1/l: the error used to name c14, an entry no flag sets
+        argv = list(self.ARGS)
+        argv[argv.index("--alignment") + 1] = "orthogonal"
+        argv[argv.index("--omega-b") + 1] = "0.3"
+        argv[argv.index("--l") + 1] = "1e-310"
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert err == (
+            "error: c and x must be finite, got x = (nan-infj): the separation is below "
+            "the kernels' range\n"
+        )
         assert out == ""
 
     def test_huge_separation_gives_zero_correlations(self, capsys):
@@ -621,17 +634,6 @@ class TestVerifyCommand:
             assert (l, image) in meshes
             assert meshes <= {(0.0, 2.0 * dz), (0.0, 2.0 * dz_b), (l, image)}
 
-    def test_makes_no_lapack_call(self, monkeypatch, capsys):
-        # the oracle's 16-point Gauss-Legendre rule is a stored table:
-        # leggauss would compute it with a LAPACK eigensolve
-        def refused(*args, **kwargs):
-            raise AssertionError("verify called numpy.linalg.eigvalsh")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
-        # a rule an earlier test left in the cache would hide the call
-        integral_oracle._gauss_nodes.cache_clear()
-        assert run(["verify", "--grid", "smoke"], capsys)[0] == 0
-
     def test_unreachable_tolerance_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(integral_oracle, "RTOL", 1e-12)
         code, _, err = run(["verify", "--grid", "smoke"], capsys)
@@ -852,7 +854,8 @@ class TestFigureCommand:
             # the label keeps two decimals; the message gives the separation
             (["fig6", "--large-l", "1e-320"],
              "error: curve 'parallel L=0.00' with separation = 9.99989e-321: "
-             "at omega-b = 0.1: c14 must be finite\n"),
+             "at omega-b = 0.1: c and x must be finite, got x = (nan-infj): the separation is "
+             "below the kernels' range\n"),
         ],
         ids=["fig7-coupling", "fig6-separation"],
     )
@@ -1032,6 +1035,16 @@ def _readme_commands():
                 words = words[: words.index(">")]
             commands.append(words[1:])
     return commands
+
+
+def test_readme_library_example_prints_four_numbers(capsys):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Library", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    words = capsys.readouterr().out.split()
+    assert len(words) == 4
+    assert all(math.isfinite(float(word)) for word in words)
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):

@@ -23,8 +23,9 @@ from mirrorsteer.detector_model import (
     DetectorPair,
     _aux_f,
     _aux_f_array,
-    _aux_g,
     _block_evaluator,
+    _ONE_POINT,
+    _timelike,
     boundary_free_correlations,
     boundary_free_steering,
     config_difference,
@@ -48,6 +49,10 @@ SQRT3 = math.sqrt(3.0)
 PAIR = DetectorPair(omega_a=0.1, omega_b=0.1)
 GEOM_PAR = BoundaryGeometry(Alignment.PARALLEL, separation=1.0, boundary_distance=1.0)
 GEOM_ORT = BoundaryGeometry(Alignment.ORTHOGONAL, separation=1.0, boundary_distance=1.0)
+# the refusal of a correlation block at a separation so small that Im G overflows
+BELOW_KERNEL_RANGE = (
+    "c and x must be finite, got x = (nan-infj): the separation is below the kernels' range"
+)
 
 
 def steering_by_hand(p_a, p_b, c, x):
@@ -147,16 +152,33 @@ class TestTypes:
         assert g.alignment is Alignment.ORTHOGONAL
 
     def test_image_separation(self):
-        assert GEOM_PAR.image_separation() == pytest.approx(math.hypot(1.0, 2.0))
-        assert GEOM_ORT.image_separation() == 3.0
+        assert GEOM_PAR._lengths.image_separation == pytest.approx(math.hypot(1.0, 2.0))
+        assert GEOM_ORT._lengths.image_separation == 3.0
 
     def test_mirror_distance_of_far_detector(self):
-        assert GEOM_PAR.distance_b() == 1.0
-        assert GEOM_ORT.distance_b() == 2.0
+        assert GEOM_PAR._lengths.distance_b == 1.0
+        assert GEOM_ORT._lengths.distance_b == 2.0
 
     def test_block_rejects_saturated_probabilities(self):
         with pytest.raises(PerturbativeValidityError):
             CorrelationBlock(p_a=0.6, p_b=0.4, c=0j, x=0j)
+
+    @pytest.mark.parametrize(
+        "c, x",
+        [(math.inf, 0j), (complex(0.0, math.nan), 0j), (0j, complex(math.nan, -math.inf)),
+         (0j, complex(0.1, math.inf))],
+    )
+    def test_block_rejects_non_finite_c_or_x(self, c, x):
+        with pytest.raises(ValidationError, match="c and x must be finite"):
+            CorrelationBlock(p_a=0.1, p_b=0.1, c=c, x=x)
+
+    @pytest.mark.parametrize("alignment", list(Alignment))
+    def test_separation_below_kernel_range_refused(self, alignment):
+        # Im G = e^{-l^2/4} cos(dl/2)/l overflows: x was nan - inf i, unrefused
+        geom = BoundaryGeometry(alignment, separation=1e-310, boundary_distance=1.0)
+        with pytest.raises(ValidationError) as info:
+            correlations(PAIR, geom)
+        assert str(info.value) == BELOW_KERNEL_RANGE
 
     def test_block_trusted_flag(self):
         assert CorrelationBlock(p_a=0.2, p_b=0.2, c=0j, x=0j).trusted
@@ -365,43 +387,50 @@ class TestAuxFArray:
         assert [v.hex() for v in got.tolist()] == self.one_point(ls, ss)
 
 
+def kernel_g(l, d):
+    """The timelike kernel G (:func:`_timelike`) at one point, as a complex
+    number."""
+    re, im, _ = _timelike(_ONE_POINT, l, d)
+    return complex(re, im)
+
+
 class TestAuxG:
     def test_value_at_l2_identical(self):
         # (e^{-1}/2)(erfi(1) + i)
-        got = _aux_g(2.0, 0.0)
+        got = kernel_g(2.0, 0.0)
         assert got.real == pytest.approx(0.30357885292069686, rel=1e-13)
         assert got.imag == pytest.approx(math.exp(-1.0) / 2.0, rel=1e-14)
 
     def test_real_part_equals_f_at_zero_gaps(self):
         for l in (0.3, 1.0, 2.5, 7.0):
-            assert _aux_g(l, 0.0).real == pytest.approx(_aux_f(l, 0.0), rel=1e-13)
+            assert kernel_g(l, 0.0).real == pytest.approx(_aux_f(l, 0.0), rel=1e-13)
 
     def test_imaginary_part_closed_form(self):
         # Im g = e^{-l^2/4} cos(d l / 2) / l for every branch
         d = 0.6
         for l in (1e-6, 1e-4, 0.5, 2.0, 10.0):
             ref = math.exp(-l * l / 4.0) * math.cos(d * l / 2.0) / l
-            assert _aux_g(l, d).imag == pytest.approx(ref, rel=1e-13)
+            assert kernel_g(l, d).imag == pytest.approx(ref, rel=1e-13)
 
     def test_imaginary_part_diverges_at_coincidence(self):
-        assert _aux_g(1e-6, 0.0).imag * 1e-6 == pytest.approx(1.0, rel=1e-9)
+        assert kernel_g(1e-6, 0.0).imag * 1e-6 == pytest.approx(1.0, rel=1e-9)
 
     def test_real_part_small_l_limit(self):
-        assert _aux_g(1e-9, 0.0).real == pytest.approx(1.0 / SQRT_PI, rel=1e-12)
+        assert kernel_g(1e-9, 0.0).real == pytest.approx(1.0 / SQRT_PI, rel=1e-12)
         # d > 0 limit: d erf(d/2)/2 + e^{-d^2/4}/sqrt(pi)
         ref = 0.25 * math.erf(0.25) + math.exp(-0.0625) / SQRT_PI
-        assert _aux_g(1e-9, 0.5).real == pytest.approx(ref, rel=1e-12)
-        assert _aux_g(1e-9, 0.5).real == pytest.approx(0.5990886622301166, rel=1e-12)
+        assert kernel_g(1e-9, 0.5).real == pytest.approx(ref, rel=1e-12)
+        assert kernel_g(1e-9, 0.5).real == pytest.approx(0.5990886622301166, rel=1e-12)
 
     def test_series_crossover_continuity(self):
         for d in (0.0, 0.5, 2.5):
-            below = _aux_g(1e-3 * (1.0 - 1e-6), d).real
-            above = _aux_g(1e-3 * (1.0 + 1e-6), d).real
+            below = kernel_g(1e-3 * (1.0 - 1e-6), d).real
+            above = kernel_g(1e-3 * (1.0 + 1e-6), d).real
             assert abs(below - above) <= 1e-10 * max(1.0, abs(above))
 
     def test_real_part_algebraic_tail(self):
         d = 0.2
-        got = _aux_g(20.0, d).real
+        got = kernel_g(20.0, d).real
         tail = 2.0 * math.exp(-d * d / 4.0) / (SQRT_PI * (400.0 + d * d))
         assert got == pytest.approx(tail, rel=6e-3)
 
@@ -413,7 +442,7 @@ class TestAuxG:
         for l in KERNEL_LENGTHS:
             f = kernel_f_50_digits(l, d)
             sin_term, cos_term, damping = damped_phase_50_digits(l, d)
-            got = _aux_g(l, d)
+            got = kernel_g(l, d)
             worst_re = max(
                 worst_re,
                 relative_error(got.real, f + sin_term, abs(f) + abs(sin_term)),
@@ -482,8 +511,7 @@ class TestCorrelations:
     @pytest.mark.parametrize(
         "swept, values, verdicts",
         [
-            # accepted; Im G overflowing (the X-state refuses that, not the
-            # block); negative
+            # accepted; Im G overflowing (the block refuses that); negative
             ("separation", [1.0, 1e-320, -2.0], [True, False, False]),
             # accepted; overflowing images; p_a + p_b >= 1
             ("boundary_distance", [0.2, 1e308, 2.0], [True, False, False]),
@@ -626,6 +654,11 @@ class TestBoundaryFree:
     def test_rejects_invalid_separation(self, separation):
         with pytest.raises(ValidationError, match="separation"):
             boundary_free_correlations(PAIR, separation)
+
+    def test_refuses_separation_below_kernel_range(self):
+        with pytest.raises(ValidationError) as info:
+            boundary_free_correlations(PAIR, 1e-320)
+        assert str(info.value) == BELOW_KERNEL_RANGE
 
     def test_probabilities_are_free_space(self):
         block = boundary_free_correlations(PAIR, 0.05)

@@ -7,6 +7,7 @@ determinism); its agreement with the closed forms is exercised here at
 single points and over the full grid in the acceptance suite.
 """
 
+import functools
 import gc
 import math
 import weakref
@@ -34,7 +35,6 @@ from mirrorsteer.integral_oracle import (
     numeric_probability,
     numeric_x,
     _distances,
-    _gauss_nodes,
     _panel_edges,
     _panel_rule,
     _regulated_values,
@@ -60,6 +60,28 @@ def u_mesh(spatial, image, eps):
 FULL_RULE_NODES = 400
 
 
+@functools.cache
+def gauss_legendre(order):
+    """The ``order``-point Gauss-Legendre nodes and weights on [-1, 1], from
+    ``leggauss``: the rules the oracle does not store."""
+    return np.polynomial.legendre.leggauss(order)
+
+
+@pytest.fixture
+def panel_order(monkeypatch):
+    """A setter of the oracle's panel order: at any order but its own,
+    :data:`NODES` and the rule's arrays are patched together."""
+
+    def set_order(order):
+        if order != integral_oracle.NODES:
+            x, w = gauss_legendre(order)
+            monkeypatch.setattr(integral_oracle, "NODES", order)
+            monkeypatch.setattr(integral_oracle, "_LEGENDRE_X", x)
+            monkeypatch.setattr(integral_oracle, "_LEGENDRE_W", w)
+
+    return set_order
+
+
 def full_rule(omega_a, omega_b, spatial, image, eps, time_ordered):
     """One regulated quadrature of the response integral with the complex
     phase, each sbar row its own FULL_RULE_NODES-point sum over [-h, h]:
@@ -75,7 +97,7 @@ def full_rule(omega_a, omega_b, spatial, image, eps, time_ordered):
         * _two_point(warg, spatial, image, eps)
         * uw
     )
-    xs, ws = _gauss_nodes(FULL_RULE_NODES)
+    xs, ws = gauss_legendre(FULL_RULE_NODES)
     h = np.maximum(integral_oracle.TRUNCATION - np.abs(u) / 2.0, 0.0)
     sb = h[:, None] * xs[None, :]
     srow = np.exp(-(sb**2)) * np.exp(-1j * beta * sb) @ ws * h
@@ -178,6 +200,21 @@ class TestExtrapolateEpsilon:
         with pytest.raises(ValidationError):
             extrapolate_epsilon([(0.01, 1.0), (0.02, 1.1), (0.005, 1.2)])
 
+    @pytest.mark.parametrize(
+        "epsilons",
+        [(math.inf, 0.01, 0.005), (0.02, math.nan, 0.005), (math.nan,) * 3,
+         (0.02, 0.01, math.nan)],
+    )
+    def test_refuses_non_finite_epsilons(self, epsilons):
+        # an infinite first epsilon passed with a zero error estimate, and
+        # nan passed every comparison
+        with pytest.raises(ValidationError, match="epsilons must be finite"):
+            extrapolate_epsilon([(e, 1.0) for e in epsilons])
+
+    def test_keeps_the_ordering_message(self):
+        with pytest.raises(ValidationError, match="positive and strictly decreasing"):
+            extrapolate_epsilon([(math.nan, 1.0), (-0.01, 1.0), (0.005, 1.0)])
+
     def test_warns_on_nonmonotone_values(self):
         with pytest.warns(UserWarning, match="monotonically"):
             extrapolate_epsilon([(0.02, 1.0), (0.01, 1.5), (0.005, 0.7)])
@@ -211,9 +248,9 @@ class TestNumericProbability:
         red = reduced_integral(0.1, 0.1, 0.0, 2.0, time_ordered=False)
         assert red.real == pytest.approx(full, rel=1e-6)
 
-    def test_node_doubling_stable(self, monkeypatch):
+    def test_node_doubling_stable(self, panel_order):
         base = numeric_probability(0.1, 1.0)
-        monkeypatch.setattr(integral_oracle, "NODES", 2 * integral_oracle.NODES)
+        panel_order(2 * integral_oracle.NODES)
         fine = numeric_probability(0.1, 1.0)
         assert fine == pytest.approx(base, rel=1e-6)
 
@@ -332,9 +369,9 @@ class TestNumericX:
         red = -reduced_integral(0.1, -0.1, spatial, image, time_ordered=True)
         assert abs(red - full) <= 1e-6 * abs(full)
 
-    def test_node_doubling_stable(self, monkeypatch):
+    def test_node_doubling_stable(self, panel_order):
         base = numeric_x(PAIR, GEOM_PAR)
-        monkeypatch.setattr(integral_oracle, "NODES", 2 * integral_oracle.NODES)
+        panel_order(2 * integral_oracle.NODES)
         fine = numeric_x(PAIR, GEOM_PAR)
         assert abs(fine - base) <= 1e-6 * abs(base)
 
@@ -355,8 +392,9 @@ class TestNumericCorrelations:
         def disabled(self):
             raise AssertionError("closed-form geometry used")
 
-        monkeypatch.setattr(BoundaryGeometry, "distance_b", disabled)
-        monkeypatch.setattr(BoundaryGeometry, "image_separation", disabled)
+        # the closed forms' image separation and distance of B; a property
+        # shadows the instance's own attribute
+        monkeypatch.setattr(BoundaryGeometry, "_lengths", property(disabled), raising=False)
         got = numeric_correlations(pair, geom)
         for name in ("p_a", "p_b", "c", "x"):
             closed, oracle = getattr(want, name), getattr(got, name)
@@ -566,8 +604,13 @@ class TestSharedUMesh:
     # an odd order puts a Gauss-Legendre node at each panel's midpoint
     @pytest.mark.parametrize("name, value", [("TRUNCATION", 6.0), ("NODES", 17)])
     @pytest.mark.parametrize("spatial, image", GEOMETRIES[:4])
-    def test_mirrored_mesh_at_other_settings(self, spatial, image, name, value, monkeypatch):
-        monkeypatch.setattr(integral_oracle, name, value)
+    def test_mirrored_mesh_at_other_settings(
+        self, spatial, image, name, value, monkeypatch, panel_order
+    ):
+        if name == "NODES":
+            panel_order(value)
+        else:
+            monkeypatch.setattr(integral_oracle, name, value)
         assert_mirrored_meshes(spatial, image, *_u_meshes(spatial, image))
 
     # (1.5, 1.5) and the parallel l = 1, dz = 1e-9, where hypot(l, 2 dz)
@@ -618,18 +661,18 @@ class TestSharedUMesh:
 
     def test_kept_rows_are_reused_bit_for_bit(self, monkeypatch):
         terms, later = [(0.1, 0.1, False), (1.0, 1.0, False)], [(0.3, 0.3, False)]
-        state = integral_oracle._State()
-        first = _regulated_values(terms, 0.0, 2.0, state)
+        meshes = {}
+        first = _regulated_values(terms, 0.0, 2.0, meshes)
         # one mesh, and both terms have beta = 0: one row, kept on the mesh
-        assert list(state.meshes) == [(0.0, 2.0)]
-        assert list(state.meshes[0.0, 2.0].rows) == [0.0]
+        assert list(meshes) == [(0.0, 2.0)]
+        assert list(meshes[0.0, 2.0].rows) == [0.0]
 
         def refused(*args):
             raise AssertionError("a kept mesh, correlator or sbar row was computed again")
 
         for name in ("_u_meshes", "_two_point", "_sbar_rows"):
             monkeypatch.setattr(integral_oracle, name, refused)
-        again = _regulated_values(later, 0.0, 2.0, state)
+        again = _regulated_values(later, 0.0, 2.0, meshes)
         monkeypatch.undo()
         assert first.tobytes() == _regulated_values(terms, 0.0, 2.0).tobytes()
         assert again.tobytes() == _regulated_values(later, 0.0, 2.0).tobytes()
@@ -687,7 +730,7 @@ class TestGaussLegendreTable:
     """The oracle's 16-point rule is a stored table; it must be the
     Gauss-Legendre rule in its own right, and what leggauss computes."""
 
-    X, W = _gauss_nodes(16)
+    X, W = integral_oracle._LEGENDRE_X, integral_oracle._LEGENDRE_W
 
     def test_is_the_oracle_rule_and_read_only(self):
         assert integral_oracle.NODES == 16
@@ -730,9 +773,9 @@ class TestCompositeSharedRows:
 
     @pytest.mark.parametrize("nodes, alignment, omega_a, omega_b, l, dz", CASES)
     def test_matches_full_complex_rule(
-        self, nodes, alignment, omega_a, omega_b, l, dz, monkeypatch
+        self, nodes, alignment, omega_a, omega_b, l, dz, panel_order
     ):
-        monkeypatch.setattr(integral_oracle, "NODES", nodes)
+        panel_order(nodes)
         spatial, image, distance_b = _distances(BoundaryGeometry(alignment, l, dz))
         p_a, p_b = (omega_a, omega_a, False), (omega_b, omega_b, False)
         # grouped as numeric_correlations groups them: one call per mesh

@@ -62,8 +62,11 @@ def _at(pair, geom, variable, value, read):
     evaluator are held to.  A validation error is re-raised as the same
     type with the point named."""
     try:
-        pair_v, geom_v = sweep_optimize._apply(pair, geom, variable, value)
-        return read(correlations(pair_v, geom_v))
+        if variable is SweepVariable.OMEGA_B:
+            pair = dataclasses.replace(pair, omega_b=value)
+        else:
+            geom = dataclasses.replace(geom, **{sweep_optimize._INPUT[variable]: value})
+        return read(correlations(pair, geom))
     except ValidationError as exc:
         raise type(exc)(f"at {variable.value} = {value:g}: {exc}") from exc
 
@@ -249,7 +252,7 @@ class TestSweep:
         [
             # Im G overflows as 1/l below l ~ 1e-308
             (GEOM_PAR, ("separation", 1e-320, 1e-300, 5, "log"),
-             "separation = 9.99989e-321: c14 must be finite"),
+             "separation = 9.99989e-321: c and x must be finite"),
             (GEOM_PAR, ("separation", -1.0, 1.0, 5), "separation = -1: separation must be positive"),
             (GEOM_ORT, ("boundary-distance", 1.0, 1e308, 5),
              "boundary-distance = 1e\\+308: separation 1 and boundary_distance 1e\\+308 overflow"),
@@ -317,7 +320,7 @@ class TestSweep:
         # early geometry check
         geom = BoundaryGeometry(Alignment.ORTHOGONAL, 1.0, 1.0)
         axis = SweepAxis("separation", 1e-320, 1e308, 200, "log")
-        match = "separation = 9.99989e-321: c14 must be finite"
+        match = "separation = 9.99989e-321: c and x must be finite"
         with pytest.raises(ValidationError, match=match):
             sweep(DetectorPair(0.1, 0.2), geom, axis)
 
@@ -383,7 +386,9 @@ _SWEEP_REFUSALS = {
         DetectorPair(0.1, 0.1, coupling=5.0), GEOM_PAR, ("boundary-distance", 0.2, 2.0, 5)
     ),
     # Im G overflows as 1/l
-    "c14 must be finite": (PAIR, GEOM_PAR, ("separation", 1e-320, 1e-300, 5, "log")),
+    "c and x must be finite, got x = {x!r}: the separation is below the kernels' range": (
+        PAIR, GEOM_PAR, ("separation", 1e-320, 1e-300, 5, "log")
+    ),
 }
 # the rules no sweep can fail, and why
 _NO_SWEEP_FAILS = {
@@ -401,8 +406,10 @@ _NO_SWEEP_FAILS = {
     *(f"{name} must be finite" for name in ("d11", "d22", "d33", "d44", "c23")),
     *(f"{name} = {{{name}!r}} outside [0, 1]" for name in ("d11", "d22", "d33", "d44")),
     "trace = {trace!r}, expected 1 within 1e-12",
+    # c14 is the block's x, and the block refuses a non-finite x first
+    "c14 must be finite",
     # a sweep's c23 is real and Re c14 stays bounded, so a modulus overflows
-    # only where Im c14 does, which "c14 must be finite" refuses first
+    # only where Im c14 does, which the block refuses first
     "the moduli of c14 = {c14!r} and c23 = {c23!r} must be finite",
 }
 
@@ -506,10 +513,25 @@ class TestRefusalParity:
     @pytest.mark.parametrize("p_a, p_b", [(math.nan, 0.1), (0.1, -0.1), (0.6, 0.6)])
     def test_block_verdict_is_what_correlation_block_refuses(self, p_a, p_b):
         p_a, p_b = np.array([0.1, p_a]), np.array([0.1, p_b])
-        ok = _ARRAYS.verdict(_block_rules, SimpleNamespace(p_a=p_a, p_b=p_b, p_sum=p_a + p_b))
+        v = SimpleNamespace(p_a=p_a, p_b=p_b, p_sum=p_a + p_b, c=np.zeros(2),
+                            x=np.zeros(2, complex))
+        ok = _ARRAYS.verdict(_block_rules, v)
         assert ok.tolist() == [True, False]
         with pytest.raises(ValidationError):
             CorrelationBlock(p_a[1], p_b[1], 0j, 0j)
+
+    @pytest.mark.parametrize(
+        "c, x", [(math.inf, 0j), (math.nan, 0j), (0.0, complex(math.nan, -math.inf))]
+    )
+    def test_block_verdict_refuses_non_finite_c_or_x(self, c, x):
+        p = np.array([0.1, 0.1])
+        v = SimpleNamespace(p_a=p, p_b=p, p_sum=p + p, c=np.array([0.1, c]),
+                            x=np.array([0.1j, x]))
+        with np.errstate(invalid="ignore"):
+            ok = _ARRAYS.verdict(_block_rules, v)
+        assert ok.tolist() == [True, False]
+        with pytest.raises(ValidationError, match="c and x must be finite"):
+            CorrelationBlock(0.1, 0.1, c, x)
 
 
 def _scalar_columns(pair, geom, axis):
@@ -1202,3 +1224,9 @@ class TestFigureDataset:
     def test_accepts_string_id(self):
         data = figure_dataset("fig7", resolution=8)
         assert "difference" in data
+
+    @pytest.mark.parametrize("separations", [(), []])
+    def test_fig6_refuses_an_empty_family(self, separations):
+        # it returned {}, a figure with no curves and no error
+        with pytest.raises(ValidationError, match="^fig6 takes at least one separation"):
+            figure_dataset(FigureId.FIG6, resolution=5, separations=separations)
