@@ -25,7 +25,6 @@ input does not move and takes the rest through the X-state stage.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -34,7 +33,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import erfcx, wofz
 
-from .errors import PerturbativeValidityError, ValidationError
+from .errors import PerturbativeValidityError, ValidationError, _member
 from .special_functions import faddeeva_w
 from .xstate_steering import _ARRAYS as _ARRAY_OPS
 from .xstate_steering import _ONE_POINT as _POINT_OPS
@@ -203,7 +202,7 @@ class BoundaryGeometry:
     boundary_distance: float
 
     def __post_init__(self):
-        alignment = Alignment(self.alignment)
+        alignment = _member(Alignment, self.alignment, "alignment")
         lengths = _mirror_lengths(
             _ONE_POINT, alignment, float(self.separation), float(self.boundary_distance)
         )
@@ -279,24 +278,19 @@ def _aux_f_array(l, s) -> np.ndarray:
     """:func:`_aux_f` at each point, bit for bit; either argument may be a
     Python number, held at every point.
 
-    The Faddeeva branch runs through ``wofz`` on the whole array; the
-    Taylor branch is :func:`_aux_f` itself, called on just the points
-    below ``SERIES_CROSSOVER``.
+    The Faddeeva branch runs through ``wofz`` on the whole array, and the
+    points below ``SERIES_CROSSOVER`` are then overwritten with
+    :func:`_aux_f` itself, its Taylor branch. Below l ≈ 1e-308 the
+    overwritten points' Faddeeva values can overflow; every array pass
+    runs with numpy's overflow and invalid warnings off.
     """
-    n = l.size if isinstance(l, np.ndarray) else s.size
-    l = l if isinstance(l, np.ndarray) else np.full(n, l)
-    out = np.empty(n)
-    small = l < SERIES_CROSSOVER
-    if isinstance(s, np.ndarray):
-        s_small, s = s[small].tolist(), s[~small]
-    else:
-        # a held gap stays one number, so its damping is one exp
-        s_small = itertools.repeat(s)
-    out[small] = list(map(_aux_f, l[small].tolist(), s_small))
-    l = l[~small]
+    l = l if isinstance(l, np.ndarray) else np.full(s.size, l)
     z = (-l / 2.0).astype(complex)
     z.imag = s / 2.0
-    out[~small] = -(_each(math.exp, -s * s / 4.0) / l) * wofz(z).imag
+    # a held gap stays one number, so its damping is one exp
+    out = -(_each(math.exp, -s * s / 4.0) / l) * wofz(z).imag
+    small = l < SERIES_CROSSOVER
+    out[small] = _each(_aux_f, l[small], s[small] if isinstance(s, np.ndarray) else s)
     return out
 
 

@@ -14,3 +14,14 @@ class PerturbativeValidityError(ValidationError):
 class ConvergenceError(RuntimeError):
     """Raised when a numerical routine cannot certify its result to the
     requested tolerance."""
+
+
+def _member(kind, value, name: str):
+    """The member of the enum ``kind`` that ``value`` is or names; anything
+    else raises a :class:`ValidationError` that lists the accepted values
+    under ``name``."""
+    try:
+        return kind(value)
+    except ValueError:
+        accepted = ", ".join(repr(member.value) for member in kind)
+        raise ValidationError(f"{name} must be one of {accepted}; got {value!r}") from None

@@ -35,15 +35,16 @@ schedule of regulator values and Richardson-extrapolated to zero.
 
 The panel edges are their own mirror image about u = 0, and the
 Gauss-Legendre nodes and weights are symmetric, so each mesh is built on
-its u > 0 half and mirrored. Every u factor is conjugate-symmetric, bit
-for bit in IEEE arithmetic: the Gaussian is even, exp(-i alpha (-u)) is
-conj exp(-i alpha u), and the regulated correlator obeys G(-u) = conj
-G(u), so the time-ordered correlator G(-|u|) is conj G(|u|) on both
-triangles. Each factor is therefore evaluated on the u > 0 nodes only,
-and its values at -u are the conjugates, reversed. Where the image path
-equals the direct one the correlator is an exact signed zero, the same
-at u and -u, which conjugation would flip; there it is evaluated on the
-whole mesh instead.
+its u > 0 half only, and every u factor lives there: the weights, the
+Gaussian, each integral's u phase f, the sbar rows and the correlator
+G(u). Each factor is conjugate-symmetric, bit for bit in IEEE
+arithmetic: the Gaussian is even, exp(-i alpha (-u)) is conj exp(-i
+alpha u), and the regulated correlator obeys G(-u) = conj G(u). So each
+integrand's -u half is built from conj f and G(-u) = conj G(u), and the
+time-ordered term, which sees G(-|u|), reads G(-u) on both halves. Where
+the image path equals the direct one the correlator is an exact signed
+zero, the same at u and -u, which conjugation would flip; there G(-u) is
+evaluated at -u instead.
 
 Integrals on one (spatial, image) pair are computed together: C with
 X, and P_A with P_B when both detectors are equally far from the
@@ -53,12 +54,12 @@ not, so the rule is mapped once onto the union of their u > 0 panels
 an index into that union, in its own panel order. The u Gaussian, each
 integral's u phase and the section half-width h are evaluated once per
 union node, the sbar rows once per union node (each has its own h) and
-|beta| for every regulator, and the correlator once per regulator, for
-both time orderings. Each regulator's whole-mesh arrays are built from
-its half as an integral needs them, and each regulated value is still
-summed over its own whole mesh in its own order, with every summand the
-same as if it were evaluated at its own node: neither the sharing nor
-the mirroring changes a bit.
+|beta| for every regulator, and G(u) once per regulator, for both time
+orderings. Each regulated value is one sum over its integrand's two
+halves, the -u half reversed and then the u > 0 half, which is its own
+whole mesh in its own order, with every summand the same as if it were
+evaluated at its own node: neither the sharing nor the mirroring changes
+a bit.
 
 Over the cases of one :func:`numeric_correlation_blocks` iterator each
 probability integral is computed once: it depends only on the gap, the
@@ -202,9 +203,9 @@ def _u_meshes(spatial: float, image: float):
     :data:`EPSILONS` on one ``(spatial, image)`` pair, from one rule over
     the union of their panels from u = 0 up: the union's nodes and weights,
     one row per panel, and for each regulator the rows of its panels, in
-    its own panel order. A regulator's whole mesh is its half mirrored
-    (:func:`_mirrored`): its edges are antisymmetric, u = 0 is one of them,
-    and the Gauss-Legendre nodes and weights are symmetric."""
+    its own panel order. A regulator's whole mesh is its half mirrored:
+    its edges are antisymmetric, u = 0 is one of them, and the
+    Gauss-Legendre nodes and weights are symmetric."""
     keys = []
     for eps in EPSILONS:
         edges = _panel_edges((0.0, spatial, image), eps, 2.0 * TRUNCATION)
@@ -217,13 +218,6 @@ def _u_meshes(spatial: float, image: float):
     union = _distinct(np.concatenate(keys))
     u, w = _panel_rule(union.real, union.imag)
     return u, w, [np.searchsorted(union, key) for key in keys]
-
-
-def _mirrored(half):
-    """A regulator's whole-mesh array from its values on the u > 0 half:
-    the half reversed and conjugated (a no-op on real values), then the
-    half."""
-    return np.concatenate((half[::-1].conj(), half))
 
 
 def _sbar_rows(h, betas):
@@ -272,26 +266,20 @@ class _Mesh:
         self.rows = {}
         self._positive = {}
 
-    def correlator(self, regulator: int, ordered: bool):
-        """The correlator on the whole mesh of the ``regulator``-th entry of
-        :data:`EPSILONS`, time-ordered or not, from one evaluation G+ on its
-        u > 0 nodes: G(-u) is conj G(u) bit for bit, and the time-ordered
-        term sees G at -|u| on both triangles, so the unordered correlator
-        is [conj G+ reversed, G+] and the time-ordered one [conj G+
-        reversed, conj G+]."""
+    def correlator(self, regulator: int):
+        """The correlator of the ``regulator``-th entry of :data:`EPSILONS`
+        on its u > 0 nodes and at their mirrors: G(u), kept, and G(-u),
+        which is conj G(u) bit for bit."""
         u = self.u[self.panels[regulator]].ravel()
         eps = EPSILONS[regulator]
-        if self.spatial * self.spatial == self.image * self.image:
-            # the image term cancels the direct one exactly, to a signed
-            # zero that is the same at u and -u and that conj would flip:
-            # evaluated on the whole mesh instead
-            u = np.concatenate((-u[::-1], u))
-            return _two_point(-np.abs(u) if ordered else u, self.spatial, self.image, eps)
         if regulator not in self._positive:
             self._positive[regulator] = _two_point(u, self.spatial, self.image, eps)
-        g = self._positive[regulator]
-        conj = g.conj()
-        return np.concatenate((conj[::-1], conj if ordered else g))
+        plus = self._positive[regulator]
+        if self.spatial * self.spatial == self.image * self.image:
+            # the image term cancels the direct one exactly, to a signed
+            # zero that is the same at u and -u and that conj would flip
+            return plus, _two_point(-u, self.spatial, self.image, eps)
+        return plus, plus.conj()
 
 
 def _regulated_values(terms, spatial: float, image: float, meshes=None):
@@ -305,8 +293,9 @@ def _regulated_values(terms, spatial: float, image: float, meshes=None):
     come from the pair's :class:`_Mesh` in ``meshes``, a dict keyed by
     ``(spatial, image)`` (a fresh one by default), which builds each once
     and keeps it for later calls; each term's u phase is evaluated once per
-    node of the half union, and each regulated value is summed over its own
-    regulator's whole mesh, mirrored from its half, in that mesh's order.
+    node of the half union, and each regulated value is one sum over its
+    integrand's -u half, reversed, and u > 0 half: its own regulator's
+    whole mesh, in that mesh's order.
     """
     meshes = {} if meshes is None else meshes
     if (spatial, image) not in meshes:
@@ -329,11 +318,15 @@ def _regulated_values(terms, spatial: float, image: float, meshes=None):
             for alpha in ((omega_a + omega_b) / 2.0 for omega_a, omega_b, _ in terms)
         ]
         for i, p in enumerate(mesh.panels):
-            # this regulator's weights, over its whole mesh in its order
-            w = _mirrored(mesh.w[p].ravel())
+            w = mesh.w[p].ravel()
+            plus, minus = mesh.correlator(i)
             for k, (beta, factor, (_, _, ordered)) in enumerate(zip(betas, factors, terms)):
-                ku = _mirrored(factor[p].ravel()) * mesh.correlator(i, ordered) * w
-                values[k, i] = np.sum(ku * _mirrored(mesh.rows[beta][p].ravel()))
+                f, r = factor[p].ravel(), mesh.rows[beta][p].ravel()
+                # the -u half has the phase conj f; the time-ordered term
+                # sees G(-|u|) on both halves
+                lower = f.conj() * minus * w * r
+                upper = f * (minus if ordered else plus) * w * r
+                values[k, i] = np.sum(np.concatenate((lower[::-1], upper)))
     return values
 
 

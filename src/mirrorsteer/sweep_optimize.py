@@ -50,7 +50,7 @@ from .detector_model import (
     boundary_free_correlations,
     state_from_block,
 )
-from .errors import ValidationError
+from .errors import ValidationError, _member
 from .xstate_steering import _observed
 
 REFINE_TOL = 1e-6
@@ -107,8 +107,8 @@ class SweepAxis:
     scale: SweepScale = SweepScale.LINEAR
 
     def __post_init__(self):
-        object.__setattr__(self, "variable", SweepVariable(self.variable))
-        object.__setattr__(self, "scale", SweepScale(self.scale))
+        object.__setattr__(self, "variable", _member(SweepVariable, self.variable, "variable"))
+        object.__setattr__(self, "scale", _member(SweepScale, self.scale, "scale"))
         for end in ("start", "stop"):
             value = getattr(self, end)
             if not isinstance(value, numbers.Real):
@@ -312,8 +312,8 @@ def find_peak(
     stops once every point still admissible lies within ``REFINE_TOL`` of
     the returned location, whose objective value is returned with it.
     """
-    variable = SweepVariable(variable)
-    objective = Objective(objective)
+    variable = _member(SweepVariable, variable, "variable")
+    objective = _member(Objective, objective, "objective")
     lo, hi = _bracket(bracket, "peak")
     index = _OBSERVED.index(_READS[objective])
     evaluate = _evaluator(pair, geom, variable)
@@ -400,8 +400,8 @@ def find_transition(
     at most ``REFINE_TOL`` wide and returns its midpoint, classified as a
     sudden death (live side below) or sudden birth (live side above).
     """
-    variable = SweepVariable(variable)
-    direction = Direction(direction)
+    variable = _member(SweepVariable, variable, "variable")
+    direction = _member(Direction, direction, "direction")
     lo, hi = _bracket(bracket, "transition")
     index = _OBSERVED.index(_READS[direction])
     evaluate = _evaluator(pair, geom, variable)
@@ -516,7 +516,7 @@ def figure_dataset(
     Every table carries the parameters it was computed with.  A curve whose
     sweep is refused raises the sweep's error with the curve named.
     """
-    figure_id = FigureId(figure_id)
+    figure_id = _member(FigureId, figure_id, "figure_id")
     spec = _FIGURES[figure_id]
     if pair is None:
         pair = DetectorPair(omega_a=_FIGURE_GAP, omega_b=_FIGURE_GAP)

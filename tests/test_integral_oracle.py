@@ -541,7 +541,7 @@ def assert_mirrored_meshes(spatial, image, u, w, panels):
         want_u, want_w = u_mesh(spatial, image, eps)
         half_u, half_w = u[p].ravel(), w[p].ravel()
         assert np.concatenate((-half_u[::-1], half_u)).tobytes() == want_u.tobytes()
-        assert integral_oracle._mirrored(half_w).tobytes() == want_w.tobytes()
+        assert np.concatenate((half_w[::-1], half_w)).tobytes() == want_w.tobytes()
 
 
 class TestSharedUMesh:
@@ -620,19 +620,20 @@ class TestSharedUMesh:
         GEOMETRIES + [_distances(BoundaryGeometry(Alignment.PARALLEL, 1.0, 1e-9))[:2]],
     )
     def test_mirrored_factors_equal_direct_evaluation(self, spatial, image):
-        # the phase and both correlators on each regulator's whole mesh must
-        # equal their evaluation at -u bit for bit, signs of zeros included
+        # the phase on each regulator's u > 0 nodes, conjugated and reversed,
+        # and both halves of its correlator must equal their evaluation at
+        # -u and at u bit for bit, signs of zeros included
         mesh = integral_oracle._Mesh(spatial, image)
         for i, (eps, p) in enumerate(zip(integral_oracle.EPSILONS, mesh.panels)):
             half = mesh.u[p].ravel()
-            u = np.concatenate((-half[::-1], half))
             for alpha in (0.05, 0.1, 0.5, 0.55, 1.0, 2.5):
-                got = integral_oracle._mirrored(mesh.gauss[p].ravel() * np.exp(-1j * alpha * half))
-                want = np.exp(-(u**2) / 4.0) * np.exp(-1j * alpha * u)
-                assert got.tobytes() == want.tobytes(), alpha
-            for ordered in (False, True):
-                want = _two_point(-np.abs(u) if ordered else u, spatial, image, eps)
-                assert mesh.correlator(i, ordered).tobytes() == want.tobytes(), ordered
+                f = mesh.gauss[p].ravel() * np.exp(-1j * alpha * half)
+                for got, u in ((f.conj()[::-1], -half[::-1]), (f, half)):
+                    want = np.exp(-(u**2) / 4.0) * np.exp(-1j * alpha * u)
+                    assert got.tobytes() == want.tobytes(), alpha
+            plus, minus = mesh.correlator(i)
+            assert plus.tobytes() == _two_point(half, spatial, image, eps).tobytes()
+            assert minus.tobytes() == _two_point(-half, spatial, image, eps).tobytes()
 
     def test_exact_image_cancellation_keeps_its_signed_zeros(self):
         # the values the oracle gave when it evaluated both halves of the mesh

@@ -97,6 +97,31 @@ GEOM_ORT = BoundaryGeometry(Alignment.ORTHOGONAL, separation=1.0, boundary_dista
 GEOM_NEAR = BoundaryGeometry(Alignment.PARALLEL, separation=0.05, boundary_distance=1.0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BoundaryGeometry("diagonal", 1.0, 1.0),
+         "alignment must be one of 'parallel', 'orthogonal'; got 'diagonal'"),
+        (lambda: SweepAxis("foo", 0.0, 1.0, 3),
+         "variable must be one of 'separation', 'boundary-distance', 'omega-b'; got 'foo'"),
+        (lambda: SweepAxis("separation", 0.0, 1.0, 3, scale="cubic"),
+         "scale must be one of 'linear', 'log'; got 'cubic'"),
+        (lambda: find_peak(PAIR, GEOM_PAR, "separation", (0.1, 1.0), objective="bogus"),
+         "objective must be one of 'sab', 'sba', 'asym'; got 'bogus'"),
+        (lambda: find_transition(PAIR, GEOM_PAR, "separation", (0.1, 1.0), direction="up"),
+         "direction must be one of 'ab', 'ba'; got 'up'"),
+        (lambda: figure_dataset("fig9"),
+         "figure_id must be one of 'fig2', 'fig4', 'fig5', 'fig6', 'fig7'; got 'fig9'"),
+    ],
+    ids=["alignment", "variable", "scale", "objective", "direction", "figure"],
+)
+def test_unknown_name_raises_validation_error(call, message):
+    # README: out-of-domain input raises ValidationError, names included
+    with pytest.raises(ValidationError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 class TestSweepAxis:
     def test_rejects_more_than_max_points(self):
         SweepAxis(SweepVariable.SEPARATION, start=1.0, stop=2.0, points=MAX_POINTS)
