@@ -19,7 +19,8 @@ Each formula and domain check is written once, over the namespaces of
 (:func:`_aux_f` at one point, :func:`_aux_f_array` over arrays), which every
 entry reads; X also reads the timelike kernel G (:func:`_timelike`).
 :func:`_block_evaluator`, built per sweep or search, holds what the swept
-input does not move and takes the rest through the X-state stage.
+input does not move, computes the rest and reads the steering of each
+point's X-state straight from the block, whose rules imply the X-state's.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .xstate_steering import (
     _check,
     _each,
     _INF,
-    _observe,
+    _steering,
     steering_asymmetry,
 )
 
@@ -451,14 +452,20 @@ def _block_evaluator(
     mirror distance.  The evaluator takes a Python float, or an array of
     values with numpy's floating-point warnings off, and reads the formulas
     and the rules of :class:`DetectorPair` (omega_b swept only),
-    :class:`BoundaryGeometry` (a length swept only), the kernel phases,
-    :class:`CorrelationBlock` and :class:`XState`, in that order, through
-    the namespace the value's type picks.  It returns ``(values, observed,
-    ok)``, ``observed`` being P_A, P_B and the columns of ``_observe``, each
-    bit for bit the one-point route's; a value held fixed stays one number.
-    At one point a failed rule is raised as the dataclasses raise it, and
-    ``ok`` is True; over an array ``ok`` is true exactly at the points that
-    pass, and the values elsewhere are placeholders.
+    :class:`BoundaryGeometry` (a length swept only), the kernel phases and
+    :class:`CorrelationBlock`, in that order, through the namespace the
+    value's type picks.  The X-state of a block that passes is read straight
+    through ``_steering``, with d11 clamped as :class:`XState` clamps it:
+    once the block's rules hold, its diagonal 1 - p_a - p_b, p_b, p_a, 0
+    lies in [0, 1] with unit trace, and its coherences x and c are finite;
+    c is real and Re x stays bounded, so their moduli are finite too, and
+    no rule of :class:`XState` can fail there.  It returns ``(values,
+    observed, ok)``, ``observed`` being P_A, P_B and the columns of
+    ``_steering``, each bit for bit the one-point route's; a value held
+    fixed stays one number.  At one point a failed rule is raised as the
+    dataclasses raise it, and ``ok`` is True; over an array ``ok`` is true
+    exactly at the points that pass, and the values elsewhere are
+    placeholders.
 
     The evaluators of one figure's curves share a ``store``, a dict that
     lives as long as the figure's build.  Each stage the evaluator does not
@@ -505,13 +512,18 @@ def _block_evaluator(
         ns = _ARRAYS if isinstance(value, np.ndarray) else _ONE_POINT
         v = inputs(ns, value)
         ok = ns.verdict(rules, v)
-        if ok is not True:
+        if ok is not True and not ok.all():
             v = inputs(ns, np.where(ok, value, placeholder))
         values = _entries(ns, *stages(ns, v), **held, **kept)
         ok = ok & ns.verdict(_phase_rules, values) & ns.verdict(_block_rules, values)
-        entries = _state_entries(values.p_a, values.p_b, values.c, values.x)
-        columns, state_ok = _observe(ns, *entries)
-        return values, (values.p_a, values.p_b, *columns), ok & state_ok
+        c, x = values.c, values.x
+        if ok is not True and not ok.all():
+            # the modulus of a refused coherence can overflow abs
+            c, x = ns.where(ok, c, 0.0), ns.where(ok, x, 0.0)
+        # XState's clamp; the block's rules leave it nothing to refuse
+        d11, *entries = _state_entries(values.p_a, values.p_b, c, x)
+        columns = _steering(ns, ns.max(d11, 0.0), *entries)
+        return values, (values.p_a, values.p_b, *columns), ok
 
     return at
 

@@ -277,7 +277,8 @@ class _Mesh:
         plus = self._positive[regulator]
         if self.spatial * self.spatial == self.image * self.image:
             # the image term cancels the direct one exactly, to a signed
-            # zero that is the same at u and -u and that conj would flip
+            # zero that is the same at u and -u and that conj would flip;
+            # test_mirrored_factors_equal_direct_evaluation fails without this
             return plus, _two_point(-u, self.spatial, self.image, eps)
         return plus, plus.conj()
 

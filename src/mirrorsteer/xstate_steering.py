@@ -27,9 +27,10 @@ both give the same bits.  Each domain check is written once as well, as an
 ordered table of rules (predicate, error type, message) that a namespace
 reads through its ``verdict``: one state raises the first rule it fails, and
 an array pass ANDs the rules into a verdict per point.  :class:`XState`
-checks and clamps a state through :func:`_state`, and :func:`_observe` takes
-entries through :func:`_state` and :func:`_steering` at one point or over
-arrays: the X-state stage of every sweep and search.
+checks and clamps a state through :func:`_state`, and :func:`_steering`
+gives its columns unchecked, at one point or over arrays.  Sweeps and
+searches read :func:`_steering` on the X-state of a correlation block that
+passed its own rules, which leave :class:`XState` nothing to refuse.
 """
 
 from __future__ import annotations
@@ -241,18 +242,6 @@ def _steering(ns, d11, d22, d33, d44, c14, c23):
     s_ab, s_ba = ns.max(0.0, m_ab), ns.max(0.0, m_ba)
     concurrence = _concurrence(ns, d11, d22, d33, d44, m14, m23)
     return m23, m14, s_ab, s_ba, s_ab - s_ba, concurrence, m_ab, m_ba
-
-
-def _observe(ns, d11, d22, d33, d44, c14, c23):
-    """The columns of :func:`_steering` for these entries, checked and clamped
-    as :class:`XState` does, and the verdict: one point raises the first rule
-    it fails; over arrays, with numpy's warnings off, ``ok`` is true exactly
-    where :class:`XState` accepts the point, the columns elsewhere placeholders."""
-    state, ok = _state(ns, d11, d22, d33, d44, c14, c23)
-    if ok is not True:
-        # the modulus of a refused coherence can overflow abs
-        c14, c23 = ns.where(ok, c14, 0.0), ns.where(ok, c23, 0.0)
-    return _steering(ns, state.d11, state.d22, state.d33, state.d44, c14, c23), ok
 
 
 def _observed(state: XState) -> tuple[float, ...]:

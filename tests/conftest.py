@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from mirrorsteer.xstate_steering import XState
+from mirrorsteer.xstate_steering import XState, _state, _steering
 
 # the Dirichlet weights of the diagonal: uniform on the simplex
 _FLAT = np.ones(4)
@@ -54,3 +54,17 @@ def random_x_entries(rng: np.random.Generator, physical: bool | None = None) -> 
         r14 * complex(math.cos(ph14), math.sin(ph14)),
         r23 * complex(math.cos(ph23), math.sin(ph23)),
     )
+
+
+def observe(ns, d11, d22, d33, d44, c14, c23):
+    """The columns of ``_steering`` for these entries, checked and clamped as
+    :class:`XState` does, and the verdict: one point raises the first rule it
+    fails; over arrays, with numpy's warnings off, ``ok`` is true exactly
+    where :class:`XState` accepts the point, the columns elsewhere
+    placeholders.  Generic X-state arrays go through it; the library's sweeps
+    and searches read ``_steering`` on states their blocks already vouch for."""
+    state, ok = _state(ns, d11, d22, d33, d44, c14, c23)
+    if ok is not True:
+        # the modulus of a refused coherence can overflow abs
+        c14, c23 = ns.where(ok, c14, 0.0), ns.where(ok, c23, 0.0)
+    return _steering(ns, state.d11, state.d22, state.d33, state.d44, c14, c23), ok

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import erf_maclaurin, random_x_entries, random_x_state
+from conftest import erf_maclaurin, observe, random_x_entries, random_x_state
 from mirrorsteer.cli import VERIFY_GRID_DEFAULT
 from mirrorsteer.detector_model import (
     Alignment,
@@ -50,7 +50,6 @@ from mirrorsteer.xstate_steering import (
     _W_MINUS,
     _W_PLUS,
     XState,
-    _observe,
     _tau_ab,
     _tau_ba,
     steering_a_to_b,
@@ -176,12 +175,12 @@ def test_criterion_04_certification_equivalence():
     band = 1e-12
     draws = (random_x_entries(rng) for _ in range(100_000))
     entries = [np.array(column) for column in zip(*draws)]
-    (_, _, s_ab, s_ba, *_), ok = _observe(_ARRAYS, *entries)
+    (_, _, s_ab, s_ba, *_), ok = observe(_ARRAYS, *entries)
     assert ok.all()
     state = SimpleNamespace(**dict(zip(("d11", "d22", "d33", "d44", "c14", "c23"), entries)))
     mismatches = 0
     for tau, steering in ((_tau_ab, s_ba), (_tau_ba, s_ab)):
-        tau_columns, tau_ok = _observe(_ARRAYS, *tau(_ARRAYS, state))
+        tau_columns, tau_ok = observe(_ARRAYS, *tau(_ARRAYS, state))
         # every tau operator is an X-state that XState accepts
         assert tau_ok.all()
         concurrence = tau_columns[5]

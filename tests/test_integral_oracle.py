@@ -635,8 +635,10 @@ class TestSharedUMesh:
             assert plus.tobytes() == _two_point(half, spatial, image, eps).tobytes()
             assert minus.tobytes() == _two_point(-half, spatial, image, eps).tobytes()
 
-    def test_exact_image_cancellation_keeps_its_signed_zeros(self):
-        # the values the oracle gave when it evaluated both halves of the mesh
+    def test_equal_path_c_and_x_are_signed_zeros(self):
+        # at the parallel l = 1, dz = 1e-9, whose image path rounds to the
+        # direct one, C is +0+0j and X is -0-0j: the values the oracle gave
+        # when it evaluated both halves of the mesh
         geom = BoundaryGeometry(Alignment.PARALLEL, 1.0, 1e-9)
         for pair in (PAIR, DetectorPair(0.0, 1.0)):
             c, x = numeric_c(pair, geom), numeric_x(pair, geom)

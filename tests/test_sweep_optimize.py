@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import observe
 from mirrorsteer.detector_model import (
     Alignment,
     BoundaryGeometry,
@@ -28,7 +29,7 @@ from mirrorsteer.detector_model import (
     harvested_steering,
     state_from_block,
 )
-from mirrorsteer import detector_model, sweep_optimize
+from mirrorsteer import detector_model, sweep_optimize, xstate_steering
 from mirrorsteer.errors import PerturbativeValidityError, ValidationError
 from mirrorsteer.sweep_optimize import (
     MAX_POINTS,
@@ -50,9 +51,7 @@ from mirrorsteer.sweep_optimize import (
 from mirrorsteer.xstate_steering import (
     _ARRAYS,
     XState,
-    _observe,
     _observed,
-    _state_rules,
 )
 
 
@@ -410,6 +409,11 @@ _SWEEP_REFUSALS = {
     "p_a + p_b = {p_sum:.3g} >= 1: coupling too strong for the leading-order state": (
         DetectorPair(0.1, 0.1, coupling=5.0), GEOM_PAR, ("boundary-distance", 0.2, 2.0, 5)
     ),
+    # near the mirror the Taylor branch of F at the gap sum 2e306 overflows
+    # to nan, before the closed forms clamp the probabilities at zero
+    "probabilities must be finite": (
+        DetectorPair(1e306, 1e306), GEOM_PAR, ("boundary-distance", 1e-62, 1.0, 5, "log")
+    ),
     # Im G overflows as 1/l
     "c and x must be finite, got x = {x!r}: the separation is below the kernels' range": (
         PAIR, GEOM_PAR, ("separation", 1e-320, 1e-300, 5, "log")
@@ -423,19 +427,8 @@ _NO_SWEEP_FAILS = {
     # a grid between finite ends holds finite values
     "detector parameters must be finite",
     "geometry lengths must be finite",
-    # once the pair and the geometry pass, the closed forms give finite
-    # probabilities clamped at zero, a finite C, and the X-state
-    # 1 - p_a - p_b, p_b, p_a, 0 with p_a + p_b < 1
-    "probabilities must be finite",
+    # the closed forms clamp each probability at zero
     "probabilities must be nonnegative",
-    *(f"{name} must be finite" for name in ("d11", "d22", "d33", "d44", "c23")),
-    *(f"{name} = {{{name}!r}} outside [0, 1]" for name in ("d11", "d22", "d33", "d44")),
-    "trace = {trace!r}, expected 1 within 1e-12",
-    # c14 is the block's x, and the block refuses a non-finite x first
-    "c14 must be finite",
-    # a sweep's c23 is real and Re c14 stays bounded, so a modulus overflows
-    # only where Im c14 does, which the block refuses first
-    "the moduli of c14 = {c14!r} and c23 = {c23!r} must be finite",
 }
 
 
@@ -449,7 +442,7 @@ class _Zeros:
 def _rule_messages():
     """The message template of every rule a sweep checks, in the order the
     one-point route checks them."""
-    tables = (_pair_rules, _geometry_rules, _phase_rules, _block_rules, _state_rules)
+    tables = (_pair_rules, _geometry_rules, _phase_rules, _block_rules)
     return [message for rules in tables for _, _, message in rules(_Zeros())]
 
 
@@ -530,7 +523,7 @@ class TestRefusalParity:
     def test_state_verdict_is_what_xstate_refuses(self, bad):
         good = (0.25, 0.25, 0.25, 0.25, 0.1 + 0j, 0.1j)
         with np.errstate(over="ignore", invalid="ignore"):
-            _, ok = _observe(_ARRAYS, *(np.array(column) for column in zip(good, bad)))
+            _, ok = observe(_ARRAYS, *(np.array(column) for column in zip(good, bad)))
         assert ok.tolist() == [True, False]
         with pytest.raises(ValidationError):
             XState(*bad)
@@ -686,6 +679,109 @@ class TestEvaluatorMatchesDataclassRoute:
         assert type(got.value) is type(want)
         assert str(got.value) == str(want)
         assert type(got.value.__cause__) is type(want.__cause__)
+
+
+def _public_route(pair, geom, swept, value):
+    """P_A, P_B and the ``_observed`` columns at one value of ``swept``,
+    through ``correlations``, ``state_from_block`` and ``_observed``, or the
+    error the dataclasses raise before a block exists.  The X-state of a
+    block that exists must build: the evaluator checks none of its rules."""
+    try:
+        if swept == "omega_b":
+            pair = dataclasses.replace(pair, omega_b=value)
+        else:
+            geom = dataclasses.replace(geom, **{swept: value})
+        block = correlations(pair, geom)
+    except ValidationError as exc:
+        return exc
+    return (block.p_a, block.p_b, *_observed(state_from_block(block)))
+
+
+def _log_scale(low, high):
+    """Floats 10**e, the exponent e drawn from [low, high]."""
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+# each in the benchmark's range or anywhere up to the model's edges: gaps
+# up to and past the overflow of 2 omega (and near it, where the kernel
+# phases overflow), lengths down to 1e-320 and up to 1e300, and couplings up
+# to 1e154, whose square is still finite
+_GAPS = st.one_of(
+    st.just(0.0), _log_scale(-3.0, 1.0), _log_scale(-3.0, 308.1), _log_scale(306.0, 308.1)
+)
+_LENGTHS = st.one_of(_log_scale(-3.0, 1.0), _log_scale(-320.0, 300.0))
+_COUPLINGS = st.one_of(_log_scale(-3.0, 1.0), _log_scale(-3.0, 154.0))
+
+
+@st.composite
+def evaluator_problems(draw):
+    """A valid pair and geometry, a swept input and a few values of it."""
+    omega_a, omega_b = sorted(draw(st.lists(_GAPS, min_size=2, max_size=2)))
+    alignment = draw(st.sampled_from(list(Alignment)))
+    try:
+        pair = DetectorPair(omega_a, omega_b, draw(_COUPLINGS))
+        geom = BoundaryGeometry(alignment, draw(_LENGTHS), draw(_LENGTHS))
+    except ValidationError:
+        assume(False)
+    swept = draw(st.sampled_from(["omega_b", "separation", "boundary_distance"]))
+    values = draw(st.lists(_GAPS if swept == "omega_b" else _LENGTHS, min_size=1, max_size=5))
+    return pair, geom, swept, values
+
+
+class TestBlockVouchesForItsXState:
+    """A sweep or a search checks no X-state rule: a block that passes its
+    own rules holds an X-state that XState accepts.  Across the model's
+    domain and past its edges, the evaluator is the public route at one
+    point and over arrays, refusals included."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None, database=None)
+    @given(evaluator_problems())
+    def test_evaluator_is_the_public_route(self, problem):
+        pair, geom, swept, values = problem
+        evaluate = _block_evaluator(pair, geom, swept)
+        wants = [_public_route(pair, geom, swept, value) for value in values]
+        for value, want in zip(values, wants):
+            if isinstance(want, ValidationError):
+                with pytest.raises(ValidationError) as got:
+                    evaluate(value)
+                assert (type(got.value), str(got.value)) == (type(want), str(want))
+            else:
+                _, observed, ok = evaluate(value)
+                assert ok is True
+                assert [v.hex() for v in observed] == [v.hex() for v in want], value
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, observed, ok = evaluate(np.array(values))
+        assert ok.tolist() == [not isinstance(want, ValidationError) for want in wants]
+        columns = [np.broadcast_to(column, ok.shape).tolist() for column in observed]
+        for i, want in enumerate(wants):
+            if ok[i]:
+                assert [float(column[i]).hex() for column in columns] == [
+                    v.hex() for v in want
+                ], values[i]
+
+    def test_sweeps_and_searches_check_no_x_state(self, monkeypatch):
+        calls = []
+        state = xstate_steering._state
+
+        def counting(*args):
+            calls.append(args)
+            return state(*args)
+
+        monkeypatch.setattr(xstate_steering, "_state", counting)
+        sweep(PAIR, GEOM_ORT, SweepAxis("separation", 0.05, 3.0, 40))
+        with pytest.raises(PerturbativeValidityError):
+            sweep(DetectorPair(0.1, 0.1, coupling=5.0), GEOM_PAR,
+                  SweepAxis("boundary-distance", 0.2, 2.0, 9))
+        for figure in ("fig2", "fig4", "fig6", "fig7"):
+            figure_dataset(figure, resolution=12)
+        for args, _, _ in _PEAK_PINS[:2]:
+            find_peak(*args)
+        for args, _, _ in _TRANSITION_PINS[:3]:
+            find_transition(*args)
+        assert calls == []
+        # fig5's boundary-free reference is one point of the public route
+        figure_dataset("fig5", resolution=12)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

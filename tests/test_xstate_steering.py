@@ -11,12 +11,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import random_x_state
+from conftest import observe, random_x_state
 from mirrorsteer.errors import ValidationError
 from mirrorsteer.xstate_steering import (
     _ARRAYS,
     XState,
-    _observe,
     _tau_ab,
     _tau_ba,
     build_tau_ab,
@@ -207,9 +206,9 @@ def _entry_columns(entries):
 
 
 def _observe_arrays(*columns):
-    """:func:`_observe` over arrays of the entries, with numpy's warnings off."""
+    """:func:`observe` over arrays of the entries, with numpy's warnings off."""
     with np.errstate(invalid="ignore", over="ignore"):
-        return _observe(_ARRAYS, *columns)
+        return observe(_ARRAYS, *columns)
 
 
 class TestSteeringArrays:
@@ -300,7 +299,7 @@ class TestCertificationMap:
         arrays = SimpleNamespace(**{k: np.array([getattr(s, k) for s in states]) for k in fields})
         for tau, build in ((_tau_ab, build_tau_ab), (_tau_ba, build_tau_ba)):
             entries = tau(_ARRAYS, arrays)
-            columns, ok = _observe(_ARRAYS, *entries)
+            columns, ok = observe(_ARRAYS, *entries)
             assert ok.all()
             for i, state in enumerate(states):
                 want = build(state)
