@@ -25,7 +25,17 @@ import sys
 from . import __version__
 from .detector_model import Alignment, BoundaryGeometry, DetectorPair, correlations
 from .errors import ConvergenceError, ValidationError
-from .integral_oracle import EPSILONS, NODES, RTOL, TRUNCATION, numeric_correlation_blocks
+from .integral_oracle import (
+    DAWSON_CUT,
+    ENVELOPE_CUT,
+    MAX_PANELS,
+    MIN_PANELS,
+    NODES,
+    PANEL_PHASE,
+    PANEL_WIDTH,
+    RTOL,
+    numeric_correlations,
+)
 from .sweep_optimize import (
     _FIGURE_GAP,
     _FIGURE_RESOLUTION,
@@ -244,13 +254,11 @@ def _cmd_verify(args) -> int:
         for omega_a, omega_b, l, dz in grid
         for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL)
     ]
-    # one iterator shares the probability integrals among the cases; each
-    # case's oracle work is done right after its closed forms
-    oracle_blocks = numeric_correlation_blocks(cases)
     rows = []
     for pair, geom in cases:
+        # each case's oracle work is done right after its closed forms
         block = correlations(pair, geom)
-        oracle = next(oracle_blocks)
+        oracle = numeric_correlations(pair, geom)
         row = {
             "alignment": geom.alignment.value,
             "omega_a": pair.omega_a,
@@ -290,10 +298,14 @@ def _cmd_verify(args) -> int:
             "provenance": {
                 **_provenance({"grid": args.grid}),
                 "quadrature": {
-                    "truncation": TRUNCATION,
                     "nodes": NODES,
-                    "epsilons": list(EPSILONS),
                     "rtol": RTOL,
+                    "envelope_cut": ENVELOPE_CUT,
+                    "dawson_cut": DAWSON_CUT,
+                    "min_panels": MIN_PANELS,
+                    "panel_width": PANEL_WIDTH,
+                    "panel_phase": PANEL_PHASE,
+                    "max_panels": MAX_PANELS,
                 },
             },
         }

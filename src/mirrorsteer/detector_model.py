@@ -269,9 +269,14 @@ def _aux_f(l: float, s: float) -> float:
     large l.
     """
     if l < SERIES_CROSSOVER:
+        damping = math.exp(-s * s / 4.0)
+        # the moments overflow above s ≈ 1.78e147, long after the damping
+        # underflows: 0·inf would be nan where the kernel is 0
+        if damping == 0.0:
+            return 0.0
         i1, i3, i5 = _w_moments(s)
         bracket = i1 / 2.0 + l * l * i3 / 48.0 + l**4 * i5 / 3840.0
-        return math.exp(-s * s / 4.0) * bracket
+        return damping * bracket
     return -(math.exp(-s * s / 4.0) / l) * faddeeva_w(complex(-l / 2.0, s / 2.0)).imag
 
 

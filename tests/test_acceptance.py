@@ -69,9 +69,9 @@ def _rel(a, b) -> float:
 
 
 def test_criterion_01_oracle_equivalence_grid():
-    # closed-form P_A, P_B, C, X against the epsilon-extrapolated
-    # double-integral oracle, 10 configurations x 2 alignments, 1e-3
-    # relative, under two minutes
+    # closed-form P_A, P_B, C, X against the momentum-space oracle (one
+    # 1-D integral per entry, no regulator), 10 configurations x 2
+    # alignments, 1e-3 relative, under two minutes
     started = time.perf_counter()
     failures = []
     worst = 0.0

@@ -238,6 +238,12 @@ class TestTransitionProbability:
         for dz in (1e-9, 1e-6, 1e-4, 1e-2):
             assert transition_probability(0.5, dz) >= 0.0
 
+    @pytest.mark.parametrize("dz", [4.99e-4, 5.01e-4])
+    def test_huge_gap_on_both_kernel_branches(self, dz):
+        # 2 dz straddles SERIES_CROSSOVER; below it the Taylor moments of F
+        # overflow at a gap sum of 2e154, where the damping is long 0
+        assert transition_probability(1e154, dz) == 0.0
+
     def test_boundary_correction_decays_algebraically(self):
         # the image contribution falls off like 1/dz^2, not like a
         # Gaussian: the pinned gap at dz = 8 and the factor-4 drop from
@@ -340,6 +346,15 @@ class TestAuxF:
             below = _aux_f(1e-3 * (1.0 - 1e-6), s)
             above = _aux_f(1e-3 * (1.0 + 1e-6), s)
             assert abs(below - above) <= 1e-10 * max(1.0, abs(above))
+
+    def test_underflowed_damping_on_the_taylor_branch(self):
+        # the moments overflow above s ~ 1.78e147, so 0 * inf would be nan
+        for s in (60.0, 1e148, 2e154, 1e300):
+            assert _aux_f(5e-4, s) == 0.0
+        # array passes run with overflow warnings off, as the library's do
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _aux_f_array(np.array([5e-4, 2e-3]), np.array([2e154, 2e154]))
+        assert got.tolist() == [0.0, 0.0]
 
     def test_large_l_algebraic_tail(self):
         # f decays like 2 e^{-s^2/4} / (sqrt(pi) (l^2 + s^2)), not like a
