@@ -31,6 +31,7 @@ from .integral_oracle import (
     MAX_PANELS,
     MIN_PANELS,
     NODES,
+    PANEL_GROWTH,
     PANEL_PHASE,
     PANEL_WIDTH,
     RTOL,
@@ -305,6 +306,7 @@ def _cmd_verify(args) -> int:
                     "min_panels": MIN_PANELS,
                     "panel_width": PANEL_WIDTH,
                     "panel_phase": PANEL_PHASE,
+                    "panel_growth": PANEL_GROWTH,
                     "max_panels": MAX_PANELS,
                 },
             },

@@ -17,20 +17,29 @@ Dawson's integral D:
 and P(omega, dz) is C at m = omega, a = 0, l -> 0 and L = 2 dz.
 
 Each integral is one composite :data:`NODES`-point Gauss-Legendre sum on
-equal panels of [0, K]: at least :data:`MIN_PANELS`, none wider than
-:data:`PANEL_WIDTH` or :data:`PANEL_PHASE` radians of sin(kL). C and P
-stop where k(k + 2m) reaches :data:`ENVELOPE_CUT`. X's Dawson term decays
-like 1/k, so four terms of its series, sum_m w_m k/(k^2 + c^2)^m with c =
-1 + a, are subtracted and their sine transforms added in closed form;
-the remainder decays like k^-9 and stops at K = :data:`DAWSON_CUT` c.
+panels of [0, K]. C and P stop where k(k + 2m) reaches
+:data:`ENVELOPE_CUT`, on equal panels: at least :data:`MIN_PANELS`, none
+wider than :data:`PANEL_WIDTH` or :data:`PANEL_PHASE` radians of sin(kL).
+X's Dawson term decays like 1/k, so four terms of its series, sum_m w_m
+k/(k^2 + c^2)^m with c = 1 + a, are subtracted and their sine transforms
+added in closed form; the remainder decays like k^-9 and stops at K =
+:data:`DAWSON_CUT` c. Past k0 = |a| + sqrt(ENVELOPE_CUT) both Gaussians
+are below exp(-ENVELOPE_CUT) and X's integrand is S times that smooth
+remainder, so there only the sine needs fine panels: X keeps the equal
+panels up to their first edge past k0, and beyond it each panel is 1 +
+:data:`PANEL_GROWTH` times as wide as the last, up to PANEL_PHASE radians.
+Below L = 16 (PANEL_PHASE / PANEL_WIDTH), where the phase allows panels
+wider than PANEL_WIDTH, that takes 10-30% of the equal panels at L <= 2
+and about 55% at L = 8; from L = 16 the phase caps every panel, grading
+saves nothing and X keeps the equal panels.
 Near the mirror L - l is exact (2 dz, or 4 dz^2/(L + l) parallel); where
 L - l < l, S is sin(kL)(L - l)/(lL) - 2 cos(k(l + L)/2) sin(k(L - l)/2)/l,
 and below kL = 1 it is its Taylor series.
 
 A :class:`ConvergenceError` refuses a result that is not finite, one whose
 estimate (its distance from the rule on the panels merged in pairs)
-exceeds 10 x :data:`RTOL` of it, and one whose rule would need over
-:data:`MAX_PANELS` panels; where its prefactor underflows it is zero. No
+exceeds 10 x :data:`RTOL` of it, and one whose equal panels would number
+over :data:`MAX_PANELS`; where its prefactor underflows it is zero. No
 constant is a parameter, and ``verify`` echoes them. The Gauss rule is a
 stored table (no LAPACK call) and every sum a numpy reduction in an order
 fixed by the shapes, so results are bit-stable. The standalone
@@ -65,8 +74,17 @@ MIN_PANELS = 8
 PANEL_WIDTH = 0.5
 PANEL_PHASE = 8.0
 MAX_PANELS = 8192
+# past X's Gaussians each panel is 1 + PANEL_GROWTH times as wide as the last
+# (PANEL_WIDTH plus PANEL_GROWTH of its distance from where they end), up to
+# PANEL_PHASE radians
+PANEL_GROWTH = 0.25
 
 _TWO_OVER_ROOT_PI = 2.0 / math.sqrt(math.pi)
+# (2n + 1)! for the nine terms of the sine difference's Taylor series
+_TAYLOR_FACTORIALS = tuple(math.factorial(2 * n + 1) for n in range(1, 10))
+# exp(-x) is exactly 0 from x = 745.2, so both of X's Gaussians are past
+# |a| + _EXP_ZERO
+_EXP_ZERO = math.sqrt(750.0)
 
 # The 16-point Gauss-Legendre rule on [-1, 1]: its positive nodes and their
 # weights, ascending, from numpy 2.4.6's leggauss(16) (each repr reads back
@@ -90,17 +108,47 @@ def _panel_rule(a, b):
     return 0.5 * (a + b)[:, None] + half * _LEGENDRE_X, half * _LEGENDRE_W
 
 
-def _integral(integrand, cut: float, frequency: float):
-    """int_0^cut of ``integrand`` (an array function, nodes on its last
-    axis) on equal panels, and its estimate: the distance, in norm over the
-    leading axes, from the same rule on the panels merged in pairs.
-    ``frequency`` is that of the integrand's fastest sine."""
+def _edges(cut: float, frequency: float, start: float):
+    """Panel edges on [0, ``cut``]: the uniform rule's equal panels (an even
+    number, at least :data:`MIN_PANELS` and at most :data:`MAX_PANELS`, none
+    wider than :data:`PANEL_WIDTH` or :data:`PANEL_PHASE` radians at
+    ``frequency``) up to their first edge at or past ``start``, then, where
+    that takes fewer panels, panels graded by :data:`PANEL_GROWTH` up to
+    PANEL_PHASE radians, squeezed to end at ``cut`` on an even count."""
+    # max() drops a nan, and the graded loop would never end on one
+    if any(map(math.isnan, (cut, frequency, start))):
+        raise ConvergenceError(f"no rule on [0, {cut:.3g}] from {start:.3g} at frequency "
+                               f"{frequency:.3g}")
     n = max(MIN_PANELS, cut / PANEL_WIDTH, cut * frequency / PANEL_PHASE)
     if not n <= MAX_PANELS:
         raise ConvergenceError(f"the rule would need {n:.3g} panels on [0, {cut:.3g}] at "
                                f"frequency {frequency:.3g}, more than MAX_PANELS = {MAX_PANELS}")
-    n = 2 * math.ceil(n / 2.0)
-    edges = np.linspace(0.0, cut, n + 1)
+    edges = np.linspace(0.0, cut, 2 * math.ceil(n / 2.0) + 1)
+    j = int(np.searchsorted(edges, start))
+    if j >= edges.size - 1:
+        return edges
+    cap = PANEL_PHASE / frequency if frequency else math.inf
+    tail = [float(edges[j])]
+    while tail[-1] < cut or (j + len(tail) - 1) % 2:
+        tail.append(tail[-1] + min(PANEL_WIDTH + PANEL_GROWTH * (tail[-1] - start), cap))
+    # at a frequency of PANEL_PHASE / PANEL_WIDTH or more every panel is
+    # capped, and grading saves nothing
+    if len(tail) >= edges.size - j:
+        return edges
+    tail = np.array(tail)
+    tail = tail[0] + (tail - tail[0]) * ((cut - tail[0]) / (tail[-1] - tail[0]))
+    tail[-1] = cut
+    return np.concatenate((edges[:j], tail))
+
+
+def _integral(integrand, cut: float, frequency: float, start: float = math.inf):
+    """int_0^cut of ``integrand`` (an array function, nodes on its last
+    axis) on the panels of :func:`_edges`, graded from ``start`` (by
+    default, equal panels throughout), and its estimate: the distance, in
+    norm over the leading axes, from the same rule on the panels merged in
+    pairs. ``frequency`` is that of the integrand's fastest sine."""
+    edges = _edges(cut, frequency, start)
+    n = edges.size - 1
     k, w = _panel_rule(
         np.concatenate((edges[:-1], edges[:-1:2])), np.concatenate((edges[1:], edges[2::2]))
     )
@@ -125,11 +173,32 @@ def _sine_difference(k, l: float, big: float, gap: float):
     near = x < 1.0
     k2 = k[near] ** 2
     coefficients, e_n = [], 1.0
-    for n in range(1, 10):
-        coefficients.append((-1) ** (n + 1) * e_n / math.factorial(2 * n + 1))
+    for n, factorial in enumerate(_TAYLOR_FACTORIALS, 1):
+        coefficients.append((-1) ** (n + 1) * e_n / factorial)
         e_n = e_n * big * big + l ** (2 * n)
-    s[near] = gap * (l + big) * k[near] * k2 * np.polyval(coefficients[::-1], k2)
+    # Horner's rule written out: np.polyval starts from 0 x + c, a pass more
+    # for the same bits
+    series = coefficients[-1]
+    for coefficient in coefficients[-2::-1]:
+        series = series * k2 + coefficient
+    s[near] = gap * (l + big) * k[near] * k2 * series
     return s
+
+
+def _x_terms(k, a: float):
+    """exp(-(k + a)^2) + exp(-(k - a)^2) and D(k + a) + D(k - a): the same
+    bits as four calls on every node, with less work. The exponentials are
+    taken only below |a| + sqrt(750), past which both are exactly 0 (and
+    exp is slow to say so), and at a = 0 each pair is one call doubled."""
+    gaussians = np.zeros_like(k)
+    inside = k < abs(a) + _EXP_ZERO
+    near = k[inside]
+    if a == 0.0:
+        gaussian, dawson = np.exp(-(near**2)), dawsn(k)
+        gaussians[inside] = gaussian + gaussian
+        return gaussians, dawson + dawson
+    gaussians[inside] = np.exp(-((near + a) ** 2)) + np.exp(-((near - a) ** 2))
+    return gaussians, dawsn(k + a) + dawsn(k - a)
 
 
 def _c_integral(m: float, a: float, l: float, big: float, gap: float):
@@ -159,12 +228,16 @@ def _x_integral(m: float, a: float, l: float, big: float, gap: float):
     def integrand(k):
         q = 1.0 / (k * k + c2)
         fit = k * q * (1.0 + q * (w2 + q * (w3 + q * w4)))
-        return _sine_difference(k, l, big, gap) * np.stack((
-            np.exp(-((k + a) ** 2)) + np.exp(-((k - a) ** 2)),
-            _TWO_OVER_ROOT_PI * (dawsn(k + a) + dawsn(k - a) - fit),
-        ))
+        gaussians, dawsons = _x_terms(k, a)
+        return _sine_difference(k, l, big, gap) * np.stack(
+            (gaussians, _TWO_OVER_ROOT_PI * (dawsons - fit))
+        )
 
-    (real, imag), estimate = _integral(integrand, DAWSON_CUT * c, big)
+    # the panels widen past |a| + sqrt(ENVELOPE_CUT), where both Gaussians
+    # are below exp(-ENVELOPE_CUT) and only the sine needs fine panels
+    (real, imag), estimate = _integral(
+        integrand, DAWSON_CUT * c, big, abs(a) + math.sqrt(ENVELOPE_CUT)
+    )
     # the fit's transforms: int_0^inf sin(kr) k/(k^2 + c^2)^m dk =
     # r exp(-cr) Q_m(r), and S takes Q(l) exp(-cl) - Q(L) exp(-cL), with
     # Q(l) - Q(L) and exp(-c(L - l)) - 1 free of cancellation

@@ -560,11 +560,21 @@ class TestVerifyCommand:
         assert list(quadrature.items()) == [
             ("nodes", 16), ("rtol", 1e-9), ("envelope_cut", 50.0), ("dawson_cut", 60.0),
             ("min_panels", 8), ("panel_width", 0.5), ("panel_phase", 8.0),
-            ("max_panels", 8192),
+            ("panel_growth", 0.25), ("max_panels", 8192),
         ]
         assert [type(v) for v in quadrature.values()] == [
-            int, float, float, float, int, float, float, int
+            int, float, float, float, int, float, float, float, int
         ]
+
+    def test_provenance_echoes_every_oracle_constant(self, capsys):
+        # a constant added to the oracle must not escape the record
+        constants = {
+            name.lower(): value for name, value in vars(integral_oracle).items()
+            if name.isupper() and not name.startswith("_") and isinstance(value, (int, float))
+        }
+        code, out, _ = run(["verify", "--grid", "smoke", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["provenance"]["quadrature"] == constants
 
     @pytest.mark.parametrize(
         "grid, configurations",

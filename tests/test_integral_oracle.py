@@ -6,7 +6,9 @@ integrands near the mirror, where the closed forms lose digits, and
 against its own consistency checks (node doubling, a second Dawson
 subtraction, reduction identities between its integrals, determinism).
 The composite rule is checked for its panel count, its exactness on
-polynomials and an estimate that covers an unresolved integrand. Dawson's
+polynomials and an estimate that covers an unresolved integrand; X's
+graded panels for their layout, for work skipped without changing a bit
+and for an estimate that still refuses every too-coarse rule. Dawson's
 integral, the one special function it reads, is checked against mpmath on
 its own.
 """
@@ -36,6 +38,7 @@ from mirrorsteer.integral_oracle import (
     numeric_probability,
     numeric_x,
     _arguments,
+    _edges,
     _integral,
     _sine_difference,
     _x_integral,
@@ -251,9 +254,15 @@ class TestCompositeRule:
         assert cut / n <= integral_oracle.PANEL_WIDTH
         assert cut * frequency / n <= integral_oracle.PANEL_PHASE
 
-    def test_infinite_frequency_is_refused(self):
-        with pytest.raises(ConvergenceError, match="more than MAX_PANELS"):
-            _integral(np.ones_like, 1.0, math.inf)
+    # max() would drop a nan, and the graded loop would not end on one
+    @pytest.mark.parametrize(
+        "cut, frequency, match",
+        [(1.0, math.inf, "more than MAX_PANELS"), (1.0, math.nan, "no rule"),
+         (math.nan, 1.0, "no rule")],
+    )
+    def test_infinite_frequency_is_refused(self, cut, frequency, match):
+        with pytest.raises(ConvergenceError, match=match):
+            _integral(np.ones_like, cut, frequency)
 
     # the fine and the merged rule are both exact to degree 2 NODES - 1
     @pytest.mark.parametrize("degree", [0, 1, 5, 15, 31])
@@ -281,6 +290,110 @@ class TestCompositeRule:
         assert abs(value - exact) <= estimate
         value, estimate = _integral(lambda k: np.sin(w * k), 10.0, w)
         assert abs(value - exact) <= 1e-13 and estimate <= 1e-13
+
+
+def full_x_terms(k, a):
+    """X's Gaussians and Dawson terms, each evaluated on every node."""
+    return np.exp(-((k + a) ** 2)) + np.exp(-((k - a) ** 2)), dawsn(k + a) + dawsn(k - a)
+
+
+def polyval_sine_difference(k, l, big, gap):
+    """``_sine_difference`` with its Taylor series summed by ``np.polyval``."""
+    s = _sine_difference(k, l, big, gap)
+    near = k * big < 1.0
+    k2, coefficients, e_n = k[near] ** 2, [], 1.0
+    for n in range(1, 10):
+        coefficients.append((-1) ** (n + 1) * e_n / math.factorial(2 * n + 1))
+        e_n = e_n * big * big + l ** (2 * n)
+    s[near] = gap * (l + big) * k[near] * k2 * np.polyval(coefficients[::-1], k2)
+    return s
+
+
+class TestGradedPanels:
+    """X's panels widen past its Gaussians; the work they skip changes no
+    bit, and the estimate still refuses every rule too coarse for RTOL."""
+
+    # (a, L): below and above L = PANEL_PHASE / PANEL_WIDTH = 16
+    @pytest.mark.parametrize("a", [0.0, 0.45, 3.0])
+    @pytest.mark.parametrize("big", [0.5, 2.0, 8.0, 15.0, 16.0, 30.0, 100.0])
+    def test_layout(self, a, big):
+        # X's panels widen past where both Gaussians are below exp(-ENVELOPE_CUT)
+        cut = integral_oracle.DAWSON_CUT * (1.0 + a)
+        start = abs(a) + math.sqrt(integral_oracle.ENVELOPE_CUT)
+        edges, uniform = _edges(cut, big, start), _edges(cut, big, cut)
+        n = edges.size - 1
+        assert n % 2 == 0 and integral_oracle.MIN_PANELS <= n <= uniform.size - 1
+        assert edges[0] == 0.0 and edges[-1] == cut
+        # the uniform rule's panels up to the first edge at or past start
+        j = int(np.searchsorted(uniform, start))
+        assert np.array_equal(edges[: j + 1], uniform[: j + 1])
+        widths = np.diff(edges[j:])
+        assert np.all(np.diff(widths) >= -1e-12 * widths[1:])
+        assert np.all(widths <= integral_oracle.PANEL_PHASE / big * (1.0 + 1e-12))
+        if big >= integral_oracle.PANEL_PHASE / integral_oracle.PANEL_WIDTH:
+            assert np.array_equal(edges, uniform)
+        elif big <= 2.0:
+            assert n <= 0.3 * (uniform.size - 1)
+
+    # a = 0 (one Dawson and one exponential call doubled), 0.45 and 3, in
+    # geometries on both branches of S (L - l >= l and L - l < l) and at
+    # L > 16, where X keeps the uniform panels
+    @pytest.mark.parametrize("omega_a, omega_b", [(0.1, 0.1), (0.1, 1.0), (0.0, 6.0)])
+    @pytest.mark.parametrize(
+        "alignment, l, dz",
+        [(Alignment.PARALLEL, 1.0, 1.0), (Alignment.ORTHOGONAL, 1.0, 0.1),
+         (Alignment.PARALLEL, 0.05, 1e-3), (Alignment.ORTHOGONAL, 15.0, 2.0)],
+    )
+    def test_trims_change_no_bit(self, omega_a, omega_b, alignment, l, dz, monkeypatch):
+        def bits(result):
+            value, estimate = result
+            return value.real.hex(), value.imag.hex(), estimate.hex()
+
+        arguments = _arguments(DetectorPair(omega_a, omega_b), BoundaryGeometry(alignment, l, dz))
+        got = bits(_x_integral(*arguments))
+        monkeypatch.setattr(integral_oracle, "_x_terms", full_x_terms)
+        monkeypatch.setattr(integral_oracle, "_sine_difference", polyval_sine_difference)
+        assert got == bits(_x_integral(*arguments))
+
+    # the same per node, on a grid that crosses |a| + sqrt(750), where the
+    # exponentials stop, and kL = 1, where the Taylor series starts
+    @pytest.mark.parametrize("a", [0.0, 0.45, 3.0, -0.45])
+    @pytest.mark.parametrize("l, big, gap", [(1.0, 3.0, 2.0), (1.0, 1.2, 0.2), (0.0, 2.0, 2.0)])
+    def test_terms_are_bit_for_bit(self, a, l, big, gap):
+        k = np.linspace(1e-3, 40.0, 40001)
+        assert all(np.array_equal(got.view(np.int64), want.view(np.int64))
+                   for got, want in zip((*integral_oracle._x_terms(k, a),
+                                         _sine_difference(k, l, big, gap)),
+                                        (*full_x_terms(k, a),
+                                         polyval_sine_difference(k, l, big, gap))))
+
+    # with at least 2 panels, PANEL_WIDTH 4 and PANEL_PHASE 48 the rule
+    # misses C or X by more than the gate 31 times on these 60 points (8 C,
+    # 23 X); the estimate must refuse every one (its smallest
+    # estimate/error ratio measured 69)
+    def test_estimate_refuses_every_coarse_rule_error(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        points = []
+        for _ in range(60):
+            omega_a, omega_b = np.sort(rng.uniform(0.0, 3.0, 2))
+            l, dz = 10.0 ** rng.uniform(-1.3, 1.0), 10.0 ** rng.uniform(-1.3, 0.7)
+            alignment = list(Alignment)[rng.integers(2)]
+            pair, geom = DetectorPair(omega_a, omega_b), BoundaryGeometry(alignment, l, dz)
+            points.append(_arguments(pair, geom))
+        integrals = (integral_oracle._c_integral, _x_integral)
+        references = [[integral(*point)[0] for integral in integrals] for point in points]
+        monkeypatch.setattr(integral_oracle, "MIN_PANELS", 2)
+        monkeypatch.setattr(integral_oracle, "PANEL_WIDTH", 4.0)
+        monkeypatch.setattr(integral_oracle, "PANEL_PHASE", 48.0)
+        missed = [0, 0]
+        for point, point_references in zip(points, references):
+            for kind, (integral, reference) in enumerate(zip(integrals, point_references)):
+                value, estimate = integral(*point)
+                limit = 10.0 * integral_oracle.RTOL * max(abs(value), integral_oracle._ABS_FLOOR)
+                if abs(value - reference) > limit:
+                    missed[kind] += 1
+                    assert estimate > limit
+        assert missed[0] >= 5 and missed[1] >= 10
 
 
 class TestNodeDoubling:
