@@ -29,7 +29,7 @@ from .integral_oracle import (
     numeric_probability,
     numeric_x,
 )
-from .special_functions import erf_complex, faddeeva_w
+from .special_functions import faddeeva_w
 from .sweep_optimize import (
     Direction,
     FigureId,
@@ -87,7 +87,6 @@ __all__ = [
     "concurrence",
     "config_difference",
     "correlations",
-    "erf_complex",
     "extrapolate_epsilon",
     "faddeeva_w",
     "figure_dataset",

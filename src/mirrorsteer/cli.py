@@ -22,21 +22,10 @@ import pathlib
 import re
 import sys
 
-from . import __version__
+from . import __version__, integral_oracle
 from .detector_model import Alignment, BoundaryGeometry, DetectorPair, correlations
 from .errors import ConvergenceError, ValidationError
-from .integral_oracle import (
-    DAWSON_CUT,
-    ENVELOPE_CUT,
-    MAX_PANELS,
-    MIN_PANELS,
-    NODES,
-    PANEL_GROWTH,
-    PANEL_PHASE,
-    PANEL_WIDTH,
-    RTOL,
-    numeric_correlations,
-)
+from .integral_oracle import numeric_correlations
 from .sweep_optimize import (
     _FIGURE_GAP,
     _FIGURE_RESOLUTION,
@@ -106,6 +95,11 @@ def _write_text(path: str | None, text: str) -> None:
     except OSError as exc:
         if tmp.exists():
             tmp.unlink()
+        # a file among the parents reads "File exists" from mkdir, or "Not a
+        # directory" one level deeper: name that file
+        blocker = next(parent for parent in target.parents if os.path.exists(parent))
+        if not os.path.isdir(blocker):
+            raise ValidationError(f"cannot write {path}: {blocker} is not a directory") from exc
         # name the culprit when it is a parent directory, not the temp file
         culprit = "" if exc.filename in (None, str(tmp)) else f" ({exc.filename})"
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}{culprit}") from exc
@@ -298,16 +292,11 @@ def _cmd_verify(args) -> int:
             "rows": rows,
             "provenance": {
                 **_provenance({"grid": args.grid}),
+                # every public numeric constant of the oracle, in its order
                 "quadrature": {
-                    "nodes": NODES,
-                    "rtol": RTOL,
-                    "envelope_cut": ENVELOPE_CUT,
-                    "dawson_cut": DAWSON_CUT,
-                    "min_panels": MIN_PANELS,
-                    "panel_width": PANEL_WIDTH,
-                    "panel_phase": PANEL_PHASE,
-                    "panel_growth": PANEL_GROWTH,
-                    "max_panels": MAX_PANELS,
+                    name.lower(): value for name, value in vars(integral_oracle).items()
+                    if name.isupper() and not name.startswith("_")
+                    and isinstance(value, (int, float))
                 },
             },
         }

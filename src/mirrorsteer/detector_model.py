@@ -32,10 +32,9 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfcx, wofz
 
 from .errors import PerturbativeValidityError, ValidationError, _member
-from .special_functions import faddeeva_w
+from .special_functions import erfcx, faddeeva_w, wofz
 from .xstate_steering import _ARRAYS as _ARRAY_OPS
 from .xstate_steering import _ONE_POINT as _POINT_OPS
 from .xstate_steering import (
@@ -477,12 +476,8 @@ def _block_evaluator(
     hold is kept in it (the pair terms along omega_b, each detector's
     probability and the direct kernels; not the image kernels, which differ
     from curve to curve), keyed by its function and the exact bits of every
-    input it reads (:func:`_kept`).  A later curve whose stage reads the
-    same inputs takes it from there: the omega_b pair terms of every fig6
-    curve (keyed by omega_a and lambda), P_A along fig5's mirror distance in
-    both alignments, the direct kernels of fig6's curves at one separation L
-    and of fig7's two curves (keyed by the gap pair), and P_B along fig6's
-    gap in the parallel alignment (keyed by dz).
+    input it reads (:func:`_kept`), and a later curve whose stage reads the
+    same inputs takes it from there.
     """
     omega_a, coupling, alignment = pair.omega_a, pair.coupling, geom.alignment
     ns, lengths = _ONE_POINT, geom._lengths

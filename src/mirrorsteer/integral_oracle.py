@@ -69,15 +69,16 @@ ENVELOPE_CUT = 50.0
 # where X's Dawson remainder stops, as a multiple of c = 1 + a
 DAWSON_CUT = 60.0
 # at least MIN_PANELS panels, each at most PANEL_WIDTH wide and PANEL_PHASE
-# radians of the fastest sine; a rule needing more than MAX_PANELS is refused
+# radians of the fastest sine
 MIN_PANELS = 8
 PANEL_WIDTH = 0.5
 PANEL_PHASE = 8.0
-MAX_PANELS = 8192
 # past X's Gaussians each panel is 1 + PANEL_GROWTH times as wide as the last
 # (PANEL_WIDTH plus PANEL_GROWTH of its distance from where they end), up to
 # PANEL_PHASE radians
 PANEL_GROWTH = 0.25
+# a rule needing more than MAX_PANELS panels is refused
+MAX_PANELS = 8192
 
 _TWO_OVER_ROOT_PI = 2.0 / math.sqrt(math.pi)
 # (2n + 1)! for the nine terms of the sine difference's Taylor series

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from scipy import special
 
 from mirrorsteer.xstate_steering import XState, _state, _steering
 
@@ -19,6 +20,17 @@ def erf_maclaurin(z: complex, terms: int = 60) -> complex:
         acc += a / (2 * n + 1)
         a *= -z2 / (n + 1)
     return 2.0 / math.sqrt(math.pi) * acc
+
+
+def erf_complex(z: complex) -> complex:
+    """scipy's erf evaluated in the closed first quadrant and mapped back,
+    so that erf(-z) = -erf(z) and erf(conj(z)) = conj(erf(z)) hold exactly."""
+    z = complex(z)
+    re, im = z.real, z.imag
+    wc = complex(special.erf(complex(abs(re), abs(im))))
+    if re >= 0.0:
+        return wc if im >= 0.0 else wc.conjugate()
+    return -wc.conjugate() if im >= 0.0 else -wc
 
 
 def random_x_state(rng: np.random.Generator, physical: bool | None = None) -> XState:

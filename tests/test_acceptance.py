@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import erf_maclaurin, observe, random_x_entries, random_x_state
+from conftest import erf_complex, erf_maclaurin, observe, random_x_entries, random_x_state
 from mirrorsteer.cli import VERIFY_GRID_DEFAULT
 from mirrorsteer.detector_model import (
     Alignment,
@@ -33,7 +33,6 @@ from mirrorsteer.detector_model import (
     transition_probability,
 )
 from mirrorsteer.integral_oracle import numeric_correlations
-from mirrorsteer.special_functions import erf_complex
 from mirrorsteer.sweep_optimize import (
     Direction,
     Objective,

@@ -504,6 +504,22 @@ class TestOptimizeCommand:
         assert f"peak bracket ({lo:g}, {hi:g}) must be finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "bracket, message",
+        [
+            ("1", "--bracket expects two comma-separated numbers, e.g. 0.2,6.0"),
+            ("a,b", "--bracket values must be numeric: could not convert string to float: 'a'"),
+        ],
+        ids=["one-number", "not-numbers"],
+    )
+    def test_unreadable_bracket_exits_2(self, bracket, message, capsys):
+        argv = list(self.ARGS)
+        argv[argv.index("--bracket") + 1] = bracket
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+
     def test_unbracketed_peak_exits_2(self, capsys):
         argv = list(self.ARGS)
         argv[argv.index("--bracket") + 1] = "2.0,6.0"
@@ -909,8 +925,20 @@ class TestUnwritableOut:
         code, _, err = run([*argv, "--out", str(out)], capsys)
         assert code == 2
         assert err.startswith(f"error: cannot write {blocker}/")
+        assert err.endswith(f": {blocker} is not a directory\n")
         assert list(tmp_path.iterdir()) == [blocker]
         assert blocker.read_text() == "kept\n"
+
+    def test_file_two_levels_up(self, tmp_path, capsys):
+        # mkdir reads "Not a directory" here, and names the missing level
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" / "out.json"
+        code, _, err = run(["compute", *PHYSICS, "--l", "1", "--dz", "1", "--out", str(out)],
+                           capsys)
+        assert code == 2
+        assert err == f"error: cannot write {out}: {blocker} is not a directory\n"
+        assert list(tmp_path.iterdir()) == [blocker]
 
     @pytest.mark.parametrize("name", ["out.json", "."])
     def test_directory_in_place_of_the_file(self, name, tmp_path, monkeypatch, capsys):

@@ -1,22 +1,23 @@
-"""Tests for the error-function wrappers.
+"""Tests for the Faddeeva function and the complex erf the tests use.
 
-Reference values come from a 60-term Maclaurin expansion, which is
-independent of the library implementation, and from the standard
-library's real erfc.
+``faddeeva_w`` is checked against the standard library's real erfc, and
+against the complex erf through erf(z) = 1 - exp(-z^2) w(iz). The complex
+erf (``conftest.erf_complex``) is checked against a 60-term Maclaurin
+expansion, which is independent of scipy, and against its exact symmetries.
 """
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from conftest import erf_maclaurin
+import mirrorsteer
+from conftest import erf_complex, erf_maclaurin
 from mirrorsteer.errors import ValidationError
-from mirrorsteer.special_functions import (
-    ERF_COMPLEX_WINDOW,
-    erf_complex,
-    faddeeva_w,
-)
+from mirrorsteer.special_functions import faddeeva_w
+
 
 class TestErfComplex:
     def test_matches_maclaurin_near_origin(self):
@@ -73,21 +74,6 @@ class TestErfComplex:
             got = erf_complex(z)
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValidationError):
-            erf_complex(complex(math.nan, 0.0))
-        with pytest.raises(ValidationError):
-            erf_complex(complex(0.0, math.inf))
-
-    def test_rejects_outside_window(self):
-        with pytest.raises(ValidationError):
-            erf_complex(complex(ERF_COMPLEX_WINDOW + 1.0, 0.0))
-
-    def test_rejects_overflow_region(self):
-        # |z| is inside the window but erf(z) ~ exp(im^2 - re^2) overflows
-        with pytest.raises(ValidationError):
-            erf_complex(complex(1.0, 30.0))
-
 
 class TestFaddeevaW:
     def test_imaginary_axis_value(self):
@@ -106,3 +92,38 @@ class TestFaddeevaW:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
             faddeeva_w(complex(math.inf, 1.0))
+
+
+def _scipy_imports() -> list[tuple[str, str]]:
+    """(module, dotted name) for each scipy import anywhere in the package's
+    source: ``from scipy.special import wofz`` reads "scipy.special.wofz"."""
+    found = []
+    for path in sorted(pathlib.Path(mirrorsteer.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [(path.stem, name) for name in names if name.split(".")[0] == "scipy"]
+    return found
+
+
+class TestScipyImports:
+    """The closed forms reach scipy only through ``special_functions``, and
+    the oracle keeps its own ``dawsn`` so that it stays independent of them."""
+
+    def test_only_the_window_and_the_oracle_import_scipy(self):
+        modules = {module for module, _ in _scipy_imports()}
+        assert modules == {"special_functions", "integral_oracle"}
+
+    def test_oracle_imports_only_dawsn(self):
+        names = [name for module, name in _scipy_imports() if module == "integral_oracle"]
+        assert names == ["scipy.special.dawsn"]
+
+    def test_no_module_imports_integrate_or_optimize(self):
+        # scipy.optimize alone adds about as much peak memory as scipy.special
+        heavy = [(module, name) for module, name in _scipy_imports()
+                 if name.startswith(("scipy.integrate", "scipy.optimize"))]
+        assert heavy == []

@@ -150,6 +150,14 @@ class TestSweepAxis:
         with pytest.raises(ValidationError, match=match):
             SweepAxis(SweepVariable.SEPARATION, points=5, **ends)
 
+    @pytest.mark.parametrize(
+        "start, stop", [(math.nan, 2.0), (1.0, math.nan), (-math.inf, 2.0), (1.0, math.inf)]
+    )
+    def test_rejects_non_finite_range(self, start, stop):
+        with pytest.raises(ValidationError) as info:
+            SweepAxis(SweepVariable.SEPARATION, start=start, stop=stop, points=5)
+        assert str(info.value) == "sweep range must be finite"
+
     def test_accepts_numpy_float_range_ends(self):
         axis = SweepAxis(
             SweepVariable.SEPARATION, start=np.float64(0.5), stop=np.float32(2.0), points=4
@@ -1127,8 +1135,11 @@ class TestSearchBrackets:
             ((0.2, 1.0, 3.0), "a {kind} bracket is a pair of real numbers (lo, hi), "
              "got (0.2, 1.0, 3.0)"),
             (None, "a {kind} bracket is a pair of real numbers (lo, hi), got None"),
+            ((3.0, 0.25), "{kind} bracket must satisfy lo < hi"),
+            ((1.0, 1.0), "{kind} bracket must satisfy lo < hi"),
         ],
-        ids=["none", "complex", "text", "text-pair", "one-end", "three-ends", "no-bracket"],
+        ids=["none", "complex", "text", "text-pair", "one-end", "three-ends", "no-bracket",
+             "reversed", "empty"],
     )
     def test_refused_with_the_end_named(
         self, search, geom, variable, target, kind, bracket, message
