@@ -249,11 +249,13 @@ def _cmd_verify(args) -> int:
         for omega_a, omega_b, l, dz in grid
         for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL)
     ]
-    rows = []
+    # the command's own store of probability integrals, each made in the
+    # first case that needs it
+    rows, probabilities = [], {}
     for pair, geom in cases:
         # each case's oracle work is done right after its closed forms
         block = correlations(pair, geom)
-        oracle = numeric_correlations(pair, geom)
+        oracle = numeric_correlations(pair, geom, probabilities=probabilities)
         row = {
             "alignment": geom.alignment.value,
             "omega_a": pair.omega_a,

@@ -36,6 +36,12 @@ Near the mirror L - l is exact (2 dz, or 4 dz^2/(L + l) parallel); where
 L - l < l, S is sin(kL)(L - l)/(lL) - 2 cos(k(l + L)/2) sin(k(L - l)/2)/l,
 and below kL = 1 it is its Taylor series.
 
+The integrals asked for together are laid on one node array: C's and X's
+panels share one evaluation of the rule and of S, and each is summed over
+its own panels, with the bits it has alone. A probability needs its own
+S, so it takes a rule of its own; :func:`numeric_correlations` reads one
+already made from a store its caller passes.
+
 A :class:`ConvergenceError` refuses a result that is not finite, one whose
 estimate (its distance from the rule on the panels merged in pairs)
 exceeds 10 x :data:`RTOL` of it, and one whose equal panels would number
@@ -124,7 +130,13 @@ def _edges(cut: float, frequency: float, start: float):
     if not n <= MAX_PANELS:
         raise ConvergenceError(f"the rule would need {n:.3g} panels on [0, {cut:.3g}] at "
                                f"frequency {frequency:.3g}, more than MAX_PANELS = {MAX_PANELS}")
-    edges = np.linspace(0.0, cut, 2 * math.ceil(n / 2.0) + 1)
+    # np.linspace(0, cut, count + 1)'s arithmetic, start (0) added as it
+    # adds it, without its overhead
+    count = 2 * math.ceil(n / 2.0)
+    edges = np.arange(count + 1.0)
+    edges *= cut / count
+    edges += 0.0
+    edges[-1] = cut
     j = int(np.searchsorted(edges, start))
     if j >= edges.size - 1:
         return edges
@@ -142,22 +154,28 @@ def _edges(cut: float, frequency: float, start: float):
     return np.concatenate((edges[:j], tail))
 
 
-def _integral(integrand, cut: float, frequency: float, start: float = math.inf):
-    """int_0^cut of ``integrand`` (an array function, nodes on its last
-    axis) on the panels of :func:`_edges`, graded from ``start`` (by
-    default, equal panels throughout), and its estimate: the distance, in
-    norm over the leading axes, from the same rule on the panels merged in
-    pairs. ``frequency`` is that of the integrand's fastest sine."""
-    edges = _edges(cut, frequency, start)
-    n = edges.size - 1
-    k, w = _panel_rule(
-        np.concatenate((edges[:-1], edges[:-1:2])), np.concatenate((edges[1:], edges[2::2]))
-    )
+def _rule(spans, shared):
+    """The composite rule of each span (``edges`` from :func:`_edges` and a
+    ``factor``, an array function with nodes on its last axis), all laid on
+    one node array: int_0^cut of ``shared`` times ``factor`` on the span's
+    panels, and its estimate, the distance, in norm over the leading axes,
+    from the same rule on the panels merged in pairs. ``shared`` is taken
+    once, on every span's nodes."""
+    lower = [part for edges, _ in spans for part in (edges[:-1], edges[:-1:2])]
+    upper = [part for edges, _ in spans for part in (edges[1:], edges[2::2])]
+    k, w = _panel_rule(np.concatenate(lower), np.concatenate(upper))
+    k, w = k.ravel(), w.ravel()
+    results, stop = [], 0
     # a value that is not finite is refused by _certified, not warned about
     with np.errstate(invalid="ignore", over="ignore"):
-        values = integrand(k.ravel()) * w.ravel()
-        fine, coarse = values[..., : n * NODES].sum(-1), values[..., n * NODES :].sum(-1)
-        return fine, float(np.sqrt(np.sum((fine - coarse) ** 2)))
+        common = shared(k)
+        for edges, factor in spans:
+            n, start = (edges.size - 1) * NODES, stop
+            stop = start + n + n // 2
+            values = common[start:stop] * factor(k[start:stop]) * w[start:stop]
+            fine, coarse = values[..., :n].sum(-1), values[..., n:].sum(-1)
+            results.append((fine, float(np.sqrt(np.sum((fine - coarse) ** 2)))))
+    return results
 
 
 def _sine_difference(k, l: float, big: float, gap: float):
@@ -202,23 +220,23 @@ def _x_terms(k, a: float):
     return gaussians, dawsn(k + a) + dawsn(k - a)
 
 
-def _c_integral(m: float, a: float, l: float, big: float, gap: float):
-    """C at unit coupling and its estimate; P at m = omega, a = l = 0."""
+def _c_span(m: float, a: float, big: float):
+    """C's span at unit coupling (P's at m = omega, a = 0): its prefactor,
+    panel edges, the factor of S and what makes the value of its integral;
+    None where the prefactor underflows."""
     scale = math.exp(-m * m - a * a) / (2.0 * math.pi)
     if scale == 0.0:
-        return 0.0, 0.0
+        return None
     cut = ENVELOPE_CUT / (math.sqrt(m * m + ENVELOPE_CUT) + m)
-    value, estimate = _integral(
-        lambda k: np.exp(-k * (k + 2.0 * m)) * _sine_difference(k, l, big, gap), cut, big
-    )
-    return scale * value, scale * estimate
+    return (scale, _edges(cut, big, math.inf), lambda k: np.exp(-k * (k + 2.0 * m)),
+            lambda value: scale * value)
 
 
-def _x_integral(m: float, a: float, l: float, big: float, gap: float):
-    """X at unit coupling and its estimate."""
+def _x_span(m: float, a: float, l: float, big: float, gap: float):
+    """X's span at unit coupling, as :func:`_c_span` gives C's."""
     scale = math.exp(-m * m) / (4.0 * math.pi)
     if scale == 0.0:
-        return 0j, 0.0
+        return None
     c, c2 = 1.0 + a, (1.0 + a) ** 2
     # sum_m w_m k/(k^2 + c^2)^m matches D(k + a) + D(k - a) ~ 1/k + (a^2 +
     # 1/2)/k^3 + (a^4 + 3a^2 + 3/4)/k^5 + (a^6 + 15a^4/2 + 45a^2/4 + 15/8)/k^7
@@ -226,28 +244,53 @@ def _x_integral(m: float, a: float, l: float, big: float, gap: float):
     w3 = a**4 + 3.0 * a**2 + 0.75 - c2 * c2 + 2.0 * c2 * w2
     w4 = a**6 + 7.5 * a**4 + 11.25 * a**2 + 1.875 + c2**3 - 3.0 * c2 * c2 * w2 + 3.0 * c2 * w3
 
-    def integrand(k):
+    def factor(k):
         q = 1.0 / (k * k + c2)
         fit = k * q * (1.0 + q * (w2 + q * (w3 + q * w4)))
         gaussians, dawsons = _x_terms(k, a)
-        return _sine_difference(k, l, big, gap) * np.stack(
-            (gaussians, _TWO_OVER_ROOT_PI * (dawsons - fit))
-        )
+        return np.stack((gaussians, _TWO_OVER_ROOT_PI * (dawsons - fit)))
+
+    def value(integral):
+        # the fit's transforms: int_0^inf sin(kr) k/(k^2 + c^2)^m dk =
+        # r exp(-cr) Q_m(r), and S takes Q(l) exp(-cl) - Q(L) exp(-cL), with
+        # Q(l) - Q(L) and exp(-c(L - l)) - 1 free of cancellation
+        real, imag = integral
+        q_big = math.pi * (1.0 / (2.0 * big) + w2 / (4.0 * c)
+                           + w3 * (1.0 + c * big) / (16.0 * c**3)
+                           + w4 * (3.0 + 3.0 * c * big + (c * big) ** 2) / (96.0 * c**5))
+        q_drop = math.pi * gap * (1.0 / (2.0 * l * big) - w3 / (16.0 * c2)
+                                  - w4 * (3.0 + c * (l + big)) / (96.0 * c2 * c2))
+        imag += _TWO_OVER_ROOT_PI * math.exp(-c * l) * (q_drop - q_big * math.expm1(-c * gap))
+        return -scale * complex(real, imag)
 
     # the panels widen past |a| + sqrt(ENVELOPE_CUT), where both Gaussians
     # are below exp(-ENVELOPE_CUT) and only the sine needs fine panels
-    (real, imag), estimate = _integral(
-        integrand, DAWSON_CUT * c, big, abs(a) + math.sqrt(ENVELOPE_CUT)
-    )
-    # the fit's transforms: int_0^inf sin(kr) k/(k^2 + c^2)^m dk =
-    # r exp(-cr) Q_m(r), and S takes Q(l) exp(-cl) - Q(L) exp(-cL), with
-    # Q(l) - Q(L) and exp(-c(L - l)) - 1 free of cancellation
-    q_big = math.pi * (1.0 / (2.0 * big) + w2 / (4.0 * c) + w3 * (1.0 + c * big) / (16.0 * c**3)
-                       + w4 * (3.0 + 3.0 * c * big + (c * big) ** 2) / (96.0 * c**5))
-    q_drop = math.pi * gap * (1.0 / (2.0 * l * big) - w3 / (16.0 * c2)
-                              - w4 * (3.0 + c * (l + big)) / (96.0 * c2 * c2))
-    imag += _TWO_OVER_ROOT_PI * math.exp(-c * l) * (q_drop - q_big * math.expm1(-c * gap))
-    return -scale * complex(real, imag), scale * estimate
+    return scale, _edges(DAWSON_CUT * c, big, abs(a) + math.sqrt(ENVELOPE_CUT)), factor, value
+
+
+def _integrals(names, m: float, a: float, l: float, big: float, gap: float):
+    """Each named integral ("probability", "C" or "X") at unit coupling and
+    its estimate, all from one :func:`_rule` with one sine difference; an
+    underflowed prefactor gives exactly zero. Where :func:`_edges` refuses
+    a span, no span after it is laid: the integrals before it come back
+    with the refusal, for the caller to raise once it has certified them."""
+    spans, refusal = [], None
+    try:
+        for name in names:
+            spans.append(_x_span(m, a, l, big, gap) if name == "X" else _c_span(m, a, big))
+    except ConvergenceError as error:
+        refusal = error
+    laid = [span[1:3] for span in spans if span]
+    rule = iter(_rule(laid, lambda k: _sine_difference(k, l, big, gap)) if laid else ())
+    results = []
+    for name, span in zip(names, spans):
+        if span is None:
+            results.append(((0j if name == "X" else 0.0), 0.0))
+        else:
+            scale, _, _, value = span
+            integral, estimate = next(rule)
+            results.append((value(integral), scale * estimate))
+    return results, refusal
 
 
 def _certified(name: str, value, estimate: float):
@@ -302,6 +345,16 @@ def extrapolate_epsilon(values) -> tuple[complex, float]:
     return limit, estimate
 
 
+def _values(names, *arguments):
+    """The named integrals at unit coupling from :func:`_integrals`, each
+    certified in turn, and then the refusal of a span none of them reached."""
+    results, refusal = _integrals(names, *arguments)
+    values = [_certified(name, *result) for name, result in zip(names, results)]
+    if refusal is not None:
+        raise refusal
+    return values
+
+
 def numeric_probability(omega: float, dz: float) -> float:
     """Excitation probability at unit coupling from its momentum integral."""
     omega, dz = float(omega), float(dz)
@@ -309,7 +362,8 @@ def numeric_probability(omega: float, dz: float) -> float:
         raise ValidationError("omega must be a nonnegative real")
     if not math.isfinite(dz) or dz <= 0.0:
         raise ValidationError("dz must be positive")
-    return _certified("probability", *_c_integral(omega, 0.0, 0.0, 2.0 * dz, 2.0 * dz))
+    (probability,) = _values(("probability",), omega, 0.0, 0.0, 2.0 * dz, 2.0 * dz)
+    return probability
 
 
 def _arguments(pair: DetectorPair, geom: BoundaryGeometry) -> tuple[float, ...]:
@@ -326,24 +380,41 @@ def _arguments(pair: DetectorPair, geom: BoundaryGeometry) -> tuple[float, ...]:
 
 def numeric_c(pair: DetectorPair, geom: BoundaryGeometry) -> complex:
     """Cross-excitation correlation from its momentum integral."""
-    return complex(pair.coupling**2 * _certified("C", *_c_integral(*_arguments(pair, geom))))
+    (c,) = _values(("C",), *_arguments(pair, geom))
+    return complex(pair.coupling**2 * c)
 
 
 def numeric_x(pair: DetectorPair, geom: BoundaryGeometry) -> complex:
     """Double-excitation coherence from its momentum integral."""
-    return pair.coupling**2 * _certified("X", *_x_integral(*_arguments(pair, geom)))
+    (x,) = _values(("X",), *_arguments(pair, geom))
+    return pair.coupling**2 * x
 
 
-def numeric_correlations(pair: DetectorPair, geom: BoundaryGeometry) -> CorrelationBlock:
+def numeric_correlations(
+    pair: DetectorPair, geom: BoundaryGeometry, *, probabilities: dict | None = None
+) -> CorrelationBlock:
     """``p_a``, ``p_b``, ``c`` and ``x`` of the pair from their momentum
     integrals: the oracle counterpart of ``correlations``. ``c`` and ``x``
-    are :func:`numeric_c` and :func:`numeric_x`, and each probability is
-    :func:`numeric_probability` times the squared coupling, computed once
-    when both detectors have the same gap and mirror distance."""
+    equal :func:`numeric_c` and :func:`numeric_x`, taken together on one
+    rule, and each probability is :func:`numeric_probability` times the
+    squared coupling.
+
+    ``probabilities`` is a store its caller owns, a dict of unit-coupling
+    probabilities keyed by ``(omega, dz)``: a probability found there is
+    read, and one integrated here is added to it. Without one, a
+    probability is integrated once when both detectors have the same gap
+    and mirror distance. No value depends on the store."""
     lam2, dz = pair.coupling**2, geom.boundary_distance
     # detector B is l further from the mirror in the orthogonal alignment
     dz_b = dz + geom.separation if geom.alignment is Alignment.ORTHOGONAL else dz
-    p_a = lam2 * numeric_probability(pair.omega_a, dz)
-    same = (pair.omega_b, dz_b) == (pair.omega_a, dz)
-    p_b = p_a if same else lam2 * numeric_probability(pair.omega_b, dz_b)
-    return CorrelationBlock(p_a=p_a, p_b=p_b, c=numeric_c(pair, geom), x=numeric_x(pair, geom))
+    if probabilities is None:
+        probabilities = {}
+    keys = (pair.omega_a, dz), (pair.omega_b, dz_b)
+    for key in keys:
+        if key not in probabilities:
+            probabilities[key] = numeric_probability(*key)
+    c, x = _values(("C", "X"), *_arguments(pair, geom))
+    return CorrelationBlock(
+        p_a=lam2 * probabilities[keys[0]], p_b=lam2 * probabilities[keys[1]],
+        c=complex(lam2 * c), x=lam2 * x,
+    )

@@ -592,17 +592,23 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["provenance"]["quadrature"] == constants
 
+    # probability integrals first needed in each case: P_A(omega_a, dz) is
+    # shared by a configuration's two rows, and configurations share pairs
     @pytest.mark.parametrize(
-        "grid, configurations",
-        [("smoke", cli.VERIFY_GRID_SMOKE), ("default", cli.VERIFY_GRID_DEFAULT)],
+        "grid, configurations, first_needed",
+        [("smoke", cli.VERIFY_GRID_SMOKE, [1, 1, 2, 1]),
+         ("default", cli.VERIFY_GRID_DEFAULT,
+          [1, 1, 0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 0, 1, 0, 1, 1, 0, 0, 1])],
     )
-    def test_oracle_work_stays_inside_its_case(self, grid, configurations, monkeypatch, capsys):
+    def test_oracle_work_stays_inside_its_case(
+        self, grid, configurations, first_needed, monkeypatch, capsys
+    ):
         # a command is timed case by case, split at its calls to
         # correlations: each case's oracle call must come right after its
-        # own call, on that case, and its integrals before the next case's
+        # own call, on that case, and its rule passes before the next case's
         calls = []
-        closed_form, oracle, integral = (
-            cli.correlations, cli.numeric_correlations, integral_oracle._integral
+        closed_form, oracle, rule = (
+            cli.correlations, cli.numeric_correlations, integral_oracle._rule
         )
         assert oracle is integral_oracle.numeric_correlations
 
@@ -610,17 +616,17 @@ class TestVerifyCommand:
             calls.append(("case", pair, geom))
             return closed_form(pair, geom)
 
-        def record_oracle(pair, geom):
+        def record_oracle(pair, geom, **store):
             calls.append(("oracle", pair, geom))
-            return oracle(pair, geom)
+            return oracle(pair, geom, **store)
 
-        def record_integral(*args):
-            calls.append(("integral",))
-            return integral(*args)
+        def record_rule(spans, shared):
+            calls.append(("rule", len(spans)))
+            return rule(spans, shared)
 
         monkeypatch.setattr(cli, "correlations", record_case)
         monkeypatch.setattr(cli, "numeric_correlations", record_oracle)
-        monkeypatch.setattr(integral_oracle, "_integral", record_integral)
+        monkeypatch.setattr(integral_oracle, "_rule", record_rule)
         assert run(["verify", "--grid", grid], capsys)[0] == 0
 
         starts = [i for i, call in enumerate(calls) if call[0] == "case"]
@@ -634,12 +640,29 @@ class TestVerifyCommand:
             for configuration in configurations
             for alignment in (Alignment.PARALLEL, Alignment.ORTHOGONAL)
         ]
-        for case, start, stop in zip(cases, starts, starts[1:] + [len(calls)]):
+        for case, start, stop, probabilities in zip(
+            cases, starts, starts[1:] + [len(calls)], first_needed
+        ):
             assert calls[start + 1] == ("oracle", *case)
-            # p_a, p_b unless it equals p_a, c and x
-            integrals = calls[start + 2 : stop]
-            assert integrals and set(integrals) == {("integral",)}
-            assert len(integrals) in (3, 4)
+            # one pass of one span per probability first needed here, then
+            # one pass of C's and X's spans together
+            assert calls[start + 2 : stop] == [("rule", 1)] * probabilities + [("rule", 2)]
+
+    def test_each_command_integrates_its_own_probabilities(self, monkeypatch, capsys):
+        # the store belongs to one command: a second command in the same
+        # process integrates every distinct probability again, and once each
+        calls = []
+        probability = integral_oracle.numeric_probability
+
+        def record(omega, dz):
+            calls.append((omega, dz))
+            return probability(omega, dz)
+
+        monkeypatch.setattr(integral_oracle, "numeric_probability", record)
+        for _ in range(2):
+            assert run(["verify", "--grid", "default"], capsys)[0] == 0
+        assert len(calls) == 28
+        assert calls[14:] == calls[:14] and len(set(calls[:14])) == 14
 
     def test_unreachable_tolerance_exits_3(self, monkeypatch, capsys):
         # every estimate the rule gives exceeds a zero tolerance

@@ -13,7 +13,9 @@ integral, the one special function it reads, is checked against mpmath on
 its own.
 """
 
+import ast
 import math
+import pathlib
 
 import mpmath
 import numpy as np
@@ -39,14 +41,33 @@ from mirrorsteer.integral_oracle import (
     numeric_x,
     _arguments,
     _edges,
-    _integral,
+    _integrals,
+    _rule,
     _sine_difference,
-    _x_integral,
 )
 
 PAIR = DetectorPair(omega_a=0.1, omega_b=0.1)
 GEOM_PAR = BoundaryGeometry(Alignment.PARALLEL, separation=1.0, boundary_distance=1.0)
 FIELDS = ("p_a", "p_b", "c", "x")
+
+
+def _integral(integrand, cut, frequency, start=math.inf):
+    """int_0^cut of ``integrand`` and its estimate: the rule primitive on one
+    span of :func:`_edges`' panels, with a shared factor of exactly 1."""
+    (result,) = _rule([(_edges(cut, frequency, start), integrand)], np.ones_like)
+    return result
+
+
+def _c_integral(*arguments):
+    """C at unit coupling and its estimate, uncertified."""
+    (result,), _ = _integrals(("C",), *arguments)
+    return result
+
+
+def _x_integral(*arguments):
+    """X at unit coupling and its estimate, uncertified."""
+    (result,), _ = _integrals(("X",), *arguments)
+    return result
 
 
 @pytest.fixture
@@ -227,12 +248,12 @@ class TestNearTheMirror:
 
 
 class TestCompositeRule:
-    """``_integral``: the panel count its constants set, exactness on
+    """``_rule``: the panel count its constants set, exactness on
     polynomials, and an estimate that exposes an unresolved integrand."""
 
     @staticmethod
     def panel_count(cut, frequency):
-        """The panels of the fine rule: ``_integral`` evaluates them and
+        """The panels of the fine rule: ``_rule`` evaluates them and
         their merged pairs, NODES points each, in one call."""
         seen = []
         _integral(lambda k: seen.append(k.size) or np.ones_like(k), cut, frequency)
@@ -253,6 +274,21 @@ class TestCompositeRule:
         assert n % 2 == 0 and n >= integral_oracle.MIN_PANELS
         assert cut / n <= integral_oracle.PANEL_WIDTH
         assert cut * frequency / n <= integral_oracle.PANEL_PHASE
+
+    # the equal panels are linspace's edges, bit for bit: at cuts on both
+    # sides of 0 and at 0, where its step is 0, and at every panel count
+    @pytest.mark.parametrize("cut", [7.0710678118654755, 1e-3, 0.3, 60.0, 183.7, -30.0, 0.0])
+    @pytest.mark.parametrize("frequency", [0.0, 2.0, 31.4, 100.0])
+    def test_equal_panels_are_linspace(self, cut, frequency):
+        edges = _edges(cut, frequency, math.inf)
+        want = np.linspace(0.0, cut, edges.size)
+        assert np.array_equal(edges.view(np.int64), want.view(np.int64))
+
+    def test_equal_panels_are_linspace_at_every_count(self):
+        for cut in np.linspace(0.01, 200.0, 400).tolist():
+            edges = _edges(cut, 0.0, math.inf)
+            want = np.linspace(0.0, cut, edges.size)
+            assert np.array_equal(edges.view(np.int64), want.view(np.int64)), cut
 
     # max() would drop a nan, and the graded loop would not end on one
     @pytest.mark.parametrize(
@@ -380,7 +416,7 @@ class TestGradedPanels:
             alignment = list(Alignment)[rng.integers(2)]
             pair, geom = DetectorPair(omega_a, omega_b), BoundaryGeometry(alignment, l, dz)
             points.append(_arguments(pair, geom))
-        integrals = (integral_oracle._c_integral, _x_integral)
+        integrals = (_c_integral, _x_integral)
         references = [[integral(*point)[0] for integral in integrals] for point in points]
         monkeypatch.setattr(integral_oracle, "MIN_PANELS", 2)
         monkeypatch.setattr(integral_oracle, "PANEL_WIDTH", 4.0)
@@ -581,10 +617,12 @@ class TestNumericCorrelations:
         assert got.c == numeric_c(pair, geom)
         assert got.x == numeric_x(pair, geom)
 
+    @pytest.mark.parametrize("store", [False, True])
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
-    def test_case_order_changes_no_bit(self, order):
-        # the oracle keeps no state between calls: ``verify``'s default grid
-        # in another order gives the same blocks, bit for bit
+    def test_case_order_changes_no_bit(self, order, store):
+        # no value depends on the order of the calls, nor on a probability
+        # store shared by all of them: ``verify``'s default grid in another
+        # order, with one store or none, gives the same blocks, bit for bit
         cases = [(DetectorPair(omega_a, omega_b), BoundaryGeometry(alignment, l, dz))
                  for omega_a, omega_b, l, dz in VERIFY_GRID_DEFAULT for alignment in Alignment]
         first = [numeric_correlations(pair, geom) for pair, geom in cases]
@@ -592,13 +630,51 @@ class TestNumericCorrelations:
             indices = range(len(cases) - 1, -1, -1)
         else:
             indices = np.random.default_rng(23).permutation(len(cases)).tolist()
-        again = {i: numeric_correlations(*cases[i]) for i in indices}
+        kwargs = {"probabilities": {}} if store else {}
+        again = {i: numeric_correlations(*cases[i], **kwargs) for i in indices}
 
         def bits(block):
             return [repr(complex(getattr(block, name))) for name in FIELDS]
 
         for i, block in enumerate(first):
             assert bits(again[i]) == bits(block)
+
+    def test_store_holds_each_unit_probability_once(self, monkeypatch):
+        # the store is keyed by (omega, dz) and holds numeric_probability's
+        # unit-coupling bits; a later call reads them and integrates none
+        pair = DetectorPair(0.1, 0.3, coupling=0.5)
+        geom = BoundaryGeometry(Alignment.ORTHOGONAL, 0.5, 1.5)
+        store = {}
+        first = numeric_correlations(pair, geom, probabilities=store)
+        assert store == {(0.1, 1.5): numeric_probability(0.1, 1.5),
+                         (0.3, 2.0): numeric_probability(0.3, 2.0)}
+        assert first.p_a == 0.25 * store[(0.1, 1.5)] and first.p_b == 0.25 * store[(0.3, 2.0)]
+
+        def refuse(omega, dz):
+            raise AssertionError("probability integrated again")
+
+        monkeypatch.setattr(integral_oracle, "numeric_probability", refuse)
+        again = numeric_correlations(pair, geom, probabilities=store)
+        assert [getattr(again, f) for f in FIELDS] == [getattr(first, f) for f in FIELDS]
+        assert len(store) == 2
+
+    @pytest.mark.parametrize("omega_a, omega_b, alignment, probabilities", [
+        (0.1, 0.1, Alignment.PARALLEL, 1), (0.1, 1.0, Alignment.PARALLEL, 2),
+        (0.1, 0.1, Alignment.ORTHOGONAL, 2),
+    ])
+    def test_c_and_x_share_one_rule(self, omega_a, omega_b, alignment, probabilities,
+                                    monkeypatch):
+        # one pass per distinct probability, then C and X on one node array
+        # with one sine difference and one call of the panel rule
+        calls = []
+        for name in ("_rule", "_panel_rule", "_sine_difference"):
+            def record(*args, name=name, wrapped=getattr(integral_oracle, name)):
+                calls.append(name)
+                return wrapped(*args)
+
+            monkeypatch.setattr(integral_oracle, name, record)
+        numeric_correlations(DetectorPair(omega_a, omega_b), BoundaryGeometry(alignment, 1.0, 1.0))
+        assert calls == ["_rule", "_panel_rule", "_sine_difference"] * (probabilities + 1)
 
     @pytest.mark.parametrize("alignment", list(Alignment))
     def test_independent_of_closed_form_geometry(self, alignment, monkeypatch):
@@ -647,6 +723,23 @@ class TestRefusals:
         block = numeric_correlations(DetectorPair(8e307, 8e307), GEOM_PAR)
         assert [abs(getattr(block, name)) for name in FIELDS] == [0.0] * 4
         assert numeric_probability(8e307, 1.0) == 0.0
+        # at gaps 0 and 40 C's exp(-m^2 - a^2) is 0 and X's exp(-m^2) is not:
+        # C is exactly zero, and X keeps the bits of its own rule
+        block = numeric_correlations(DetectorPair(0.0, 40.0), GEOM_PAR)
+        assert block.c == 0.0 and block.p_b == 0.0
+        assert repr(block.x) == "(-1.6874879843396014e-175-6.0269861924740514e-176j)"
+
+    def test_c_is_certified_before_x_is_refused(self, monkeypatch):
+        # at L = 2000 C's rule fits in MAX_PANELS and X's does not; with the
+        # probabilities in the store and RTOL = 0, C's refusal comes first,
+        # as when C's rule was laid and certified before X's was tried
+        pair, geom = PAIR, BoundaryGeometry(Alignment.PARALLEL, 2000.0, 1.0)
+        store = {(0.1, 1.0): numeric_probability(0.1, 1.0)}
+        with pytest.raises(ConvergenceError, match="more than MAX_PANELS"):
+            numeric_correlations(pair, geom, probabilities=store)
+        monkeypatch.setattr(integral_oracle, "RTOL", 0.0)
+        with pytest.raises(ConvergenceError, match="the C integral's panel estimate"):
+            numeric_correlations(pair, geom, probabilities=store)
 
 
 class TestGaussLegendreTable:
@@ -673,3 +766,48 @@ class TestGaussLegendreTable:
         for k in range(32):
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
             assert abs(np.sum(self.W * self.X**k) - exact) <= 1e-15, k
+
+
+def hidden_caches(source):
+    """The lines of ``source`` that could keep results between calls: a
+    module-level dict, list or set (a display, a comprehension or a call of
+    a container type), a ``global`` statement, and functools or one of its
+    memoising decorators."""
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    factories = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+    memoisers = {"functools", "cache", "lru_cache", "cached_property"}
+    tree, found = ast.parse(source), []
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and value is not None:
+            called = getattr(value, "func", None)
+            if isinstance(value, containers) or getattr(
+                called, "id", getattr(called, "attr", None)
+            ) in factories:
+                found.append(ast.unparse(node))
+    for node in ast.walk(tree):
+        names = set()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {alias.name for alias in node.names} | {getattr(node, "module", None)}
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            names = {getattr(node, "id", getattr(node, "attr", None))}
+        if isinstance(node, ast.Global) or names & memoisers:
+            found.append(ast.unparse(node))
+    return found
+
+
+class TestNoHiddenCache:
+    """The oracle keeps no state between calls: its only store of results
+    is the one a caller passes to :func:`numeric_correlations`. A module or
+    process-wide cache would let one ``verify`` command serve the next."""
+
+    def test_oracle_has_none(self):
+        assert hidden_caches(pathlib.Path(integral_oracle.__file__).read_text()) == []
+
+    @pytest.mark.parametrize("source", [
+        "_SEEN = {}", "_SEEN: dict = dict()", "_SEEN = {k: 0 for k in ()}", "_ROWS = []",
+        "_KEYS = set()", "import functools", "from functools import lru_cache",
+        "def f():\n    global _SEEN", "@cache\ndef f(): pass",
+    ])
+    def test_sees_each_form(self, source):
+        assert hidden_caches(source)
