@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PerturbativeValidityError, ValidationError, _member
-from .special_functions import erfcx, faddeeva_w, wofz
+from .special_functions import _w_point, erfcx, wofz
 from .xstate_steering import _ARRAYS as _ARRAY_OPS
 from .xstate_steering import _ONE_POINT as _POINT_OPS
 from .xstate_steering import (
@@ -148,7 +148,7 @@ def _block_rules(v):
          "probabilities must be finite"),
         ((v.p_a >= 0.0) & (v.p_b >= 0.0), ValidationError, "probabilities must be nonnegative"),
         (v.p_sum < 1.0, PerturbativeValidityError,
-         "p_a + p_b = {p_sum:.3g} >= 1: coupling too strong for the leading-order state"),
+         "p_a + p_b = {p_sum!r} >= 1: coupling too strong for the leading-order state"),
         # Im G = e^{-l^2/4} cos(d l/2)/l overflows below l ~ 1e-308
         ((abs(v.c.real) < _INF) & (abs(v.c.imag) < _INF) & (abs(v.x.real) < _INF)
          & (abs(v.x.imag) < _INF), ValidationError,
@@ -276,7 +276,8 @@ def _aux_f(l: float, s: float) -> float:
         i1, i3, i5 = _w_moments(s)
         bracket = i1 / 2.0 + l * l * i3 / 48.0 + l**4 * i5 / 3840.0
         return damping * bracket
-    return -(math.exp(-s * s / 4.0) / l) * faddeeva_w(complex(-l / 2.0, s / 2.0)).imag
+    # every route checks its inputs before F runs, so the argument is finite
+    return -(math.exp(-s * s / 4.0) / l) * _w_point(complex(-l / 2.0, s / 2.0)).imag
 
 
 def _aux_f_array(l, s) -> np.ndarray:

@@ -896,8 +896,9 @@ class TestFigureCommand:
         "flags, message",
         [
             (["fig7", "--lambda", "4"],
-             "error: curve 'orthogonal': at separation = 0.138945: p_a + p_b = 1 >= 1: "
-             "coupling too strong for the leading-order state\n"),
+             "error: curve 'orthogonal': at separation = 0.138945: "
+             "p_a + p_b = 1.0015797669075868 >= 1: coupling too strong for the leading-order "
+             "state\n"),
             # the label keeps two decimals; the message gives the separation
             (["fig6", "--large-l", "1e-320"],
              "error: curve 'parallel L=0.00' with separation = 9.99989e-321: "

@@ -4,6 +4,7 @@
 against the complex erf through erf(z) = 1 - exp(-z^2) w(iz). The complex
 erf (``conftest.erf_complex``) is checked against a 60-term Maclaurin
 expansion, which is independent of scipy, and against its exact symmetries.
+The one-point kernel is held to scipy's ``wofz`` ufunc bit for bit.
 """
 
 import ast
@@ -12,11 +13,13 @@ import pathlib
 
 import numpy as np
 import pytest
+from scipy.special import wofz
 
 import mirrorsteer
 from conftest import erf_complex, erf_maclaurin
 from mirrorsteer.errors import ValidationError
-from mirrorsteer.special_functions import faddeeva_w
+from mirrorsteer.special_functions import _w_point, faddeeva_w
+from mirrorsteer.sweep_optimize import SweepAxis
 
 
 class TestErfComplex:
@@ -94,6 +97,41 @@ class TestFaddeevaW:
             faddeeva_w(complex(math.inf, 1.0))
 
 
+def _kernel_arguments() -> list[complex]:
+    """F's arguments -l/2 + i s/2: separations l log-spaced from
+    SERIES_CROSSOVER (1e-3) past 400, gaps s in [0, 12] with s = 0 itself,
+    and the image and 2 dz lengths of fig5 (l = 0.05, dz from 1e-4 to 8)
+    and fig6 (l = 0.05 and 2, dz = 1) at their gap sums."""
+    rng = np.random.default_rng(35)
+    ls = np.geomspace(1e-3, 1e4, 120).tolist() + (10.0 ** rng.uniform(-3.0, 4.0, 120)).tolist()
+    ss = np.linspace(0.0, 12.0, 25).tolist() + rng.uniform(0.0, 12.0, 24).tolist()
+    args = [(l, s) for l in ls for s in ss]
+    # fig5 at its default gaps 0.1/0.1 (s = 0.2) and at s = 0, 2, ..., 12
+    for dz in SweepAxis("boundary-distance", 1e-4, 8.0, 200).grid().tolist():
+        for l in (2.0 * dz, math.hypot(0.05, 2.0 * dz), 0.05 + 2.0 * dz):
+            args += [(l, s) for s in (0.2, *ss[:25:4])]
+    # fig6: omega_a = 0.1 and omega_b along its axis, so s = 0.1 + omega_b
+    # (C and X) or 2 omega_b (P_B)
+    omega_b = SweepAxis("omega-b", 0.1, 6.0, 200).grid().tolist()
+    for sep in (0.05, 2.0):
+        for l in (sep, math.hypot(sep, 2.0), sep + 2.0):
+            args += [(l, s) for w in omega_b for s in (0.1 + w, 2.0 * w)]
+    return [complex(-l / 2.0, s / 2.0) for l, s in args]
+
+
+class TestOnePointKernel:
+    """The closed forms' one-point kernel is scipy's Cython binding of the
+    Faddeeva Package, and the ufunc runs the same code: both give every
+    bit, signed zeros included, so either can serve a point."""
+
+    def test_matches_the_ufunc_bit_for_bit(self):
+        zs = _kernel_arguments()
+        assert len(zs) > 15_000
+        bits = lambda w: (w.real.hex(), w.imag.hex())
+        mismatched = [z for z in zs if bits(_w_point(z)) != bits(complex(wofz(z)))]
+        assert mismatched == []
+
+
 def _scipy_imports() -> list[tuple[str, str]]:
     """(module, dotted name) for each scipy import anywhere in the package's
     source: ``from scipy.special import wofz`` reads "scipy.special.wofz"."""
@@ -117,6 +155,12 @@ class TestScipyImports:
     def test_only_the_window_and_the_oracle_import_scipy(self):
         modules = {module for module, _ in _scipy_imports()}
         assert modules == {"special_functions", "integral_oracle"}
+
+    def test_window_imports_exactly_its_kernels(self):
+        names = [name for module, name in _scipy_imports() if module == "special_functions"]
+        assert sorted(names) == [
+            "scipy.special.cython_special.wofz", "scipy.special.erfcx", "scipy.special.wofz"
+        ]
 
     def test_oracle_imports_only_dawsn(self):
         names = [name for module, name in _scipy_imports() if module == "integral_oracle"]

@@ -28,6 +28,7 @@ from mirrorsteer.detector_model import (
     correlations,
     harvested_steering,
     state_from_block,
+    transition_probability,
 )
 from mirrorsteer import detector_model, sweep_optimize, xstate_steering
 from mirrorsteer.errors import PerturbativeValidityError, ValidationError
@@ -275,7 +276,7 @@ class TestSweep:
         # which p_a + p_b reaches 1 is not the first grid point
         pair = DetectorPair(omega_a=0.1, omega_b=0.1, coupling=5.0)
         axis = SweepAxis(SweepVariable.BOUNDARY_DISTANCE, start=0.2, stop=2.0, points=5)
-        match = r"at boundary-distance = 1.1: p_a \+ p_b = 1.62 >= 1"
+        match = r"at boundary-distance = 1.1: p_a \+ p_b = 1\.6249076837354433 >= 1"
         with pytest.raises(PerturbativeValidityError, match=match):
             sweep(pair, GEOM_PAR, axis)
 
@@ -305,8 +306,8 @@ class TestSweep:
             # the correlation block refuses the point
             (DetectorPair(0.1, 0.1, coupling=5.0), GEOM_PAR,
              ("boundary-distance", 0.2, 2.0, 9_999),
-             "at boundary-distance = 0.784577: p_a + p_b = 1 >= 1: coupling too "
-             "strong for the leading-order state"),
+             "at boundary-distance = 0.784577: p_a + p_b = 1.000158630644309 >= 1: "
+             "coupling too strong for the leading-order state"),
         ],
     )
     def test_refused_long_sweep_evaluates_one_point_alone(
@@ -414,7 +415,7 @@ _SWEEP_REFUSALS = {
         DetectorPair(0.0, 0.1), BoundaryGeometry(Alignment.PARALLEL, 1.0, 3.0),
         ("omega-b", 1e307, 8e307, 30),
     ),
-    "p_a + p_b = {p_sum:.3g} >= 1: coupling too strong for the leading-order state": (
+    "p_a + p_b = {p_sum!r} >= 1: coupling too strong for the leading-order state": (
         DetectorPair(0.1, 0.1, coupling=5.0), GEOM_PAR, ("boundary-distance", 0.2, 2.0, 5)
     ),
     # Im G overflows as 1/l
@@ -790,6 +791,46 @@ class TestBlockVouchesForItsXState:
         assert len(calls) == 1
 
 
+def _refused(route, *args):
+    """Call ``route(*args)``; a refusal ends the call, and the kernel calls
+    made before it still count."""
+    try:
+        route(*args)
+    except ValidationError:
+        pass
+
+
+class TestKernelSeesOnlyFiniteArguments:
+    """F calls the one-point Faddeeva kernel without ``faddeeva_w``'s
+    finiteness check.  Every route checks the pair, geometry or transition
+    rules before F runs, so across the model's domain and past its edges
+    each argument -l/2 + i s/2 the kernel receives is finite."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None, database=None)
+    @given(evaluator_problems())
+    def test_every_argument_is_finite(self, problem):
+        pair, geom, swept, values = problem
+        moved = lambda name, held: (held, *values) if swept == name else (held,)
+        args = []
+        w_point = detector_model._w_point
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(detector_model, "_w_point", lambda z: args.append(z) or w_point(z))
+            _refused(correlations, pair, geom)
+            for value in values:
+                _public_route(pair, geom, swept, value)
+            for omega in (pair.omega_a, *moved("omega_b", pair.omega_b)):
+                for dz in moved("boundary_distance", geom.boundary_distance):
+                    _refused(transition_probability, omega, dz, pair.coupling)
+            for l in moved("separation", geom.separation):
+                _refused(boundary_free_correlations, pair, l)
+            evaluate = _block_evaluator(pair, geom, swept)
+            for value in values:
+                _refused(evaluate, value)
+            with np.errstate(over="ignore", invalid="ignore"):
+                evaluate(np.array(values))
+        assert [z for z in args if not (math.isfinite(z.real) and math.isfinite(z.imag))] == []
+
+
 @pytest.mark.parametrize(
     "alignment, axis, at_build, per_point",
     [
@@ -806,11 +847,12 @@ class TestBlockVouchesForItsXState:
     ],
 )
 def test_held_stages_are_computed_once(alignment, axis, at_build, per_point, monkeypatch):
-    # every kernel calls the Faddeeva function past SERIES_CROSSOVER; the
-    # array pass calls wofz instead, so a sweep makes only the build's calls
+    # every kernel calls the one-point Faddeeva kernel past SERIES_CROSSOVER;
+    # the array pass calls wofz instead, so a sweep makes only the build's
+    # calls.  A kernel reached through faddeeva_w would count none.
     calls = []
-    faddeeva_w = detector_model.faddeeva_w
-    monkeypatch.setattr(detector_model, "faddeeva_w", lambda z: calls.append(z) or faddeeva_w(z))
+    w_point = detector_model._w_point
+    monkeypatch.setattr(detector_model, "_w_point", lambda z: calls.append(z) or w_point(z))
     pair, geom = DetectorPair(0.1, 0.2), BoundaryGeometry(alignment, 1.0, 1.0)
     variable = SweepVariable(axis)
     evaluate = sweep_optimize._evaluator(pair, geom, variable)
@@ -1340,7 +1382,8 @@ class TestFigureDataset:
         "figure, pair, match",
         [
             ("fig7", DetectorPair(0.1, 0.1, coupling=4.0),
-             r"^curve 'orthogonal': at separation = 0\.138945: p_a \+ p_b = 1 >= 1"),
+             r"^curve 'orthogonal': at separation = 0\.138945: "
+             r"p_a \+ p_b = 1\.0015797669075868 >= 1"),
             ("fig2", DetectorPair(0.1, 0.1, coupling=5.0),
              r"^curve 'parallel omega_b=0\.10' with omega_b = 0\.1: at separation = 0\.05: "),
         ],
