@@ -286,9 +286,11 @@ def _aux_f_array(l, s) -> np.ndarray:
 
     The Faddeeva branch runs through ``wofz`` on the whole array, and the
     points below ``SERIES_CROSSOVER`` are then overwritten with
-    :func:`_aux_f` itself, its Taylor branch. Below l ≈ 1e-308 the
-    overwritten points' Faddeeva values can overflow; every array pass
-    runs with numpy's overflow and invalid warnings off.
+    :func:`_aux_f` itself, its Taylor branch. Where no point lies below,
+    the overwrite is skipped: it would write no point, so the result is
+    the same. Below l ≈ 1e-308 the overwritten points' Faddeeva values can
+    overflow; every array pass runs with numpy's overflow and invalid
+    warnings off.
     """
     l = l if isinstance(l, np.ndarray) else np.full(s.size, l)
     z = (-l / 2.0).astype(complex)
@@ -296,7 +298,8 @@ def _aux_f_array(l, s) -> np.ndarray:
     # a held gap stays one number, so its damping is one exp
     out = -(_each(math.exp, -s * s / 4.0) / l) * wofz(z).imag
     small = l < SERIES_CROSSOVER
-    out[small] = _each(_aux_f, l[small], s[small] if isinstance(s, np.ndarray) else s)
+    if small.any():
+        out[small] = _each(_aux_f, l[small], s[small] if isinstance(s, np.ndarray) else s)
     return out
 
 

@@ -138,9 +138,31 @@ class SweepAxis:
             raise ValidationError("log-scaled sweeps need a positive start")
 
     def grid(self) -> np.ndarray:
+        """The grid points: ``np.geomspace`` on a log scale, and on a linear
+        one ``np.linspace``, bit for bit.
+
+        Between float ends the linear grid does linspace's own arithmetic
+        without its overhead: ``arange`` times the step (or, where the step
+        underflows to 0, divided by the intervals and then times the
+        width), plus the start, with the stop written last.  Other real
+        ends, whose dtype linspace picks, go through linspace itself.
+        """
         if self.scale is SweepScale.LOG:
             return np.geomspace(self.start, self.stop, self.points)
-        return np.linspace(self.start, self.stop, self.points)
+        start, stop = self.start, self.stop
+        if not (isinstance(start, float) and isinstance(stop, float)):
+            return np.linspace(start, stop, self.points)
+        intervals, width = self.points - 1, stop - start
+        step = width / intervals
+        grid = np.arange(float(self.points))
+        if step == 0.0:
+            grid /= intervals
+            grid *= width
+        else:
+            grid *= step
+        grid += start
+        grid[-1] = stop
+        return grid
 
 
 # the observables of a sweep, in the column order after ``axis``

@@ -58,12 +58,16 @@ _ATOL = 1e-12
 def _each(fn, *args):
     """``fn`` at each point of the arrays among ``args``, one libm call per
     point.  A Python number among them is held at every point, and without
-    any array ``fn`` is called once, as at one point.
+    any array ``fn`` is called once, as at one point.  A lone array is
+    mapped straight from its list, with no column to build or hold: the
+    same calls on the same values.
 
     numpy's own exp, erfc, hypot and complex abs can differ from libm in
     the last ulp, and the array kernels must agree with the scalar ones
     bit for bit.
     """
+    if len(args) == 1 and isinstance(args[0], np.ndarray):
+        return np.fromiter(map(fn, args[0].tolist()), float, args[0].size)
     sizes = [a.size for a in args if isinstance(a, np.ndarray)]
     if not sizes:
         return fn(*args)
@@ -83,6 +87,16 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     z = re.astype(complex)
     z.imag = im
     return z
+
+
+def _abs(a):
+    """``abs`` at each point.  The modulus of a real number only clears its
+    sign bit, which numpy does as Python does (-0.0, nan and ±inf
+    included), so an array of doubles takes ``np.abs``; a complex modulus
+    is a rounded hypot, taken one point at a time."""
+    if isinstance(a, np.ndarray) and a.dtype == np.float64:
+        return np.abs(a)
+    return _each(abs, a)
 
 
 # A domain check is an ordered table of rules: a function of a namespace of
@@ -116,7 +130,8 @@ def _check(rules, values) -> bool:
 # The elementwise functions every formula of the model is written over,
 # once: at one point, and at each point of equal-length arrays.  Both round
 # +, -, *, / and sqrt correctly, and the arrays call libm and Python's
-# complex modulus one point at a time, so both give the same bits.
+# complex modulus one point at a time (a real modulus is exact in both), so
+# both give the same bits.
 _LIBM = ("exp", "erfc", "sin", "cos", "hypot")
 _ONE_POINT = SimpleNamespace(
     **{name: getattr(math, name) for name in _LIBM}, sqrt=math.sqrt, abs=abs, max=max,
@@ -125,7 +140,7 @@ _ONE_POINT = SimpleNamespace(
 )
 _ARRAYS = SimpleNamespace(
     **{name: lambda *a, fn=getattr(math, name): _each(fn, *a) for name in _LIBM},
-    sqrt=np.sqrt, abs=lambda a: _each(abs, a), max=_maximum, where=np.where, complex=_complex,
+    sqrt=np.sqrt, abs=_abs, max=_maximum, where=np.where, complex=_complex,
     verdict=_holds,
 )
 

@@ -35,6 +35,7 @@ from mirrorsteer.detector_model import (
     joint_state,
     transition_probability,
 )
+from mirrorsteer import detector_model
 from mirrorsteer.errors import PerturbativeValidityError, ValidationError
 from mirrorsteer.xstate_steering import (
     build_tau_ab,
@@ -400,6 +401,32 @@ class TestAuxFArray:
         ls, ss = zip(*itertools.product(KERNEL_LENGTHS, KERNEL_GAPS))
         got = _aux_f_array(np.array(ls), np.array(ss))
         assert [v.hex() for v in got.tolist()] == self.one_point(ls, ss)
+
+    # lengths on one side of the crossover only: none below it, where the
+    # Taylor overwrite is skipped, and all below it
+    @pytest.mark.parametrize("below", [False, True])
+    def test_one_branch_only(self, below):
+        lengths = [l for l in KERNEL_LENGTHS if (l < SERIES_CROSSOVER) == below]
+        for s in KERNEL_GAPS:
+            got = _aux_f_array(np.array(lengths), s)
+            assert [v.hex() for v in got.tolist()] == self.one_point(lengths, [s] * len(lengths))
+        ls, ss = zip(*itertools.product(lengths, KERNEL_GAPS))
+        got = _aux_f_array(np.array(ls), np.array(ss))
+        assert [v.hex() for v in got.tolist()] == self.one_point(ls, ss)
+
+    def test_taylor_branch_runs_only_below_the_crossover(self, monkeypatch):
+        # the overwrite maps _aux_f over the points below the crossover
+        # through _each; with none below, _aux_f is handed no work at all
+        routed = []
+        each = detector_model._each
+        monkeypatch.setattr(detector_model, "_each",
+                            lambda fn, *a: routed.append(fn) or each(fn, *a))
+        above = np.array([SERIES_CROSSOVER, 0.5, 3.0])
+        _aux_f_array(above, 0.2)
+        _aux_f_array(above, np.array([0.0, 0.2, 6.0]))
+        assert _aux_f not in routed
+        _aux_f_array(np.array([SERIES_CROSSOVER * (1.0 - 1e-9), 0.5]), 0.2)
+        assert routed.count(_aux_f) == 1
 
 
 def kernel_g(l, d):

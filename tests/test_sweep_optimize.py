@@ -186,6 +186,39 @@ class TestSweepAxis:
         assert grid[-1] == 2.0
         assert len(grid) == 4
 
+    @staticmethod
+    def linear_ranges():
+        """Seeded (start, stop, points) of every magnitude and sign, with
+        float, numpy float and integer ends, and three no draw reaches: a
+        width whose step underflows to zero, the fewest points and the
+        most."""
+        rng = np.random.default_rng(36)
+        ranges = [(0.0, 1.5e-323, 1000), (0.1, 2.0, 2), (1e-4, 8.0, MAX_POINTS)]
+        while len(ranges) < 300:
+            magnitudes = 10.0 ** rng.uniform(-320.0, 300.0, 2)
+            ends = sorted((rng.choice([-1.0, 1.0], 2) * magnitudes).tolist())
+            if ends[0] < ends[1]:
+                ranges.append((*ends, int(rng.integers(2, 500))))
+        ranges += [(np.float64(0.5), 2.0, 7), (0, 3, 5), (-2, 1.5, 4), (np.float32(0.5), 2.0, 4)]
+        return ranges
+
+    def test_linear_grid_is_linspace(self):
+        # 1.5e-323 / 999 underflows: linspace divides by the intervals, then
+        # multiplies by the width
+        assert 1.5e-323 / 999 == 0.0
+        for start, stop, points in self.linear_ranges():
+            got = SweepAxis(SweepVariable.SEPARATION, start, stop, points).grid()
+            want = np.linspace(start, stop, points)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (start, stop)
+
+    def test_linear_grid_makes_no_linspace_call(self, monkeypatch):
+        calls = []
+        linspace = np.linspace
+        monkeypatch.setattr(np, "linspace", lambda *a, **k: calls.append(a) or linspace(*a, **k))
+        for start, stop, points in self.linear_ranges()[:100]:
+            SweepAxis(SweepVariable.BOUNDARY_DISTANCE, start, stop, points).grid()
+        assert calls == []
+
     def test_log_grid(self):
         axis = SweepAxis(
             SweepVariable.BOUNDARY_DISTANCE,

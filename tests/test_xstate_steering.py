@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from conftest import observe, random_x_state
+from mirrorsteer import xstate_steering
 from mirrorsteer.errors import ValidationError
 from mirrorsteer.xstate_steering import (
     _ARRAYS,
     XState,
+    _each,
     _tau_ab,
     _tau_ba,
     build_tau_ab,
@@ -209,6 +211,53 @@ def _observe_arrays(*columns):
     """:func:`observe` over arrays of the entries, with numpy's warnings off."""
     with np.errstate(invalid="ignore", over="ignore"):
         return observe(_ARRAYS, *columns)
+
+
+# reals whose modulus or libm value is an edge case: signed zeros and nans,
+# both infinities, the smallest subnormal and seeded normals
+EDGE_REALS = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+              *np.random.default_rng(36).normal(0.0, 3.0, 40).tolist()]
+
+
+def _same_bits(got, want):
+    """Whether an array holds the bits of a list of Python numbers, nan
+    signs included."""
+    want = np.array(want)
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestArrayFastPaths:
+    """The array namespace's shortcuts give the one-point route's bits."""
+
+    def test_real_abs_is_the_one_point_abs(self):
+        values = np.array(EDGE_REALS)
+        assert _same_bits(_ARRAYS.abs(values), [abs(v) for v in values.tolist()])
+        # the signed nan is a nan of each sign, and abs clears the sign
+        assert np.signbit(values).tolist()[2:4] == [False, True]
+
+    def test_complex_abs_is_the_one_point_abs(self):
+        parts = EDGE_REALS[:8] + [3.0, -0.25]
+        values = np.array([complex(re, im) for re in parts for im in parts])
+        assert _same_bits(_ARRAYS.abs(values), [abs(z) for z in values.tolist()])
+
+    @pytest.mark.parametrize("name", ["exp", "erfc"])
+    def test_one_array_is_the_one_point_call(self, name):
+        fn = getattr(math, name)
+        values = np.array(EDGE_REALS)
+        want = [fn(v) for v in values.tolist()]
+        assert _same_bits(_each(fn, values), want)
+        assert _same_bits(getattr(_ARRAYS, name)(values), want)
+        # the same values held beside another column take the general route
+        assert _same_bits(_each(lambda v, _: fn(v), values, 0.0), want)
+
+    def test_real_abs_makes_no_each_call(self, monkeypatch):
+        calls = []
+        each = xstate_steering._each
+        monkeypatch.setattr(xstate_steering, "_each", lambda *a: calls.append(a) or each(*a))
+        _ARRAYS.abs(np.array([-1.0, 2.0]))
+        assert calls == []
+        _ARRAYS.abs(np.array([1j, -2.0]))
+        assert len(calls) == 1
 
 
 class TestSteeringArrays:
