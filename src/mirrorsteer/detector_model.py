@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PerturbativeValidityError, ValidationError, _member
+from .errors import PerturbativeValidityError, ValidationError, _member, _real
 from .special_functions import _w_point, erfcx, wofz
 from .xstate_steering import _ARRAYS as _ARRAY_OPS
 from .xstate_steering import _ONE_POINT as _POINT_OPS
@@ -158,7 +158,7 @@ def _block_rules(v):
 
 @dataclass(frozen=True)
 class DetectorPair:
-    """Energy gaps and coupling of the two detectors.
+    """Energy gaps and coupling of the two detectors, each read as a float.
 
     Labels follow the convention that B carries the larger gap, so
     ``omega_b >= omega_a`` is enforced at construction.
@@ -169,9 +169,8 @@ class DetectorPair:
     coupling: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "omega_a", float(self.omega_a))
-        object.__setattr__(self, "omega_b", float(self.omega_b))
-        object.__setattr__(self, "coupling", float(self.coupling))
+        for name in ("omega_a", "omega_b", "coupling"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         _check(_pair_rules, self)
 
 
@@ -203,9 +202,8 @@ class BoundaryGeometry:
 
     def __post_init__(self):
         alignment = _member(Alignment, self.alignment, "alignment")
-        lengths = _mirror_lengths(
-            _ONE_POINT, alignment, float(self.separation), float(self.boundary_distance)
-        )
+        lengths = _mirror_lengths(_ONE_POINT, alignment, _real(self.separation, "separation"),
+                                  _real(self.boundary_distance, "boundary_distance"))
         _check(_geometry_rules, lengths)
         object.__setattr__(self, "alignment", alignment)
         object.__setattr__(self, "separation", lengths.separation)
@@ -231,7 +229,8 @@ class CorrelationBlock:
     x: complex
 
     def __post_init__(self):
-        pa, pb, c, x = float(self.p_a), float(self.p_b), complex(self.c), complex(self.x)
+        pa, pb = _real(self.p_a, "p_a"), _real(self.p_b, "p_b")
+        c, x = complex(self.c), complex(self.x)
         _check(_block_rules, SimpleNamespace(p_a=pa, p_b=pb, p_sum=pa + pb, c=c, x=x))
         object.__setattr__(self, "p_a", pa)
         object.__setattr__(self, "p_b", pb)
@@ -364,7 +363,7 @@ def _pair_terms(ns, omega_a, omega_b, coupling) -> SimpleNamespace:
 
 def free_space_probability(omega: float, coupling: float = 1.0) -> float:
     """Excitation probability of a single detector without any boundary."""
-    v = SimpleNamespace(omega=float(omega), coupling=float(coupling))
+    v = SimpleNamespace(omega=_real(omega, "omega"), coupling=_real(coupling, "coupling"))
     _check(_free_space_rules, v)
     return _free_space(_ONE_POINT, v.omega, v.coupling)
 
@@ -377,8 +376,9 @@ def transition_probability(
     Vanishes on the mirror and approaches the free-space value far from
     it; the residual boundary correction decays like 1/dz^2.
     """
-    v = SimpleNamespace(omega=float(omega), boundary_distance=float(boundary_distance),
-                        coupling=float(coupling))
+    v = SimpleNamespace(omega=_real(omega, "omega"),
+                        boundary_distance=_real(boundary_distance, "boundary_distance"),
+                        coupling=_real(coupling, "coupling"))
     _check(_transition_rules, v)
     free = _free_space(_ONE_POINT, v.omega, v.coupling)
     pref = v.coupling * v.coupling / (4.0 * _SQRT_PI)
@@ -534,7 +534,7 @@ def _block_evaluator(
 
 def boundary_free_correlations(pair: DetectorPair, separation: float) -> CorrelationBlock:
     """Joint-state entries for the same pair in empty space (no image terms)."""
-    l = float(separation)
+    l = _real(separation, "separation")
     if not math.isfinite(l) or l <= 0.0:
         raise ValidationError("separation must be a positive real")
     terms = _pair_terms(_ONE_POINT, pair.omega_a, pair.omega_b, pair.coupling)

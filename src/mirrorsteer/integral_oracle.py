@@ -62,7 +62,7 @@ import numpy as np
 from scipy.special import dawsn
 
 from .detector_model import Alignment, BoundaryGeometry, CorrelationBlock, DetectorPair
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, _real
 
 # values below this are certified in absolute rather than relative terms
 _ABS_FLOOR = 1e-8
@@ -357,7 +357,7 @@ def _values(names, *arguments):
 
 def numeric_probability(omega: float, dz: float) -> float:
     """Excitation probability at unit coupling from its momentum integral."""
-    omega, dz = float(omega), float(dz)
+    omega, dz = _real(omega, "omega"), _real(dz, "dz")
     if not math.isfinite(omega) or omega < 0.0:
         raise ValidationError("omega must be a nonnegative real")
     if not math.isfinite(dz) or dz <= 0.0:

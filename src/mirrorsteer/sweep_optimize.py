@@ -34,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -50,7 +49,7 @@ from .detector_model import (
     boundary_free_correlations,
     state_from_block,
 )
-from .errors import ValidationError, _member
+from .errors import ValidationError, _member, _real
 from .xstate_steering import _observed
 
 REFINE_TOL = 1e-6
@@ -98,7 +97,7 @@ class FigureId(enum.Enum):
 
 @dataclass(frozen=True)
 class SweepAxis:
-    """One-dimensional grid specification for :func:`sweep`."""
+    """One-dimensional grid specification for :func:`sweep`; its ends are read as floats."""
 
     variable: SweepVariable
     start: float
@@ -110,9 +109,7 @@ class SweepAxis:
         object.__setattr__(self, "variable", _member(SweepVariable, self.variable, "variable"))
         object.__setattr__(self, "scale", _member(SweepScale, self.scale, "scale"))
         for end in ("start", "stop"):
-            value = getattr(self, end)
-            if not isinstance(value, numbers.Real):
-                raise ValidationError(f"a sweep {end} must be a real number, got {value!r}")
+            object.__setattr__(self, end, _real(getattr(self, end), f"a sweep {end}"))
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValidationError("sweep range must be finite")
         if not self.start < self.stop:
@@ -139,20 +136,16 @@ class SweepAxis:
 
     def grid(self) -> np.ndarray:
         """The grid points: ``np.geomspace`` on a log scale, and on a linear
-        one ``np.linspace``, bit for bit.
+        one ``np.linspace``, bit for bit, between the float ends.
 
-        Between float ends the linear grid does linspace's own arithmetic
-        without its overhead: ``arange`` times the step (or, where the step
-        underflows to 0, divided by the intervals and then times the
-        width), plus the start, with the stop written last.  Other real
-        ends, whose dtype linspace picks, go through linspace itself.
+        The linear grid does linspace's own arithmetic without its
+        overhead: ``arange`` times the step (or, where the step underflows
+        to 0, divided by the intervals and then times the width), plus the
+        start, with the stop written last.
         """
         if self.scale is SweepScale.LOG:
             return np.geomspace(self.start, self.stop, self.points)
-        start, stop = self.start, self.stop
-        if not (isinstance(start, float) and isinstance(stop, float)):
-            return np.linspace(start, stop, self.points)
-        intervals, width = self.points - 1, stop - start
+        intervals, width = self.points - 1, self.stop - self.start
         step = width / intervals
         grid = np.arange(float(self.points))
         if step == 0.0:
@@ -160,8 +153,8 @@ class SweepAxis:
             grid *= width
         else:
             grid *= step
-        grid += start
-        grid[-1] = stop
+        grid += self.start
+        grid[-1] = self.stop
         return grid
 
 
@@ -306,10 +299,7 @@ def _bracket(bracket: tuple[float, float], kind: str) -> tuple[float, float]:
         raise ValidationError(
             f"a {kind} bracket is a pair of real numbers (lo, hi), got {bracket!r}"
         ) from None
-    for end, value in (("lo", lo), ("hi", hi)):
-        if not isinstance(value, numbers.Real):
-            raise ValidationError(f"{kind} bracket end {end} must be a real number, got {value!r}")
-    lo, hi = float(lo), float(hi)
+    lo, hi = _real(lo, f"{kind} bracket end lo"), _real(hi, f"{kind} bracket end hi")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"{kind} bracket ({lo:g}, {hi:g}) must be finite")
     if not lo < hi:
@@ -549,6 +539,7 @@ def figure_dataset(
         )
     start = pair.omega_a if spec.start is None else spec.start
     axis = SweepAxis(spec.variable, start, spec.stop, resolution)
+    separations = tuple(_real(value, "a separation") for value in separations)
     family = separations if spec.family is _SEP else spec.members or (None,)
     if len(family) == 0:
         raise ValidationError(f"{figure_id.value} takes at least one separation, got none")

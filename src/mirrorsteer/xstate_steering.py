@@ -42,7 +42,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _real
 
 _SQRT3 = math.sqrt(3.0)
 # weights of the product terms in the steering thresholds
@@ -193,10 +193,10 @@ class XState:
 
     Parameters
     ----------
-    d11, d22, d33, d44 : float
-        Diagonal entries, each in [0, 1] up to a 1e-12 tolerance; values
-        in [-1e-12, 0) are clamped to zero. The trace must equal 1 within
-        1e-12.
+    d11, d22, d33, d44 : real
+        Diagonal entries, read as floats, each in [0, 1] up to a 1e-12
+        tolerance; values in [-1e-12, 0) are clamped to zero. The trace
+        must equal 1 within 1e-12.
     c14, c23 : complex
         Antidiagonal coherences. Positivity of the full operator is not
         enforced: the leading-order harvested states have d44 = 0 with
@@ -211,8 +211,8 @@ class XState:
     c23: complex = 0j
 
     def __post_init__(self):
-        entries = (float(self.d11), float(self.d22), float(self.d33), float(self.d44),
-                   complex(self.c14), complex(self.c23))
+        entries = (_real(self.d11, "d11"), _real(self.d22, "d22"), _real(self.d33, "d33"),
+                   _real(self.d44, "d44"), complex(self.c14), complex(self.c23))
         for name, value in vars(_state(_ONE_POINT, *entries)[0]).items():
             object.__setattr__(self, name, value)
 

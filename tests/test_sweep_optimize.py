@@ -4,6 +4,7 @@ the figure dataset builders."""
 import dataclasses
 import math
 import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +29,7 @@ from mirrorsteer.detector_model import (
     correlations,
     harvested_steering,
     state_from_block,
+    steering_from_block,
     transition_probability,
 )
 from mirrorsteer import detector_model, sweep_optimize, xstate_steering
@@ -208,7 +210,8 @@ class TestSweepAxis:
         assert 1.5e-323 / 999 == 0.0
         for start, stop, points in self.linear_ranges():
             got = SweepAxis(SweepVariable.SEPARATION, start, stop, points).grid()
-            want = np.linspace(start, stop, points)
+            # a SweepAxis reads its ends as floats, np.float32 ones included
+            want = np.linspace(float(start), float(stop), points)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (start, stop)
 
     def test_linear_grid_makes_no_linspace_call(self, monkeypatch):
@@ -269,6 +272,25 @@ class TestSweep:
             )
             assert s_ab == direct.s_ab
             assert s_ba == direct.s_ba
+
+    @pytest.mark.parametrize("variable", list(SweepVariable))
+    @pytest.mark.parametrize("geom", [GEOM_PAR, GEOM_ORT], ids=["parallel", "orthogonal"])
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(1, 3), (np.float32(0.3), np.float32(2.9)), (np.float64(0.3), np.float64(2.9)),
+         (Fraction(3, 10), Fraction(29, 10))],
+        ids=["int", "float32", "float64", "fraction"],
+    )
+    def test_real_ends_sweep_as_their_floats(self, variable, geom, start, stop):
+        # the documented contract: a sweep is bit for bit its one-point
+        # route at each axis value, whatever real type its ends are given in
+        got = sweep(PAIR, geom, SweepAxis(variable, start, stop, 9))
+        want = sweep(PAIR, geom, SweepAxis(variable, float(start), float(stop), 9))
+        assert _bits(got.columns) == _bits(want.columns) and got.params == want.params
+        for value, s_ab, s_ba in zip(*map(got.column, ("axis", "s_ab", "s_ba"))):
+            # harvested_steering at that value: steering_from_block of its block
+            direct = _at(PAIR, geom, variable, value, steering_from_block)
+            assert (direct.s_ab, direct.s_ba) == (s_ab, s_ba)
 
     def test_orthogonal_identical_never_favours_a_to_b(self):
         axis = SweepAxis(SweepVariable.SEPARATION, start=0.1, stop=6.0, points=60)
