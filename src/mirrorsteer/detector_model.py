@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PerturbativeValidityError, ValidationError, _member, _real
+from .errors import PerturbativeValidityError, ValidationError, _complex, _member, _real
 from .special_functions import _w_point, erfcx, wofz
 from .xstate_steering import _ARRAYS as _ARRAY_OPS
 from .xstate_steering import _ONE_POINT as _POINT_OPS
@@ -150,8 +150,7 @@ def _block_rules(v):
         (v.p_sum < 1.0, PerturbativeValidityError,
          "p_a + p_b = {p_sum!r} >= 1: coupling too strong for the leading-order state"),
         # Im G = e^{-l^2/4} cos(d l/2)/l overflows below l ~ 1e-308
-        ((abs(v.c.real) < _INF) & (abs(v.c.imag) < _INF) & (abs(v.x.real) < _INF)
-         & (abs(v.x.imag) < _INF), ValidationError,
+        ((v.c * 0.0 == 0.0) & (v.x * 0.0 == 0.0), ValidationError,
          "c and x must be finite, got x = {x!r}: the separation is below the kernels' range"),
     )
 
@@ -169,8 +168,10 @@ class DetectorPair:
     coupling: float = 1.0
 
     def __post_init__(self):
-        for name in ("omega_a", "omega_b", "coupling"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
+        # the fields read as floats, written past the frozen __setattr__
+        self.__dict__.update(omega_a=_real(self.omega_a, "omega_a"),
+                             omega_b=_real(self.omega_b, "omega_b"),
+                             coupling=_real(self.coupling, "coupling"))
         _check(_pair_rules, self)
 
 
@@ -205,22 +206,21 @@ class BoundaryGeometry:
         lengths = _mirror_lengths(_ONE_POINT, alignment, _real(self.separation, "separation"),
                                   _real(self.boundary_distance, "boundary_distance"))
         _check(_geometry_rules, lengths)
-        object.__setattr__(self, "alignment", alignment)
-        object.__setattr__(self, "separation", lengths.separation)
-        object.__setattr__(self, "boundary_distance", lengths.boundary_distance)
-        # the checked lengths, which every kernel reads; not a field
-        object.__setattr__(self, "_lengths", lengths)
+        # the checked fields, written past the frozen __setattr__, and the
+        # checked lengths, which every kernel reads; not a field
+        self.__dict__.update(alignment=alignment, separation=lengths.separation,
+                             boundary_distance=lengths.boundary_distance, _lengths=lengths)
 
 
 @dataclass(frozen=True)
 class CorrelationBlock:
     """Entries of the leading-order joint state.
 
-    ``p_a`` and ``p_b`` are the excitation probabilities, ``c`` the
-    cross-excitation correlation and ``x`` the double-excitation
-    coherence. ``p_a + p_b < 1`` is required, otherwise the remaining
-    ground-state population would be negative and the leading-order
-    truncation is meaningless.
+    ``p_a`` and ``p_b`` are the excitation probabilities, read as floats,
+    ``c`` the cross-excitation correlation and ``x`` the double-excitation
+    coherence, read as complex numbers. ``p_a + p_b < 1`` is required,
+    otherwise the remaining ground-state population would be negative and
+    the leading-order truncation is meaningless.
     """
 
     p_a: float
@@ -230,12 +230,10 @@ class CorrelationBlock:
 
     def __post_init__(self):
         pa, pb = _real(self.p_a, "p_a"), _real(self.p_b, "p_b")
-        c, x = complex(self.c), complex(self.x)
-        _check(_block_rules, SimpleNamespace(p_a=pa, p_b=pb, p_sum=pa + pb, c=c, x=x))
-        object.__setattr__(self, "p_a", pa)
-        object.__setattr__(self, "p_b", pb)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "x", x)
+        fields = dict(p_a=pa, p_b=pb, c=_complex(self.c, "c"), x=_complex(self.x, "x"))
+        _check(_block_rules, SimpleNamespace(**fields, p_sum=pa + pb))
+        # the checked fields, written past the frozen __setattr__
+        self.__dict__.update(fields)
 
     @property
     def trusted(self) -> bool:
@@ -276,7 +274,7 @@ def _aux_f(l: float, s: float) -> float:
         bracket = i1 / 2.0 + l * l * i3 / 48.0 + l**4 * i5 / 3840.0
         return damping * bracket
     # every route checks its inputs before F runs, so the argument is finite
-    return -(math.exp(-s * s / 4.0) / l) * _w_point(complex(-l / 2.0, s / 2.0)).imag
+    return -math.exp(-s * s / 4.0) / l * _w_point(complex(l / -2.0, s / 2.0)).imag
 
 
 def _aux_f_array(l, s) -> np.ndarray:
@@ -292,12 +290,13 @@ def _aux_f_array(l, s) -> np.ndarray:
     warnings off.
     """
     l = l if isinstance(l, np.ndarray) else np.full(s.size, l)
-    z = (-l / 2.0).astype(complex)
+    z = (l / -2.0).astype(complex)
     z.imag = s / 2.0
-    # a held gap stays one number, so its damping is one exp
-    out = -(_each(math.exp, -s * s / 4.0) / l) * wofz(z).imag
+    # a held gap stays one number, so its damping, negated, is one exp
+    out = -_each(math.exp, -s * s / 4.0) / l * wofz(z).imag
     small = l < SERIES_CROSSOVER
-    if small.any():
+    # a count, which costs a third of ``small.any()`` on a short array
+    if np.count_nonzero(small):
         out[small] = _each(_aux_f, l[small], s[small] if isinstance(s, np.ndarray) else s)
     return out
 
@@ -414,10 +413,11 @@ def _entries(ns, pair, lengths, p_a=None, p_b=None, direct=None,
 
     The stages past the pair terms: the probability of each detector at its
     mirror distance, the kernels at the direct separation, and those at the
-    image separation.  An evaluator passes in the stages it holds fixed, and
-    may pass ``probability`` and ``kernels`` that keep their results
-    (:func:`_kept`) for the first three; the image kernels, which differ
-    from curve to curve, are always computed.
+    image separation.  An evaluator passes in, by position, the stages it
+    holds fixed (None for the others), and may pass ``probability`` and
+    ``kernels`` that keep their results (:func:`_kept`) for the first three;
+    the image kernels, which differ from curve to curve, are always
+    computed.
     """
     if p_a is None:
         p_a = probability(ns, pair.free_a, pair.pref, pair.omega_a, lengths.boundary_distance)
@@ -443,7 +443,7 @@ def correlations(pair: DetectorPair, geom: BoundaryGeometry) -> CorrelationBlock
     terms = _pair_terms(_ONE_POINT, pair.omega_a, pair.omega_b, pair.coupling)
     values = _entries(_ONE_POINT, terms, geom._lengths)
     _check(_phase_rules, values)
-    return CorrelationBlock(p_a=values.p_a, p_b=values.p_b, c=complex(values.c), x=values.x)
+    return CorrelationBlock(values.p_a, values.p_b, values.c, values.x)
 
 
 def _block_evaluator(
@@ -462,18 +462,23 @@ def _block_evaluator(
     and the rules of :class:`DetectorPair` (omega_b swept only),
     :class:`BoundaryGeometry` (a length swept only), the kernel phases and
     :class:`CorrelationBlock`, in that order, through the namespace the
-    value's type picks.  The X-state of a block that passes is read straight
-    through ``_steering``, with d11 clamped as :class:`XState` clamps it:
-    once the block's rules hold, its diagonal 1 - p_a - p_b, p_b, p_a, 0
-    lies in [0, 1] with unit trace, and its coherences x and c are finite;
-    c is real and Re x stays bounded, so their moduli are finite too, and
-    no rule of :class:`XState` can fail there.  It returns ``(values,
-    observed, ok)``, ``observed`` being P_A, P_B and the columns of
-    ``_steering``, each bit for bit the one-point route's; a value held
-    fixed stays one number.  At one point a failed rule is raised as the
-    dataclasses raise it, and ``ok`` is True; over an array ``ok`` is true
-    exactly at the points that pass, and the values elsewhere are
-    placeholders.
+    value's type picks.  A point builds the namespace its rules read (the
+    lengths, or the gaps), the namespace of :func:`_entries`, the rows of
+    three rule tables and the tuple it returns; no dataclass.  The X-state
+    of a block that passes is read straight through ``_steering``: once the
+    block's rules hold, its diagonal 1 - p_a - p_b, p_b, p_a, 0 lies in
+    [0, 1] with unit trace, and its coherences x and c are finite; c is real
+    and Re x stays bounded, so their moduli are finite too, and no rule of
+    :class:`XState` can fail there.  Nor can its clamps at zero change an
+    entry: p_a, p_b and 0 are read as they are, and with p_a and p_b
+    nonnegative and p_a + p_b < 1 after rounding, 1 - p_a exceeds p_b before
+    rounding and so is at least p_b after it, and d11 = (1 - p_a) - p_b is
+    +0.0 or more.  It returns ``(values, observed, ok)``, ``observed``
+    being P_A, P_B and the columns of ``_steering``, each bit for bit the
+    one-point route's; a value held fixed stays one number.  At one point a
+    failed rule is raised as the dataclasses raise it, and ``ok`` is True;
+    over an array ``ok`` is true exactly at the points that pass, and the
+    values elsewhere are placeholders.
 
     The evaluators of one figure's curves share a ``store``, a dict that
     lives as long as the figure's build.  Each stage the evaluator does not
@@ -486,30 +491,29 @@ def _block_evaluator(
     omega_a, coupling, alignment = pair.omega_a, pair.coupling, geom.alignment
     ns, lengths = _ONE_POINT, geom._lengths
     terms = _pair_terms(ns, omega_a, pair.omega_b, coupling)
-    held = {}
+    p_a = p_b = direct = None
     if swept != "boundary_distance":
-        held["p_a"] = _probability(ns, terms.free_a, terms.pref, omega_a, lengths.boundary_distance)
-    pair_terms, kept = _pair_terms, {}
+        p_a = _probability(ns, terms.free_a, terms.pref, omega_a, lengths.boundary_distance)
+    pair_terms, probability, kernels = _pair_terms, _probability, _kernels
     if store is not None:
-        pair_terms = _kept(_pair_terms, store)
-        kept = {"probability": _kept(_probability, store), "kernels": _kept(_kernels, store)}
-    # the rules on the swept input, the values they read, and the pair terms
-    # and lengths from those values; a refused point of an array is computed
-    # at a placeholder input, where no kernel overflows or leaves its domain
-    if swept == "omega_b":
+        pair_terms, probability, kernels = (
+            _kept(fn, store) for fn in (_pair_terms, _probability, _kernels))
+    # the rules on the swept input and the values they read: the gaps, or the
+    # lengths, which the stages then read; a refused point of an array is
+    # computed at a placeholder input, where no kernel overflows or leaves
+    # its domain
+    gap_swept = swept == "omega_b"
+    if gap_swept:
         rules, placeholder = _pair_rules, omega_a
         inputs = lambda ns, wb: SimpleNamespace(omega_a=omega_a, omega_b=wb, coupling=coupling)
-        stages = lambda ns, v: (pair_terms(ns, omega_a, v.omega_b, coupling), lengths)
     else:
         rules, placeholder = _geometry_rules, 1.0
-        stages = lambda ns, v: (terms, v)
         if swept == "boundary_distance":
-            held["direct"] = _kernels(ns, lengths.separation, terms.d, terms.s)
+            direct = _kernels(ns, lengths.separation, terms.d, terms.s)
             inputs = lambda ns, dz: _mirror_lengths(ns, alignment, lengths.separation, dz)
         else:
             if alignment is Alignment.PARALLEL:
-                held["p_b"] = _probability(ns, terms.free_b, terms.pref, terms.omega_b,
-                                           lengths.distance_b)
+                p_b = _probability(ns, terms.free_b, terms.pref, terms.omega_b, lengths.distance_b)
             inputs = lambda ns, l: _mirror_lengths(ns, alignment, l, lengths.boundary_distance)
 
     def at(value):
@@ -518,15 +522,17 @@ def _block_evaluator(
         ok = ns.verdict(rules, v)
         if ok is not True and not ok.all():
             v = inputs(ns, np.where(ok, value, placeholder))
-        values = _entries(ns, *stages(ns, v), **held, **kept)
+        if gap_swept:
+            t, lens = pair_terms(ns, omega_a, v.omega_b, coupling), lengths
+        else:
+            t, lens = terms, v
+        values = _entries(ns, t, lens, p_a, p_b, direct, probability, kernels)
         ok = ok & ns.verdict(_phase_rules, values) & ns.verdict(_block_rules, values)
         c, x = values.c, values.x
         if ok is not True and not ok.all():
             # the modulus of a refused coherence can overflow abs
             c, x = ns.where(ok, c, 0.0), ns.where(ok, x, 0.0)
-        # XState's clamp; the block's rules leave it nothing to refuse
-        d11, *entries = _state_entries(values.p_a, values.p_b, c, x)
-        columns = _steering(ns, ns.max(d11, 0.0), *entries)
+        columns = _steering(ns, *_state_entries(values.p_a, values.p_b, c, x))
         return values, (values.p_a, values.p_b, *columns), ok
 
     return at
@@ -543,7 +549,7 @@ def boundary_free_correlations(pair: DetectorPair, separation: float) -> Correla
     return CorrelationBlock(
         p_a=terms.free_a,
         p_b=terms.free_b,
-        c=complex(terms.c_weight * f),
+        c=terms.c_weight * f,
         x=terms.x_weight * complex(g_re, g_im),
     )
 

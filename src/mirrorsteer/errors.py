@@ -21,7 +21,9 @@ class ConvergenceError(RuntimeError):
 def _member(kind, value, name: str):
     """The member of the enum ``kind`` that ``value`` is or names; anything
     else raises a :class:`ValidationError` that lists the accepted values
-    under ``name``."""
+    under ``name``.  A member comes back as it is, without the enum's call."""
+    if type(value) is kind:
+        return value
     try:
         return kind(value)
     except ValueError:
@@ -32,10 +34,28 @@ def _member(kind, value, name: str):
 def _real(value, name: str) -> float:
     """``value`` as a float, if it is a real number that a double holds; text,
     None, a complex number or an int beyond the doubles raises a
-    :class:`ValidationError` that names it ``name``."""
-    if not isinstance(value, (float, numbers.Real)):  # float first skips the ABC check
+    :class:`ValidationError` that names it ``name``.  A float, the usual
+    input, comes back as it is."""
+    if type(value) is float:
+        return value
+    if not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     try:
         return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is too large for a double") from None
+
+
+def _complex(value, name: str) -> complex:
+    """``value`` as a complex number, if it is a number whose parts doubles
+    hold; text, bytes, None or an int beyond the doubles raises a
+    :class:`ValidationError` that names it ``name``.  A complex number, the
+    usual input, comes back as it is, and a float skips the ABC check."""
+    if type(value) is complex:
+        return value
+    if not isinstance(value, (float, numbers.Complex)):
+        raise ValidationError(f"{name} must be a complex number, got {value!r}")
+    try:
+        return complex(value)
     except OverflowError:
         raise ValidationError(f"{name} is too large for a double") from None

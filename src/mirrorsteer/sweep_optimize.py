@@ -513,7 +513,7 @@ def figure_dataset(
     figure_id: FigureId | str,
     pair: DetectorPair | None = None,
     resolution: int = _FIGURE_RESOLUTION,
-    separations: Sequence[float] = _FIGURE_SEPARATIONS,
+    separations: Iterable[float] = _FIGURE_SEPARATIONS,
 ) -> dict[str, SweepTable]:
     """Build the labelled table set behind one of the standard figures.
 
@@ -522,7 +522,7 @@ def figure_dataset(
     ``fig5``: steering versus mirror distance, both alignments, plus a
     constant boundary-free reference table.
     ``fig6``: steering versus the detector-B gap, both alignments, at each
-    separation of ``separations``, of which there must be at least one.
+    separation of ``separations``, an iterable of reals with at least one.
     ``fig7``: both alignments versus separation and their
     orthogonal-minus-parallel steering difference.
     Every table carries the parameters it was computed with.  A curve whose
@@ -539,6 +539,12 @@ def figure_dataset(
         )
     start = pair.omega_a if spec.start is None else spec.start
     axis = SweepAxis(spec.variable, start, spec.stop, resolution)
+    try:
+        separations = iter(separations)
+    except TypeError:
+        raise ValidationError(
+            f"separations must be an iterable of real numbers, got {separations!r}"
+        ) from None
     separations = tuple(_real(value, "a separation") for value in separations)
     family = separations if spec.family is _SEP else spec.members or (None,)
     if len(family) == 0:

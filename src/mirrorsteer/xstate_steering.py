@@ -30,11 +30,12 @@ an array pass ANDs the rules into a verdict per point.  :class:`XState`
 checks and clamps a state through :func:`_state`, and :func:`_steering`
 gives its columns unchecked, at one point or over arrays.  Sweeps and
 searches read :func:`_steering` on the X-state of a correlation block that
-passed its own rules, which leave :class:`XState` nothing to refuse.
+passed its own rules, which leave :class:`XState` nothing to refuse or clamp.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ValidationError, _real
+from .errors import ValidationError, _complex, _real
 
 _SQRT3 = math.sqrt(3.0)
 # weights of the product terms in the steering thresholds
@@ -68,11 +69,16 @@ def _each(fn, *args):
     """
     if len(args) == 1 and isinstance(args[0], np.ndarray):
         return np.fromiter(map(fn, args[0].tolist()), float, args[0].size)
-    sizes = [a.size for a in args if isinstance(a, np.ndarray)]
-    if not sizes:
+    columns, size = [], None
+    for a in args:
+        if isinstance(a, np.ndarray):
+            columns.append(a.tolist())
+            size = a.size
+        else:
+            columns.append(itertools.repeat(a))
+    if size is None:
         return fn(*args)
-    columns = (a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args)
-    return np.fromiter(map(fn, *columns), float, sizes[0])
+    return np.fromiter(map(fn, *columns), float, size)
 
 
 def _maximum(first, *rest):
@@ -83,7 +89,17 @@ def _maximum(first, *rest):
     return first
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+def _larger(first, second, third=-math.inf):
+    """``max`` of two or three numbers by the same choice, at a third of the
+    builtin's cost; the default third value is never greater than anything."""
+    if second > first:
+        first = second
+    if third > first:
+        first = third
+    return first
+
+
+def _complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     z = re.astype(complex)
     z.imag = im
     return z
@@ -101,20 +117,24 @@ def _abs(a):
 
 # A domain check is an ordered table of rules: a function of a namespace of
 # values that returns one row (holds, error type, message) per rule.  Each
-# ``holds`` uses comparisons, ``abs`` and ``&`` only (x is finite exactly
-# where abs(x) < _INF), so a table reads one point or each point of arrays;
-# a message formats the values by name.  A namespace's ``verdict`` reads a
-# table: one point raises the first rule it fails, and an array pass ANDs
-# the rules into a verdict per point.
+# ``holds`` uses comparisons, ``abs``, ``&`` and products only (a real x is
+# finite exactly where abs(x) < _INF, and a complex z exactly where
+# z * 0.0 == 0.0, since inf * 0.0 and nan * 0.0 are nan in either part), so a
+# table reads one point or each point of arrays; a message formats the
+# values by name.  A namespace's ``verdict`` reads a table: one point raises
+# the first rule it fails, and an array pass ANDs the rules into a verdict
+# per point.
 _INF = math.inf
 
 
 def _holds(rules, values):
     """Whether each point of arrays passes every rule; called with numpy's
-    floating-point warnings off."""
+    floating-point warnings off.  A rule on held values alone holds as one
+    Python bool, and one that holds takes no array operation."""
     ok = True
     for holds, _, _ in rules(values):
-        ok = ok & holds
+        if holds is not True:
+            ok = holds if ok is True else ok & holds
     return ok
 
 
@@ -132,39 +152,37 @@ def _check(rules, values) -> bool:
 # +, -, *, / and sqrt correctly, and the arrays call libm and Python's
 # complex modulus one point at a time (a real modulus is exact in both), so
 # both give the same bits.
-_LIBM = ("exp", "erfc", "sin", "cos", "hypot")
+_LIBM = {name: getattr(math, name) for name in ("exp", "erfc", "sin", "cos", "hypot")}
 _ONE_POINT = SimpleNamespace(
-    **{name: getattr(math, name) for name in _LIBM}, sqrt=math.sqrt, abs=abs, max=max,
+    **_LIBM, sqrt=math.sqrt, abs=abs, max=_larger,
     where=lambda cond, a, b: a if cond else b, complex=complex,
     verdict=_check,
 )
 _ARRAYS = SimpleNamespace(
-    **{name: lambda *a, fn=getattr(math, name): _each(fn, *a) for name in _LIBM},
-    sqrt=np.sqrt, abs=_abs, max=_maximum, where=np.where, complex=_complex,
+    **{name: functools.partial(_each, fn) for name, fn in _LIBM.items()},
+    sqrt=np.sqrt, abs=_abs, max=_maximum, where=np.where, complex=_complex_array,
     verdict=_holds,
 )
 
 
-def _in_range(x):
-    return (x >= -_ATOL) & (x <= 1.0 + _ATOL)
+# the ends of a diagonal entry's range, [0, 1] widened by the tolerance
+_LOW, _HIGH = -_ATOL, 1.0 + _ATOL
 
 
 def _state_rules(v):
     """The rules of :class:`XState`, on the values :func:`_state` checks."""
     return (
         (abs(v.d11) < _INF, ValidationError, "d11 must be finite"),
-        (_in_range(v.d11), ValidationError, "d11 = {d11!r} outside [0, 1]"),
+        ((v.d11 >= _LOW) & (v.d11 <= _HIGH), ValidationError, "d11 = {d11!r} outside [0, 1]"),
         (abs(v.d22) < _INF, ValidationError, "d22 must be finite"),
-        (_in_range(v.d22), ValidationError, "d22 = {d22!r} outside [0, 1]"),
+        ((v.d22 >= _LOW) & (v.d22 <= _HIGH), ValidationError, "d22 = {d22!r} outside [0, 1]"),
         (abs(v.d33) < _INF, ValidationError, "d33 must be finite"),
-        (_in_range(v.d33), ValidationError, "d33 = {d33!r} outside [0, 1]"),
+        ((v.d33 >= _LOW) & (v.d33 <= _HIGH), ValidationError, "d33 = {d33!r} outside [0, 1]"),
         (abs(v.d44) < _INF, ValidationError, "d44 must be finite"),
-        (_in_range(v.d44), ValidationError, "d44 = {d44!r} outside [0, 1]"),
+        ((v.d44 >= _LOW) & (v.d44 <= _HIGH), ValidationError, "d44 = {d44!r} outside [0, 1]"),
         (abs(v.trace - 1.0) <= _ATOL, ValidationError, _TRACE_FAILS),
-        ((abs(v.c14.real) < _INF) & (abs(v.c14.imag) < _INF), ValidationError,
-         "c14 must be finite"),
-        ((abs(v.c23.real) < _INF) & (abs(v.c23.imag) < _INF), ValidationError,
-         "c23 must be finite"),
+        (v.c14 * 0.0 == 0.0, ValidationError, "c14 must be finite"),
+        (v.c23 * 0.0 == 0.0, ValidationError, "c23 must be finite"),
         # a finite coherence can still overflow its modulus; halved, it cannot
         ((abs(v.c14 * 0.5) * 2.0 < _INF) & (abs(v.c23 * 0.5) * 2.0 < _INF), ValidationError,
          "the moduli of c14 = {c14!r} and c23 = {c23!r} must be finite"),
@@ -175,16 +193,17 @@ _TRACE_FAILS = f"trace = {{trace!r}}, expected 1 within {_ATOL}"
 
 
 def _state(ns, d11, d22, d33, d44, c14, c23):
-    """The fields :class:`XState` holds for these entries, as a namespace,
-    the diagonal clamped at zero, and the ``verdict`` of :func:`_state_rules`
-    on the entries and the trace of that clamped diagonal."""
+    """The fields :class:`XState` holds for these entries, d11 to c23 in
+    order, the diagonal clamped at zero, and the ``verdict`` of
+    :func:`_state_rules` on the entries and the trace of that clamped
+    diagonal."""
     diagonal = (ns.max(d11, 0.0), ns.max(d22, 0.0), ns.max(d33, 0.0), ns.max(d44, 0.0))
     trace = diagonal[0] + diagonal[1] + diagonal[2] + diagonal[3]
     values = SimpleNamespace(d11=d11, d22=d22, d33=d33, d44=d44, trace=trace, c14=c14, c23=c23)
-    ok = ns.verdict(_state_rules, values)
-    state = SimpleNamespace(d11=diagonal[0], d22=diagonal[1], d33=diagonal[2], d44=diagonal[3],
-                            c14=c14, c23=c23)
-    return state, ok
+    return (*diagonal, c14, c23), ns.verdict(_state_rules, values)
+
+
+_FIELDS = ("d11", "d22", "d33", "d44", "c14", "c23")
 
 
 @dataclass(frozen=True)
@@ -198,9 +217,11 @@ class XState:
         tolerance; values in [-1e-12, 0) are clamped to zero. The trace
         must equal 1 within 1e-12.
     c14, c23 : complex
-        Antidiagonal coherences. Positivity of the full operator is not
-        enforced: the leading-order harvested states have d44 = 0 with
-        c14 != 0 and are only positive once higher orders are included.
+        Antidiagonal coherences, read as complex numbers; text, None and
+        numbers beyond the doubles are refused. Positivity of the full
+        operator is not enforced: the leading-order harvested states have
+        d44 = 0 with c14 != 0 and are only positive once higher orders are
+        included.
     """
 
     d11: float
@@ -211,10 +232,12 @@ class XState:
     c23: complex = 0j
 
     def __post_init__(self):
-        entries = (_real(self.d11, "d11"), _real(self.d22, "d22"), _real(self.d33, "d33"),
-                   _real(self.d44, "d44"), complex(self.c14), complex(self.c23))
-        for name, value in vars(_state(_ONE_POINT, *entries)[0]).items():
-            object.__setattr__(self, name, value)
+        fields, _ = _state(
+            _ONE_POINT, _real(self.d11, "d11"), _real(self.d22, "d22"), _real(self.d33, "d33"),
+            _real(self.d44, "d44"), _complex(self.c14, "c14"), _complex(self.c23, "c23"),
+        )
+        # the checked fields, in one write past the frozen __setattr__
+        self.__dict__.update(zip(_FIELDS, fields))
 
 
 @dataclass(frozen=True)
@@ -227,10 +250,21 @@ class SteeringResult:
     concurrence: float
 
 
-def _margins(ns, d11, d22, d33, d44, m14, m23):
-    """Signed margins of S(A->B) and S(B->A) from the factored thresholds:
-    each the larger of a coherence modulus less its threshold, via c14 and
-    via c23, so a direction steers exactly where its margin is positive."""
+def _concurrence(ns, p14, p23, m14, m23):
+    """The concurrence from the products d11 d44 and d22 d33 and the moduli
+    |c14| and |c23|."""
+    return 2.0 * ns.max(0.0, m14 - ns.sqrt(p23), m23 - ns.sqrt(p14))
+
+
+def _steering(ns, d11, d22, d33, d44, c14, c23):
+    """|c23|, |c14|, S(A->B), S(B->A), their difference, the concurrence and
+    the signed margins of A->B and B->A of an X-state, unchecked.
+
+    The margins come from the factored thresholds: each is the larger of a
+    coherence modulus less its threshold, via c14 and via c23, so a
+    direction steers exactly where its margin is positive, and each
+    direction is its margin clamped at 0."""
+    m14, m23 = ns.abs(c14), ns.abs(c23)
     p14 = d11 * d44
     p23 = d22 * d33
     w_a = _W_MINUS * p14 + _W_PLUS * p23
@@ -238,24 +272,10 @@ def _margins(ns, d11, d22, d33, d44, m14, m23):
     # cross term of g_a and g_c, plus g_b for A->B and minus g_b for B->A
     h_ab = 0.5 * (d11 * d22 + d33 * d44)
     h_ba = 0.5 * (d11 * d33 + d22 * d44)
-    return (
-        ns.max(m14 - ns.sqrt(w_a + h_ab), m23 - ns.sqrt(w_c + h_ab)),
-        ns.max(m14 - ns.sqrt(w_a + h_ba), m23 - ns.sqrt(w_c + h_ba)),
-    )
-
-
-def _concurrence(ns, d11, d22, d33, d44, m14, m23):
-    return 2.0 * ns.max(0.0, m14 - ns.sqrt(d22 * d33), m23 - ns.sqrt(d11 * d44))
-
-
-def _steering(ns, d11, d22, d33, d44, c14, c23):
-    """|c23|, |c14|, S(A->B), S(B->A), their difference, the concurrence and
-    the signed margins of A->B and B->A of an X-state, unchecked.  Each
-    direction is its margin clamped at 0."""
-    m14, m23 = ns.abs(c14), ns.abs(c23)
-    m_ab, m_ba = _margins(ns, d11, d22, d33, d44, m14, m23)
+    m_ab = ns.max(m14 - ns.sqrt(w_a + h_ab), m23 - ns.sqrt(w_c + h_ab))
+    m_ba = ns.max(m14 - ns.sqrt(w_a + h_ba), m23 - ns.sqrt(w_c + h_ba))
     s_ab, s_ba = ns.max(0.0, m_ab), ns.max(0.0, m_ba)
-    concurrence = _concurrence(ns, d11, d22, d33, d44, m14, m23)
+    concurrence = _concurrence(ns, p14, p23, m14, m23)
     return m23, m14, s_ab, s_ba, s_ab - s_ba, concurrence, m_ab, m_ba
 
 
@@ -273,8 +293,8 @@ def concurrence(state: XState) -> float:
     The result is not capped at 1; operators outside the positivity cone
     can exceed the physical range and are reported as computed.
     """
-    moduli = abs(state.c14), abs(state.c23)
-    return _concurrence(_ONE_POINT, state.d11, state.d22, state.d33, state.d44, *moduli)
+    return _concurrence(_ONE_POINT, state.d11 * state.d44, state.d22 * state.d33,
+                        abs(state.c14), abs(state.c23))
 
 
 def steering_b_to_a(state: XState) -> float:

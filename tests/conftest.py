@@ -75,8 +75,8 @@ def observe(ns, d11, d22, d33, d44, c14, c23):
     where :class:`XState` accepts the point, the columns elsewhere
     placeholders.  Generic X-state arrays go through it; the library's sweeps
     and searches read ``_steering`` on states their blocks already vouch for."""
-    state, ok = _state(ns, d11, d22, d33, d44, c14, c23)
+    (d11, d22, d33, d44, _, _), ok = _state(ns, d11, d22, d33, d44, c14, c23)
     if ok is not True:
         # the modulus of a refused coherence can overflow abs
         c14, c23 = ns.where(ok, c14, 0.0), ns.where(ok, c23, 0.0)
-    return _steering(ns, state.d11, state.d22, state.d33, state.d44, c14, c23), ok
+    return _steering(ns, d11, d22, d33, d44, c14, c23), ok

@@ -1,7 +1,8 @@
 """Every real input of the library is read one way, by ``errors._real``: a
 ``numbers.Real`` that a double holds becomes its ``float()``, and anything
 else (text, None, a complex number, an int beyond the doubles) raises
-exactly :class:`ValidationError`, naming the input."""
+exactly :class:`ValidationError`, naming the input.  Every complex input is
+read by ``errors._complex`` in the same way, into its ``complex()``."""
 
 from fractions import Fraction
 
@@ -130,3 +131,43 @@ def test_figure_separations_may_be_any_iterable():
     want = figure_dataset("fig6", resolution=3, separations=(0.05, 2.0))
     assert figure_dataset("fig6", resolution=3, separations=iter((0.05, 2.0))) == want
     assert figure_dataset("fig6", resolution=3, separations=(s for s in (0.05, 2.0))) == want
+
+
+def test_figure_separations_must_be_iterable():
+    # a lone number is refused by the name of the argument it was passed as
+    with pytest.raises(ValidationError) as info:
+        figure_dataset("fig6", resolution=3, separations=2.0)
+    assert type(info.value) is ValidationError
+    assert str(info.value).startswith("separations "), str(info.value)
+
+
+# (entry point of one complex input, the name it is given)
+COMPLEX_ENTRIES = {
+    "CorrelationBlock.c": (lambda v: CorrelationBlock(0.1, 0.1, v, 0.02j), "c"),
+    "CorrelationBlock.x": (lambda v: CorrelationBlock(0.1, 0.1, 0.01, v), "x"),
+    "XState.c14": (lambda v: XState(0.5, 0.5, 0.0, 0.0, v), "c14"),
+    "XState.c23": (lambda v: XState(0.5, 0.5, 0.0, 0.0, 0j, v), "c23"),
+}
+COMPLEX_REFUSED = {
+    "text": "0.1j",
+    "none": None,
+    "bytes": b"1",
+    "beyond-doubles": 10**400,
+}
+
+
+@pytest.mark.parametrize("value", COMPLEX_REFUSED.values(), ids=COMPLEX_REFUSED.keys())
+@pytest.mark.parametrize("entry", COMPLEX_ENTRIES.values(), ids=COMPLEX_ENTRIES.keys())
+def test_complex_refused_with_the_input_named(entry, value):
+    call, name = entry
+    with pytest.raises(ValidationError) as info:
+        call(value)
+    assert type(info.value) is ValidationError
+    assert str(info.value).startswith(f"{name} "), str(info.value)
+
+
+@pytest.mark.parametrize("entry", COMPLEX_ENTRIES.values(), ids=COMPLEX_ENTRIES.keys())
+def test_accepted_complex_read_as_their_complex(entry):
+    call, _ = entry
+    for value in (1, np.complex64(0.01 + 0.02j), Fraction(1, 100), np.float32(0.01)):
+        assert repr(call(value)) == repr(call(complex(value))), value
