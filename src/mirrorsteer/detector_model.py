@@ -17,7 +17,7 @@ generic X-state formulas of :mod:`mirrorsteer.xstate_steering`.
 Each formula and domain check is written once, over the namespaces of
 :mod:`mirrorsteer.xstate_steering` extended by the spacelike kernel F
 (:func:`_aux_f` at one point, :func:`_aux_f_array` over arrays), which every
-entry reads; X also reads the timelike kernel G (:func:`_timelike`).
+entry reads; X also reads the timelike kernel G (:func:`_kernels`).
 :func:`_block_evaluator`, built per sweep or search, holds what the swept
 input does not move, computes the rest and reads the steering of each
 point's X-state straight from the block, whose rules imply the X-state's.
@@ -25,6 +25,7 @@ point's X-state straight from the block, whose rules imply the X-state's.
 
 from __future__ import annotations
 
+import collections
 import enum
 import math
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ from .xstate_steering import (
     _check,
     _each,
     _INF,
+    _rules,
     _steering,
     steering_asymmetry,
 )
@@ -64,64 +66,74 @@ class Alignment(enum.Enum):
 # The domain checks, each an ordered table of rules: see xstate_steering.
 
 
-def _coupling_rules(v):
+@_rules(
+    (ValidationError, "coupling must be positive"),
+    (ValidationError, "coupling = {coupling:g} is too large: lambda² overflows"),
+)
+def _coupling_rules(coupling):
+    # every entry of the joint state carries the coupling squared
+    return coupling > 0.0, abs(coupling * coupling) < _INF
+
+
+@_rules((ValidationError, "boundary_distance must be positive"))
+def _distance_rules(boundary_distance):
+    return (boundary_distance > 0.0,)
+
+
+@_rules(
+    (ValidationError, "detector parameters must be finite"),
+    (ValidationError, "energy gaps must be nonnegative"),
+    (ValidationError,
+     "omega_b must not be smaller than omega_a; name the detector with the larger gap B"),
+    *_coupling_rules.rows,
+    (ValidationError, "omega_b = {omega_b:g} is too large: 2 omega_b overflows"),
+)
+def _pair_rules(omega_a, omega_b, coupling):
     return (
-        (v.coupling > 0.0, ValidationError, "coupling must be positive"),
-        # every entry of the joint state carries the coupling squared
-        (abs(v.coupling * v.coupling) < _INF, ValidationError,
-         "coupling = {coupling:g} is too large: lambda² overflows"),
-    )
-
-
-def _positive_distance_rule(v) -> tuple:
-    return (v.boundary_distance > 0.0, ValidationError, "boundary_distance must be positive")
-
-
-def _pair_rules(v):
-    return (
-        ((abs(v.omega_a) < _INF) & (abs(v.omega_b) < _INF) & (abs(v.coupling) < _INF),
-         ValidationError, "detector parameters must be finite"),
-        ((v.omega_a >= 0.0) & (v.omega_b >= 0.0), ValidationError,
-         "energy gaps must be nonnegative"),
-        (v.omega_b >= v.omega_a, ValidationError,
-         "omega_b must not be smaller than omega_a; name the detector with the larger gap B"),
-        *_coupling_rules(v),
+        (abs(omega_a) < _INF) & (abs(omega_b) < _INF) & (abs(coupling) < _INF),
+        (omega_a >= 0.0) & (omega_b >= 0.0),
+        omega_b >= omega_a,
+        *_coupling_rules(coupling),
         # the probability kernel reads each gap doubled
-        (abs(2.0 * v.omega_b) < _INF, ValidationError,
-         "omega_b = {omega_b:g} is too large: 2 omega_b overflows"),
+        abs(2.0 * omega_b) < _INF,
     )
 
 
-def _free_space_rules(v):
+@_rules((ValidationError, "omega must be a nonnegative real"), *_coupling_rules.rows)
+def _free_space_rules(omega, coupling):
+    return (abs(omega) < _INF) & (omega >= 0.0), *_coupling_rules(coupling)
+
+
+@_rules(
+    *_distance_rules.rows,
+    (ValidationError, "boundary_distance {boundary_distance:g} overflows its image distance 2 dz"),
+    *_free_space_rules.rows,
+    (ValidationError, "omega = {omega:g} is too large: 2 omega overflows"),
+)
+def _transition_rules(omega, boundary_distance, coupling):
     return (
-        ((abs(v.omega) < _INF) & (v.omega >= 0.0), ValidationError,
-         "omega must be a nonnegative real"),
-        *_coupling_rules(v),
+        *_distance_rules(boundary_distance),
+        abs(2.0 * boundary_distance) < _INF,
+        *_free_space_rules(omega, coupling),
+        abs(2.0 * omega) < _INF,
     )
 
 
-def _transition_rules(v):
-    return (
-        _positive_distance_rule(v),
-        (abs(2.0 * v.boundary_distance) < _INF, ValidationError,
-         "boundary_distance {boundary_distance:g} overflows its image distance 2 dz"),
-        *_free_space_rules(v),
-        (abs(2.0 * v.omega) < _INF, ValidationError,
-         "omega = {omega:g} is too large: 2 omega overflows"),
-    )
-
-
-def _geometry_rules(v):
+@_rules(
+    (ValidationError, "geometry lengths must be finite"),
+    (ValidationError, "separation must be positive"),
+    *_distance_rules.rows,
+    (ValidationError, "separation {separation:g} and boundary_distance {boundary_distance:g} "
+                      "overflow the mirror-image distances"),
+)
+def _geometry_rules(separation, boundary_distance, image_separation, distance_b):
     """The rules of :class:`BoundaryGeometry`, on :func:`_mirror_lengths`."""
     return (
-        ((abs(v.separation) < _INF) & (abs(v.boundary_distance) < _INF), ValidationError,
-         "geometry lengths must be finite"),
-        (v.separation > 0.0, ValidationError, "separation must be positive"),
-        _positive_distance_rule(v),
+        (abs(separation) < _INF) & (abs(boundary_distance) < _INF),
+        separation > 0.0,
+        *_distance_rules(boundary_distance),
         # distances to the mirror images; B's own, 2 dz_B, bounds A's 2 dz
-        ((abs(v.image_separation) < _INF) & (abs(2.0 * v.distance_b) < _INF), ValidationError,
-         "separation {separation:g} and boundary_distance {boundary_distance:g} "
-         "overflow the mirror-image distances"),
+        (abs(image_separation) < _INF) & (abs(2.0 * distance_b) < _INF),
     )
 
 
@@ -132,26 +144,28 @@ _DIRECT_PHASE, _IMAGE_PHASE = (
 )
 
 
-def _direct_phase_rules(v):
-    return ((abs(v.phase) < _INF, ValidationError, _DIRECT_PHASE),)
-
-
-def _phase_rules(v):
+@_rules((ValidationError, _DIRECT_PHASE), (ValidationError, _IMAGE_PHASE))
+def _phase_rules(d, separation, image_separation, phase, image_phase):
     """The timelike kernel's phases at the separation and at the image
     separation must be finite."""
-    return (*_direct_phase_rules(v), (abs(v.image_phase) < _INF, ValidationError, _IMAGE_PHASE))
+    return abs(phase) < _INF, abs(image_phase) < _INF
 
 
-def _block_rules(v):
+@_rules(
+    (ValidationError, "probabilities must be finite"),
+    (ValidationError, "probabilities must be nonnegative"),
+    (PerturbativeValidityError,
+     "p_a + p_b = {p_sum!r} >= 1: coupling too strong for the leading-order state"),
+    (ValidationError,
+     "c and x must be finite, got x = {x!r}: the separation is below the kernels' range"),
+)
+def _block_rules(p_a, p_b, p_sum, c, x):
     return (
-        ((abs(v.p_a) < _INF) & (abs(v.p_b) < _INF), ValidationError,
-         "probabilities must be finite"),
-        ((v.p_a >= 0.0) & (v.p_b >= 0.0), ValidationError, "probabilities must be nonnegative"),
-        (v.p_sum < 1.0, PerturbativeValidityError,
-         "p_a + p_b = {p_sum!r} >= 1: coupling too strong for the leading-order state"),
+        (abs(p_a) < _INF) & (abs(p_b) < _INF),
+        (p_a >= 0.0) & (p_b >= 0.0),
+        p_sum < 1.0,
         # Im G = e^{-l^2/4} cos(d l/2)/l overflows below l ~ 1e-308
-        ((v.c * 0.0 == 0.0) & (v.x * 0.0 == 0.0), ValidationError,
-         "c and x must be finite, got x = {x!r}: the separation is below the kernels' range"),
+        (c * 0.0 == 0.0) & (x * 0.0 == 0.0),
     )
 
 
@@ -167,24 +181,26 @@ class DetectorPair:
     omega_b: float
     coupling: float = 1.0
 
-    def __post_init__(self):
+    # each dataclass here checks its fields in its own __init__, which
+    # dataclass keeps, and writes them once: see XState
+    def __init__(self, omega_a: float, omega_b: float, coupling: float = 1.0):
+        omega_a, omega_b = _real(omega_a, "omega_a"), _real(omega_b, "omega_b")
+        coupling = _real(coupling, "coupling")
+        _check(_pair_rules, (omega_a, omega_b, coupling))
         # the fields read as floats, written past the frozen __setattr__
-        self.__dict__.update(omega_a=_real(self.omega_a, "omega_a"),
-                             omega_b=_real(self.omega_b, "omega_b"),
-                             coupling=_real(self.coupling, "coupling"))
-        _check(_pair_rules, self)
+        self.__dict__.update(omega_a=omega_a, omega_b=omega_b, coupling=coupling)
 
 
-def _mirror_lengths(ns, alignment: Alignment, separation, boundary_distance) -> SimpleNamespace:
-    """The lengths the kernels read: the separation, the image separation
-    (from one detector to the mirror image of the other), and the mirror
-    distances of A and B."""
+def _mirror_lengths(ns, alignment: Alignment, separation, boundary_distance) -> tuple:
+    """The lengths the kernels read, in the order :func:`_geometry_rules`
+    takes them: the separation, the mirror distance of A, the image
+    separation (from one detector to the mirror image of the other) and the
+    mirror distance of B."""
     if alignment is Alignment.PARALLEL:
-        image, distance_b = ns.hypot(separation, 2.0 * boundary_distance), boundary_distance
-    else:
-        image, distance_b = separation + 2.0 * boundary_distance, boundary_distance + separation
-    return SimpleNamespace(separation=separation, boundary_distance=boundary_distance,
-                           image_separation=image, distance_b=distance_b)
+        return (separation, boundary_distance, ns.hypot(separation, 2.0 * boundary_distance),
+                boundary_distance)
+    return (separation, boundary_distance, separation + 2.0 * boundary_distance,
+            boundary_distance + separation)
 
 
 @dataclass(frozen=True)
@@ -201,15 +217,16 @@ class BoundaryGeometry:
     separation: float
     boundary_distance: float
 
-    def __post_init__(self):
-        alignment = _member(Alignment, self.alignment, "alignment")
-        lengths = _mirror_lengths(_ONE_POINT, alignment, _real(self.separation, "separation"),
-                                  _real(self.boundary_distance, "boundary_distance"))
+    def __init__(self, alignment: Alignment, separation: float, boundary_distance: float):
+        alignment = _member(Alignment, alignment, "alignment")
+        separation = _real(separation, "separation")
+        boundary_distance = _real(boundary_distance, "boundary_distance")
+        lengths = _mirror_lengths(_ONE_POINT, alignment, separation, boundary_distance)
         _check(_geometry_rules, lengths)
         # the checked fields, written past the frozen __setattr__, and the
         # checked lengths, which every kernel reads; not a field
-        self.__dict__.update(alignment=alignment, separation=lengths.separation,
-                             boundary_distance=lengths.boundary_distance, _lengths=lengths)
+        self.__dict__.update(alignment=alignment, separation=separation,
+                             boundary_distance=boundary_distance, _lengths=lengths)
 
 
 @dataclass(frozen=True)
@@ -228,12 +245,12 @@ class CorrelationBlock:
     c: complex
     x: complex
 
-    def __post_init__(self):
-        pa, pb = _real(self.p_a, "p_a"), _real(self.p_b, "p_b")
-        fields = dict(p_a=pa, p_b=pb, c=_complex(self.c, "c"), x=_complex(self.x, "x"))
-        _check(_block_rules, SimpleNamespace(**fields, p_sum=pa + pb))
+    def __init__(self, p_a: float, p_b: float, c: complex, x: complex):
+        p_a, p_b = _real(p_a, "p_a"), _real(p_b, "p_b")
+        c, x = _complex(c, "c"), _complex(x, "x")
+        _check(_block_rules, (p_a, p_b, p_a + p_b, c, x))
         # the checked fields, written past the frozen __setattr__
-        self.__dict__.update(fields)
+        self.__dict__.update(p_a=p_a, p_b=p_b, c=c, x=x)
 
     @property
     def trusted(self) -> bool:
@@ -306,11 +323,13 @@ _ONE_POINT = SimpleNamespace(**vars(_POINT_OPS), F=_aux_f)
 _ARRAYS = SimpleNamespace(**vars(_ARRAY_OPS), F=_aux_f_array)
 
 
-def _timelike(ns, l, d):
-    """Timelike correlation kernel at separation ``l > 0`` and gap ``d``:
-    Re G, Im G and the phase d l/2, which :func:`_phase_rules` check.
+def _kernels(ns, l, d, s):
+    """The kernels at one separation ``l > 0``, direct or image: Re G, Im G
+    and the phase d l/2 of the timelike kernel G at the gap difference
+    ``d``, the phase being what :func:`_phase_rules` check, and the
+    spacelike kernel F at the gap sum ``s``.
 
-    Exactly the spacelike kernel at the same gap plus elementary terms:
+    G is exactly the spacelike kernel at the same gap plus elementary terms:
     G = F(l, d) + e^{-l^2/4} (sin(d l/2) + i cos(d l/2)) / l. The real
     part is continuous at l -> 0; the imaginary part diverges like 1/l
     there, the coincidence-limit singularity of the time-ordered
@@ -322,13 +341,8 @@ def _timelike(ns, l, d):
     # are undefined, is read as 0 here and refused by its rule
     phase = ns.where(damping != 0.0, d * l / 2.0, 0.0)
     read = ns.where(abs(phase) < _INF, phase, 0.0)
-    return ns.F(l, d) + damping * ns.sin(read) / l, damping * ns.cos(read) / l, phase
-
-
-def _kernels(ns, l, d, s):
-    """The kernels at one separation, direct or image: :func:`_timelike` at
-    the gap difference ``d`` and the spacelike kernel F at the gap sum ``s``."""
-    return (*_timelike(ns, l, d), ns.F(l, s))
+    return (ns.F(l, d) + damping * ns.sin(read) / l, damping * ns.cos(read) / l, phase,
+            ns.F(l, s))
 
 
 def _free_space(ns, omega, coupling):
@@ -345,26 +359,24 @@ def _probability(ns, free, pref, omega, boundary_distance):
     return ns.max(p, 0.0)
 
 
-def _pair_terms(ns, omega_a, omega_b, coupling) -> SimpleNamespace:
-    """The terms of the joint state that the pair alone fixes: the gaps, their
-    sum s and difference d, the prefactor, both free-space probabilities
-    and the weights of C and X."""
+def _pair_terms(ns, omega_a, omega_b, coupling) -> tuple:
+    """The terms of the joint state that the pair alone fixes, in order: the
+    gaps, their sum s and difference d, the prefactor, both free-space
+    probabilities and the weights of C and X."""
     s = omega_a + omega_b
     # nonnegative by the labelling convention
     d = omega_b - omega_a
     pref = coupling * coupling / (4.0 * _SQRT_PI)
-    return SimpleNamespace(
-        omega_a=omega_a, omega_b=omega_b, s=s, d=d, pref=pref,
-        free_a=_free_space(ns, omega_a, coupling), free_b=_free_space(ns, omega_b, coupling),
-        c_weight=pref * ns.exp(-d * d / 4.0), x_weight=-pref * ns.exp(-s * s / 4.0),
-    )
+    return (omega_a, omega_b, s, d, pref,
+            _free_space(ns, omega_a, coupling), _free_space(ns, omega_b, coupling),
+            pref * ns.exp(-d * d / 4.0), -pref * ns.exp(-s * s / 4.0))
 
 
 def free_space_probability(omega: float, coupling: float = 1.0) -> float:
     """Excitation probability of a single detector without any boundary."""
-    v = SimpleNamespace(omega=_real(omega, "omega"), coupling=_real(coupling, "coupling"))
-    _check(_free_space_rules, v)
-    return _free_space(_ONE_POINT, v.omega, v.coupling)
+    omega, coupling = _real(omega, "omega"), _real(coupling, "coupling")
+    _check(_free_space_rules, (omega, coupling))
+    return _free_space(_ONE_POINT, omega, coupling)
 
 
 def transition_probability(
@@ -375,13 +387,13 @@ def transition_probability(
     Vanishes on the mirror and approaches the free-space value far from
     it; the residual boundary correction decays like 1/dz^2.
     """
-    v = SimpleNamespace(omega=_real(omega, "omega"),
-                        boundary_distance=_real(boundary_distance, "boundary_distance"),
-                        coupling=_real(coupling, "coupling"))
-    _check(_transition_rules, v)
-    free = _free_space(_ONE_POINT, v.omega, v.coupling)
-    pref = v.coupling * v.coupling / (4.0 * _SQRT_PI)
-    return _probability(_ONE_POINT, free, pref, v.omega, v.boundary_distance)
+    omega = _real(omega, "omega")
+    boundary_distance = _real(boundary_distance, "boundary_distance")
+    coupling = _real(coupling, "coupling")
+    _check(_transition_rules, (omega, boundary_distance, coupling))
+    free = _free_space(_ONE_POINT, omega, coupling)
+    pref = coupling * coupling / (4.0 * _SQRT_PI)
+    return _probability(_ONE_POINT, free, pref, omega, boundary_distance)
 
 
 def _exact(value) -> bytes | str:
@@ -406,10 +418,11 @@ def _kept(fn: Callable, store: dict) -> Callable:
 
 
 def _entries(ns, pair, lengths, p_a=None, p_b=None, direct=None,
-             probability=_probability, kernels=_kernels) -> SimpleNamespace:
-    """P_A, P_B, C and X of the joint state, unchecked, with the values the
-    rules on the kernel phases and on the block read, from the
-    :func:`_pair_terms` and the :func:`_mirror_lengths`.
+             probability=_probability, kernels=_kernels) -> tuple[tuple, tuple]:
+    """P_A, P_B, C and X of the joint state, unchecked, from the
+    :func:`_pair_terms` and the :func:`_mirror_lengths`: the values
+    :func:`_phase_rules` read, and those :func:`_block_rules` read, each
+    tuple in its table's order.
 
     The stages past the pair terms: the probability of each detector at its
     mirror distance, the kernels at the direct separation, and those at the
@@ -419,37 +432,41 @@ def _entries(ns, pair, lengths, p_a=None, p_b=None, direct=None,
     the image kernels, which differ from curve to curve, are always
     computed.
     """
+    omega_a, omega_b, s, d, pref, free_a, free_b, c_weight, w = pair
+    separation, boundary_distance, image_separation, distance_b = lengths
     if p_a is None:
-        p_a = probability(ns, pair.free_a, pair.pref, pair.omega_a, lengths.boundary_distance)
+        p_a = probability(ns, free_a, pref, omega_a, boundary_distance)
     if p_b is None:
-        p_b = probability(ns, pair.free_b, pair.pref, pair.omega_b, lengths.distance_b)
+        p_b = probability(ns, free_b, pref, omega_b, distance_b)
     if direct is None:
-        direct = kernels(ns, lengths.separation, pair.d, pair.s)
+        direct = kernels(ns, separation, d, s)
     g_re, g_im, phase, f = direct
-    h_re, h_im, image_phase, f_image = _kernels(ns, lengths.image_separation, pair.d, pair.s)
-    w, re, im = pair.x_weight, g_re - h_re, g_im - h_im
-    return SimpleNamespace(
-        separation=lengths.separation, image_separation=lengths.image_separation, d=pair.d,
-        phase=phase, image_phase=image_phase, p_a=p_a, p_b=p_b, p_sum=p_a + p_b,
-        c=pair.c_weight * (f - f_image),
+    h_re, h_im, image_phase, f_image = _kernels(ns, image_separation, d, s)
+    re, im = g_re - h_re, g_im - h_im
+    return (d, separation, image_separation, phase, image_phase), (
+        p_a, p_b, p_a + p_b, c_weight * (f - f_image),
         # w (re + i im) as Python multiplies a float by a complex number,
         # whose zero terms set the sign of a zero part
-        x=ns.complex(w * re - 0.0 * im, w * im + 0.0 * re),
+        ns.complex(w * re - 0.0 * im, w * im + 0.0 * re),
     )
+
+
+# the values of the block rules by name, which an evaluator returns
+_Block = collections.namedtuple("_Block", _block_rules.names)
 
 
 def correlations(pair: DetectorPair, geom: BoundaryGeometry) -> CorrelationBlock:
     """Entries of the joint state for the given pair and placement."""
     terms = _pair_terms(_ONE_POINT, pair.omega_a, pair.omega_b, pair.coupling)
-    values = _entries(_ONE_POINT, terms, geom._lengths)
-    _check(_phase_rules, values)
-    return CorrelationBlock(values.p_a, values.p_b, values.c, values.x)
+    phases, (p_a, p_b, _, c, x) = _entries(_ONE_POINT, terms, geom._lengths)
+    _check(_phase_rules, phases)
+    return CorrelationBlock(p_a, p_b, c, x)
 
 
 def _block_evaluator(
     pair: DetectorPair, geom: BoundaryGeometry, swept: str, store: dict | None = None
-) -> Callable[[float | np.ndarray], tuple[SimpleNamespace, tuple, bool | np.ndarray]]:
-    """The values of :func:`_entries`, the observables of their X-state and
+) -> Callable[[float | np.ndarray], tuple[tuple, tuple, bool | np.ndarray]]:
+    """The values of the block rules, the observables of their X-state and
     the verdict as a function of one input, ``swept``: "omega_b",
     "separation" or "boundary_distance", the others being those of ``pair``
     and ``geom``.  Built once per search or sweep.
@@ -462,19 +479,23 @@ def _block_evaluator(
     and the rules of :class:`DetectorPair` (omega_b swept only),
     :class:`BoundaryGeometry` (a length swept only), the kernel phases and
     :class:`CorrelationBlock`, in that order, through the namespace the
-    value's type picks.  A point builds the namespace its rules read (the
-    lengths, or the gaps), the namespace of :func:`_entries`, the rows of
-    three rule tables and the tuple it returns; no dataclass.  The X-state
-    of a block that passes is read straight through ``_steering``: once the
-    block's rules hold, its diagonal 1 - p_a - p_b, p_b, p_a, 0 lies in
-    [0, 1] with unit trace, and its coherences x and c are finite; c is real
-    and Re x stays bounded, so their moduli are finite too, and no rule of
-    :class:`XState` can fail there.  Nor can its clamps at zero change an
+    value's type picks.  A point passes its values by position, as tuples:
+    the gaps or the lengths its first rules read, the pair terms along
+    omega_b, and the phase and block values of :func:`_entries`, each rule
+    table returning a tuple of predicates.  It builds no namespace and no
+    dataclass; only a failed rule builds the name-to-value dict its message
+    reads.  The X-state of a block that passes is read straight through
+    ``_steering``: once the block's rules hold, its diagonal
+    1 - p_a - p_b, p_b, p_a, 0 lies in [0, 1] with unit trace, and its
+    coherences x and c are finite; c is real and Re x stays bounded, so
+    their moduli are finite too, and no rule of :class:`XState` can fail
+    there.  Nor can its clamps at zero change an
     entry: p_a, p_b and 0 are read as they are, and with p_a and p_b
     nonnegative and p_a + p_b < 1 after rounding, 1 - p_a exceeds p_b before
     rounding and so is at least p_b after it, and d11 = (1 - p_a) - p_b is
-    +0.0 or more.  It returns ``(values, observed, ok)``, ``observed``
-    being P_A, P_B and the columns of ``_steering``, each bit for bit the
+    +0.0 or more.  It returns ``(values, observed, ok)``: ``values`` the
+    block values p_a, p_b, p_sum, c and x by name (``_Block``), ``observed``
+    P_A, P_B and the columns of ``_steering``, each bit for bit the
     one-point route's; a value held fixed stays one number.  At one point a
     failed rule is raised as the dataclasses raise it, and ``ok`` is True;
     over an array ``ok`` is true exactly at the points that pass, and the
@@ -490,10 +511,12 @@ def _block_evaluator(
     """
     omega_a, coupling, alignment = pair.omega_a, pair.coupling, geom.alignment
     ns, lengths = _ONE_POINT, geom._lengths
+    separation, boundary_distance, _, distance_b = lengths
     terms = _pair_terms(ns, omega_a, pair.omega_b, coupling)
+    _, omega_b, s, d, pref, free_a, free_b, _, _ = terms
     p_a = p_b = direct = None
     if swept != "boundary_distance":
-        p_a = _probability(ns, terms.free_a, terms.pref, omega_a, lengths.boundary_distance)
+        p_a = _probability(ns, free_a, pref, omega_a, boundary_distance)
     pair_terms, probability, kernels = _pair_terms, _probability, _kernels
     if store is not None:
         pair_terms, probability, kernels = (
@@ -505,16 +528,16 @@ def _block_evaluator(
     gap_swept = swept == "omega_b"
     if gap_swept:
         rules, placeholder = _pair_rules, omega_a
-        inputs = lambda ns, wb: SimpleNamespace(omega_a=omega_a, omega_b=wb, coupling=coupling)
+        inputs = lambda ns, wb: (omega_a, wb, coupling)
     else:
         rules, placeholder = _geometry_rules, 1.0
         if swept == "boundary_distance":
-            direct = _kernels(ns, lengths.separation, terms.d, terms.s)
-            inputs = lambda ns, dz: _mirror_lengths(ns, alignment, lengths.separation, dz)
+            direct = _kernels(ns, separation, d, s)
+            inputs = lambda ns, dz: _mirror_lengths(ns, alignment, separation, dz)
         else:
             if alignment is Alignment.PARALLEL:
-                p_b = _probability(ns, terms.free_b, terms.pref, terms.omega_b, lengths.distance_b)
-            inputs = lambda ns, l: _mirror_lengths(ns, alignment, l, lengths.boundary_distance)
+                p_b = _probability(ns, free_b, pref, omega_b, distance_b)
+            inputs = lambda ns, l: _mirror_lengths(ns, alignment, l, boundary_distance)
 
     def at(value):
         ns = _ARRAYS if isinstance(value, np.ndarray) else _ONE_POINT
@@ -523,34 +546,37 @@ def _block_evaluator(
         if ok is not True and not ok.all():
             v = inputs(ns, np.where(ok, value, placeholder))
         if gap_swept:
-            t, lens = pair_terms(ns, omega_a, v.omega_b, coupling), lengths
+            t, lens = pair_terms(ns, *v), lengths
         else:
             t, lens = terms, v
-        values = _entries(ns, t, lens, p_a, p_b, direct, probability, kernels)
-        ok = ok & ns.verdict(_phase_rules, values) & ns.verdict(_block_rules, values)
-        c, x = values.c, values.x
+        phases, block = _entries(ns, t, lens, p_a, p_b, direct, probability, kernels)
+        ok = ok & ns.verdict(_phase_rules, phases) & ns.verdict(_block_rules, block)
+        pa, pb, _, c, x = block
         if ok is not True and not ok.all():
             # the modulus of a refused coherence can overflow abs
             c, x = ns.where(ok, c, 0.0), ns.where(ok, x, 0.0)
-        columns = _steering(ns, *_state_entries(values.p_a, values.p_b, c, x))
-        return values, (values.p_a, values.p_b, *columns), ok
+        columns = _steering(ns, *_state_entries(pa, pb, c, x))
+        # the block values by name, through tuple's own constructor: the named
+        # tuple's __new__ is a Python-level call that would pass them on
+        return tuple.__new__(_Block, block), (pa, pb, *columns), ok
 
     return at
-
-
 def boundary_free_correlations(pair: DetectorPair, separation: float) -> CorrelationBlock:
     """Joint-state entries for the same pair in empty space (no image terms)."""
     l = _real(separation, "separation")
     if not math.isfinite(l) or l <= 0.0:
         raise ValidationError("separation must be a positive real")
-    terms = _pair_terms(_ONE_POINT, pair.omega_a, pair.omega_b, pair.coupling)
-    g_re, g_im, phase, f = _kernels(_ONE_POINT, l, terms.d, terms.s)
-    _check(_direct_phase_rules, SimpleNamespace(d=terms.d, separation=l, phase=phase))
+    _, _, s, d, _, free_a, free_b, c_weight, x_weight = _pair_terms(
+        _ONE_POINT, pair.omega_a, pair.omega_b, pair.coupling)
+    g_re, g_im, phase, f = _kernels(_ONE_POINT, l, d, s)
+    # the direct phase read also as the image's, which then fails only
+    # where the direct one, checked first, already has
+    _check(_phase_rules, (d, l, l, phase, phase))
     return CorrelationBlock(
-        p_a=terms.free_a,
-        p_b=terms.free_b,
-        c=terms.c_weight * f,
-        x=terms.x_weight * complex(g_re, g_im),
+        p_a=free_a,
+        p_b=free_b,
+        c=c_weight * f,
+        x=x_weight * complex(g_re, g_im),
     )
 
 

@@ -24,9 +24,11 @@ Each formula is written once, over a namespace of elementwise functions:
 one state reads it through :mod:`math`, and arrays of states read it one
 libm call per point (numpy's own functions can differ in the last ulp), so
 both give the same bits.  Each domain check is written once as well, as an
-ordered table of rules (predicate, error type, message) that a namespace
-reads through its ``verdict``: one state raises the first rule it fails, and
-an array pass ANDs the rules into a verdict per point.  :class:`XState`
+ordered table of rules: a function of the values it reads, by position, that
+returns one predicate per rule, with the rules' (error type, message) rows
+beside it (:func:`_rules`).  A namespace reads a table through its
+``verdict``: one state raises the first rule it fails, and an array pass ANDs
+the predicates into a verdict per point.  :class:`XState`
 checks and clamps a state through :func:`_state`, and :func:`_steering`
 gives its columns unchecked, at one point or over arrays.  Sweeps and
 searches read :func:`_steering` on the X-state of a correlation block that
@@ -115,16 +117,27 @@ def _abs(a):
     return _each(abs, a)
 
 
-# A domain check is an ordered table of rules: a function of a namespace of
-# values that returns one row (holds, error type, message) per rule.  Each
-# ``holds`` uses comparisons, ``abs``, ``&`` and products only (a real x is
-# finite exactly where abs(x) < _INF, and a complex z exactly where
-# z * 0.0 == 0.0, since inf * 0.0 and nan * 0.0 are nan in either part), so a
-# table reads one point or each point of arrays; a message formats the
-# values by name.  A namespace's ``verdict`` reads a table: one point raises
-# the first rule it fails, and an array pass ANDs the rules into a verdict
-# per point.
+# Each predicate of a rule table (:func:`_rules`) uses comparisons, ``abs``,
+# ``&`` and products only, so a table reads one point or each point of
+# arrays: a real x is finite exactly where abs(x) < _INF, and a complex z
+# exactly where z * 0.0 == 0.0, since inf * 0.0 and nan * 0.0 are nan in
+# either part.
 _INF = math.inf
+
+
+def _rules(*rows):
+    """A rule table: the decorated function takes the values its rules read,
+    by position, and returns one predicate per rule; ``rows`` holds each
+    rule's (error type, message) in the same order, and a message formats
+    the values by the function's parameter names."""
+
+    def table(predicates):
+        code = predicates.__code__
+        predicates.rows = rows
+        predicates.names = code.co_varnames[: code.co_argcount]
+        return predicates
+
+    return table
 
 
 def _holds(rules, values):
@@ -132,7 +145,7 @@ def _holds(rules, values):
     floating-point warnings off.  A rule on held values alone holds as one
     Python bool, and one that holds takes no array operation."""
     ok = True
-    for holds, _, _ in rules(values):
+    for holds in rules(*values):
         if holds is not True:
             ok = holds if ok is True else ok & holds
     return ok
@@ -140,10 +153,12 @@ def _holds(rules, values):
 
 def _check(rules, values) -> bool:
     """True if one point's ``values`` pass every rule; otherwise the error of
-    the first rule they fail is raised."""
-    for holds, error, message in rules(values):
-        if not holds:
-            raise error(message.format_map(vars(values)))
+    the first rule they fail is raised, its message formatted from the
+    values by name."""
+    holds = rules(*values)
+    if False in holds:
+        error, message = rules.rows[holds.index(False)]
+        raise error(message.format_map(dict(zip(rules.names, values))))
     return True
 
 
@@ -169,27 +184,37 @@ _ARRAYS = SimpleNamespace(
 _LOW, _HIGH = -_ATOL, 1.0 + _ATOL
 
 
-def _state_rules(v):
+@_rules(
+    (ValidationError, "d11 must be finite"),
+    (ValidationError, "d11 = {d11!r} outside [0, 1]"),
+    (ValidationError, "d22 must be finite"),
+    (ValidationError, "d22 = {d22!r} outside [0, 1]"),
+    (ValidationError, "d33 must be finite"),
+    (ValidationError, "d33 = {d33!r} outside [0, 1]"),
+    (ValidationError, "d44 must be finite"),
+    (ValidationError, "d44 = {d44!r} outside [0, 1]"),
+    (ValidationError, f"trace = {{trace!r}}, expected 1 within {_ATOL}"),
+    (ValidationError, "c14 must be finite"),
+    (ValidationError, "c23 must be finite"),
+    (ValidationError, "the moduli of c14 = {c14!r} and c23 = {c23!r} must be finite"),
+)
+def _state_rules(d11, d22, d33, d44, trace, c14, c23):
     """The rules of :class:`XState`, on the values :func:`_state` checks."""
     return (
-        (abs(v.d11) < _INF, ValidationError, "d11 must be finite"),
-        ((v.d11 >= _LOW) & (v.d11 <= _HIGH), ValidationError, "d11 = {d11!r} outside [0, 1]"),
-        (abs(v.d22) < _INF, ValidationError, "d22 must be finite"),
-        ((v.d22 >= _LOW) & (v.d22 <= _HIGH), ValidationError, "d22 = {d22!r} outside [0, 1]"),
-        (abs(v.d33) < _INF, ValidationError, "d33 must be finite"),
-        ((v.d33 >= _LOW) & (v.d33 <= _HIGH), ValidationError, "d33 = {d33!r} outside [0, 1]"),
-        (abs(v.d44) < _INF, ValidationError, "d44 must be finite"),
-        ((v.d44 >= _LOW) & (v.d44 <= _HIGH), ValidationError, "d44 = {d44!r} outside [0, 1]"),
-        (abs(v.trace - 1.0) <= _ATOL, ValidationError, _TRACE_FAILS),
-        (v.c14 * 0.0 == 0.0, ValidationError, "c14 must be finite"),
-        (v.c23 * 0.0 == 0.0, ValidationError, "c23 must be finite"),
+        abs(d11) < _INF,
+        (d11 >= _LOW) & (d11 <= _HIGH),
+        abs(d22) < _INF,
+        (d22 >= _LOW) & (d22 <= _HIGH),
+        abs(d33) < _INF,
+        (d33 >= _LOW) & (d33 <= _HIGH),
+        abs(d44) < _INF,
+        (d44 >= _LOW) & (d44 <= _HIGH),
+        abs(trace - 1.0) <= _ATOL,
+        c14 * 0.0 == 0.0,
+        c23 * 0.0 == 0.0,
         # a finite coherence can still overflow its modulus; halved, it cannot
-        ((abs(v.c14 * 0.5) * 2.0 < _INF) & (abs(v.c23 * 0.5) * 2.0 < _INF), ValidationError,
-         "the moduli of c14 = {c14!r} and c23 = {c23!r} must be finite"),
+        (abs(c14 * 0.5) * 2.0 < _INF) & (abs(c23 * 0.5) * 2.0 < _INF),
     )
-
-
-_TRACE_FAILS = f"trace = {{trace!r}}, expected 1 within {_ATOL}"
 
 
 def _state(ns, d11, d22, d33, d44, c14, c23):
@@ -199,8 +224,7 @@ def _state(ns, d11, d22, d33, d44, c14, c23):
     diagonal."""
     diagonal = (ns.max(d11, 0.0), ns.max(d22, 0.0), ns.max(d33, 0.0), ns.max(d44, 0.0))
     trace = diagonal[0] + diagonal[1] + diagonal[2] + diagonal[3]
-    values = SimpleNamespace(d11=d11, d22=d22, d33=d33, d44=d44, trace=trace, c14=c14, c23=c23)
-    return (*diagonal, c14, c23), ns.verdict(_state_rules, values)
+    return (*diagonal, c14, c23), ns.verdict(_state_rules, (d11, d22, d33, d44, trace, c14, c23))
 
 
 _FIELDS = ("d11", "d22", "d33", "d44", "c14", "c23")
@@ -231,12 +255,16 @@ class XState:
     c14: complex = 0j
     c23: complex = 0j
 
-    def __post_init__(self):
+    # dataclass keeps a class's own __init__.  This one reads and checks the
+    # inputs and writes the fields once, past the frozen __setattr__; the
+    # generated one would write each field through object.__setattr__ first,
+    # for a __post_init__ to read back, which is a quarter of a state's cost
+    def __init__(self, d11: float, d22: float, d33: float, d44: float,
+                 c14: complex = 0j, c23: complex = 0j):
         fields, _ = _state(
-            _ONE_POINT, _real(self.d11, "d11"), _real(self.d22, "d22"), _real(self.d33, "d33"),
-            _real(self.d44, "d44"), _complex(self.c14, "c14"), _complex(self.c23, "c23"),
+            _ONE_POINT, _real(d11, "d11"), _real(d22, "d22"), _real(d33, "d33"),
+            _real(d44, "d44"), _complex(c14, "c14"), _complex(c23, "c23"),
         )
-        # the checked fields, in one write past the frozen __setattr__
         self.__dict__.update(zip(_FIELDS, fields))
 
 

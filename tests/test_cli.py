@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -1079,6 +1080,15 @@ def test_provenance_version_is_the_package_version():
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text())["project"]
     assert __version__ == project["version"]
+
+
+def test_distribution_is_the_package():
+    # pip show, pip uninstall and importlib.metadata find the distribution by
+    # this name; a regex on the [project] table, since tomllib needs 3.11
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", pyproject.read_text(), re.M | re.S)
+    fields = dict(re.findall(r'^(name|version) = "([^"]*)"$', project[1], re.M))
+    assert fields == {"name": "mirrorsteer", "version": __version__}
 
 
 def _readme_commands():

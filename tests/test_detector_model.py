@@ -6,6 +6,8 @@ comparison); limits and series checks are worked inline from stdlib
 math so they do not share code with the implementation.
 """
 
+import dataclasses
+import inspect
 import itertools
 import math
 import sys
@@ -25,7 +27,7 @@ from mirrorsteer.detector_model import (
     _aux_f_array,
     _block_evaluator,
     _ONE_POINT,
-    _timelike,
+    _kernels,
     boundary_free_correlations,
     boundary_free_steering,
     config_difference,
@@ -35,9 +37,10 @@ from mirrorsteer.detector_model import (
     joint_state,
     transition_probability,
 )
-from mirrorsteer import detector_model
+from mirrorsteer import detector_model, xstate_steering
 from mirrorsteer.errors import PerturbativeValidityError, ValidationError
 from mirrorsteer.xstate_steering import (
+    XState,
     build_tau_ab,
     build_tau_ba,
     concurrence,
@@ -152,13 +155,15 @@ class TestTypes:
         g = BoundaryGeometry("orthogonal", separation=1.0, boundary_distance=1.0)
         assert g.alignment is Alignment.ORTHOGONAL
 
+    # _lengths holds the separation, the mirror distance of A, the image
+    # separation and the mirror distance of B
     def test_image_separation(self):
-        assert GEOM_PAR._lengths.image_separation == pytest.approx(math.hypot(1.0, 2.0))
-        assert GEOM_ORT._lengths.image_separation == 3.0
+        assert GEOM_PAR._lengths[2] == pytest.approx(math.hypot(1.0, 2.0))
+        assert GEOM_ORT._lengths[2] == 3.0
 
     def test_mirror_distance_of_far_detector(self):
-        assert GEOM_PAR._lengths.distance_b == 1.0
-        assert GEOM_ORT._lengths.distance_b == 2.0
+        assert GEOM_PAR._lengths[3] == 1.0
+        assert GEOM_ORT._lengths[3] == 2.0
 
     def test_block_rejects_saturated_probabilities(self):
         with pytest.raises(PerturbativeValidityError):
@@ -184,6 +189,53 @@ class TestTypes:
     def test_block_trusted_flag(self):
         assert CorrelationBlock(p_a=0.2, p_b=0.2, c=0j, x=0j).trusted
         assert not CorrelationBlock(p_a=0.3, p_b=0.3, c=0j, x=0j).trusted
+
+    @pytest.mark.parametrize("cls", [DetectorPair, BoundaryGeometry, CorrelationBlock, XState])
+    def test_own_init_takes_the_fields(self, cls):
+        # each class writes its own __init__, which dataclass keeps: it must
+        # take the fields, in order, with their defaults
+        fields = [(f.name, f.default) for f in dataclasses.fields(cls)]
+        params = [(p.name, p.default) for p in inspect.signature(cls).parameters.values()]
+        assert params == [(n, inspect.Parameter.empty if d is dataclasses.MISSING else d)
+                          for n, d in fields]
+
+    def test_replace_checks_the_new_fields(self):
+        assert dataclasses.replace(GEOM_PAR, separation=2.0)._lengths == (
+            2.0, 1.0, math.hypot(2.0, 2.0), 1.0)
+        with pytest.raises(ValidationError, match="separation must be positive"):
+            dataclasses.replace(GEOM_PAR, separation=-1.0)
+        with pytest.raises(ValidationError, match="energy gaps must be nonnegative"):
+            dataclasses.replace(PAIR, omega_a=-0.1)
+
+
+def _rule_tables():
+    """Every rule table of the model by name: the functions that carry their
+    rules' (error type, message) rows."""
+    return {f"{module.__name__}.{name}": table
+            for module in (detector_model, xstate_steering)
+            for name, table in vars(module).items() if hasattr(table, "rows")}
+
+
+class TestRuleTables:
+    """A rule table returns one predicate per (error type, message) row, in
+    the rows' order, and each message formats from the table's values."""
+
+    def test_every_table_is_found(self):
+        assert set(_rule_tables()) == {
+            *(f"mirrorsteer.detector_model._{name}_rules" for name in (
+                "coupling", "distance", "pair", "free_space", "transition", "geometry",
+                "phase", "block")),
+            "mirrorsteer.xstate_steering._state_rules",
+        }
+
+    @pytest.mark.parametrize("name", sorted(_rule_tables()))
+    def test_one_predicate_per_row(self, name):
+        rules = _rule_tables()[name]
+        values = (0.0,) * len(rules.names)
+        assert len(rules(*values)) == len(rules.rows) > 0
+        for error, message in rules.rows:
+            assert issubclass(error, ValidationError)
+            message.format_map(dict(zip(rules.names, values)))
 
 
 class TestFreeSpaceProbability:
@@ -430,9 +482,9 @@ class TestAuxFArray:
 
 
 def kernel_g(l, d):
-    """The timelike kernel G (:func:`_timelike`) at one point, as a complex
+    """The timelike kernel G (:func:`_kernels`) at one point, as a complex
     number."""
-    re, im, _ = _timelike(_ONE_POINT, l, d)
+    re, im, _, _ = _kernels(_ONE_POINT, l, d, d)
     return complex(re, im)
 
 

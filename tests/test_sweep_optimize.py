@@ -5,7 +5,6 @@ import dataclasses
 import math
 import re
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -494,18 +493,11 @@ _NO_SWEEP_FAILS = {
 }
 
 
-class _Zeros:
-    """A namespace in which every name reads 0.0."""
-
-    def __getattr__(self, name):
-        return 0.0
-
-
 def _rule_messages():
     """The message template of every rule a sweep checks, in the order the
     one-point route checks them."""
     tables = (_pair_rules, _geometry_rules, _phase_rules, _block_rules)
-    return [message for rules in tables for _, _, message in rules(_Zeros())]
+    return [message for rules in tables for _, message in rules.rows]
 
 
 class TestRefusalParity:
@@ -593,9 +585,8 @@ class TestRefusalParity:
     @pytest.mark.parametrize("p_a, p_b", [(math.nan, 0.1), (0.1, -0.1), (0.6, 0.6)])
     def test_block_verdict_is_what_correlation_block_refuses(self, p_a, p_b):
         p_a, p_b = np.array([0.1, p_a]), np.array([0.1, p_b])
-        v = SimpleNamespace(p_a=p_a, p_b=p_b, p_sum=p_a + p_b, c=np.zeros(2),
-                            x=np.zeros(2, complex))
-        ok = _ARRAYS.verdict(_block_rules, v)
+        ok = _ARRAYS.verdict(_block_rules, (p_a, p_b, p_a + p_b, np.zeros(2),
+                                             np.zeros(2, complex)))
         assert ok.tolist() == [True, False]
         with pytest.raises(ValidationError):
             CorrelationBlock(p_a[1], p_b[1], 0j, 0j)
@@ -605,10 +596,9 @@ class TestRefusalParity:
     )
     def test_block_verdict_refuses_non_finite_c_or_x(self, c, x):
         p = np.array([0.1, 0.1])
-        v = SimpleNamespace(p_a=p, p_b=p, p_sum=p + p, c=np.array([0.1, c]),
-                            x=np.array([0.1j, x]))
         with np.errstate(invalid="ignore"):
-            ok = _ARRAYS.verdict(_block_rules, v)
+            ok = _ARRAYS.verdict(_block_rules, (p, p, p + p, np.array([0.1, c]),
+                                                np.array([0.1j, x])))
         assert ok.tolist() == [True, False]
         with pytest.raises(ValidationError, match="c and x must be finite"):
             CorrelationBlock(0.1, 0.1, c, x)
